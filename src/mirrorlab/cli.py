@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import hashlib
 import json
 import os
@@ -109,70 +110,6 @@ def save_matrix(path, X):
 
 def config_hash(obj):
     return hashlib.sha256(json.dumps(obj, sort_keys=True, default=str).encode()).hexdigest()[:16]
-
-
-def _vec_str(v):
-    return ",".join(f"{x:.17g}" for x in np.asarray(v, dtype=float).ravel())
-
-
-def _vec_parse(s):
-    return np.array([float(c) for c in str(s).split(",")])
-
-
-def family_to_config(family):
-    """Serialize a potential family to the flat config format (tag + payload)."""
-    lines = ["[family]", f"tag = {family.tag}"]
-    if family.tag == "hyperbolic-entropy":
-        lines += [f"u0 = {_vec_str(np.sqrt(family.u0sq))}", f"v0 = {_vec_str(np.sqrt(family.v0sq))}"]
-    elif family.tag == "entropy":
-        lines += [f"x0 = {_vec_str(family.x0)}"]
-    elif family.tag == "log-cosh":
-        lines += [f"u0 = {_vec_str(np.sqrt(family.u0sq))}", f"v0 = {_vec_str(np.sqrt(family.v0sq))}"]
-    elif family.tag == "diff-powers-flow":
-        k = family.k
-        u0 = (family.K * family.c_u) ** (1.0 / (2 - 2 * k))
-        v0 = (family.K * family.c_v) ** (1.0 / (2 - 2 * k))
-        lines += [f"k = {k}", f"u0 = {_vec_str(u0)}", f"v0 = {_vec_str(v0)}"]
-    elif family.tag == "quadratic":
-        V = family.basis
-        dim = V.shape[0]
-        lines += [f"dim = {dim}", f"count = {family.n}"]
-        for i in range(family.n):
-            A = V @ np.diag(family.lam[i]) @ V.T
-            lines.append(f"a{i} = {_vec_str(A)}")
-        lines.append(f"b = {_vec_str(V @ np.diag(family.b) @ V.T)}")
-        z = np.sqrt(family.z2)
-        lines.append(f"w_init = {_vec_str(V @ z)}")
-    else:
-        raise UsageError(f"family {family.tag!r} has no config serialization")
-    return "\n".join(lines) + "\n"
-
-
-def family_from_config(text_or_mapping):
-    """Rebuild a potential family serialized by family_to_config."""
-    if isinstance(text_or_mapping, str):
-        cp = configparser.ConfigParser()
-        cp.read_string(text_or_mapping)
-        items = dict(cp.items("family"))
-    else:
-        items = {k.split(".", 1)[1]: v for k, v in text_or_mapping.items()
-                 if k.startswith("family.")}
-    tag = str(items["tag"]).strip()
-    if tag == "hyperbolic-entropy":
-        return legendre.HyperbolicEntropy(_vec_parse(items["u0"]), _vec_parse(items["v0"]))
-    if tag == "entropy":
-        return legendre.Entropy(_vec_parse(items["x0"]))
-    if tag == "log-cosh":
-        return legendre.LogCosh(_vec_parse(items["u0"]), _vec_parse(items["v0"]))
-    if tag == "diff-powers-flow":
-        return legendre.DiffPowersFlow(int(items["k"]), _vec_parse(items["u0"]),
-                                       _vec_parse(items["v0"]))
-    if tag == "quadratic":
-        dim, count = int(items["dim"]), int(items["count"])
-        A_list = [_vec_parse(items[f"a{i}"]).reshape(dim, dim) for i in range(count)]
-        B = _vec_parse(items["b"]).reshape(dim, dim)
-        return legendre.QuadraticFamily(A_list, B, _vec_parse(items["w_init"]))
-    raise UsageError(f"unknown family tag {tag!r}")
 
 
 def _fmt_cell(v):
@@ -288,7 +225,7 @@ def cmd_verify_commuting(args):
     if args.out:
         _ensure_outdir(args.out)
         with open(os.path.join(args.out, "commuting_report.json"), "w") as fh:
-            fh.write(report.to_json() + "\n")
+            fh.write(json.dumps(dataclasses.asdict(report)) + "\n")
     ok = report.passed != bool(args.expect_fail)
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -336,7 +273,7 @@ def cmd_verify_equivalence(args):
     if args.out:
         _ensure_outdir(args.out)
         with open(os.path.join(args.out, "equivalence_report.json"), "w") as fh:
-            fh.write(report.to_json() + "\n")
+            fh.write(json.dumps(dataclasses.asdict(report)) + "\n")
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
@@ -371,7 +308,7 @@ def cmd_verify_contracting(args):
     if args.out:
         _ensure_outdir(args.out)
         with open(os.path.join(args.out, "contracting_report.json"), "w") as fh:
-            fh.write(report.to_json() + "\n")
+            fh.write(json.dumps(dataclasses.asdict(report)) + "\n")
     expected_fail = bool(args.expect_fail)
     return EXIT_OK if report.passed != expected_fail else EXIT_FAIL
 
@@ -434,10 +371,12 @@ def cmd_verify_optimality(args):
 # ---------------------------------------------------------------------------
 
 def _sensing_job(params):
+    """One sensing run and its own wall time in seconds."""
     params = dict(params)
     sched = Schedule(**params.pop("schedule"))
     cfg = SensingConfig(schedule=sched, **params)
-    return matrix_sensing_run(cfg)
+    t0 = time.perf_counter()
+    return matrix_sensing_run(cfg), time.perf_counter() - t0
 
 
 def _sensing_kkt(rep, job):
@@ -490,18 +429,16 @@ def cmd_run_sensing(args):
                      "schedule": {"kind": merged["kind"], "alpha0": float(merged["alpha0"]),
                                   "turnoff_time": float(merged["turnoff_time"]),
                                   "t_end": float(merged["t_end"])}})
-    t0 = time.time()
     if args.jobs > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_sensing_job, jobs))
+            results = list(pool.map(_sensing_job, jobs))
     else:
-        reports = [_sensing_job(j) for j in jobs]
-    wall = time.time() - t0
+        results = [_sensing_job(j) for j in jobs]
     code = EXIT_OK
-    for seed, rep, job in zip(seeds, reports, jobs):
+    for seed, (rep, wall), job in zip(seeds, results, jobs):
         stem = os.path.join(out, f"sensing_seed{seed}")
         write_trajectory_csv(stem + ".csv", rep)
-        write_summary(stem + "_summary.json", rep, seed, wall / len(seeds),
+        write_summary(stem + "_summary.json", rep, seed, wall,
                       extra={"kkt_residual": _sensing_kkt(rep, job)})
         if rep.diverged:
             code = EXIT_DIVERGED
@@ -533,11 +470,12 @@ def cmd_run_diagonal(args):
                            steps=int(merged["steps"]), schedule=sched,
                            variant=merged["variant"], seed=int(merged["seed"]),
                            record_every=int(merged["record_every"]))
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = diagonal_network_run(cfg)
+    wall = time.perf_counter() - t0
     stem = os.path.join(out, f"diagonal_{cfg.variant}_seed{cfg.seed}")
     write_trajectory_csv(stem + ".csv", rep)
-    write_summary(stem + "_summary.json", rep, cfg.seed, time.time() - t0,
+    write_summary(stem + "_summary.json", rep, cfg.seed, wall,
                   extra={"kkt_residual": _diagonal_kkt(rep, cfg)})
     if args.plot:
         line_plot(stem + "_ratio.svg",
@@ -592,11 +530,12 @@ def cmd_run_sparse_coding(args):
                      turnoff_time=turnoff, t_end=float(merged["t_end"]))
     cfg = SparseCodingConfig(steps=int(merged["steps"]), record_every=int(merged["record_every"]),
                              lr_scale=float(merged["lr_scale"]))
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = sparse_coding_run(D, target, p, sched, cfg)
+    wall = time.perf_counter() - t0
     stem = os.path.join(out, f"sparse_{merged['variant']}_seed{seed}")
     write_trajectory_csv(stem + ".csv", rep)
-    write_summary(stem + "_summary.json", rep, seed, time.time() - t0,
+    write_summary(stem + "_summary.json", rep, seed, wall,
                   extra={"flags": rep.flags, "kkt_residual": None})
     if args.plot and len(rep.times) > 1:
         line_plot(stem + "_l1.svg", [("code l1 norm", rep.steps, rep.metrics["l1"])],
@@ -628,16 +567,17 @@ def cmd_run_flow(args):
     sched = _schedule_from(merged)
     cfg = IntegratorConfig(merged["method"], float(merged["step"]), float(merged["t_end"]),
                            record_every=int(merged["record_every"]))
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         traj = run_mirror_flow(fam, loss, sched, cfg)
     except (DivergedError, DomainExitError) as exc:
         traj = exc.trajectory
         print(f"flow stopped early: {exc}", file=sys.stderr)
         if traj is not None:
-            _write_flow_outputs(out, merged, traj, seed, time.time() - t0, args.plot)
+            _write_flow_outputs(out, merged, traj, seed, time.perf_counter() - t0, args.plot)
         return EXIT_DIVERGED
-    _write_flow_outputs(out, merged, traj, seed, time.time() - t0, args.plot)
+    wall = time.perf_counter() - t0
+    _write_flow_outputs(out, merged, traj, seed, wall, args.plot)
     print(f"family {fam.tag}: {len(traj)} records, final loss "
           f"{traj.metrics['train_loss'][-1]:.3e}")
     return EXIT_OK

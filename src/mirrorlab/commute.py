@@ -8,7 +8,6 @@ floor at O(step^2) where the structure predicts exact zeros.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,11 +63,6 @@ class BracketReport:
     worst_sample: list = field(default_factory=list)
     worst_pair: tuple = ("", "")
 
-    def to_json(self):
-        d = dict(self.__dict__)
-        d["worst_pair"] = list(d["worst_pair"])
-        return json.dumps(d)
-
 
 def check_commuting(p, n_samples=50, tol=1e-4, seed=0, box=None):
     """Sample the box and evaluate all pairwise brackets, h included."""
@@ -111,9 +105,6 @@ class SeparableReport:
     passed: bool
     status: str = "ok"
 
-    def to_json(self):
-        return json.dumps(self.__dict__)
-
 
 def check_separable_pair(g_scalar, h_scalar, samples, tol=1e-8):
     """Least-squares fit of h = c * g over scalar samples.
@@ -140,9 +131,6 @@ class QuadCommuteReport:
     max_commutator_fro: float
     passed: bool
     tol: float
-
-    def to_json(self):
-        return json.dumps(self.__dict__)
 
 
 def check_quadratic_commuting(A_list, B, tol=1e-10):

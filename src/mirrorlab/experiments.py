@@ -1,8 +1,10 @@
 """Desk-scale experiments: matrix sensing, diagonal networks, sparse coding, optimality.
 
-All runners are deterministic given their seed, use plain discrete steps with
-the step size playing the role of a learning rate, and produce a uniform
-``ExperimentReport`` that the command-line layer serializes to CSV/JSON.
+All runners are deterministic given their seed and take plain Euler steps on
+the engine of ``flow`` (``_integrate``), the step size playing the role of a
+learning rate; each supplies the vector field and a per-record hook that
+computes its metrics.  They produce a uniform ``ExperimentReport`` that the
+command-line layer serializes to CSV/JSON.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import numpy as np
 
 from . import reparam
 from .core import DomainError, InputError, Schedule, make_rng
+from .flow import LinearRegressionLoss, _integrate
 from .legendre import LegendreFamily
 
 
@@ -32,45 +35,23 @@ class ExperimentReport:
     final_params: np.ndarray | None = None
 
 
-class SensingLoss:
+class SensingLoss(LinearRegressionLoss):
     """f(X) = sum_i (<A_i, X> - y_i)^2 / (2m) on raveled n x n matrices."""
 
     def __init__(self, A, y):
-        self.A = np.asarray(A, dtype=float)          # (m, n, n)
-        self.y = np.asarray(y, dtype=float).ravel()  # (m,)
-        self.m = self.A.shape[0]
-        self.n = self.A.shape[1]
-
-    def measure(self, X):
-        return np.einsum("ijk,jk->i", self.A, X)
-
-    def value(self, x):
-        r = self.measure(np.asarray(x).reshape(self.n, self.n)) - self.y
-        return float(0.5 * r @ r / self.m)
-
-    def grad(self, x):
-        X = np.asarray(x).reshape(self.n, self.n)
-        r = self.measure(X) - self.y
-        return (np.einsum("i,ijk->jk", r, self.A) / self.m).ravel()
+        A = np.asarray(A, dtype=float)
+        super().__init__(A.reshape(A.shape[0], -1), y)
 
 
-class DictionaryLoss:
+class DictionaryLoss(LinearRegressionLoss):
     """f(code) = ||D code - target||^2 / 2; gradient Lipschitz constant sigma_max(D)^2."""
 
     def __init__(self, D, target):
-        self.D = np.asarray(D, dtype=float)
-        self.target = np.asarray(target, dtype=float).ravel()
-
-    def value(self, x):
-        r = self.D @ np.asarray(x, dtype=float).ravel() - self.target
-        return float(0.5 * r @ r)
-
-    def grad(self, x):
-        r = self.D @ np.asarray(x, dtype=float).ravel() - self.target
-        return self.D.T @ r
+        super().__init__(D, target)
+        self.d = 1
 
     def lipschitz(self):
-        return float(np.linalg.norm(self.D, 2) ** 2)
+        return float(np.linalg.norm(self.Z, 2) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +129,21 @@ def matrix_sensing_run(cfg: SensingConfig) -> ExperimentReport:
     rec_steps, rec_t, rec_a = [], [], []
     series = {k: [] for k in ("train_loss", "recon_error", "nuclear_norm", "ratio")}
     eigs = []
-    time_to_threshold = None
-    diverged = False
+    below = []  # time of the first step whose loss is at most LOSS_THRESHOLD
 
-    def record(k, t, X, f_val):
+    def watch(t, f_val):
+        if not below and f_val <= LOSS_THRESHOLD:
+            below.append(t)
+
+    def rhs(t, w, left_limit):
+        x = p.g(w)
+        watch(t, loss.value(x))
+        return p.flow_rhs(w, loss.grad(x), cfg.schedule.alpha(t))
+
+    def record(k, t, w):
+        X = p.g(w).reshape(cfg.n, cfg.n)
+        f_val = loss.value(X.ravel())
+        watch(t, f_val)
         rec_steps.append(k)
         rec_t.append(t)
         rec_a.append(cfg.schedule.a(t))
@@ -162,30 +154,14 @@ def matrix_sensing_run(cfg: SensingConfig) -> ExperimentReport:
         series["ratio"].append(float(np.sum(s) / np.sqrt(np.sum(s * s))))
         eigs.append(np.sort(np.linalg.eigvalsh(X))[::-1])
 
-    w = U.ravel()
-    for k in range(cfg.steps + 1):
-        t = k * cfg.eta
-        X = w.reshape(cfg.n, cfg.n) @ w.reshape(cfg.n, cfg.n).T
-        grad = loss.grad(X.ravel())
-        f_val = loss.value(X.ravel())
-        if time_to_threshold is None and f_val <= LOSS_THRESHOLD:
-            time_to_threshold = t
-        if k % cfg.record_every == 0 or k == cfg.steps:
-            record(k, t, X, f_val)
-        if k == cfg.steps:
-            break
-        w = w + cfg.eta * p.flow_rhs(w, grad, cfg.schedule.alpha(t))
-        if not np.all(np.isfinite(w)) or np.max(np.abs(w)) > 1e12:
-            diverged = True
-            break
-
+    w, status = _integrate(rhs, p.w_init, cfg.steps, cfg.eta, cfg.record_every, record)
     metrics = {k: np.asarray(v) for k, v in series.items()}
     summary = {
         "final_train_loss": metrics["train_loss"][-1],
         "final_recon_error": metrics["recon_error"][-1],
         "final_nuclear_norm": metrics["nuclear_norm"][-1],
         "final_ratio": metrics["ratio"][-1],
-        "time_to_threshold": time_to_threshold,
+        "time_to_threshold": below[0] if below else None,
         "converged": bool(metrics["train_loss"][-1] <= LOSS_THRESHOLD),
         "a_final": float(cfg.schedule.a(rec_t[-1])),
     }
@@ -197,9 +173,9 @@ def matrix_sensing_run(cfg: SensingConfig) -> ExperimentReport:
         a=np.asarray(rec_a),
         metrics=metrics,
         summary=summary,
-        diverged=diverged,
+        diverged=status is not None,
         eigenvalues=np.asarray(eigs),
-        final_x=(w.reshape(cfg.n, cfg.n) @ w.reshape(cfg.n, cfg.n).T).ravel(),
+        final_x=p.g(w),
         final_params=w,
     )
 
@@ -282,53 +258,46 @@ def make_regression_problem(cfg: RegressionConfig):
 
 def diagonal_network_run(cfg: RegressionConfig) -> ExperimentReport:
     """Two-phase diagonal-network training; variant "m" uses an L1 penalty."""
-    from .flow import LinearRegressionLoss
-
     Z, y, x_star = make_regression_problem(cfg)
     loss = LinearRegressionLoss(Z, y)
     phase1_end = cfg.steps * cfg.eta
 
+    def alpha(t):
+        return cfg.schedule.alpha(t) if t < phase1_end else 0.0
+
     if cfg.variant == "m":
         p = None
         params = np.zeros(cfg.n)
-    elif cfg.variant == "mw":
-        p = reparam.DeepHadamard([np.zeros(cfg.n), np.ones(cfg.n)])
-        params = p.w_init.copy()
+
+        def rhs(t, w, left_limit):
+            return -(loss.grad(w) + alpha(t) * np.sign(w))
     else:
-        p = reparam.DeepHadamard([np.zeros(cfg.n), np.ones(cfg.n), np.ones(cfg.n)])
-        params = p.w_init.copy()
+        # one factor per letter of the variant name: "mw" is m * w, "mwz" is m * w * z
+        p = reparam.DeepHadamard([np.zeros(cfg.n)] + [np.ones(cfg.n)] * (len(cfg.variant) - 1))
+        params = p.w_init
+
+        def rhs(t, w, left_limit):
+            return p.flow_rhs(w, loss.grad(p.g(w)), alpha(t))
 
     def model(params):
         return params if p is None else p.g(params)
 
     rec_steps, rec_t, rec_a = [], [], []
     series = {k: [] for k in ("train_loss", "recon_error", "l1", "l1_l2_ratio")}
-    total = 2 * cfg.steps
-    diverged = False
-    for k in range(total + 1):
-        t = k * cfg.eta
-        x = model(params)
-        if k % cfg.record_every == 0 or k == total:
-            rec_steps.append(k)
-            rec_t.append(t)
-            rec_a.append(cfg.schedule.a(min(t, phase1_end)))
-            l1 = float(np.sum(np.abs(x)))
-            l2 = float(np.linalg.norm(x))
-            series["train_loss"].append(loss.value(x))
-            series["recon_error"].append(float(np.sum((x - x_star) ** 2)))
-            series["l1"].append(l1)
-            series["l1_l2_ratio"].append(l1 / l2 if l2 > 0 else 0.0)
-        if k == total:
-            break
-        alpha = cfg.schedule.alpha(t) if k < cfg.steps else 0.0
-        if p is None:
-            params = params - cfg.eta * (loss.grad(params) + alpha * np.sign(params))
-        else:
-            params = params + cfg.eta * p.flow_rhs(params, loss.grad(p.g(params)), alpha)
-        if not np.all(np.isfinite(params)) or np.max(np.abs(params)) > 1e12:
-            diverged = True
-            break
 
+    def record(k, t, w):
+        x = model(w)
+        rec_steps.append(k)
+        rec_t.append(t)
+        rec_a.append(cfg.schedule.a(min(t, phase1_end)))
+        l1 = float(np.sum(np.abs(x)))
+        l2 = float(np.linalg.norm(x))
+        series["train_loss"].append(loss.value(x))
+        series["recon_error"].append(float(np.sum((x - x_star) ** 2)))
+        series["l1"].append(l1)
+        series["l1_l2_ratio"].append(l1 / l2 if l2 > 0 else 0.0)
+
+    params, status = _integrate(rhs, params, 2 * cfg.steps, cfg.eta, cfg.record_every, record)
     metrics = {k: np.asarray(v) for k, v in series.items()}
     gt_l1 = float(np.sum(np.abs(x_star)))
     gt_l2 = float(np.linalg.norm(x_star))
@@ -349,7 +318,7 @@ def diagonal_network_run(cfg: RegressionConfig) -> ExperimentReport:
         a=np.asarray(rec_a),
         metrics=metrics,
         summary=summary,
-        diverged=diverged,
+        diverged=status is not None,
         final_x=model(params),
         final_params=params,
     )
@@ -395,38 +364,32 @@ def sparse_coding_run(dictionary, target, variant_p, schedule: Schedule,
     loss = DictionaryLoss(D, target)
     eta = cfg.lr_scale / loss.lipschitz()
 
-    params = variant_p.w_init.copy()
     rec_steps, rec_t, rec_a = [], [], []
     series = {k: [] for k in ("train_loss", "recon_error", "l1")}
     flags = {"domain_exit": False, "left_unit_region": False}
     n_obs = D.shape[0]
-    for k in range(cfg.steps + 1):
-        t = k * eta
-        try:
-            x = variant_p.g(params)
-        except DomainError:
-            flags["domain_exit"] = True
-            break
-        if hasattr(variant_p, "inside_unit_region") and not variant_p.inside_unit_region(params):
-            flags["left_unit_region"] = True
-        if k % cfg.record_every == 0 or k == cfg.steps:
-            rec_steps.append(k)
-            rec_t.append(t)
-            rec_a.append(schedule.a(t))
-            series["train_loss"].append(loss.value(x))
-            series["recon_error"].append(float(2.0 * loss.value(x) / n_obs))
-            series["l1"].append(float(np.sum(np.abs(x))))
-        if k == cfg.steps:
-            break
-        try:
-            params = params + eta * variant_p.flow_rhs(params, loss.grad(x), schedule.alpha(t))
-        except DomainError:
-            flags["domain_exit"] = True
-            break
-        if not np.all(np.isfinite(params)):
-            flags["domain_exit"] = True
-            break
 
+    def code(w):
+        x = variant_p.g(w)
+        if hasattr(variant_p, "inside_unit_region") and not variant_p.inside_unit_region(w):
+            flags["left_unit_region"] = True
+        return x
+
+    def rhs(t, w, left_limit):
+        return variant_p.flow_rhs(w, loss.grad(code(w)), schedule.alpha(t))
+
+    def record(k, t, w):
+        x = code(w)
+        f_val = loss.value(x)
+        rec_steps.append(k)
+        rec_t.append(t)
+        rec_a.append(schedule.a(t))
+        series["train_loss"].append(f_val)
+        series["recon_error"].append(float(2.0 * f_val / n_obs))
+        series["l1"].append(float(np.sum(np.abs(x))))
+
+    params, status = _integrate(rhs, variant_p.w_init, cfg.steps, eta, cfg.record_every, record)
+    flags["domain_exit"] = status is not None and status[0] == "domain"
     metrics = {k: np.asarray(v) for k, v in series.items()}
     summary = {
         "eta": eta,
@@ -444,9 +407,9 @@ def sparse_coding_run(dictionary, target, variant_p, schedule: Schedule,
         a=np.asarray(rec_a),
         metrics=metrics,
         summary=summary,
-        diverged=flags["domain_exit"],
+        diverged=status is not None,
         flags=flags,
-        final_x=None if flags["domain_exit"] else variant_p.g(params),
+        final_x=None if status is not None else variant_p.g(params),
         final_params=params,
     )
 

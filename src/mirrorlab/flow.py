@@ -1,6 +1,7 @@
 """Time integration of regularized parameter flows and their dual mirror flows.
 
-Two flows are implemented over the same fixed-step integrators:
+Two flows are implemented over one fixed-step Euler/RK4 engine, ``_integrate``,
+which the experiment runners share:
 
 * parameter space:  dw = -(Jg(w)^T grad_f(g(w)) + alpha_t grad_h(w)) dt
 * dual space:       dmu = -grad_f(Q_{a_t}(mu)) dt,  x_t = Q_{a_t}(mu_t), mu_0 = 0
@@ -40,7 +41,11 @@ class QuadraticLoss:
 
 
 class LinearRegressionLoss:
-    """Mean squared error f(x) = ||Z x - y||^2 / (2 d) over d rows of Z."""
+    """Least squares f(x) = ||Z x - y||^2 / (2 d), d the number of rows of Z.
+
+    The package's one least-squares loss: the sensing and dictionary losses
+    in ``experiments`` only choose Z and the divisor d.
+    """
 
     def __init__(self, Z, y):
         self.Z = np.asarray(Z, dtype=float)
@@ -69,23 +74,28 @@ class ZeroLoss:
         return np.zeros(self.n)
 
 
-def _integrate(rhs, state0, cfg: IntegratorConfig):
-    """Fixed-step Euler/RK4 with a divergence guard.
+def _integrate(rhs, state0, n_steps, h, record_every, record, method="euler"):
+    """Fixed-step Euler/RK4 on the grid t_k = k h with a divergence guard.
 
-    Returns (times, states, status) where status is None on success or
-    ("diverged"|"domain", time, exc) on early exit; recorded data always
-    includes the initial state and the last healthy step.
+    ``rhs(t, state, left_limit)`` is the vector field; ``record(k, t, state)``
+    sees the initial state, every ``record_every``-th step and the last step,
+    and computes whatever the caller keeps.  States are never modified in
+    place.  Integration stops early when a step leaves the finite range or
+    exceeds DIVERGENCE_LIMIT, or when ``rhs`` or ``record`` raises
+    DomainError; the last healthy step is then recorded only if it fell on
+    the record grid.
+
+    Returns (state, status): the last state computed (the offending one
+    after a divergence) and None on success or ("diverged"|"domain", t, exc)
+    on early exit, t being the time of the last state accepted.
     """
-    n_steps, h = cfg.grid()
-    state = np.asarray(state0, dtype=float).copy()
-    times = [0.0]
-    states = [state.copy()]
+    state = np.array(state0, dtype=float)
     t = 0.0
-    status = None
-    for k in range(1, n_steps + 1):
-        try:
-            if cfg.method == "euler":
-                state = state + h * rhs(t, state, False)
+    try:
+        record(0, t, state)
+        for k in range(1, n_steps + 1):
+            if method == "euler":
+                new = state + h * rhs(t, state, False)
             else:
                 # the final stage sits on the next grid node, where a schedule
                 # may jump; evaluate its left limit there to integrate each
@@ -94,18 +104,15 @@ def _integrate(rhs, state0, cfg: IntegratorConfig):
                 k2 = rhs(t + 0.5 * h, state + 0.5 * h * k1, False)
                 k3 = rhs(t + 0.5 * h, state + 0.5 * h * k2, False)
                 k4 = rhs(t + h, state + h * k3, True)
-                state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        except DomainError as exc:
-            status = ("domain", t, exc)
-            break
-        t = k * h
-        if not np.all(np.isfinite(state)) or np.max(np.abs(state)) > DIVERGENCE_LIMIT:
-            status = ("diverged", times[-1], None)
-            break
-        if k % cfg.record_every == 0 or k == n_steps:
-            times.append(t)
-            states.append(state.copy())
-    return np.array(times), np.array(states), status
+                new = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(new)) or np.max(np.abs(new)) > DIVERGENCE_LIMIT:
+                return new, ("diverged", t, None)
+            state, t = new, k * h
+            if k % record_every == 0 or k == n_steps:
+                record(k, t, state)
+    except DomainError as exc:
+        return state, ("domain", t, exc)
+    return state, None
 
 
 def run_param_flow(p, loss, schedule: Schedule, cfg: IntegratorConfig) -> Trajectory:
@@ -120,31 +127,29 @@ def run_param_flow(p, loss, schedule: Schedule, cfg: IntegratorConfig) -> Trajec
         alpha = schedule.alpha_left(t) if left_limit else schedule.alpha(t)
         return p.flow_rhs(w, loss.grad(p.g(w)), alpha)
 
-    times, params, status = _integrate(rhs, p.w_init, cfg)
-    xs = []
-    ys = []
-    for w in params:
-        try:
-            xs.append(p.g(w))
-            ys.append(p.h(w))
-        except DomainError as exc:
-            # a final step may overshoot the domain before any rhs call sees it
-            if status is None:
-                status = ("domain", times[len(xs)], exc)
-            break
-    m = len(xs)
-    times, params = times[:m], params[:m]
-    xs = np.asarray(xs)
+    times, params, xs, ys, losses, unit = [], [], [], [], [], []
+
+    def record(k, t, w):
+        x, y = p.g(w), p.h(w)
+        times.append(t)
+        params.append(w)
+        xs.append(x)
+        ys.append(y)
+        losses.append(loss.value(x))
+        if hasattr(p, "inside_unit_region"):
+            unit.append(1.0 if p.inside_unit_region(w) else 0.0)
+
+    _, status = _integrate(rhs, p.w_init, *cfg.grid(), cfg.record_every, record, cfg.method)
     traj = Trajectory(
         times=times,
-        a=schedule.a(times),
-        x=xs,
-        params=params,
+        a=schedule.a(np.array(times)),
+        x=np.asarray(xs),
+        params=np.asarray(params),
         y=np.asarray(ys),
-        metrics={"train_loss": np.array([loss.value(x) for x in xs])},
+        metrics={"train_loss": np.array(losses)},
     )
-    if hasattr(p, "inside_unit_region"):
-        traj.metrics["unit_region"] = np.array([1.0 if p.inside_unit_region(w) else 0.0 for w in params])
+    if unit:
+        traj.metrics["unit_region"] = np.array(unit)
     if status is not None:
         kind, t_bad, exc = status
         if kind == "diverged":
@@ -160,25 +165,23 @@ def run_mirror_flow(family, loss, schedule: Schedule, cfg: IntegratorConfig) -> 
     def rhs(t, mu, left_limit):
         return -loss.grad(family.dual_map(schedule.a(t), mu))
 
-    times, mus, status = _integrate(rhs, np.zeros(family.n), cfg)
-    xs = []
-    for t, mu in zip(times, mus):
-        try:
-            xs.append(family.dual_map(schedule.a(t), mu))
-        except DomainError as exc:
-            # a final step may overshoot the domain before any rhs call sees it
-            if status is None:
-                status = ("domain", t, exc)
-            break
-    m = len(xs)
-    times, mus = times[:m], mus[:m]
-    xs = np.asarray(xs)
+    times, mus, xs, losses = [], [], [], []
+
+    def record(k, t, mu):
+        x = family.dual_map(schedule.a(t), mu)
+        times.append(t)
+        mus.append(mu)
+        xs.append(x)
+        losses.append(loss.value(x))
+
+    _, status = _integrate(rhs, np.zeros(family.n), *cfg.grid(), cfg.record_every, record,
+                           cfg.method)
     traj = Trajectory(
         times=times,
-        a=schedule.a(times),
-        x=xs,
-        mu=mus,
-        metrics={"train_loss": np.array([loss.value(x) for x in xs])},
+        a=schedule.a(np.array(times)),
+        x=np.asarray(xs),
+        mu=np.asarray(mus),
+        metrics={"train_loss": np.array(losses)},
     )
     if status is not None:
         kind, t_bad, exc = status
@@ -200,11 +203,6 @@ class EquivalenceReport:
     tol: float
     passed: bool
     n_points: int
-
-    def to_json(self):
-        import json
-
-        return json.dumps(self.__dict__)
 
 
 _MATCHED_PAIRS = {

@@ -177,11 +177,6 @@ class HyperbolicEntropy(LegendreFamily):
     def argmin_position(self, a):
         return np.exp(2.0 * self.check_a(a)) * 0.5 * (self.u0sq - self.v0sq)
 
-    def domain(self, a):
-        spec = super().domain(a)
-        spec.primal = "all of R^n"
-        return spec
-
 
 class Entropy(LegendreFamily):
     """Entropy family for m * w with balanced positive initialization m0 = w0.
@@ -279,10 +274,6 @@ class LogCosh(LegendreFamily):
         super().__init__(u0.size)
         self.u0sq = u0 * u0
         self.v0sq = v0 * v0
-
-    @classmethod
-    def from_log_ratio(cls, u0, v0):
-        return cls(u0, v0)
 
     def a_upper(self):
         return 0.5 * float(min(np.min(self.u0sq), np.min(self.v0sq)))
@@ -558,11 +549,6 @@ class ContractingReport:
     tol: float
     n_pairs: int
     n_skipped: int
-
-    def to_json(self):
-        import json
-
-        return json.dumps(self.__dict__)
 
 
 def contracting_check(family, a_grid, x_samples, tol=1e-8):

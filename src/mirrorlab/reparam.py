@@ -110,11 +110,7 @@ class Hadamard(DeepHadamard):
     tag = "hadamard"
 
     def __init__(self, m0, w0):
-        m0 = np.asarray(m0, dtype=float).ravel()
-        w0 = np.asarray(w0, dtype=float).ravel()
         super().__init__([m0, w0])
-        self.m0 = m0
-        self.w0 = w0
 
 
 class DiffSquares(Parameterization):

@@ -193,35 +193,6 @@ def test_run_sensing_divergence_exit_3(tmp_path):
     assert summary["diverged"] is True
 
 
-def test_family_config_roundtrip():
-    from mirrorlab import (DiffPowersFlow, Entropy, HyperbolicEntropy, LogCosh,
-                           QuadraticFamily, make_rng)
-    from mirrorlab.cli import family_from_config, family_to_config
-
-    rng = make_rng(8)
-    families = [
-        HyperbolicEntropy.from_hadamard(rng.uniform(1.0, 2.0, 3), rng.uniform(-0.5, 0.5, 3)),
-        Entropy(rng.uniform(0.5, 1.5, 3)),
-        LogCosh(rng.uniform(0.8, 1.5, 2), rng.uniform(0.8, 1.5, 2)),
-        DiffPowersFlow(3, rng.uniform(0.9, 1.3, 2), rng.uniform(0.9, 1.3, 2)),
-    ]
-    D = 3
-    A_list = [np.diag((np.arange(D) == i).astype(float)) for i in range(2)]
-    families.append(QuadraticFamily(A_list, np.eye(D), rng.uniform(0.7, 1.5, D)))
-    for fam in families:
-        text = family_to_config(fam)
-        back = family_from_config(text)
-        assert back.tag == fam.tag
-        a_vals = (-0.4, 0.0) if fam.tag != "diff-powers-flow" else (-0.005, 0.0)
-        for a in a_vals:
-            if fam.tag == "diff-powers-flow":
-                dom = fam.domain(a)
-                mu = dom.dual_lower + 0.37 * dom.lengths
-            else:
-                mu = 0.2 * np.ones(fam.n)
-            assert back.dual_map(a, mu) == pytest.approx(fam.dual_map(a, mu), abs=1e-12)
-
-
 def test_diagonal_summary_has_kkt_field(tmp_path):
     args = ["run", "diagonal", "--out", str(tmp_path), "--variant", "mw", "--d", "6",
             "--n", "14", "--sparsity", "2", "--steps", "3000", "--record-every", "300",

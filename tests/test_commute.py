@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -91,7 +92,7 @@ def test_deep_hadamard_depth3_fails_commuting():
     report = check_commuting(p, n_samples=10, tol=1e-4, seed=0)
     assert not report.passed
     assert report.max_bracket_norm > 0.1
-    parsed = json.loads(report.to_json())
+    parsed = json.loads(json.dumps(dataclasses.asdict(report)))
     assert parsed["variant"] == "deep-hadamard"
     assert parsed["passed"] is False
 

@@ -156,6 +156,21 @@ def test_sparse_coding_log_ratio_domain_exit():
     assert rep.diverged
 
 
+@pytest.mark.parametrize("lr_scale", [1.0, 5.0, 50.0])
+def test_sparse_coding_blow_up_is_divergence_not_domain_exit(lr_scale):
+    # a difference-of-powers code has no domain to leave; a step size far past
+    # 1/Lip blows it up, which is a divergence
+    rng = make_rng(3)
+    D = make_dictionary(20, 5, seed=3)
+    p = DiffPowers(2, np.ones(5), np.ones(5))
+    sched = Schedule("constant", 0.0, t_end=1e9)
+    target = 50.0 * rng.standard_normal(20)
+    rep = sparse_coding_run(D, target, p, sched, SparseCodingConfig(steps=200, lr_scale=lr_scale))
+    assert rep.diverged
+    assert not rep.flags["domain_exit"]
+    assert len(rep.steps) < 201 and rep.final_x is None
+
+
 def test_sparse_coding_log_ratio_l1_grows_with_alpha():
     # stronger penalties push the log-ratio code toward larger l1 faster
     rng = make_rng(7)
