@@ -590,7 +590,7 @@ def _write_flow_outputs(out, merged, traj, seed, wall, plot):
     rep = ExperimentReport(
         kind="flow",
         config=dict(merged),
-        steps=np.arange(len(traj.times)) * int(merged["record_every"]),
+        steps=traj.steps,
         times=traj.times,
         a=traj.a,
         metrics={"train_loss": traj.metrics["train_loss"],

@@ -64,6 +64,11 @@ class Schedule:
     The decaying kinds all satisfy alpha(t) = 0 for t >= T.  Linear and cosine
     decay both integrate to alpha0*T/2, so matching a total amount of applied
     regularization across kinds is a matter of choosing T.
+
+    ``alpha``, ``alpha_left`` and ``a`` accept a scalar or an array.  A scalar
+    ``t``, such as the float time the integrators pass at every stage, takes
+    a scalar path that builds no arrays; it performs the same floating-point
+    operations as the array path and so returns the same bits.
     """
 
     kind: str
@@ -85,15 +90,23 @@ class Schedule:
         """Instantaneous strength at time t (scalar or array)."""
         t = _check_time(t)
         T = self.turnoff_time
+        if isinstance(t, float):
+            if self.kind == "constant":
+                return float(self.alpha0)
+            if not t < T:
+                return 0.0
+            if self.kind == "turnoff":
+                return float(self.alpha0)
+            if self.kind == "linear-decay":
+                return self.alpha0 * (1.0 - t / T)
+            return self.alpha0 * (1.0 + np.cos(np.pi * t / T)) / 2.0
         if self.kind == "constant":
-            return np.full(np.shape(t), self.alpha0) if np.ndim(t) else float(self.alpha0)
+            return np.full(t.shape, self.alpha0)
         if self.kind == "turnoff":
-            out = np.where(t < T, self.alpha0, 0.0)
-        elif self.kind == "linear-decay":
-            out = np.where(t < T, self.alpha0 * (1.0 - t / T), 0.0)
-        else:  # cosine-decay
-            out = np.where(t < T, self.alpha0 * (1.0 + np.cos(np.pi * np.minimum(t, T) / T)) / 2.0, 0.0)
-        return out[()] if np.ndim(t) == 0 else out
+            return np.where(t < T, self.alpha0, 0.0)
+        if self.kind == "linear-decay":
+            return np.where(t < T, self.alpha0 * (1.0 - t / T), 0.0)
+        return np.where(t < T, self.alpha0 * (1.0 + np.cos(np.pi * np.minimum(t, T) / T)) / 2.0, 0.0)
 
     def alpha_left(self, t):
         """Left limit of alpha at t; differs from alpha only at the turn-off jump.
@@ -104,26 +117,25 @@ class Schedule:
         node).
         """
         t = _check_time(t)
-        if self.kind == "turnoff":
-            out = np.where(t <= self.turnoff_time, self.alpha0, 0.0)
-            return out[()] if np.ndim(t) == 0 else out
-        return self.alpha(t)
+        if self.kind != "turnoff":
+            return self.alpha(t)
+        if isinstance(t, float):
+            return float(self.alpha0) if t <= self.turnoff_time else 0.0
+        return np.where(t <= self.turnoff_time, self.alpha0, 0.0)
 
     def a(self, t):
         """Accumulated integral a(t) = -int_0^t alpha(s) ds, in closed form."""
         t = _check_time(t)
         T = self.turnoff_time
         if self.kind == "constant":
-            out = -self.alpha0 * t
-        elif self.kind == "turnoff":
-            out = -self.alpha0 * np.minimum(t, T)
-        elif self.kind == "linear-decay":
-            tc = np.minimum(t, T)
-            out = -self.alpha0 * (tc - tc * tc / (2.0 * T))
-        else:  # cosine-decay
-            tc = np.minimum(t, T)
-            out = -self.alpha0 * (tc / 2.0 + (T / (2.0 * np.pi)) * np.sin(np.pi * tc / T))
-        return out[()] if np.ndim(t) == 0 else out
+            return -self.alpha0 * t
+        # on floats min(t, T) equals np.minimum(t, T), NaN t included
+        tc = min(t, T) if isinstance(t, float) else np.minimum(t, T)
+        if self.kind == "turnoff":
+            return -self.alpha0 * tc
+        if self.kind == "linear-decay":
+            return -self.alpha0 * (tc - tc * tc / (2.0 * T))
+        return -self.alpha0 * (tc / 2.0 + (T / (2.0 * np.pi)) * np.sin(np.pi * tc / T))
 
     def total_strength(self):
         """-a(inf): the total amount of regularization the schedule can apply."""
@@ -135,10 +147,17 @@ class Schedule:
 
 
 def _check_time(t):
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    """t as a float if it is a scalar, else as a float array; t must be nonnegative.
+
+    A float t is passed through without building an array.
+    """
+    if not isinstance(t, float):
+        t = np.asarray(t, dtype=float)
+        if t.ndim == 0:
+            t = float(t)
+    if (t < 0) if isinstance(t, float) else np.any(t < 0):
         raise InputError("time must be nonnegative")
-    return t[()] if t.ndim == 0 else t
+    return t
 
 
 @dataclass(frozen=True)
@@ -173,8 +192,9 @@ class Trajectory:
     """Time-stamped record of a flow.
 
     `params`, `x`, `mu` and `y` are stacked row-per-snapshot (or None when the
-    flow does not produce them); `metrics` holds named scalar series of the
-    same length as `times`.
+    flow does not produce them); `steps` holds the step index of each
+    snapshot; `metrics` holds named scalar series of the same length as
+    `times`.
     """
 
     times: np.ndarray
@@ -184,6 +204,7 @@ class Trajectory:
     mu: np.ndarray | None = None
     y: np.ndarray | None = None
     metrics: dict = field(default_factory=dict)
+    steps: np.ndarray | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -193,7 +214,8 @@ class Trajectory:
             raise InputError("trajectory times must be strictly increasing")
         if np.any(np.diff(self.a) > 1e-12):
             raise InputError("accumulated strength series must be nonincreasing")
-        for name, arr in [("a", self.a), ("x", self.x), ("params", self.params), ("mu", self.mu), ("y", self.y)]:
+        for name, arr in [("a", self.a), ("x", self.x), ("params", self.params), ("mu", self.mu),
+                          ("y", self.y), ("steps", self.steps)]:
             if arr is not None and len(arr) != n:
                 raise InputError(f"trajectory field {name!r} has length {len(arr)}, expected {n}")
         for name, series in self.metrics.items():

@@ -136,9 +136,9 @@ def matrix_sensing_run(cfg: SensingConfig) -> ExperimentReport:
             below.append(t)
 
     def rhs(t, w, left_limit):
-        x = p.g(w)
-        watch(t, loss.value(x))
-        return p.flow_rhs(w, loss.grad(x), cfg.schedule.alpha(t))
+        f_val, grad = loss.value_and_grad(p.g(w))
+        watch(t, f_val)
+        return p.flow_rhs(w, grad, cfg.schedule.alpha(t))
 
     def record(k, t, w):
         X = p.g(w).reshape(cfg.n, cfg.n)

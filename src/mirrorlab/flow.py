@@ -60,6 +60,11 @@ class LinearRegressionLoss:
         r = self.Z @ np.asarray(x, dtype=float).ravel() - self.y
         return self.Z.T @ r / self.d
 
+    def value_and_grad(self, x):
+        """(value(x), grad(x)) from one residual; the same bits as the two calls."""
+        r = self.Z @ np.asarray(x, dtype=float).ravel() - self.y
+        return float(0.5 * r @ r / self.d), self.Z.T @ r / self.d
+
 
 class ZeroLoss:
     """Identically zero objective; isolates the pure regularization drift."""
@@ -105,7 +110,7 @@ def _integrate(rhs, state0, n_steps, h, record_every, record, method="euler"):
                 k3 = rhs(t + 0.5 * h, state + 0.5 * h * k2, False)
                 k4 = rhs(t + h, state + h * k3, True)
                 new = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(new)) or np.max(np.abs(new)) > DIVERGENCE_LIMIT:
+            if not np.max(np.abs(new)) <= DIVERGENCE_LIMIT:  # NaN fails the comparison too
                 return new, ("diverged", t, None)
             state, t = new, k * h
             if k % record_every == 0 or k == n_steps:
@@ -127,10 +132,11 @@ def run_param_flow(p, loss, schedule: Schedule, cfg: IntegratorConfig) -> Trajec
         alpha = schedule.alpha_left(t) if left_limit else schedule.alpha(t)
         return p.flow_rhs(w, loss.grad(p.g(w)), alpha)
 
-    times, params, xs, ys, losses, unit = [], [], [], [], [], []
+    steps, times, params, xs, ys, losses, unit = [], [], [], [], [], [], []
 
     def record(k, t, w):
         x, y = p.g(w), p.h(w)
+        steps.append(k)
         times.append(t)
         params.append(w)
         xs.append(x)
@@ -147,6 +153,7 @@ def run_param_flow(p, loss, schedule: Schedule, cfg: IntegratorConfig) -> Trajec
         params=np.asarray(params),
         y=np.asarray(ys),
         metrics={"train_loss": np.array(losses)},
+        steps=np.array(steps),
     )
     if unit:
         traj.metrics["unit_region"] = np.array(unit)
@@ -165,10 +172,11 @@ def run_mirror_flow(family, loss, schedule: Schedule, cfg: IntegratorConfig) -> 
     def rhs(t, mu, left_limit):
         return -loss.grad(family.dual_map(schedule.a(t), mu))
 
-    times, mus, xs, losses = [], [], [], []
+    steps, times, mus, xs, losses = [], [], [], [], []
 
     def record(k, t, mu):
         x = family.dual_map(schedule.a(t), mu)
+        steps.append(k)
         times.append(t)
         mus.append(mu)
         xs.append(x)
@@ -182,6 +190,7 @@ def run_mirror_flow(family, loss, schedule: Schedule, cfg: IntegratorConfig) -> 
         x=np.asarray(xs),
         mu=np.asarray(mus),
         metrics={"train_loss": np.array(losses)},
+        steps=np.array(steps),
     )
     if status is not None:
         kind, t_bad, exc = status

@@ -6,10 +6,16 @@ The right-hand side of the regularized gradient flow,
 
     dw/dt = -(Jg(w)^T grad_f(g(w)) + alpha * grad_h(w)),
 
-is exposed as ``flow_rhs`` so integrators never have to know the variant.
+is exposed as ``flow_rhs`` so integrators never have to know the variant.  It
+takes the vector-Jacobian product ``vjp_g(w, v) = Jg(w)^T v``, which the
+elementwise variants compute without forming Jg; the dense ``jac_g`` serves the
+structure checks in ``commute``.  Each ``vjp_g`` multiplies in the order of the
+dense product (coefficient, then ``v``), so both give the same bits.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 
@@ -45,6 +51,10 @@ class Parameterization:
         """Jacobian of g, shape (dim_model, dim_params)."""
         raise NotImplementedError
 
+    def vjp_g(self, w, v):
+        """Jg(w)^T v, shape (dim_params,); variants with a sparse Jg override it."""
+        return self.jac_g(w).T @ v
+
     def grad_h(self, w):
         raise NotImplementedError
 
@@ -53,7 +63,7 @@ class Parameterization:
         grad_f_x = np.asarray(grad_f_x, dtype=float).ravel()
         if grad_f_x.size != self.dim_model:
             raise InputError(f"loss gradient has length {grad_f_x.size}, expected {self.dim_model}")
-        return -(self.jac_g(w).T @ grad_f_x + alpha * self.grad_h(w))
+        return -(self.vjp_g(w, grad_f_x) + alpha * self.grad_h(w))
 
 
 class DeepHadamard(Parameterization):
@@ -91,14 +101,20 @@ class DeepHadamard(Parameterization):
     def h(self, w):
         return self.h_scale * float(np.sum(self._check_params(w) ** 2))
 
+    def _other_factors(self, f):
+        """For each j, the elementwise product of every factor but f_j, in factor order."""
+        return [reduce(np.multiply, [f[i] for i in range(self.depth) if i != j])
+                for j in range(self.depth)]
+
     def jac_g(self, w):
-        f = self.split(w)
         n = self.dim_model
         J = np.zeros((n, self.dim_params))
-        for j in range(self.depth):
-            others = np.prod(np.delete(f, j, axis=0), axis=0)
+        for j, others in enumerate(self._other_factors(self.split(w))):
             J[np.arange(n), j * n + np.arange(n)] = others
         return J
+
+    def vjp_g(self, w, v):
+        return np.concatenate([others * v for others in self._other_factors(self.split(w))])
 
     def grad_h(self, w):
         return 2.0 * self.h_scale * self._check_params(w)
@@ -155,6 +171,10 @@ class DiffSquares(Parameterization):
         J[np.arange(n), n + np.arange(n)] = -2.0 * v
         return J
 
+    def vjp_g(self, w, v):
+        pos, neg = self.split(w)
+        return np.concatenate([2.0 * pos * v, -2.0 * neg * v])
+
     def grad_h(self, w):
         u, v = self.split(w)
         return np.concatenate([2.0 * self.c_u * u, -2.0 * self.c_v * v])
@@ -200,6 +220,11 @@ class DiffPowers(Parameterization):
         J[np.arange(n), np.arange(n)] = p * u ** (p - 1)
         J[np.arange(n), n + np.arange(n)] = -p * v ** (p - 1)
         return J
+
+    def vjp_g(self, w, v):
+        pos, neg = self.split(w)
+        p = 2 * self.k
+        return np.concatenate([p * pos ** (p - 1) * v, -p * neg ** (p - 1) * v])
 
     def grad_h(self, w):
         u, v = self.split(w)
@@ -255,6 +280,10 @@ class LogRatio(Parameterization):
         J[np.arange(n), np.arange(n)] = 1.0 / u
         J[np.arange(n), n + np.arange(n)] = -1.0 / v
         return J
+
+    def vjp_g(self, w, v):
+        pos, neg = self.split(w)
+        return np.concatenate([1.0 / pos * v, -1.0 / neg * v])
 
     def grad_h(self, w):
         u, v = self.split(w)

@@ -167,6 +167,16 @@ def test_run_flow_writes_trajectory(tmp_path):
     assert len(lines) > 10
 
 
+def test_run_flow_labels_rows_with_their_step(tmp_path):
+    # 5 steps recorded every 3rd step: the rows are steps 0, 3 and the last, 5
+    args = ["run", "flow", "--out", str(tmp_path), "--family", "hyperbolic",
+            "--method", "euler", "--record-every", "3", "--schedule", "turnoff",
+            "--t-end", "0.05", "--step", "0.01", "--seed", "0"]
+    assert main(args) == EXIT_OK
+    rows = (tmp_path / "flow_hyperbolic_seed0.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0", "3", "5"]
+
+
 def test_config_file_drives_run(tmp_path):
     cfg = tmp_path / "sensing.cfg"
     cfg.write_text("[sensing]\nn = 6\nr = 2\nm = 15\nsteps = 80\nrecord_every = 20\n"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mirrorlab import (DomainError, InputError, IntegratorConfig, Schedule,
@@ -35,6 +37,52 @@ def test_alpha_negative_time_rejected():
         s.alpha(-1.0)
     with pytest.raises(InputError):
         s.a(-0.5)
+
+
+SCHEDULE_METHODS = ["alpha", "alpha_left", "a"]
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _assert_scalar_path_matches_array_path(s, method, t):
+    fn = getattr(s, method)
+    scalar = fn(float(t))
+    assert not isinstance(scalar, np.ndarray)
+    expected = _bits(fn(np.array([t]))[0])
+    assert _bits(scalar) == expected
+    assert _bits(fn(np.float64(t))) == expected
+    assert _bits(fn(np.array(t))) == expected
+    assert _bits(fn(np.array([0.0, t, 2.0 * t]))[1]) == expected
+
+
+@pytest.mark.parametrize("method", SCHEDULE_METHODS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_scalar_path_is_bit_identical_at_edges(kind, method):
+    T, t_end = 3.7, 9.1
+    s = make_schedule(kind, alpha0=0.37, T=T, t_end=t_end)
+    for t in (0.0, -0.0, 1.3, T, np.nextafter(T, -np.inf), np.nextafter(T, np.inf),
+              t_end, np.nextafter(t_end, np.inf), 2.5 * t_end, 1e300):
+        _assert_scalar_path_matches_array_path(s, method, t)
+
+
+@pytest.mark.parametrize("method", SCHEDULE_METHODS)
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=60, deadline=None)
+@given(alpha0=st.floats(0.0, 10.0), T=st.floats(1e-3, 1e3), frac=st.floats(0.0, 3.0))
+def test_scalar_path_is_bit_identical_at_random_times(kind, method, alpha0, T, frac):
+    s = Schedule(kind, alpha0, turnoff_time=T, t_end=2.0 * T)
+    _assert_scalar_path_matches_array_path(s, method, frac * T)
+
+
+@pytest.mark.parametrize("method", SCHEDULE_METHODS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_scalar_path_rejects_negative_time(kind, method):
+    fn = getattr(make_schedule(kind), method)
+    for t in (-1.0, -5e-324, np.float64(-2.0)):
+        with pytest.raises(InputError):
+            fn(t)
 
 
 def test_a_constant():

@@ -7,6 +7,7 @@ from mirrorlab import (DeepHadamard, DiffPowers, DiffPowersFlow, DivergedError,
                        Schedule, SymFactor, ZeroLoss, family_for, make_rng,
                        riemannian_residual, run_mirror_flow, run_param_flow,
                        verify_equivalence)
+from mirrorlab.flow import DIVERGENCE_LIMIT, _integrate
 
 RNG = make_rng(0)
 
@@ -182,6 +183,32 @@ def test_divergence_guard():
         run_param_flow(p, unstable, sched, IntegratorConfig("euler", 1e-2, 40.0, record_every=10))
     err = exc_info.value
     assert err.trajectory is not None and err.last_valid_time < 40.0
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 100.0 * DIVERGENCE_LIMIT])
+def test_integrate_stops_on_nonfinite_or_huge_state(bad, method):
+    def rhs(t, state, left_limit):
+        return np.array([0.0, bad if t >= 1.0 else 0.0])
+
+    recorded = []
+    state, status = _integrate(rhs, np.ones(2), 10, 0.5, 1,
+                               lambda k, t, s: recorded.append(k), method)
+    # RK4's last stage of the step from t = 0.5 already samples t = 1
+    last_ok = 2 if method == "euler" else 1
+    assert status == ("diverged", 0.5 * last_ok, None)
+    assert recorded == list(range(last_ok + 1))
+    assert not np.abs(state[1]) <= DIVERGENCE_LIMIT
+
+
+def test_integrate_accepts_states_at_the_divergence_limit():
+    def rhs(t, state, left_limit):
+        return np.zeros(2)
+
+    state, status = _integrate(rhs, [DIVERGENCE_LIMIT, -DIVERGENCE_LIMIT], 3, 0.5, 1,
+                               lambda k, t, s: None)
+    assert status is None
+    assert state.tolist() == [DIVERGENCE_LIMIT, -DIVERGENCE_LIMIT]
 
 
 def test_log_ratio_domain_exit():

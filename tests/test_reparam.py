@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrorlab import (DeepHadamard, DiffPowers, DiffSquares, DomainError,
                        Hadamard, InputError, LogRatio, QuadraticCommuting,
@@ -150,3 +152,42 @@ def test_dimension_mismatch_errors():
         p.flow_rhs(p.w_init, np.ones(3), 0.0)
     with pytest.raises(InputError):
         QuadraticCommuting([np.eye(2)], np.array([[0.0, 1.0], [0.0, 0.0]]), np.ones(2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), v_scale=st.floats(1e-3, 1e3))
+def test_vjp_g_equals_dense_product_exactly(seed, n, v_scale):
+    # the elementwise VJPs multiply in the dense gemv's order and skip only
+    # its exact-zero terms, so the two agree bit for bit
+    rng = make_rng(seed)
+    for p in all_variants(rng, n):
+        w = sample_params(p, rng)
+        v = v_scale * rng.standard_normal(p.dim_model)
+        assert np.array_equal(p.vjp_g(w, v), p.jac_g(w).T @ v), p.tag
+
+
+def test_flow_rhs_never_builds_the_dense_jacobian(monkeypatch):
+    rng = make_rng(11)
+    # Hadamard is the depth-2 product; all_variants also has a depth-3 one
+    elementwise = [p for p in all_variants(rng, 4)
+                   if not isinstance(p, (QuadraticCommuting, SymFactor))]
+    cases = []
+    for p in elementwise:
+        w = sample_params(p, rng)
+        grad = rng.standard_normal(p.dim_model)
+        cases.append((p, w, grad, -(p.jac_g(w).T @ grad + 0.3 * p.grad_h(w))))
+
+    def no_dense_jacobian(self, w):
+        raise AssertionError("flow_rhs built the dense Jacobian")
+
+    for p in elementwise:
+        monkeypatch.setattr(type(p), "jac_g", no_dense_jacobian)
+    for p, w, grad, expected in cases:
+        assert np.array_equal(p.flow_rhs(w, grad, 0.3), expected), p.tag
+
+
+def test_deep_hadamard_jacobian_holds_the_other_factors():
+    f = [np.array([2.0, 3.0]), np.array([5.0, 7.0]), np.array([11.0, 13.0])]
+    J = DeepHadamard(f).jac_g(np.concatenate(f))
+    assert np.array_equal(J, [[55.0, 0.0, 22.0, 0.0, 10.0, 0.0],
+                              [0.0, 91.0, 0.0, 39.0, 0.0, 21.0]])
