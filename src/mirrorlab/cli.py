@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 3 numeric divergence.  Config files are flat ``key = value`` text with
 ``[section]`` headers; command-line flags override config values.  The
-environment variable MIRRORLAB_SEED overrides any configured seed.
+environment variable MIRRORLAB_SEED overrides any configured seed.  Each
+option is then cast once to the type of its default; a value that cannot be
+read as that type is a usage error.
 """
 
 from __future__ import annotations
@@ -163,7 +165,8 @@ def write_summary(path, report, seed, wall_time_s, extra=None):
 # ---------------------------------------------------------------------------
 
 def _merged(args, defaults, section):
-    """defaults < config file < explicit flags."""
+    """defaults < config file < explicit flags < MIRRORLAB_SEED, each value cast
+    once to the type of its default."""
     merged = dict(defaults)
     if args.config:
         cfg = parse_config(args.config)
@@ -177,13 +180,34 @@ def _merged(args, defaults, section):
             merged[name] = val
     env_seed = os.environ.get("MIRRORLAB_SEED")
     if env_seed is not None and "seed" in merged:
-        merged["seed"] = int(env_seed)
+        merged["seed"] = env_seed
+    for name, default in defaults.items():
+        merged[name] = _typed(name, merged[name], type(default))
     return merged
 
 
+def _typed(name, val, kind):
+    """val cast to kind; UsageError naming the option if val cannot be read as a
+    kind, or is a float with a fractional part and kind is int."""
+    try:
+        out = kind(val)
+    except (TypeError, ValueError):
+        raise UsageError(f"{name}: cannot read {val!r} as {kind.__name__}")
+    if kind is int and isinstance(val, float) and out != val:
+        raise UsageError(f"{name}: cannot read {val!r} as int")
+    return out
+
+
 def _schedule_from(merged):
-    return Schedule(merged["kind"], float(merged["alpha0"]),
-                    turnoff_time=float(merged["turnoff_time"]), t_end=float(merged["t_end"]))
+    return Schedule(merged["kind"], merged["alpha0"], turnoff_time=merged["turnoff_time"],
+                    t_end=merged["t_end"])
+
+
+def _write_report(out, name, report):
+    """Write a verify report dataclass as one JSON line to OUT/NAME_report.json."""
+    if out:
+        with open(os.path.join(_ensure_outdir(out), f"{name}_report.json"), "w") as fh:
+            fh.write(json.dumps(dataclasses.asdict(report)) + "\n")
 
 
 def _ensure_outdir(path):
@@ -216,16 +240,12 @@ def _build_variant(name, n, depth, seed):
 def cmd_verify_commuting(args):
     merged = _merged(args, {"variant": "hadamard", "n": 3, "depth": 3, "samples": 50,
                             "tol": 1e-4, "seed": 0}, "commuting")
-    p = _build_variant(merged["variant"], int(merged["n"]), int(merged["depth"]), int(merged["seed"]))
-    report = check_commuting(p, n_samples=int(merged["samples"]), tol=float(merged["tol"]),
-                             seed=int(merged["seed"]))
+    p = _build_variant(merged["variant"], merged["n"], merged["depth"], merged["seed"])
+    report = check_commuting(p, n_samples=merged["samples"], tol=merged["tol"], seed=merged["seed"])
     print(f"{'variant':<16} {'samples':>8} {'tol':>10} {'max bracket':>14} {'pass':>6}")
     print(f"{report.variant:<16} {report.n_samples:>8} {report.tol:>10.1e} "
           f"{report.max_bracket_norm:>14.3e} {str(report.passed):>6}")
-    if args.out:
-        _ensure_outdir(args.out)
-        with open(os.path.join(args.out, "commuting_report.json"), "w") as fh:
-            fh.write(json.dumps(dataclasses.asdict(report)) + "\n")
+    _write_report(args.out, "commuting", report)
     ok = report.passed != bool(args.expect_fail)
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -263,52 +283,46 @@ def cmd_verify_equivalence(args):
         # accumulated strength; check the classical case
         merged["alpha0"] = 0.0
         merged["kind"] = "constant"
-    p, family, loss = _equivalence_case(merged["family"], int(merged["seed"]))
+    p, family, loss = _equivalence_case(merged["family"], merged["seed"])
     sched = _schedule_from(merged)
-    cfg = IntegratorConfig("rk4", float(merged["step"]), float(merged["t_end"]), record_every=10)
-    report = verify_equivalence(p, family, loss, sched, cfg, tol=float(merged["tol"]))
+    cfg = IntegratorConfig("rk4", merged["step"], merged["t_end"], record_every=10)
+    report = verify_equivalence(p, family, loss, sched, cfg, tol=merged["tol"])
     print(f"pair {report.pair}: max deviation {report.max_deviation:.3e} "
           f"(tol {report.tol:.1e}) over {report.n_points} points -> "
           f"{'PASS' if report.passed else 'FAIL'}")
-    if args.out:
-        _ensure_outdir(args.out)
-        with open(os.path.join(args.out, "equivalence_report.json"), "w") as fh:
-            fh.write(json.dumps(dataclasses.asdict(report)) + "\n")
+    _write_report(args.out, "equivalence", report)
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
 def cmd_verify_contracting(args):
     merged = _merged(args, {"family": "hyperbolic", "a_min": -2.0, "grid": 50,
                             "tol": 1e-8, "seed": 0}, "contracting")
-    rng = make_rng(int(merged["seed"]))
-    name = merged["family"]
+    rng = make_rng(merged["seed"])
+    name, grid = merged["family"], merged["grid"]
     n = 3
     if name == "hyperbolic":
         fam = legendre.HyperbolicEntropy.from_hadamard(rng.uniform(1.0, 2.0, n), rng.uniform(-0.5, 0.5, n))
-        xs = [rng.uniform(-3.0, 3.0, n) for _ in range(int(merged["grid"]))]
+        xs = [rng.uniform(-3.0, 3.0, n) for _ in range(grid)]
     elif name == "entropy":
         fam = legendre.Entropy(rng.uniform(0.5, 1.5, n))
-        xs = [rng.uniform(0.05, 3.0, n) for _ in range(int(merged["grid"]))]
+        xs = [rng.uniform(0.05, 3.0, n) for _ in range(grid)]
     elif name == "log-cosh":
         fam = legendre.LogCosh(rng.uniform(0.8, 1.5, n), rng.uniform(0.8, 1.5, n))
-        xs = [rng.uniform(-2.0, 2.0, n) for _ in range(int(merged["grid"]))]
+        xs = [rng.uniform(-2.0, 2.0, n) for _ in range(grid)]
     elif name in ("quadratic", "quadratic-neg"):
         sign = -1.0 if name == "quadratic-neg" else 1.0
         d, D = 2, 3
         A_list = [np.diag((np.arange(D) == i).astype(float)) for i in range(d)]
         fam = legendre.QuadraticFamily(A_list, sign * np.eye(D), rng.uniform(0.7, 1.5, D))
-        xs = [rng.uniform(0.1, 2.0, d) for _ in range(int(merged["grid"]))]
+        xs = [rng.uniform(0.1, 2.0, d) for _ in range(grid)]
     else:
         raise UsageError(f"unknown contracting family {name!r}")
-    a_grid = np.linspace(float(merged["a_min"]), 0.0, int(merged["grid"]))
-    report = contracting_check(fam, a_grid, xs, tol=float(merged["tol"]))
+    a_grid = np.linspace(merged["a_min"], 0.0, grid)
+    report = contracting_check(fam, a_grid, xs, tol=merged["tol"])
     print(f"family {fam.tag}: max slope {report.max_slope:.3e}, "
           f"max positive slope {report.max_positive_slope:.3e} (tol {report.tol:.1e}), "
           f"{report.n_skipped} skipped -> {'PASS' if report.passed else 'FAIL'}")
-    if args.out:
-        _ensure_outdir(args.out)
-        with open(os.path.join(args.out, "contracting_report.json"), "w") as fh:
-            fh.write(json.dumps(dataclasses.asdict(report)) + "\n")
+    _write_report(args.out, "contracting", report)
     expected_fail = bool(args.expect_fail)
     return EXIT_OK if report.passed != expected_fail else EXIT_FAIL
 
@@ -318,8 +332,7 @@ def cmd_verify_optimality(args):
 
     merged = _merged(args, {"case": "diagonal", "seed": 0, "kkt_tol": 1e-4,
                             "oracle_tol": 1e-3}, "optimality")
-    seed = int(merged["seed"])
-    rng = make_rng(seed)
+    rng = make_rng(merged["seed"])
     if merged["case"] == "diagonal":
         n, d = 6, 3
         Z = rng.standard_normal((d, n))
@@ -353,7 +366,7 @@ def cmd_verify_optimality(args):
     res = kkt_residual(Z, x_inf, fam, a_T)
     oracle = constrained_argmin(fam, a_T, Z, y)
     diff = float(np.max(np.abs(oracle - x_inf)))
-    ok = res <= float(merged["kkt_tol"]) and diff <= float(merged["oracle_tol"])
+    ok = res <= merged["kkt_tol"] and diff <= merged["oracle_tol"]
     print(f"case {merged['case']}: kkt residual {res:.3e} (tol {merged['kkt_tol']:.1e}), "
           f"oracle deviation {diff:.3e} (tol {merged['oracle_tol']:.1e}) -> "
           f"{'PASS' if ok else 'FAIL'}")
@@ -370,24 +383,19 @@ def cmd_verify_optimality(args):
 # run subcommands
 # ---------------------------------------------------------------------------
 
-def _sensing_job(params):
+def _sensing_job(cfg):
     """One sensing run and its own wall time in seconds."""
-    params = dict(params)
-    sched = Schedule(**params.pop("schedule"))
-    cfg = SensingConfig(schedule=sched, **params)
     t0 = time.perf_counter()
     return matrix_sensing_run(cfg), time.perf_counter() - t0
 
 
-def _sensing_kkt(rep, job):
+def _sensing_kkt(rep, cfg):
     """KKT residual of the final eigenvalues; only commuting-diagonal runs
     attach an eigenvalue potential."""
-    if job["sensing_kind"] != "commuting-diagonal" or rep.diverged:
+    if cfg.sensing_kind != "commuting-diagonal" or rep.diverged:
         return None
     from .experiments import make_sensing_problem
 
-    params = dict(job)
-    cfg = SensingConfig(schedule=Schedule(**params.pop("schedule")), **params)
     _, A, _, _ = make_sensing_problem(cfg)
     Z = A[:, np.arange(cfg.n), np.arange(cfg.n)]
     lam = np.diag(rep.final_x.reshape(cfg.n, cfg.n))
@@ -418,28 +426,24 @@ def cmd_run_sensing(args):
                             "kind": "turnoff", "alpha0": 0.02, "turnoff_time": 625.0,
                             "t_end": 1250.0, "seeds": ""}, "sensing")
     out = _ensure_outdir(args.out)
-    seeds = ([int(s) for s in str(merged["seeds"]).split(",") if s != ""]
-             if merged["seeds"] else [int(merged["seed"])])
-    jobs = []
-    for seed in seeds:
-        jobs.append({"n": int(merged["n"]), "r": int(merged["r"]), "m": int(merged["m"]),
-                     "beta": float(merged["beta"]), "eta": float(merged["eta"]),
-                     "steps": int(merged["steps"]), "record_every": int(merged["record_every"]),
-                     "sensing_kind": merged["sensing_kind"], "seed": seed,
-                     "schedule": {"kind": merged["kind"], "alpha0": float(merged["alpha0"]),
-                                  "turnoff_time": float(merged["turnoff_time"]),
-                                  "t_end": float(merged["t_end"])}})
+    seeds = ([_typed("seeds", s, int) for s in merged["seeds"].split(",") if s != ""]
+             or [merged["seed"]])
+    sched = _schedule_from(merged)
+    jobs = [SensingConfig(n=merged["n"], r=merged["r"], m=merged["m"], beta=merged["beta"],
+                          eta=merged["eta"], steps=merged["steps"],
+                          record_every=merged["record_every"], sensing_kind=merged["sensing_kind"],
+                          seed=seed, schedule=sched) for seed in seeds]
     if args.jobs > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_sensing_job, jobs))
     else:
         results = [_sensing_job(j) for j in jobs]
     code = EXIT_OK
-    for seed, (rep, wall), job in zip(seeds, results, jobs):
-        stem = os.path.join(out, f"sensing_seed{seed}")
+    for (rep, wall), cfg in zip(results, jobs):
+        stem = os.path.join(out, f"sensing_seed{cfg.seed}")
         write_trajectory_csv(stem + ".csv", rep)
-        write_summary(stem + "_summary.json", rep, seed, wall,
-                      extra={"kkt_residual": _sensing_kkt(rep, job)})
+        write_summary(stem + "_summary.json", rep, cfg.seed, wall,
+                      extra={"kkt_residual": _sensing_kkt(rep, cfg)})
         if rep.diverged:
             code = EXIT_DIVERGED
         if args.plot:
@@ -452,7 +456,7 @@ def cmd_run_sensing(args):
                        ("nuc/fro ratio", rep.times, rep.metrics["ratio"])],
                       title="matrix sensing", xlabel="t", ylabel="norm")
         s = rep.summary
-        print(f"seed {seed}: loss {s['final_train_loss']:.3e} recon {s['final_recon_error']:.3e} "
+        print(f"seed {cfg.seed}: loss {s['final_train_loss']:.3e} recon {s['final_recon_error']:.3e} "
               f"nuclear {s['final_nuclear_norm']:.4f}"
               + (" [DIVERGED]" if rep.diverged else ""))
     return code
@@ -465,11 +469,10 @@ def cmd_run_diagonal(args):
                             "t_end": 40.0}, "diagonal")
     out = _ensure_outdir(args.out)
     sched = _schedule_from(merged)
-    cfg = RegressionConfig(d=int(merged["d"]), n=int(merged["n"]),
-                           sparsity=int(merged["sparsity"]), eta=float(merged["eta"]),
-                           steps=int(merged["steps"]), schedule=sched,
-                           variant=merged["variant"], seed=int(merged["seed"]),
-                           record_every=int(merged["record_every"]))
+    cfg = RegressionConfig(d=merged["d"], n=merged["n"], sparsity=merged["sparsity"],
+                           eta=merged["eta"], steps=merged["steps"], schedule=sched,
+                           variant=merged["variant"], seed=merged["seed"],
+                           record_every=merged["record_every"])
     t0 = time.perf_counter()
     rep = diagonal_network_run(cfg)
     wall = time.perf_counter() - t0
@@ -498,12 +501,12 @@ def cmd_run_sparse_coding(args):
                             "kind": "constant", "alpha0": 1e-3, "turnoff_time": 0.0,
                             "t_end": 1e9, "dictionary": ""}, "sparse_coding")
     out = _ensure_outdir(args.out)
-    seed = int(merged["seed"])
+    seed = merged["seed"]
     rng = make_rng(seed)
     if merged["dictionary"]:
         D = load_matrix(merged["dictionary"])
     else:
-        D = make_dictionary(int(merged["n_obs"]), int(merged["n_features"]), seed=seed)
+        D = make_dictionary(merged["n_obs"], merged["n_features"], seed=seed)
     n = D.shape[1]
     print(f"dictionary: {D.shape[0]} observations x {n} features")
     code_star = np.zeros(n)
@@ -511,8 +514,10 @@ def cmd_run_sparse_coding(args):
     code_star[idx] = rng.standard_normal(len(idx))
     target = D @ code_star + 0.05 * rng.standard_normal(D.shape[0])
     x_init = rng.standard_normal(n)
-    k = int(merged["k"])
+    k = merged["k"]
     if merged["variant"] == "diff-powers":
+        if k < 1:
+            raise UsageError("k must be a positive integer")
         u0 = (0.5 * (np.sqrt(x_init**2 + 1.0) + x_init)) ** (1.0 / (2 * k))
         v0 = (0.5 * (np.sqrt(x_init**2 + 1.0) - x_init)) ** (1.0 / (2 * k))
         p = reparam.DiffPowers(k, u0, v0)
@@ -523,13 +528,11 @@ def cmd_run_sparse_coding(args):
         p = reparam.LogRatio(u0, v0)
     else:
         raise UsageError(f"unknown sparse-coding variant {merged['variant']!r}")
-    turnoff = float(merged["turnoff_time"])
-    if merged["kind"] != "constant" and turnoff <= 0:
-        turnoff = 1.0
-    sched = Schedule(merged["kind"], float(merged["alpha0"]),
-                     turnoff_time=turnoff, t_end=float(merged["t_end"]))
-    cfg = SparseCodingConfig(steps=int(merged["steps"]), record_every=int(merged["record_every"]),
-                             lr_scale=float(merged["lr_scale"]))
+    if merged["kind"] != "constant" and merged["turnoff_time"] <= 0:
+        merged["turnoff_time"] = 1.0
+    sched = _schedule_from(merged)
+    cfg = SparseCodingConfig(steps=merged["steps"], record_every=merged["record_every"],
+                             lr_scale=merged["lr_scale"])
     t0 = time.perf_counter()
     rep = sparse_coding_run(D, target, p, sched, cfg)
     wall = time.perf_counter() - t0
@@ -551,9 +554,10 @@ def cmd_run_flow(args):
                             "kind": "constant", "alpha0": 0.1, "turnoff_time": 1.0,
                             "t_end": 4.0}, "flow")
     out = _ensure_outdir(args.out)
-    seed = int(merged["seed"])
+    seed, n = merged["seed"], merged["n"]
+    if n < 1:
+        raise UsageError("n must be positive")
     rng = make_rng(seed)
-    n = int(merged["n"])
     if merged["family"] == "entropy":
         fam = legendre.Entropy(rng.uniform(0.5, 1.5, n))
         target = rng.uniform(0.5, 2.0, n)
@@ -565,8 +569,8 @@ def cmd_run_flow(args):
         raise UsageError(f"unknown flow family {merged['family']!r}")
     loss = QuadraticLoss(np.eye(n), target)
     sched = _schedule_from(merged)
-    cfg = IntegratorConfig(merged["method"], float(merged["step"]), float(merged["t_end"]),
-                           record_every=int(merged["record_every"]))
+    cfg = IntegratorConfig(merged["method"], merged["step"], merged["t_end"],
+                           record_every=merged["record_every"])
     t0 = time.perf_counter()
     try:
         traj = run_mirror_flow(fam, loss, sched, cfg)

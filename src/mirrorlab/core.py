@@ -251,5 +251,14 @@ def make_rng(seed):
     return np.random.default_rng(np.uint64(seed) if seed is not None else None)
 
 
+def factor_pair(u0, v0):
+    """u0 and v0 as flat float arrays of one length: the two-factor initializations."""
+    u0 = np.asarray(u0, dtype=float).ravel()
+    v0 = np.asarray(v0, dtype=float).ravel()
+    if u0.size != v0.size:
+        raise InputError("u0 and v0 must have the same length")
+    return u0, v0
+
+
 def sym(X):
     return 0.5 * (X + X.T)

@@ -2,9 +2,10 @@
 
 All runners are deterministic given their seed and take plain Euler steps on
 the engine of ``flow`` (``_integrate``), the step size playing the role of a
-learning rate; each supplies the vector field and a per-record hook that
-computes its metrics.  They produce a uniform ``ExperimentReport`` that the
-command-line layer serializes to CSV/JSON.
+learning rate; each supplies the vector field and a per-snapshot hook that
+returns its metrics, and the engine's stacked records become the series of a
+uniform ``ExperimentReport`` that the command-line layer serializes to
+CSV/JSON.
 """
 
 from __future__ import annotations
@@ -86,8 +87,10 @@ class SensingConfig:
     def __post_init__(self):
         if self.schedule is None:
             self.schedule = Schedule("constant", 0.0, t_end=max(self.steps * self.eta, 1e-12))
-        if self.r > self.n:
-            raise InputError("rank r must not exceed n")
+        if self.n < 1 or self.m < 1:
+            raise InputError("n and m must be positive")
+        if not 1 <= self.r <= self.n:
+            raise InputError("rank r must lie in [1, n]")
         if self.beta <= 0:
             raise InputError("beta must be positive")
         if self.sensing_kind not in SENSING_KINDS:
@@ -126,9 +129,6 @@ def matrix_sensing_run(cfg: SensingConfig) -> ExperimentReport:
     loss = SensingLoss(A, y)
     p = reparam.SymFactor(U)
 
-    rec_steps, rec_t, rec_a = [], [], []
-    series = {k: [] for k in ("train_loss", "recon_error", "nuclear_norm", "ratio")}
-    eigs = []
     below = []  # time of the first step whose loss is at most LOSS_THRESHOLD
 
     def watch(t, f_val):
@@ -144,40 +144,26 @@ def matrix_sensing_run(cfg: SensingConfig) -> ExperimentReport:
         X = p.g(w).reshape(cfg.n, cfg.n)
         f_val = loss.value(X.ravel())
         watch(t, f_val)
-        rec_steps.append(k)
-        rec_t.append(t)
-        rec_a.append(cfg.schedule.a(t))
-        series["train_loss"].append(f_val)
-        series["recon_error"].append(float(np.sum((X_star - X) ** 2)))
         s = np.linalg.svd(X, compute_uv=False)
-        series["nuclear_norm"].append(float(np.sum(s)))
-        series["ratio"].append(float(np.sum(s) / np.sqrt(np.sum(s * s))))
-        eigs.append(np.sort(np.linalg.eigvalsh(X))[::-1])
+        return {"a": cfg.schedule.a(t), "train_loss": f_val,
+                "recon_error": float(np.sum((X_star - X) ** 2)),
+                "nuclear_norm": float(np.sum(s)),
+                "ratio": float(np.sum(s) / np.sqrt(np.sum(s * s))),
+                "eigenvalues": np.sort(np.linalg.eigvalsh(X))[::-1]}
 
-    w, status = _integrate(rhs, p.w_init, cfg.steps, cfg.eta, cfg.record_every, record)
-    metrics = {k: np.asarray(v) for k, v in series.items()}
+    w, status, rec = _integrate(rhs, p.w_init, cfg.steps, cfg.eta, cfg.record_every, record)
+    eigenvalues = rec.pop("eigenvalues")
     summary = {
-        "final_train_loss": metrics["train_loss"][-1],
-        "final_recon_error": metrics["recon_error"][-1],
-        "final_nuclear_norm": metrics["nuclear_norm"][-1],
-        "final_ratio": metrics["ratio"][-1],
+        "final_train_loss": rec["train_loss"][-1],
+        "final_recon_error": rec["recon_error"][-1],
+        "final_nuclear_norm": rec["nuclear_norm"][-1],
+        "final_ratio": rec["ratio"][-1],
         "time_to_threshold": below[0] if below else None,
-        "converged": bool(metrics["train_loss"][-1] <= LOSS_THRESHOLD),
-        "a_final": float(cfg.schedule.a(rec_t[-1])),
+        "converged": bool(rec["train_loss"][-1] <= LOSS_THRESHOLD),
+        "a_final": float(rec["a"][-1]),
     }
-    return ExperimentReport(
-        kind="sensing",
-        config=_cfg_dict(cfg),
-        steps=np.asarray(rec_steps),
-        times=np.asarray(rec_t),
-        a=np.asarray(rec_a),
-        metrics=metrics,
-        summary=summary,
-        diverged=status is not None,
-        eigenvalues=np.asarray(eigs),
-        final_x=p.g(w),
-        final_params=w,
-    )
+    return _report("sensing", _cfg_dict(cfg), rec, summary, diverged=status is not None,
+                   eigenvalues=eigenvalues, final_x=p.g(w), final_params=w)
 
 
 def sensing_eigen_bias(report: ExperimentReport, cfg: SensingConfig):
@@ -237,12 +223,14 @@ class RegressionConfig:
     def __post_init__(self):
         if self.schedule is None:
             self.schedule = Schedule("constant", 0.0, t_end=max(2 * self.steps * self.eta, 1e-12))
-        if not self.d < self.n:
-            raise InputError("need d < n (underdetermined regression)")
+        if not 0 <= self.d < self.n:
+            raise InputError("need 0 <= d < n (underdetermined regression)")
         if not 0 <= self.sparsity <= self.n:
             raise InputError("sparsity must lie in [0, n]")
         if self.variant not in DIAGONAL_VARIANTS:
             raise InputError(f"variant must be one of {DIAGONAL_VARIANTS}")
+        if self.eta <= 0 or self.steps < 1 or self.record_every < 1:
+            raise InputError("eta, steps and record_every must be positive")
 
 
 def make_regression_problem(cfg: RegressionConfig):
@@ -282,46 +270,28 @@ def diagonal_network_run(cfg: RegressionConfig) -> ExperimentReport:
     def model(params):
         return params if p is None else p.g(params)
 
-    rec_steps, rec_t, rec_a = [], [], []
-    series = {k: [] for k in ("train_loss", "recon_error", "l1", "l1_l2_ratio")}
-
     def record(k, t, w):
         x = model(w)
-        rec_steps.append(k)
-        rec_t.append(t)
-        rec_a.append(cfg.schedule.a(min(t, phase1_end)))
         l1 = float(np.sum(np.abs(x)))
         l2 = float(np.linalg.norm(x))
-        series["train_loss"].append(loss.value(x))
-        series["recon_error"].append(float(np.sum((x - x_star) ** 2)))
-        series["l1"].append(l1)
-        series["l1_l2_ratio"].append(l1 / l2 if l2 > 0 else 0.0)
+        return {"a": cfg.schedule.a(min(t, phase1_end)), "train_loss": loss.value(x),
+                "recon_error": float(np.sum((x - x_star) ** 2)), "l1": l1,
+                "l1_l2_ratio": l1 / l2 if l2 > 0 else 0.0}
 
-    params, status = _integrate(rhs, params, 2 * cfg.steps, cfg.eta, cfg.record_every, record)
-    metrics = {k: np.asarray(v) for k, v in series.items()}
+    params, status, rec = _integrate(rhs, params, 2 * cfg.steps, cfg.eta, cfg.record_every, record)
     gt_l1 = float(np.sum(np.abs(x_star)))
     gt_l2 = float(np.linalg.norm(x_star))
     summary = {
-        "final_train_loss": metrics["train_loss"][-1],
-        "final_recon_error": metrics["recon_error"][-1],
-        "final_l1": metrics["l1"][-1],
-        "final_ratio": metrics["l1_l2_ratio"][-1],
+        "final_train_loss": rec["train_loss"][-1],
+        "final_recon_error": rec["recon_error"][-1],
+        "final_l1": rec["l1"][-1],
+        "final_ratio": rec["l1_l2_ratio"][-1],
         "ground_truth_ratio": gt_l1 / gt_l2 if gt_l2 > 0 else 0.0,
         "a_final": float(cfg.schedule.a(phase1_end)),
-        "converged": bool(metrics["train_loss"][-1] <= 1e-10),
+        "converged": bool(rec["train_loss"][-1] <= 1e-10),
     }
-    return ExperimentReport(
-        kind="diagonal",
-        config=_cfg_dict(cfg),
-        steps=np.asarray(rec_steps),
-        times=np.asarray(rec_t),
-        a=np.asarray(rec_a),
-        metrics=metrics,
-        summary=summary,
-        diverged=status is not None,
-        final_x=model(params),
-        final_params=params,
-    )
+    return _report("diagonal", _cfg_dict(cfg), rec, summary, diverged=status is not None,
+                   final_x=model(params), final_params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +311,8 @@ class SparseCodingConfig:
 
 def make_dictionary(n_obs, n_features, seed=0):
     """Synthetic Gaussian dictionary with unit-norm columns."""
+    if n_obs < 1 or n_features < 1:
+        raise InputError("a dictionary needs at least one observation and one feature")
     rng = make_rng(seed)
     D = rng.standard_normal((n_obs, n_features))
     return D / np.linalg.norm(D, axis=0, keepdims=True)
@@ -364,8 +336,6 @@ def sparse_coding_run(dictionary, target, variant_p, schedule: Schedule,
     loss = DictionaryLoss(D, target)
     eta = cfg.lr_scale / loss.lipschitz()
 
-    rec_steps, rec_t, rec_a = [], [], []
-    series = {k: [] for k in ("train_loss", "recon_error", "l1")}
     flags = {"domain_exit": False, "left_unit_region": False}
     n_obs = D.shape[0]
 
@@ -381,37 +351,21 @@ def sparse_coding_run(dictionary, target, variant_p, schedule: Schedule,
     def record(k, t, w):
         x = code(w)
         f_val = loss.value(x)
-        rec_steps.append(k)
-        rec_t.append(t)
-        rec_a.append(schedule.a(t))
-        series["train_loss"].append(f_val)
-        series["recon_error"].append(float(2.0 * f_val / n_obs))
-        series["l1"].append(float(np.sum(np.abs(x))))
+        return {"a": schedule.a(t), "train_loss": f_val, "recon_error": float(2.0 * f_val / n_obs),
+                "l1": float(np.sum(np.abs(x)))}
 
-    params, status = _integrate(rhs, variant_p.w_init, cfg.steps, eta, cfg.record_every, record)
+    params, status, rec = _integrate(rhs, variant_p.w_init, cfg.steps, eta, cfg.record_every, record)
     flags["domain_exit"] = status is not None and status[0] == "domain"
-    metrics = {k: np.asarray(v) for k, v in series.items()}
     summary = {
         "eta": eta,
-        "final_l1": metrics["l1"][-1] if len(metrics["l1"]) else np.nan,
-        "final_recon_error": metrics["recon_error"][-1] if len(metrics["recon_error"]) else np.nan,
-        "stationarity_step": stationarity_step(metrics["l1"], np.asarray(rec_steps))
-        if len(metrics["l1"]) > 1 else None,
+        "final_l1": rec["l1"][-1],
+        "final_recon_error": rec["recon_error"][-1],
+        "stationarity_step": stationarity_step(rec["l1"], rec["step"]) if len(rec["l1"]) > 1 else None,
     }
-    return ExperimentReport(
-        kind="sparse-coding",
-        config={"steps": cfg.steps, "lr_scale": cfg.lr_scale, "variant": variant_p.tag,
-                "schedule": _schedule_dict(schedule)},
-        steps=np.asarray(rec_steps),
-        times=np.asarray(rec_t),
-        a=np.asarray(rec_a),
-        metrics=metrics,
-        summary=summary,
-        diverged=status is not None,
-        flags=flags,
-        final_x=None if status is not None else variant_p.g(params),
-        final_params=params,
-    )
+    config = {"steps": cfg.steps, "lr_scale": cfg.lr_scale, "variant": variant_p.tag,
+              "schedule": _schedule_dict(schedule)}
+    return _report("sparse-coding", config, rec, summary, diverged=status is not None, flags=flags,
+                   final_x=None if status is not None else variant_p.g(params), final_params=params)
 
 
 def stationarity_step(series, steps, rtol=0.05):
@@ -495,6 +449,15 @@ def constrained_argmin(family: LegendreFamily, a, Z, Y, tol=1e-12, max_iter=200)
     if np.max(np.abs(r)) > 1e-8 * scale:
         raise InputError("constrained minimization did not converge; is Y attainable?")
     return family.dual_map(a, Z.T @ nu)
+
+
+def _report(kind, config, rec, summary, **fields):
+    """An ExperimentReport whose step, time, strength and metric series are the
+    engine's records: every column of ``rec`` but "step", "t" and "a" is a metric."""
+    metrics = dict(rec)
+    steps, times, a = metrics.pop("step"), metrics.pop("t"), metrics.pop("a")
+    return ExperimentReport(kind=kind, config=config, steps=steps, times=times, a=a,
+                            metrics=metrics, summary=summary, **fields)
 
 
 def _schedule_dict(s: Schedule):

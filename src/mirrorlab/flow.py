@@ -1,7 +1,10 @@
 """Time integration of regularized parameter flows and their dual mirror flows.
 
 Two flows are implemented over one fixed-step Euler/RK4 engine, ``_integrate``,
-which the experiment runners share:
+which the experiment runners share.  The engine also keeps every run's
+record: a per-snapshot hook returns named values, and ``_integrate`` stacks
+them with the step index and time into one array per name.
+
 
 * parameter space:  dw = -(Jg(w)^T grad_f(g(w)) + alpha_t grad_h(w)) dt
 * dual space:       dmu = -grad_f(Q_{a_t}(mu)) dt,  x_t = Q_{a_t}(mu_t), mu_0 = 0
@@ -82,22 +85,34 @@ class ZeroLoss:
 def _integrate(rhs, state0, n_steps, h, record_every, record, method="euler"):
     """Fixed-step Euler/RK4 on the grid t_k = k h with a divergence guard.
 
-    ``rhs(t, state, left_limit)`` is the vector field; ``record(k, t, state)``
+    ``rhs(t, state, left_limit)`` is the vector field.  ``record(k, t, state)``
     sees the initial state, every ``record_every``-th step and the last step,
-    and computes whatever the caller keeps.  States are never modified in
-    place.  Integration stops early when a step leaves the finite range or
-    exceeds DIVERGENCE_LIMIT, or when ``rhs`` or ``record`` raises
-    DomainError; the last healthy step is then recorded only if it fell on
-    the record grid.
+    and returns a dict of named values for that snapshot; the engine keeps
+    them.  States are never modified in place.  Integration stops early when
+    a step leaves the finite range or exceeds DIVERGENCE_LIMIT, or when
+    ``rhs`` or ``record`` raises DomainError; the last healthy step is then
+    recorded only if it fell on the record grid.
 
-    Returns (state, status): the last state computed (the offending one
-    after a divergence) and None on success or ("diverged"|"domain", t, exc)
-    on early exit, t being the time of the last state accepted.
+    Returns (state, status, records): the last state computed (the offending
+    one after a divergence); None on success or ("diverged"|"domain", t, exc)
+    on early exit, t being the time of the last state accepted; and a dict
+    mapping "step", "t" and every name the hook returns to an array with one
+    entry per snapshot.
     """
     state = np.array(state0, dtype=float)
     t = 0.0
+    columns = {"step": [], "t": []}
+
+    def snapshot(k, t, state):
+        row = record(k, t, state)
+        columns["step"].append(k)
+        columns["t"].append(t)
+        for name, value in row.items():
+            columns.setdefault(name, []).append(value)
+
+    status = None
     try:
-        record(0, t, state)
+        snapshot(0, t, state)
         for k in range(1, n_steps + 1):
             if method == "euler":
                 new = state + h * rhs(t, state, False)
@@ -111,13 +126,14 @@ def _integrate(rhs, state0, n_steps, h, record_every, record, method="euler"):
                 k4 = rhs(t + h, state + h * k3, True)
                 new = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.max(np.abs(new)) <= DIVERGENCE_LIMIT:  # NaN fails the comparison too
-                return new, ("diverged", t, None)
+                state, status = new, ("diverged", t, None)
+                break
             state, t = new, k * h
             if k % record_every == 0 or k == n_steps:
-                record(k, t, state)
+                snapshot(k, t, state)
     except DomainError as exc:
-        return state, ("domain", t, exc)
-    return state, None
+        status = ("domain", t, exc)
+    return state, status, {name: np.asarray(col) for name, col in columns.items()}
 
 
 def run_param_flow(p, loss, schedule: Schedule, cfg: IntegratorConfig) -> Trajectory:
@@ -132,31 +148,23 @@ def run_param_flow(p, loss, schedule: Schedule, cfg: IntegratorConfig) -> Trajec
         alpha = schedule.alpha_left(t) if left_limit else schedule.alpha(t)
         return p.flow_rhs(w, loss.grad(p.g(w)), alpha)
 
-    steps, times, params, xs, ys, losses, unit = [], [], [], [], [], [], []
-
     def record(k, t, w):
-        x, y = p.g(w), p.h(w)
-        steps.append(k)
-        times.append(t)
-        params.append(w)
-        xs.append(x)
-        ys.append(y)
-        losses.append(loss.value(x))
+        x = p.g(w)
+        row = {"params": w, "x": x, "y": p.h(w), "train_loss": loss.value(x)}
         if hasattr(p, "inside_unit_region"):
-            unit.append(1.0 if p.inside_unit_region(w) else 0.0)
+            row["unit_region"] = 1.0 if p.inside_unit_region(w) else 0.0
+        return row
 
-    _, status = _integrate(rhs, p.w_init, *cfg.grid(), cfg.record_every, record, cfg.method)
+    _, status, rec = _integrate(rhs, p.w_init, *cfg.grid(), cfg.record_every, record, cfg.method)
     traj = Trajectory(
-        times=times,
-        a=schedule.a(np.array(times)),
-        x=np.asarray(xs),
-        params=np.asarray(params),
-        y=np.asarray(ys),
-        metrics={"train_loss": np.array(losses)},
-        steps=np.array(steps),
+        times=rec["t"],
+        a=schedule.a(rec["t"]),
+        x=rec["x"],
+        params=rec["params"],
+        y=rec["y"],
+        metrics={name: rec[name] for name in ("train_loss", "unit_region") if name in rec},
+        steps=rec["step"],
     )
-    if unit:
-        traj.metrics["unit_region"] = np.array(unit)
     if status is not None:
         kind, t_bad, exc = status
         if kind == "diverged":
@@ -172,25 +180,19 @@ def run_mirror_flow(family, loss, schedule: Schedule, cfg: IntegratorConfig) -> 
     def rhs(t, mu, left_limit):
         return -loss.grad(family.dual_map(schedule.a(t), mu))
 
-    steps, times, mus, xs, losses = [], [], [], [], []
-
     def record(k, t, mu):
         x = family.dual_map(schedule.a(t), mu)
-        steps.append(k)
-        times.append(t)
-        mus.append(mu)
-        xs.append(x)
-        losses.append(loss.value(x))
+        return {"mu": mu, "x": x, "train_loss": loss.value(x)}
 
-    _, status = _integrate(rhs, np.zeros(family.n), *cfg.grid(), cfg.record_every, record,
-                           cfg.method)
+    _, status, rec = _integrate(rhs, np.zeros(family.n), *cfg.grid(), cfg.record_every, record,
+                                cfg.method)
     traj = Trajectory(
-        times=times,
-        a=schedule.a(np.array(times)),
-        x=np.asarray(xs),
-        mu=np.asarray(mus),
-        metrics={"train_loss": np.array(losses)},
-        steps=np.array(steps),
+        times=rec["t"],
+        a=schedule.a(rec["t"]),
+        x=rec["x"],
+        mu=rec["mu"],
+        metrics={"train_loss": rec["train_loss"]},
+        steps=rec["step"],
     )
     if status is not None:
         kind, t_bad, exc = status

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, InputError, UnsupportedOperation, make_rng
+from .core import DomainError, InputError, UnsupportedOperation, factor_pair, make_rng
 
 
 @dataclass
@@ -121,10 +121,7 @@ class HyperbolicEntropy(LegendreFamily):
     tag = "hyperbolic-entropy"
 
     def __init__(self, u0, v0):
-        u0 = np.asarray(u0, dtype=float).ravel()
-        v0 = np.asarray(v0, dtype=float).ravel()
-        if u0.size != v0.size:
-            raise InputError("u0 and v0 must have the same length")
+        u0, v0 = factor_pair(u0, v0)
         if np.any(u0 * v0 == 0.0):
             raise DomainError("hyperbolic entropy needs u0_i * v0_i != 0 for every coordinate")
         super().__init__(u0.size)
@@ -265,10 +262,7 @@ class LogCosh(LegendreFamily):
     tag = "log-cosh"
 
     def __init__(self, u0, v0):
-        u0 = np.asarray(u0, dtype=float).ravel()
-        v0 = np.asarray(v0, dtype=float).ravel()
-        if u0.size != v0.size:
-            raise InputError("u0 and v0 must have the same length")
+        u0, v0 = factor_pair(u0, v0)
         if np.any(u0 <= 0) or np.any(v0 <= 0):
             raise DomainError("log-cosh family needs u0, v0 > 0")
         super().__init__(u0.size)
@@ -349,10 +343,7 @@ class DiffPowersFlow(LegendreFamily):
         k = int(k)
         if k < 2:
             raise InputError("diff-powers flow needs k >= 2 (k = 1 is the hyperbolic case)")
-        u0 = np.asarray(u0, dtype=float).ravel()
-        v0 = np.asarray(v0, dtype=float).ravel()
-        if u0.size != v0.size:
-            raise InputError("u0 and v0 must have the same length")
+        u0, v0 = factor_pair(u0, v0)
         if np.any(u0 <= 0) or np.any(v0 <= 0):
             raise DomainError("diff-powers flow needs u0, v0 > 0")
         super().__init__(u0.size)

@@ -19,7 +19,7 @@ from functools import reduce
 
 import numpy as np
 
-from .core import DomainError, InputError, sym
+from .core import DomainError, InputError, factor_pair, sym
 
 
 class Parameterization:
@@ -129,7 +129,21 @@ class Hadamard(DeepHadamard):
         super().__init__([m0, w0])
 
 
-class DiffSquares(Parameterization):
+class TwoFactor(Parameterization):
+    """Base of the variants g(u, v) on two factor vectors packed as w = [u, v]."""
+
+    def __init__(self, u0, v0):
+        u0, v0 = factor_pair(u0, v0)
+        super().__init__(2 * u0.size, u0.size, np.concatenate([u0, v0]))
+        self.u0, self.v0 = u0, v0
+
+    def split(self, w):
+        w = self._check_params(w)
+        n = self.dim_model
+        return w[:n], w[n:]
+
+
+class DiffSquares(TwoFactor):
     """g(u, v) = u^2 - v^2 with h = sum c_u u_i^2 - c_v v_i^2.
 
     c_u = 1, c_v = -1 gives weight decay on both factor vectors.  Rotating the
@@ -141,19 +155,9 @@ class DiffSquares(Parameterization):
     tag = "diff-squares"
 
     def __init__(self, u0, v0, c_u=1.0, c_v=-1.0):
-        u0 = np.asarray(u0, dtype=float).ravel()
-        v0 = np.asarray(v0, dtype=float).ravel()
-        if u0.size != v0.size:
-            raise InputError("u0 and v0 must have the same length")
-        super().__init__(2 * u0.size, u0.size, np.concatenate([u0, v0]))
+        super().__init__(u0, v0)
         self.c_u = float(c_u)
         self.c_v = float(c_v)
-        self.u0, self.v0 = u0, v0
-
-    def split(self, w):
-        w = self._check_params(w)
-        n = self.dim_model
-        return w[:n], w[n:]
 
     def g(self, w):
         u, v = self.split(w)
@@ -180,7 +184,7 @@ class DiffSquares(Parameterization):
         return np.concatenate([2.0 * self.c_u * u, -2.0 * self.c_v * v])
 
 
-class DiffPowers(Parameterization):
+class DiffPowers(TwoFactor):
     """g(u, v) = u^(2k) - v^(2k) with h = sum u_i^(2k) + v_i^(2k)."""
 
     tag = "diff-powers"
@@ -189,18 +193,8 @@ class DiffPowers(Parameterization):
     def __init__(self, k, u0, v0):
         if int(k) < 1:
             raise InputError("k must be a positive integer")
-        u0 = np.asarray(u0, dtype=float).ravel()
-        v0 = np.asarray(v0, dtype=float).ravel()
-        if u0.size != v0.size:
-            raise InputError("u0 and v0 must have the same length")
-        super().__init__(2 * u0.size, u0.size, np.concatenate([u0, v0]))
+        super().__init__(u0, v0)
         self.k = int(k)
-        self.u0, self.v0 = u0, v0
-
-    def split(self, w):
-        w = self._check_params(w)
-        n = self.dim_model
-        return w[:n], w[n:]
 
     def g(self, w):
         u, v = self.split(w)
@@ -232,7 +226,7 @@ class DiffPowers(Parameterization):
         return np.concatenate([p * u ** (p - 1), p * v ** (p - 1)])
 
 
-class LogRatio(Parameterization):
+class LogRatio(TwoFactor):
     """g(u, v) = log u - log v with h = sum log u_i + log v_i, for u, v > 0.
 
     Evaluation only requires positivity; ``inside_unit_region`` reports whether
@@ -244,19 +238,12 @@ class LogRatio(Parameterization):
     sample_box = (0.5, 2.5)
 
     def __init__(self, u0, v0):
-        u0 = np.asarray(u0, dtype=float).ravel()
-        v0 = np.asarray(v0, dtype=float).ravel()
-        if u0.size != v0.size:
-            raise InputError("u0 and v0 must have the same length")
-        if np.any(u0 <= 0) or np.any(v0 <= 0):
+        super().__init__(u0, v0)
+        if np.any(self.u0 <= 0) or np.any(self.v0 <= 0):
             raise DomainError("log-ratio factors must be positive")
-        super().__init__(2 * u0.size, u0.size, np.concatenate([u0, v0]))
-        self.u0, self.v0 = u0, v0
 
     def split(self, w):
-        w = self._check_params(w)
-        n = self.dim_model
-        u, v = w[:n], w[n:]
+        u, v = super().split(w)
         if np.any(u <= 0) or np.any(v <= 0):
             raise DomainError("log-ratio evaluation needs u, v > 0")
         return u, v
@@ -288,7 +275,6 @@ class LogRatio(Parameterization):
     def grad_h(self, w):
         u, v = self.split(w)
         return np.concatenate([1.0 / u, 1.0 / v])
-
 
 class QuadraticCommuting(Parameterization):
     """G_i(w) = w^T A_i w / 2 and H(w) = w^T B w / 2 for symmetric matrices.

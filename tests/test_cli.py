@@ -212,3 +212,29 @@ def test_diagonal_summary_has_kkt_field(tmp_path):
     summary = json.loads((tmp_path / "diagonal_mw_seed0_summary.json").read_text())
     assert "kkt_residual" in summary
     assert summary["kkt_residual"] is None or summary["kkt_residual"] < 0.5
+
+
+@pytest.mark.parametrize("argv, env_seed, config", [
+    (["run", "diagonal", "--record-every", "0"], None, None),
+    (["run", "diagonal", "--steps", "0"], None, None),
+    (["run", "sparse-coding", "--k", "0"], None, None),
+    (["run", "sensing", "--m", "0"], None, None),
+    (["run", "sensing", "--n", "0", "--r", "0"], None, None),
+    (["run", "flow", "--n", "0"], None, None),
+    (["run", "sparse-coding", "--n-features", "0"], None, None),
+    (["run", "sensing"], "abc", None),
+    (["run", "sensing", "--seeds", "0,x"], None, None),
+    (["run", "flow"], None, "[flow]\nn = abc\n"),
+], ids=["diagonal-record-every-0", "diagonal-steps-0", "sparse-coding-k-0", "sensing-m-0",
+        "sensing-n-0", "flow-n-0", "sparse-coding-n-features-0", "env-seed-abc", "seeds-0-x",
+        "config-n-abc"])
+def test_bad_input_exits_2_with_an_error_line(tmp_path, monkeypatch, capsys, argv, env_seed,
+                                              config):
+    if env_seed is not None:
+        monkeypatch.setenv("MIRRORLAB_SEED", env_seed)
+    if config is not None:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
+    assert any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mirrorlab import (DeepHadamard, DiffPowers, DiffPowersFlow, DivergedError,
-                       DomainExitError, Entropy, Hadamard, HyperbolicEntropy,
+                       DomainError, DomainExitError, Entropy, Hadamard, HyperbolicEntropy,
                        InputError, IntegratorConfig, LogRatio, QuadraticLoss,
                        Schedule, SymFactor, ZeroLoss, family_for, make_rng,
                        riemannian_residual, run_mirror_flow, run_param_flow,
@@ -191,13 +191,11 @@ def test_integrate_stops_on_nonfinite_or_huge_state(bad, method):
     def rhs(t, state, left_limit):
         return np.array([0.0, bad if t >= 1.0 else 0.0])
 
-    recorded = []
-    state, status = _integrate(rhs, np.ones(2), 10, 0.5, 1,
-                               lambda k, t, s: recorded.append(k), method)
+    state, status, records = _integrate(rhs, np.ones(2), 10, 0.5, 1, lambda k, t, s: {}, method)
     # RK4's last stage of the step from t = 0.5 already samples t = 1
     last_ok = 2 if method == "euler" else 1
     assert status == ("diverged", 0.5 * last_ok, None)
-    assert recorded == list(range(last_ok + 1))
+    assert records["step"].tolist() == list(range(last_ok + 1))
     assert not np.abs(state[1]) <= DIVERGENCE_LIMIT
 
 
@@ -205,10 +203,51 @@ def test_integrate_accepts_states_at_the_divergence_limit():
     def rhs(t, state, left_limit):
         return np.zeros(2)
 
-    state, status = _integrate(rhs, [DIVERGENCE_LIMIT, -DIVERGENCE_LIMIT], 3, 0.5, 1,
-                               lambda k, t, s: None)
+    state, status, _ = _integrate(rhs, [DIVERGENCE_LIMIT, -DIVERGENCE_LIMIT], 3, 0.5, 1,
+                                  lambda k, t, s: {})
     assert status is None
     assert state.tolist() == [DIVERGENCE_LIMIT, -DIVERGENCE_LIMIT]
+
+
+def test_integrate_records_one_column_per_hook_name():
+    h = 0.1
+    state, status, records = _integrate(lambda t, s, left: np.array([1.0, -2.0]), np.zeros(2),
+                                        7, h, 3, lambda k, t, s: {"x": s})
+    assert status is None
+    assert sorted(records) == ["step", "t", "x"]
+    assert records["step"].tolist() == [0, 3, 6, 7]
+    assert records["t"].tolist() == (records["step"] * h).tolist()
+    assert records["x"].shape == (4, 2)
+    assert records["x"][0].tolist() == [0.0, 0.0]
+    assert records["x"][-1].tolist() == state.tolist()
+
+
+def _failing_rhs(t, state, left_limit):
+    if t > 0.25:  # from the step leaving t = 3h = 0.3, i.e. step 4
+        raise DomainError("rhs left its domain")
+    return np.ones(2)
+
+
+def _failing_hook(k, t, state):
+    if k == 3:
+        raise DomainError("hook left its domain")
+    return {"x": state}
+
+
+@pytest.mark.parametrize("rhs, record, kind, steps", [
+    # the step leaving t = 4h = 0.4 (step 5) blows up
+    (lambda t, s, left: np.ones(2) * (np.inf if t > 0.35 else 1.0), lambda k, t, s: {"x": s},
+     "diverged", [0, 3]),
+    (_failing_rhs, lambda k, t, s: {"x": s}, "domain", [0, 3]),
+    (lambda t, s, left: np.ones(2), _failing_hook, "domain", [0]),
+], ids=["divergence-at-step-5", "rhs-domain-error-at-step-4", "hook-domain-error-at-step-3"])
+def test_integrate_records_end_at_the_last_recorded_healthy_step(rhs, record, kind, steps):
+    _, status, records = _integrate(rhs, np.zeros(2), 7, 0.1, 3, record)
+    assert status[0] == kind
+    assert records["step"].tolist() == steps
+    assert {name: len(col) for name, col in records.items()} == {"step": len(steps),
+                                                                 "t": len(steps),
+                                                                 "x": len(steps)}
 
 
 def test_log_ratio_domain_exit():
