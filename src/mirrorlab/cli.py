@@ -220,6 +220,8 @@ def _ensure_outdir(path):
 # ---------------------------------------------------------------------------
 
 def _build_variant(name, n, depth, seed):
+    if n < 1:
+        raise UsageError("n must be positive")
     rng = make_rng(seed)
     if name == "hadamard":
         return reparam.Hadamard(rng.uniform(1.0, 2.0, n), rng.uniform(-0.5, 0.5, n))

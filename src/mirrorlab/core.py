@@ -251,6 +251,23 @@ def make_rng(seed):
     return np.random.default_rng(np.uint64(seed) if seed is not None else None)
 
 
+def flat_vector(x, n, what):
+    """x as a flat float array of length n; InputError naming `what` otherwise.
+
+    The per-stage shape check of the flows: a contiguous float64 ndarray of
+    shape (n,), which is what ``np.asarray(x, dtype=float).ravel()`` would
+    return a view of, is returned as it is; anything else is converted and
+    raveled first.
+    """
+    if (type(x) is np.ndarray and x.shape == (n,) and x.dtype == np.float64
+            and x.flags.c_contiguous):
+        return x
+    x = np.asarray(x, dtype=float).ravel()
+    if x.size != n:
+        raise InputError(f"{what} has length {x.size}, expected {n}")
+    return x
+
+
 def factor_pair(u0, v0):
     """u0 and v0 as flat float arrays of one length: the two-factor initializations."""
     u0 = np.asarray(u0, dtype=float).ravel()

@@ -59,14 +59,16 @@ class LinearRegressionLoss:
         r = self.Z @ np.asarray(x, dtype=float).ravel() - self.y
         return float(0.5 * r @ r / self.d)
 
+    # Z.dot(x) and r.dot(Z) run the same gemv as Z @ x and Z.T @ r with fewer
+    # calls around it, so they return the same bits
     def grad(self, x):
-        r = self.Z @ np.asarray(x, dtype=float).ravel() - self.y
-        return self.Z.T @ r / self.d
+        r = self.Z.dot(np.asarray(x, dtype=float).ravel()) - self.y
+        return r.dot(self.Z) / self.d
 
     def value_and_grad(self, x):
         """(value(x), grad(x)) from one residual; the same bits as the two calls."""
-        r = self.Z @ np.asarray(x, dtype=float).ravel() - self.y
-        return float(0.5 * r @ r / self.d), self.Z.T @ r / self.d
+        r = self.Z.dot(np.asarray(x, dtype=float).ravel()) - self.y
+        return float(0.5 * r @ r / self.d), r.dot(self.Z) / self.d
 
 
 class ZeroLoss:
@@ -125,7 +127,7 @@ def _integrate(rhs, state0, n_steps, h, record_every, record, method="euler"):
                 k3 = rhs(t + 0.5 * h, state + 0.5 * h * k2, False)
                 k4 = rhs(t + h, state + h * k3, True)
                 new = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.max(np.abs(new)) <= DIVERGENCE_LIMIT:  # NaN fails the comparison too
+            if not np.abs(new).max() <= DIVERGENCE_LIMIT:  # NaN fails the comparison too
                 state, status = new, ("diverged", t, None)
                 break
             state, t = new, k * h

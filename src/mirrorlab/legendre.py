@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, InputError, UnsupportedOperation, factor_pair, make_rng
+from .core import (DomainError, InputError, UnsupportedOperation, factor_pair, flat_vector,
+                   make_rng)
 
 
 @dataclass
@@ -37,10 +38,6 @@ class DomainSpec:
     @property
     def lengths(self):
         return self.dual_upper - self.dual_lower
-
-    def contains(self, mu):
-        mu = np.asarray(mu, dtype=float)
-        return bool(np.all(mu > self.dual_lower) and np.all(mu < self.dual_upper))
 
 
 class LegendreFamily:
@@ -61,10 +58,7 @@ class LegendreFamily:
         return a
 
     def _vec(self, x, name="x"):
-        x = np.asarray(x, dtype=float).ravel()
-        if x.size != self.n:
-            raise InputError(f"{name} has length {x.size}, expected {self.n}")
-        return x
+        return flat_vector(x, self.n, name)
 
     # -- family surface ------------------------------------------------------
     def value(self, a, x):
@@ -268,9 +262,10 @@ class LogCosh(LegendreFamily):
         super().__init__(u0.size)
         self.u0sq = u0 * u0
         self.v0sq = v0 * v0
+        self._a_sup = 0.5 * float(min(np.min(self.u0sq), np.min(self.v0sq)))
 
     def a_upper(self):
-        return 0.5 * float(min(np.min(self.u0sq), np.min(self.v0sq)))
+        return self._a_sup
 
     def check_a(self, a):
         a = float(a)
@@ -295,11 +290,12 @@ class LogCosh(LegendreFamily):
     def dual_map(self, a, mu):
         a = self.check_a(a)
         mu = self._vec(mu, "mu")
-        spec = self.domain(a)
-        if not spec.contains(mu):
-            raise DomainError(
-                f"log-cosh dual point outside ({spec.dual_lower}, {spec.dual_upper})")
-        return 0.5 * np.log((self.u0sq - 2.0 * a + 2.0 * mu) / (self.v0sq - 2.0 * a - 2.0 * mu))
+        cu = self.u0sq - 2.0 * a
+        cv = self.v0sq - 2.0 * a
+        lo, hi = -cu / 2.0, cv / 2.0  # the bounds of domain(a)
+        if not ((mu > lo).all() and (mu < hi).all()):
+            raise DomainError(f"log-cosh dual point outside ({lo}, {hi})")
+        return 0.5 * np.log((cu + 2.0 * mu) / (cv - 2.0 * mu))
 
     def dual_jacobian(self, a, mu):
         a = self.check_a(a)
@@ -353,25 +349,28 @@ class DiffPowersFlow(LegendreFamily):
         self.c_u = u0 ** (2 - 2 * k) / self.K
         self.c_v = v0 ** (2 - 2 * k) / self.K
 
-    def check_a(self, a):
+    def _shifted(self, a):
+        """(a, c_u + a, c_v + a) for a valid a; the dual domain is (-(c_v + a), c_u + a)."""
         a = super().check_a(a)
-        if np.any(self.c_u + a <= 0) or np.any(self.c_v + a <= 0):
+        cu, cv = self.c_u + a, self.c_v + a
+        if (cu <= 0).any() or (cv <= 0).any():
             raise DomainError(f"diff-powers flow: a={a} has exhausted the dual domain")
-        return a
+        return a, cu, cv
+
+    def check_a(self, a):
+        return self._shifted(a)[0]
 
     def domain(self, a):
-        a = self.check_a(a)
-        return DomainSpec(-(self.c_v + a), self.c_u + a, primal="open, shrinking with a")
+        _, cu, cv = self._shifted(a)
+        return DomainSpec(-cv, cu, primal="open, shrinking with a")
 
     def dual_map(self, a, mu):
-        a = self.check_a(a)
+        a, cu, cv = self._shifted(a)
         mu = self._vec(mu, "mu")
-        spec = self.domain(a)
-        if not spec.contains(mu):
-            raise DomainError(
-                f"dual point outside the interval ({spec.dual_lower}, {spec.dual_upper}) at a={a}")
-        up = (self.K * (self.c_u + a - mu)) ** (-self.gamma)
-        vp = (self.K * (self.c_v + a + mu)) ** (-self.gamma)
+        if not ((mu > -cv).all() and (mu < cu).all()):
+            raise DomainError(f"dual point outside the interval ({-cv}, {cu}) at a={a}")
+        up = (self.K * (cu - mu)) ** (-self.gamma)
+        vp = (self.K * (cv + mu)) ** (-self.gamma)
         return up - vp
 
     def dual_jacobian(self, a, mu):
@@ -486,7 +485,8 @@ class QuadraticFamily(LegendreFamily):
             moved = False
             while t > 1e-14:
                 cand = mu - t * step
-                cand_psi = self.dual_potential(a, cand) - cand @ x
+                with np.errstate(over="ignore"):  # an overflowing candidate is rejected below
+                    cand_psi = self.dual_potential(a, cand) - cand @ x
                 if np.isfinite(cand_psi) and cand_psi <= cur + 1e-18:
                     mu, cur, moved = cand, cand_psi, True
                     break

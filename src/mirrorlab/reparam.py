@@ -15,11 +15,9 @@ dense product (coefficient, then ``v``), so both give the same bits.
 
 from __future__ import annotations
 
-from functools import reduce
-
 import numpy as np
 
-from .core import DomainError, InputError, factor_pair, sym
+from .core import DomainError, InputError, factor_pair, flat_vector, sym
 
 
 class Parameterization:
@@ -36,10 +34,7 @@ class Parameterization:
             raise InputError(f"w_init has length {self.w_init.size}, expected {self.dim_params}")
 
     def _check_params(self, w):
-        w = np.asarray(w, dtype=float).ravel()
-        if w.size != self.dim_params:
-            raise InputError(f"parameter vector has length {w.size}, expected {self.dim_params}")
-        return w
+        return flat_vector(w, self.dim_params, "parameter vector")
 
     def g(self, w):
         raise NotImplementedError
@@ -60,9 +55,7 @@ class Parameterization:
 
     def flow_rhs(self, w, grad_f_x, alpha):
         w = self._check_params(w)
-        grad_f_x = np.asarray(grad_f_x, dtype=float).ravel()
-        if grad_f_x.size != self.dim_model:
-            raise InputError(f"loss gradient has length {grad_f_x.size}, expected {self.dim_model}")
+        grad_f_x = flat_vector(grad_f_x, self.dim_model, "loss gradient")
         return -(self.vjp_g(w, grad_f_x) + alpha * self.grad_h(w))
 
 
@@ -90,21 +83,32 @@ class DeepHadamard(Parameterization):
             raise InputError("all factors must have the same length")
         self.depth = len(factors)
         self.h_scale = float(h_scale)
+        self._others_table = list(np.array([[i for i in range(self.depth) if i != j]
+                                            for j in range(self.depth)]).T)
         super().__init__(self.depth * n, n, np.concatenate(factors))
 
     def split(self, w):
         return self._check_params(w).reshape(self.depth, self.dim_model)
 
     def g(self, w):
-        return np.prod(self.split(w), axis=0)
+        # the reduction np.prod(axis=0) runs, without its wrapper
+        return np.multiply.reduce(self.split(w))
 
     def h(self, w):
         return self.h_scale * float(np.sum(self._check_params(w) ** 2))
 
     def _other_factors(self, f):
-        """For each j, the elementwise product of every factor but f_j, in factor order."""
-        return [reduce(np.multiply, [f[i] for i in range(self.depth) if i != j])
-                for j in range(self.depth)]
+        """Row j: the elementwise product of every factor but f_j, in factor order."""
+        if self.depth == 2:
+            return f[::-1]
+        # column c of the table holds, for every row j, the c-th factor other
+        # than f_j; multiplying the gathered columns left to right keeps the
+        # factor order in every row
+        first, second, *rest = self._others_table
+        out = f[first] * f[second]
+        for column in rest:
+            out *= f[column]
+        return out
 
     def jac_g(self, w):
         n = self.dim_model
@@ -114,7 +118,7 @@ class DeepHadamard(Parameterization):
         return J
 
     def vjp_g(self, w, v):
-        return np.concatenate([others * v for others in self._other_factors(self.split(w))])
+        return (self._other_factors(self.split(w)) * v).ravel()
 
     def grad_h(self, w):
         return 2.0 * self.h_scale * self._check_params(w)
@@ -359,5 +363,5 @@ class SymFactor(Parameterization):
 
     def flow_rhs(self, w, grad_f_x, alpha):
         U = self.as_matrix(w)
-        S = np.asarray(grad_f_x, dtype=float).reshape(self.n, self.n)
+        S = flat_vector(grad_f_x, self.dim_model, "loss gradient").reshape(self.n, self.n)
         return -(sym(S) @ U + alpha * U).ravel()

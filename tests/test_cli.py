@@ -225,9 +225,11 @@ def test_diagonal_summary_has_kkt_field(tmp_path):
     (["run", "sensing"], "abc", None),
     (["run", "sensing", "--seeds", "0,x"], None, None),
     (["run", "flow"], None, "[flow]\nn = abc\n"),
+    (["verify", "commuting", "--n", "0"], None, None),
+    (["verify", "commuting", "--n", "-2"], None, None),
 ], ids=["diagonal-record-every-0", "diagonal-steps-0", "sparse-coding-k-0", "sensing-m-0",
         "sensing-n-0", "flow-n-0", "sparse-coding-n-features-0", "env-seed-abc", "seeds-0-x",
-        "config-n-abc"])
+        "config-n-abc", "commuting-n-0", "commuting-n-negative"])
 def test_bad_input_exits_2_with_an_error_line(tmp_path, monkeypatch, capsys, argv, env_seed,
                                               config):
     if env_seed is not None:

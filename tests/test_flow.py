@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mirrorlab import (DeepHadamard, DiffPowers, DiffPowersFlow, DivergedError,
                        DomainError, DomainExitError, Entropy, Hadamard, HyperbolicEntropy,
@@ -7,7 +9,7 @@ from mirrorlab import (DeepHadamard, DiffPowers, DiffPowersFlow, DivergedError,
                        Schedule, SymFactor, ZeroLoss, family_for, make_rng,
                        riemannian_residual, run_mirror_flow, run_param_flow,
                        verify_equivalence)
-from mirrorlab.flow import DIVERGENCE_LIMIT, _integrate
+from mirrorlab.flow import DIVERGENCE_LIMIT, LinearRegressionLoss, _integrate
 
 RNG = make_rng(0)
 
@@ -300,3 +302,22 @@ def test_mirror_flow_domain_exit_diff_powers():
     with pytest.raises(DomainExitError) as exc_info:
         run_mirror_flow(dp, loss, sched, IntegratorConfig("euler", 1e-2, 5.0, record_every=1))
     assert exc_info.value.trajectory is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 130), cols=st.integers(1, 420),
+       scale=st.floats(1e-3, 1e3))
+@example(seed=0, rows=0, cols=5, scale=1.0)  # no data: the gradient is all zeros
+def test_least_squares_gradient_equals_the_dense_products_exactly(seed, rows, cols, scale):
+    # Z.dot(x) and r.dot(Z) run the same gemv as Z @ x and Z.T @ r
+    rng = make_rng(seed)
+    Z = scale * rng.standard_normal((rows, cols))
+    y = rng.standard_normal(rows)
+    x = rng.standard_normal(cols)
+    loss = LinearRegressionLoss(Z, y)
+    r = Z @ x - y
+    expected = Z.T @ r / max(1, rows)
+    assert np.array_equal(loss.grad(x), expected)
+    value, grad = loss.value_and_grad(x)
+    assert np.array_equal(grad, expected)
+    assert value == loss.value(x) == float(0.5 * r @ r / max(1, rows))

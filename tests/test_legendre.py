@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrorlab import (DiffPowers, DiffPowersFlow, DomainError, Entropy,
                        Hadamard, HyperbolicEntropy, InputError, LogCosh,
@@ -327,3 +329,104 @@ def test_a_validity_enforced():
     ent = Entropy(np.ones(3))
     with pytest.raises(DomainError):
         ent.dual_map(1.0, np.zeros(3))
+
+
+# -- the Legendre contract on random inputs ----------------------------------
+
+CONTRACT_FAMILIES = ("hyperbolic-entropy", "entropy", "log-cosh", "diff-powers-flow", "quadratic")
+
+
+def contract_case(tag, rng):
+    """(family, closed range of valid a, sampler of primal points x)."""
+    if tag == "hyperbolic-entropy":
+        return hyperbolic(rng), (-3.0, 0.0), lambda: rng.uniform(-5.0, 5.0, 3)
+    if tag == "entropy":
+        return Entropy(rng.uniform(0.5, 1.5, 3)), (-3.0, 0.0), lambda: rng.uniform(1e-3, 10.0, 3)
+    if tag == "log-cosh":
+        lc = LogCosh(rng.uniform(0.8, 1.5, 3), rng.uniform(0.8, 1.5, 3))
+        # valid for a < a_upper; the map's range is all of R^n
+        return lc, (-3.0, lc.a_upper() - 1e-3), lambda: rng.uniform(-4.0, 4.0, 3)
+    if tag == "diff-powers-flow":
+        dp = DiffPowersFlow(int(rng.integers(2, 4)), rng.uniform(0.9, 1.4, 2),
+                            rng.uniform(0.9, 1.4, 2))
+        # valid while c_u + a and c_v + a stay positive; keep a tenth of the
+        # narrowest dual interval so the numeric inverse stays well posed
+        a_min = -0.9 * float(np.min(np.minimum(dp.c_u, dp.c_v)))
+        return dp, (a_min, 0.0), lambda: rng.uniform(-3.0, 3.0, 2)
+    # commuting quadratics in a random joint eigenbasis; x lives in the open
+    # positive orthant, the range of the dual map
+    D = 3
+    Q = np.linalg.qr(rng.standard_normal((D, D)))[0]
+    A_list = [Q @ np.diag((np.arange(D) == i).astype(float)) @ Q.T for i in range(2)]
+    B = Q @ np.diag(rng.uniform(0.5, 1.5, D)) @ Q.T
+    qf = QuadraticFamily(A_list, B, rng.uniform(0.7, 1.5, D))
+    return qf, (-2.0, 2.0), lambda: rng.uniform(0.1, 3.0, 2)
+
+
+def _contract_point(tag, seed, a_frac):
+    rng = make_rng(seed)
+    fam, (a_lo, a_hi), sample = contract_case(tag, rng)
+    return fam, a_lo + a_frac * (a_hi - a_lo), sample
+
+
+@pytest.mark.parametrize("tag", CONTRACT_FAMILIES)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), a_frac=st.floats(0.0, 1.0))
+def test_dual_map_inverts_grad(tag, seed, a_frac):
+    # tolerance relative to max(1, |x|): 1e-12 for the closed forms (worst
+    # seen 6e-14); 1e-10 for the bisected Newton inverse of the diff-powers
+    # flow (worst seen 1e-12); 1e-6 for the quadratic family, the residual its
+    # damped Newton grad accepts (worst seen 3.8e-8)
+    tol = {"diff-powers-flow": 1e-10, "quadratic": 1e-6}.get(tag, 1e-12)
+    fam, a, sample = _contract_point(tag, seed, a_frac)
+    for _ in range(5):
+        x = sample()
+        x_back = fam.dual_map(a, fam.grad(a, x))
+        assert np.max(np.abs(x_back - x)) <= tol * max(1.0, np.max(np.abs(x))), (fam.tag, a, x)
+
+
+@pytest.mark.parametrize("tag", CONTRACT_FAMILIES)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), a_frac=st.floats(0.0, 1.0))
+def test_grad_is_strictly_monotone(tag, seed, a_frac):
+    fam, a, sample = _contract_point(tag, seed, a_frac)
+    for _ in range(5):
+        x, y = sample(), sample()
+        assert (fam.grad(a, x) - fam.grad(a, y)) @ (x - y) > 0.0, (fam.tag, a, x, y)
+
+
+@pytest.mark.parametrize("tag", [t for t in CONTRACT_FAMILIES if t != "diff-powers-flow"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), a_frac=st.floats(0.0, 1.0))
+def test_bregman_divergence_is_nonnegative(tag, seed, a_frac):
+    # the diff-powers flow has no closed-form value, so no divergence; the
+    # tolerance is roundoff on the three terms of the divergence
+    fam, a, sample = _contract_point(tag, seed, a_frac)
+    for _ in range(5):
+        x, y = sample(), sample()
+        terms = (fam.value(a, x), fam.value(a, y), fam.grad(a, y) @ (x - y))
+        tol = 1e-10 * (1.0 + sum(abs(t) for t in terms))
+        assert fam.bregman_divergence(a, x, y) >= -tol, (fam.tag, a, x, y)
+
+
+@pytest.mark.parametrize("family", [
+    DiffPowersFlow(2, np.array([1.0, 1.3, 0.9]), np.array([1.2, 0.95, 1.1])),
+    DiffPowersFlow(3, np.array([1.0, 1.3, 0.9]), np.array([1.2, 0.95, 1.1])),
+    LogCosh(np.array([1.0, 1.3, 0.9]), np.array([1.2, 0.95, 1.1])),
+], ids=["diff-powers-flow-k2", "diff-powers-flow-k3", "log-cosh"])
+def test_dual_map_domain_is_open(family):
+    # the dual domain is an open interval per coordinate: its end points and
+    # NaN raise, the nearest interior floats do not
+    for a in (0.0, -0.01):
+        spec = family.domain(a)
+        mid = 0.5 * (spec.dual_lower + spec.dual_upper)
+        for i in range(family.n):
+            for bad in (spec.dual_lower[i], spec.dual_upper[i], np.nan):
+                mu = mid.copy()
+                mu[i] = bad
+                with pytest.raises(DomainError, match="outside"):
+                    family.dual_map(a, mu)
+            for edge, inward in ((spec.dual_lower[i], np.inf), (spec.dual_upper[i], -np.inf)):
+                mu = mid.copy()
+                mu[i] = np.nextafter(edge, inward)
+                assert not np.any(np.isnan(family.dual_map(a, mu)))

@@ -152,6 +152,9 @@ def test_dimension_mismatch_errors():
         p.flow_rhs(p.w_init, np.ones(3), 0.0)
     with pytest.raises(InputError):
         QuadraticCommuting([np.eye(2)], np.array([[0.0, 1.0], [0.0, 0.0]]), np.ones(2))
+    sf = SymFactor(np.eye(3))
+    with pytest.raises(InputError, match="loss gradient has length 5"):
+        sf.flow_rhs(sf.w_init, np.ones(5), 0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -191,3 +194,52 @@ def test_deep_hadamard_jacobian_holds_the_other_factors():
     J = DeepHadamard(f).jac_g(np.concatenate(f))
     assert np.array_equal(J, [[55.0, 0.0, 22.0, 0.0, 10.0, 0.0],
                               [0.0, 91.0, 0.0, 39.0, 0.0, 21.0]])
+
+
+def _in_order_product(rows):
+    out = rows[0]
+    for row in rows[1:]:
+        out = out * row
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(2, 5), n=st.integers(1, 8))
+def test_deep_hadamard_products_keep_the_factor_order_exactly(seed, depth, n):
+    # g and the rows behind jac_g/vjp_g multiply left to right in factor
+    # order; any other association changes the last bits
+    rng = make_rng(seed)
+    factors = [rng.uniform(-3.0, 3.0, n) * 10.0 ** rng.uniform(-3, 3, n) for _ in range(depth)]
+    p = DeepHadamard(factors)
+    w = np.concatenate(factors)
+    f = p.split(w)
+    assert np.array_equal(p.g(w), np.prod(f, axis=0))
+    others = p._other_factors(f)
+    assert others.shape == (depth, n)
+    for j in range(depth):
+        expected = _in_order_product([f[i] for i in range(depth) if i != j])
+        assert np.array_equal(others[j], expected), j
+    v = rng.standard_normal(n)
+    assert np.array_equal(p.vjp_g(w, v), np.concatenate([others[j] * v for j in range(depth)]))
+    assert np.array_equal(f, np.reshape(factors, (depth, n)))  # w is left untouched
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4))
+def test_check_params_converts_or_rejects(seed, n):
+    rng = make_rng(seed)
+    for p in all_variants(rng, n):
+        w = sample_params(p, rng)
+        assert p._check_params(w) is w  # an exact float64 vector passes as it is
+        for same in (list(w), w.reshape(1, -1), w.reshape(-1, 1), np.repeat(w, 2)[::2],
+                     w.astype(">f8")):
+            out = p._check_params(same)
+            assert out.dtype == np.float64 and out.shape == (p.dim_params,), p.tag
+            assert out.flags.c_contiguous, p.tag
+            assert np.array_equal(out, w), p.tag
+        assert np.array_equal(p._check_params(w.astype(int)), w.astype(int).astype(float))
+        for wrong in (w[:-1], np.append(w, 1.0), np.tile(w, 2).reshape(2, -1), []):
+            with pytest.raises(InputError, match="parameter vector has length"):
+                p._check_params(wrong)
+            with pytest.raises(InputError):
+                p.flow_rhs(wrong, np.zeros(p.dim_model), 0.1)
