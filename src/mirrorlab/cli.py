@@ -39,6 +39,7 @@ EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_DIVERGED = 0, 1, 2, 3
 
 CSV_COLUMNS = ("step", "t", "a", "train_loss", "recon_error", "nuclear_norm",
                "ratio", "l1", "l1_l2_ratio")
+CSV_CHUNK_ROWS = 512
 
 
 class UsageError(Exception):
@@ -114,28 +115,26 @@ def config_hash(obj):
     return hashlib.sha256(json.dumps(obj, sort_keys=True, default=str).encode()).hexdigest()[:16]
 
 
-def _fmt_cell(v):
-    if v is None:
-        return ""
-    if isinstance(v, float) and not np.isfinite(v):
-        return repr(v)
-    return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
-
-
 def write_trajectory_csv(path, report):
-    """Fixed-schema trajectory CSV; metrics the run lacks stay empty."""
+    """Fixed-schema trajectory CSV; metrics the run lacks stay empty.
+
+    Steps are written as ints and every other cell as the repr of a float
+    (nan, inf and -inf included).  Rows go out in chunks of CSV_CHUNK_ROWS,
+    each column of a chunk formatted in one pass, so the memory held stays
+    bounded whatever the run's length.
+    """
     m = report.metrics
+    columns = [(np.asarray(report.steps).astype(int), str)]
+    for series in (report.times, report.a) + tuple(m.get(c) for c in CSV_COLUMNS[3:]):
+        columns.append((None if series is None else np.asarray(series, dtype=float), repr))
+    n_rows = len(report.steps)
     with open(path, "w") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for i in range(len(report.steps)):
-            row = {
-                "step": int(report.steps[i]),
-                "t": float(report.times[i]),
-                "a": float(report.a[i]),
-            }
-            for col in ("train_loss", "recon_error", "nuclear_norm", "ratio", "l1", "l1_l2_ratio"):
-                row[col] = float(m[col][i]) if col in m else None
-            fh.write(",".join(_fmt_cell(row[c]) for c in CSV_COLUMNS) + "\n")
+        for lo in range(0, n_rows, CSV_CHUNK_ROWS):
+            hi = min(lo + CSV_CHUNK_ROWS, n_rows)
+            cells = [[""] * (hi - lo) if col is None else list(map(fmt, col[lo:hi].tolist()))
+                     for col, fmt in columns]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
     return path
 
 

@@ -10,6 +10,7 @@ CSV/JSON.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,21 +136,34 @@ def matrix_sensing_run(cfg: SensingConfig) -> ExperimentReport:
         if not below and f_val <= LOSS_THRESHOLD:
             below.append(t)
 
+    # the engine hands each recorded state, unmodified, to the next step's
+    # first stage, so rhs reuses the gradient the snapshot computed for it
+    cached = [None, None]  # [state, loss gradient at g(state)]
+
     def rhs(t, w, left_limit):
-        f_val, grad = loss.value_and_grad(p.g(w))
-        watch(t, f_val)
+        if w is cached[0]:
+            grad = cached[1]
+        else:
+            f_val, grad = loss.value_and_grad(p.g(w))
+            watch(t, f_val)
         return p.flow_rhs(w, grad, cfg.schedule.alpha(t))
 
     def record(k, t, w):
-        X = p.g(w).reshape(cfg.n, cfg.n)
-        f_val = loss.value(X.ravel())
+        x = p.g(w)
+        f_val, cached[1] = loss.value_and_grad(x)
+        cached[0] = w
         watch(t, f_val)
-        s = np.linalg.svd(X, compute_uv=False)
+        X = x.reshape(cfg.n, cfg.n)
+        # X is symmetric, so one eigvalsh (ascending) gives its spectrum and,
+        # in absolute value, its singular values
+        eigenvalues = np.linalg.eigvalsh(X)[::-1]
+        s = np.abs(eigenvalues)
+        nuclear = float(s.sum())
         return {"a": cfg.schedule.a(t), "train_loss": f_val,
-                "recon_error": float(np.sum((X_star - X) ** 2)),
-                "nuclear_norm": float(np.sum(s)),
-                "ratio": float(np.sum(s) / np.sqrt(np.sum(s * s))),
-                "eigenvalues": np.sort(np.linalg.eigvalsh(X))[::-1]}
+                "recon_error": float(((X_star - X) ** 2).sum()),
+                "nuclear_norm": nuclear,
+                "ratio": float(nuclear / np.sqrt(s.dot(s))),
+                "eigenvalues": eigenvalues}
 
     w, status, rec = _integrate(rhs, p.w_init, cfg.steps, cfg.eta, cfg.record_every, record)
     eigenvalues = rec.pop("eigenvalues")
@@ -256,26 +270,32 @@ def diagonal_network_run(cfg: RegressionConfig) -> ExperimentReport:
     if cfg.variant == "m":
         p = None
         params = np.zeros(cfg.n)
-
-        def rhs(t, w, left_limit):
-            return -(loss.grad(w) + alpha(t) * np.sign(w))
     else:
         # one factor per letter of the variant name: "mw" is m * w, "mwz" is m * w * z
         p = reparam.DeepHadamard([np.zeros(cfg.n)] + [np.ones(cfg.n)] * (len(cfg.variant) - 1))
         params = p.w_init
 
-        def rhs(t, w, left_limit):
-            return p.flow_rhs(w, loss.grad(p.g(w)), alpha(t))
-
     def model(params):
         return params if p is None else p.g(params)
 
+    # the engine hands each recorded state, unmodified, to the next step's
+    # first stage, so rhs reuses the gradient the snapshot computed for it
+    cached = [None, None]  # [state, loss gradient at model(state)]
+
+    def rhs(t, w, left_limit):
+        grad = cached[1] if w is cached[0] else loss.grad(model(w))
+        if p is None:
+            return -(grad + alpha(t) * np.sign(w))
+        return p.flow_rhs(w, grad, alpha(t))
+
     def record(k, t, w):
         x = model(w)
-        l1 = float(np.sum(np.abs(x)))
-        l2 = float(np.linalg.norm(x))
-        return {"a": cfg.schedule.a(min(t, phase1_end)), "train_loss": loss.value(x),
-                "recon_error": float(np.sum((x - x_star) ** 2)), "l1": l1,
+        f_val, cached[1] = loss.value_and_grad(x)
+        cached[0] = w
+        l1 = float(np.abs(x).sum())
+        l2 = math.sqrt(x.dot(x))
+        return {"a": cfg.schedule.a(min(t, phase1_end)), "train_loss": f_val,
+                "recon_error": float(((x - x_star) ** 2).sum()), "l1": l1,
                 "l1_l2_ratio": l1 / l2 if l2 > 0 else 0.0}
 
     params, status, rec = _integrate(rhs, params, 2 * cfg.steps, cfg.eta, cfg.record_every, record)

@@ -474,7 +474,8 @@ class QuadraticFamily(LegendreFamily):
         cur = self.dual_potential(a, mu)  # psi(0); psi(mu) = Q_a(mu) - <mu, x>
         for _ in range(max_iter):
             r = self.dual_map(a, mu) - x
-            if np.max(np.abs(r)) <= tol * scale:
+            r_max = np.max(np.abs(r))
+            if r_max <= tol * scale:
                 return mu
             H = self.dual_jacobian(a, mu)
             try:
@@ -485,11 +486,16 @@ class QuadraticFamily(LegendreFamily):
             moved = False
             while t > 1e-14:
                 cand = mu - t * step
-                with np.errstate(over="ignore"):  # an overflowing candidate is rejected below
+                # an overflowing candidate is rejected below.  Near the root the
+                # decrease in psi falls below its roundoff, so a candidate that
+                # halves the max residual is accepted too
+                with np.errstate(over="ignore", invalid="ignore"):
                     cand_psi = self.dual_potential(a, cand) - cand @ x
-                if np.isfinite(cand_psi) and cand_psi <= cur + 1e-18:
-                    mu, cur, moved = cand, cand_psi, True
-                    break
+                    if np.isfinite(cand_psi) and (
+                            cand_psi <= cur + 1e-18
+                            or np.max(np.abs(self.dual_map(a, cand) - x)) <= 0.5 * r_max):
+                        mu, cur, moved = cand, cand_psi, True
+                        break
                 t *= 0.5
             if not moved:
                 break

@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mirrorlab
+from mirrorlab import ExperimentReport, make_rng
 from mirrorlab.cli import (EXIT_DIVERGED, EXIT_FAIL, EXIT_OK, EXIT_USAGE,
                            CSV_COLUMNS, UsageError, load_matrix, main,
-                           parse_config, save_matrix)
+                           parse_config, save_matrix, write_trajectory_csv)
 
 
 def test_parse_config_sections(tmp_path):
@@ -240,3 +246,58 @@ def test_bad_input_exits_2_with_an_error_line(tmp_path, monkeypatch, capsys, arg
         argv = argv + ["--config", str(cfg)]
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
     assert any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
+
+
+def _rowwise_csv(report):
+    """The row-at-a-time trajectory CSV formatter that write_trajectory_csv replaced."""
+
+    def cell(v):
+        if v is None:
+            return ""
+        if isinstance(v, float) and not np.isfinite(v):
+            return repr(v)
+        return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+
+    m = report.metrics
+    lines = [",".join(CSV_COLUMNS) + "\n"]
+    for i in range(len(report.steps)):
+        row = {"step": int(report.steps[i]), "t": float(report.times[i]), "a": float(report.a[i])}
+        for col in ("train_loss", "recon_error", "nuclear_norm", "ratio", "l1", "l1_l2_ratio"):
+            row[col] = float(m[col][i]) if col in m else None
+        lines.append(",".join(cell(row[c]) for c in CSV_COLUMNS) + "\n")
+    return "".join(lines).encode()
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 511, 512, 513, 1100])
+@pytest.mark.parametrize("present", [("train_loss", "recon_error", "nuclear_norm", "ratio"),
+                                     ("train_loss", "l1", "l1_l2_ratio"), ()])
+def test_trajectory_csv_matches_the_rowwise_formatter(tmp_path, n_rows, present):
+    rng = make_rng(n_rows)
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
+                        0.1, 1.0, 3.0, -1e-17])
+
+    def series():
+        v = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-20, 20, n_rows)
+        hit = rng.random(n_rows) < 0.2
+        v[hit] = rng.choice(special, hit.sum())
+        return v
+
+    steps = np.arange(n_rows) * 7
+    report = ExperimentReport(kind="test", config={}, steps=steps, times=steps * 0.25, a=series(),
+                              metrics={c: series() for c in present}, summary={})
+    write_trajectory_csv(str(tmp_path / "t.csv"), report)
+    assert (tmp_path / "t.csv").read_bytes() == _rowwise_csv(report)
+
+
+def test_python_m_mirrorlab_runs_the_cli(tmp_path):
+    src = str(Path(mirrorlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    ok = subprocess.run([sys.executable, "-m", "mirrorlab", "verify", "contracting", "--family",
+                         "entropy", "--grid", "5", "--out", str(tmp_path)],
+                        capture_output=True, text=True, env=env, timeout=120)
+    assert ok.returncode == EXIT_OK, ok.stderr
+    assert "PASS" in ok.stdout
+    bad = subprocess.run([sys.executable, "-m", "mirrorlab", "run", "sensing", "--steps", "x"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert bad.returncode == EXIT_USAGE
+    assert "error:" in bad.stderr

@@ -7,6 +7,7 @@ from mirrorlab import (DiffPowers, Entropy, HyperbolicEntropy, InputError,
                        SparseCodingConfig, constrained_argmin,
                        diagonal_network_run, kkt_residual, make_dictionary,
                        make_rng, make_sensing_problem, matrix_sensing_run,
+                       nuclear_frobenius_ratio, nuclear_norm,
                        sensing_eigen_bias, sparse_coding_run,
                        stationarity_step)
 
@@ -270,3 +271,57 @@ def test_constrained_argmin_unattainable():
     Z = np.array([[1.0, 1.0]])
     with pytest.raises(InputError):
         constrained_argmin(dp_free, -0.5, Z, np.array([-3.0]))  # x > 0 forces Zx > 0
+
+
+# the snapshot's gradient is reused by the next step's rhs: recording every
+# step must leave every step bit-identical to recording almost none
+@pytest.mark.parametrize("kind,alpha0,turnoff", [("constant", 0.01, 0.0), ("turnoff", 0.2, 62.5)],
+                         ids=["const0.01", "const0.2to"])
+def test_sensing_recording_changes_no_step(kind, alpha0, turnoff):
+    sched = Schedule(kind, alpha0, turnoff_time=turnoff, t_end=1250.0)
+    reps = [matrix_sensing_run(SensingConfig(steps=1000, schedule=sched, seed=1, record_every=every))
+            for every in (1, 1000)]
+    _assert_same_steps(*reps)
+
+
+@pytest.mark.parametrize("variant", ["mw", "mwz", "m"])
+def test_diagonal_recording_changes_no_step(variant):
+    sched = Schedule("turnoff", 1.0, turnoff_time=1.0, t_end=2.0)
+    reps = [diagonal_network_run(RegressionConfig(steps=1000, schedule=sched, variant=variant,
+                                                  record_every=every))
+            for every in (1, 1000)]
+    _assert_same_steps(*reps)
+
+
+def _assert_same_steps(dense, sparse):
+    assert dense.final_params.tobytes() == sparse.final_params.tobytes()
+    shared = np.isin(dense.steps, sparse.steps)
+    assert shared.sum() == len(sparse.steps) >= 2
+    assert dense.metrics["train_loss"][shared].tobytes() == sparse.metrics["train_loss"].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["random-symmetric", "commuting-diagonal"])
+def test_sensing_spectrum_metrics_match_the_svd(kind, monkeypatch):
+    from mirrorlab import experiments, flow
+
+    seen = []
+
+    def spy(rhs, state0, n_steps, h, record_every, record, method="euler"):
+        def spied(k, t, w):
+            seen.append(w)
+            return record(k, t, w)
+        return flow._integrate(rhs, state0, n_steps, h, record_every, spied, method)
+
+    monkeypatch.setattr(experiments, "_integrate", spy)
+    cfg = SensingConfig(steps=600, seed=2, sensing_kind=kind, record_every=3,
+                        schedule=Schedule("turnoff", 0.2, turnoff_time=62.5, t_end=1250.0))
+    rep = matrix_sensing_run(cfg)
+    assert len(seen) == len(rep.steps) == 201
+    for i, w in enumerate(seen):
+        U = w.reshape(cfg.n, cfg.n)
+        X = U @ U.T
+        assert rep.eigenvalues[i].tobytes() == np.linalg.eigvalsh(X)[::-1].tobytes()
+        nuc = nuclear_norm(X)
+        assert abs(rep.metrics["nuclear_norm"][i] - nuc) <= 1e-14 * nuc
+        ratio = nuclear_frobenius_ratio(X)
+        assert abs(rep.metrics["ratio"][i] - ratio) <= 1e-14 * ratio

@@ -374,10 +374,9 @@ def _contract_point(tag, seed, a_frac):
 @given(seed=st.integers(0, 2**32 - 1), a_frac=st.floats(0.0, 1.0))
 def test_dual_map_inverts_grad(tag, seed, a_frac):
     # tolerance relative to max(1, |x|): 1e-12 for the closed forms (worst
-    # seen 6e-14); 1e-10 for the bisected Newton inverse of the diff-powers
-    # flow (worst seen 1e-12); 1e-6 for the quadratic family, the residual its
-    # damped Newton grad accepts (worst seen 3.8e-8)
-    tol = {"diff-powers-flow": 1e-10, "quadratic": 1e-6}.get(tag, 1e-12)
+    # seen 6e-14); 1e-10 for the numeric Newton inverses of the diff-powers
+    # flow (worst seen 1e-12) and the quadratic family (worst seen 1.0e-12)
+    tol = {"diff-powers-flow": 1e-10, "quadratic": 1e-10}.get(tag, 1e-12)
     fam, a, sample = _contract_point(tag, seed, a_frac)
     for _ in range(5):
         x = sample()
