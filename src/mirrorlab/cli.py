@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -435,6 +434,9 @@ def cmd_run_sensing(args):
                           record_every=merged["record_every"], sensing_kind=merged["sensing_kind"],
                           seed=seed, schedule=sched) for seed in seeds]
     if args.jobs > 1 and len(jobs) > 1:
+        # imported here: the process pool's import chain adds about 1 MB of
+        # peak memory to every command that does not use it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_sensing_job, jobs))
     else:

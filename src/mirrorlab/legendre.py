@@ -442,7 +442,7 @@ class QuadraticFamily(LegendreFamily):
 
     @classmethod
     def from_parameterization(cls, p):
-        return cls(p.A_list, p.B, p.w_init)
+        return cls(p.A, p.B, p.w_init)
 
     def a_upper(self):
         return np.inf

@@ -8,9 +8,12 @@ The right-hand side of the regularized gradient flow,
 
 is exposed as ``flow_rhs`` so integrators never have to know the variant.  It
 takes the vector-Jacobian product ``vjp_g(w, v) = Jg(w)^T v``, which the
-elementwise variants compute without forming Jg; the dense ``jac_g`` serves the
-structure checks in ``commute``.  Each ``vjp_g`` multiplies in the order of the
-dense product (coefficient, then ``v``), so both give the same bits.
+elementwise variants compute without forming Jg and the quadratic one as
+``v @ (A @ w)``; ``jac_g`` serves the structure checks in ``commute``.  Each
+``vjp_g`` multiplies in the order of the dense product (coefficient, then
+``v``), so both give the same bits.  The elementwise ``flow_rhs`` overrides
+check and split w once and share one set of derivative coefficients between
+the VJP and grad h.
 """
 
 from __future__ import annotations
@@ -117,11 +120,24 @@ class DeepHadamard(Parameterization):
             J[np.arange(n), j * n + np.arange(n)] = others
         return J
 
+    def _vjp(self, f, v):
+        return (self._other_factors(f) * v).ravel()
+
+    def _decay(self, w):
+        return 2.0 * self.h_scale * w
+
     def vjp_g(self, w, v):
-        return (self._other_factors(self.split(w)) * v).ravel()
+        return self._vjp(self.split(w), v)
 
     def grad_h(self, w):
-        return 2.0 * self.h_scale * self._check_params(w)
+        return self._decay(self._check_params(w))
+
+    def flow_rhs(self, w, grad_f_x, alpha):
+        # vjp_g and grad_h on one checked w
+        w = self._check_params(w)
+        grad_f_x = flat_vector(grad_f_x, self.dim_model, "loss gradient")
+        return -(self._vjp(w.reshape(self.depth, self.dim_model), grad_f_x)
+                 + alpha * self._decay(w))
 
 
 class Hadamard(DeepHadamard):
@@ -188,11 +204,65 @@ class DiffSquares(TwoFactor):
         return np.concatenate([2.0 * self.c_u * u, -2.0 * self.c_v * v])
 
 
-class DiffPowers(TwoFactor):
+class DifferencePair(TwoFactor):
+    """g(u, v) = phi(u) - phi(v) with h = sum phi(u_i) + phi(v_i).
+
+    grad h is phi' on both factor vectors, and Jg is diagonal with phi'(u) on
+    the u half and -phi'(v) on the v half.  Subclasses give ``_phi`` and
+    ``_slopes``, phi and phi' on the (2, n) factor rows ``_rows`` of a checked
+    w; each method below evaluates one of them once, and negating a product is
+    exact, so -(c * x) gives the bits of (-c) * x.
+    """
+
+    sample_box = (0.5, 2.5)
+
+    def _rows(self, w):
+        return w.reshape(2, self.dim_model)
+
+    def _phi(self, f):
+        raise NotImplementedError
+
+    def _slopes(self, f):
+        raise NotImplementedError
+
+    def g(self, w):
+        f = self._phi(self._rows(self._check_params(w)))
+        return f[0] - f[1]
+
+    def h(self, w):
+        f = self._phi(self._rows(self._check_params(w)))
+        return float(np.sum(f[0]) + np.sum(f[1]))
+
+    def jac_g(self, w):
+        s = self._slopes(self._rows(self._check_params(w)))
+        n = self.dim_model
+        J = np.zeros((n, 2 * n))
+        J[np.arange(n), np.arange(n)] = s[0]
+        J[np.arange(n), n + np.arange(n)] = -s[1]
+        return J
+
+    @staticmethod
+    def _vjp(s, v):
+        return np.concatenate([s[0] * v, -s[1] * v])
+
+    def vjp_g(self, w, v):
+        return self._vjp(self._slopes(self._rows(self._check_params(w))), v)
+
+    def grad_h(self, w):
+        return self._slopes(self._rows(self._check_params(w))).ravel()
+
+    def flow_rhs(self, w, grad_f_x, alpha):
+        # vjp_g and grad_h on one checked w and one set of slopes
+        w = self._check_params(w)
+        grad_f_x = flat_vector(grad_f_x, self.dim_model, "loss gradient")
+        s = self._slopes(self._rows(w))
+        return -(self._vjp(s, grad_f_x) + alpha * s.ravel())
+
+
+class DiffPowers(DifferencePair):
     """g(u, v) = u^(2k) - v^(2k) with h = sum u_i^(2k) + v_i^(2k)."""
 
     tag = "diff-powers"
-    sample_box = (0.5, 2.5)
 
     def __init__(self, k, u0, v0):
         if int(k) < 1:
@@ -200,37 +270,15 @@ class DiffPowers(TwoFactor):
         super().__init__(u0, v0)
         self.k = int(k)
 
-    def g(self, w):
-        u, v = self.split(w)
+    def _phi(self, f):
+        return f ** (2 * self.k)
+
+    def _slopes(self, f):
         p = 2 * self.k
-        return u**p - v**p
-
-    def h(self, w):
-        u, v = self.split(w)
-        p = 2 * self.k
-        return float(np.sum(u**p) + np.sum(v**p))
-
-    def jac_g(self, w):
-        u, v = self.split(w)
-        n = self.dim_model
-        p = 2 * self.k
-        J = np.zeros((n, 2 * n))
-        J[np.arange(n), np.arange(n)] = p * u ** (p - 1)
-        J[np.arange(n), n + np.arange(n)] = -p * v ** (p - 1)
-        return J
-
-    def vjp_g(self, w, v):
-        pos, neg = self.split(w)
-        p = 2 * self.k
-        return np.concatenate([p * pos ** (p - 1) * v, -p * neg ** (p - 1) * v])
-
-    def grad_h(self, w):
-        u, v = self.split(w)
-        p = 2 * self.k
-        return np.concatenate([p * u ** (p - 1), p * v ** (p - 1)])
+        return p * f ** (p - 1)
 
 
-class LogRatio(TwoFactor):
+class LogRatio(DifferencePair):
     """g(u, v) = log u - log v with h = sum log u_i + log v_i, for u, v > 0.
 
     Evaluation only requires positivity; ``inside_unit_region`` reports whether
@@ -239,58 +287,47 @@ class LogRatio(TwoFactor):
     """
 
     tag = "log-ratio"
-    sample_box = (0.5, 2.5)
 
     def __init__(self, u0, v0):
         super().__init__(u0, v0)
         if np.any(self.u0 <= 0) or np.any(self.v0 <= 0):
             raise DomainError("log-ratio factors must be positive")
 
-    def split(self, w):
-        u, v = super().split(w)
-        if np.any(u <= 0) or np.any(v <= 0):
+    def _rows(self, w):
+        f = super()._rows(w)
+        if np.any(f <= 0):
             raise DomainError("log-ratio evaluation needs u, v > 0")
+        return f
+
+    def split(self, w):
+        u, v = self._rows(self._check_params(w))
         return u, v
 
     def inside_unit_region(self, w):
         w = self._check_params(w)
         return bool(np.all(w > 1.0))
 
-    def g(self, w):
-        u, v = self.split(w)
-        return np.log(u) - np.log(v)
+    def _phi(self, f):
+        return np.log(f)
 
-    def h(self, w):
-        u, v = self.split(w)
-        return float(np.sum(np.log(u)) + np.sum(np.log(v)))
+    def _slopes(self, f):
+        return 1.0 / f
 
-    def jac_g(self, w):
-        u, v = self.split(w)
-        n = self.dim_model
-        J = np.zeros((n, 2 * n))
-        J[np.arange(n), np.arange(n)] = 1.0 / u
-        J[np.arange(n), n + np.arange(n)] = -1.0 / v
-        return J
-
-    def vjp_g(self, w, v):
-        pos, neg = self.split(w)
-        return np.concatenate([1.0 / pos * v, -1.0 / neg * v])
-
-    def grad_h(self, w):
-        u, v = self.split(w)
-        return np.concatenate([1.0 / u, 1.0 / v])
 
 class QuadraticCommuting(Parameterization):
     """G_i(w) = w^T A_i w / 2 and H(w) = w^T B w / 2 for symmetric matrices.
 
     The matrices are expected to commute pairwise (including B); this is what
-    the numeric structure checks verify.
+    the numeric structure checks verify.  ``A`` stacks the A_i, shape (d, D, D),
+    so ``A @ w`` gives every A_i w in one product, the rows of Jg.
     """
 
     tag = "quadratic"
 
     def __init__(self, A_list, B, w_init):
         A_list = [np.asarray(A, dtype=float) for A in A_list]
+        if not A_list:
+            raise InputError("need at least one matrix A_i")
         B = np.asarray(B, dtype=float)
         D = B.shape[0]
         for M in A_list + [B]:
@@ -299,20 +336,24 @@ class QuadraticCommuting(Parameterization):
             if np.max(np.abs(M - M.T)) > 1e-12 * max(1.0, np.max(np.abs(M))):
                 raise InputError("matrices must be symmetric")
         super().__init__(D, len(A_list), w_init)
-        self.A_list = [sym(A) for A in A_list]
+        self.A = np.stack([sym(A) for A in A_list])
         self.B = sym(B)
 
     def g(self, w):
         w = self._check_params(w)
-        return np.array([0.5 * w @ (A @ w) for A in self.A_list])
+        half = 0.5 * w
+        # one dot per row: a single gemv over the rows rounds differently
+        return np.array([half @ Aw for Aw in self.A @ w])
 
     def h(self, w):
         w = self._check_params(w)
         return float(0.5 * w @ (self.B @ w))
 
     def jac_g(self, w):
-        w = self._check_params(w)
-        return np.stack([A @ w for A in self.A_list])
+        return self.A @ self._check_params(w)
+
+    def vjp_g(self, w, v):
+        return v @ (self.A @ self._check_params(w))
 
     def grad_h(self, w):
         return self.B @ self._check_params(w)

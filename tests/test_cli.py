@@ -301,3 +301,15 @@ def test_python_m_mirrorlab_runs_the_cli(tmp_path):
                          capture_output=True, text=True, env=env, timeout=120)
     assert bad.returncode == EXIT_USAGE
     assert "error:" in bad.stderr
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # only `run sensing --jobs N` with N > 1 needs the pool and its import chain
+    src = str(Path(mirrorlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mirrorlab.cli; print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "False"

@@ -9,6 +9,8 @@ from mirrorlab import (DeepHadamard, DiffPowers, DiffSquares, Hadamard,
                        check_commuting, check_quadratic_commuting,
                        check_regular, check_separable_pair, lie_bracket,
                        make_rng)
+from mirrorlab.cli import _build_variant
+from mirrorlab.commute import BracketReport
 
 
 def deep3_expected_bracket(factors, coord):
@@ -162,3 +164,74 @@ def test_bracket_index_out_of_range():
     p = Hadamard([1.0], [1.0])
     with pytest.raises(InputError):
         lie_bracket(p, 0, 5, p.w_init)
+
+
+def per_pair_check(p, n_samples, tol, seed):
+    """check_commuting as one lie_bracket call per pair and sample."""
+    rng = make_rng(seed)
+    lo, hi = p.sample_box
+    indices = list(range(p.dim_model)) + ["h"]
+    worst, worst_w, worst_pair = 0.0, None, ("", "")
+    for _ in range(n_samples):
+        w = rng.uniform(lo, hi, size=p.dim_params)
+        for ai in range(len(indices)):
+            for aj in range(ai + 1, len(indices)):
+                norm = float(np.linalg.norm(lie_bracket(p, indices[ai], indices[aj], w)))
+                if norm > worst:
+                    worst, worst_w, worst_pair = norm, w.copy(), (str(indices[ai]), str(indices[aj]))
+    return BracketReport(variant=p.tag, tol=tol, max_bracket_norm=worst, passed=worst <= tol,
+                         n_samples=n_samples, worst_sample=[] if worst_w is None else worst_w.tolist(),
+                         worst_pair=worst_pair)
+
+
+@pytest.mark.parametrize("variant", ["hadamard", "deep-hadamard", "diff-squares", "diff-powers",
+                                     "log-ratio", "quadratic"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_check_commuting_matches_the_per_pair_brackets_exactly(variant, seed):
+    p = _build_variant(variant, 3, 3, seed)
+    report = check_commuting(p, n_samples=3, tol=1e-4, seed=seed)
+    expected = per_pair_check(p, 3, 1e-4, seed)
+    assert dataclasses.asdict(report) == dataclasses.asdict(expected)
+    assert type(report.max_bracket_norm) is float
+
+
+def rotated_quadratic(rng, D, rotate_second=0.0):
+    """A_i = Q diag(e_i) Q^T for i < D - 1 and B = Q Q^T, none of them diagonal.
+
+    ``rotate_second`` turns A_1's axis towards A_0's by that angle, which
+    breaks the commutation of that one pair.
+    """
+    Q = np.linalg.qr(rng.standard_normal((D, D)))[0]
+    axes = np.eye(D)
+    c, s = np.cos(rotate_second), np.sin(rotate_second)
+    axes[:, 1] = c * axes[:, 1] + s * axes[:, 0]
+    A_list = [np.outer(Q @ axes[:, i], Q @ axes[:, i]) for i in range(D - 1)]
+    return A_list, Q @ Q.T
+
+
+def test_rotated_quadratic_family_commutes():
+    # Li, Wang, Lee & Arora (2022): the quadratic pair commutes exactly when
+    # all of A_1..A_d, B commute, whatever their common eigenbasis
+    rng = make_rng(12)
+    A_list, B = rotated_quadratic(rng, 4)
+    assert min(np.max(np.abs(A - np.diag(np.diag(A)))) for A in A_list) > 0.05
+    assert check_quadratic_commuting(A_list, B).passed
+    p = QuadraticCommuting(A_list, B, rng.uniform(0.5, 1.5, 4))
+    report = check_commuting(p, n_samples=20, tol=1e-4, seed=0)
+    assert report.passed, report.max_bracket_norm
+
+
+def test_quadratic_family_with_one_noncommuting_pair_fails():
+    rng = make_rng(13)
+    A_list, B = rotated_quadratic(rng, 4, rotate_second=0.5)
+    quad = check_quadratic_commuting(A_list, B)
+    assert not quad.passed and quad.max_commutator_fro > 0.1
+    p = QuadraticCommuting(A_list, B, rng.uniform(0.5, 1.5, 4))
+    report = check_commuting(p, n_samples=20, tol=1e-4, seed=0)
+    assert not report.passed
+    assert report.worst_pair == ("0", "1")
+    # the bracket of the gradient fields A_i w is the commutator [A_j, A_i] w
+    w = np.array(report.worst_sample)
+    A0, A1 = p.A[:2]
+    closed_form = np.linalg.norm((A1 @ A0 - A0 @ A1) @ w)
+    assert report.max_bracket_norm == pytest.approx(closed_form, rel=1e-6)

@@ -152,6 +152,8 @@ def test_dimension_mismatch_errors():
         p.flow_rhs(p.w_init, np.ones(3), 0.0)
     with pytest.raises(InputError):
         QuadraticCommuting([np.eye(2)], np.array([[0.0, 1.0], [0.0, 0.0]]), np.ones(2))
+    with pytest.raises(InputError, match="at least one matrix"):
+        QuadraticCommuting([], np.eye(2), np.ones(2))
     sf = SymFactor(np.eye(3))
     with pytest.raises(InputError, match="loss gradient has length 5"):
         sf.flow_rhs(sf.w_init, np.ones(5), 0.0)
@@ -171,11 +173,11 @@ def test_vjp_g_equals_dense_product_exactly(seed, n, v_scale):
 
 def test_flow_rhs_never_builds_the_dense_jacobian(monkeypatch):
     rng = make_rng(11)
-    # Hadamard is the depth-2 product; all_variants also has a depth-3 one
-    elementwise = [p for p in all_variants(rng, 4)
-                   if not isinstance(p, (QuadraticCommuting, SymFactor))]
+    # Hadamard is the depth-2 product; all_variants also has a depth-3 one.
+    # QuadraticCommuting forms the rows A_i w for its VJP but never calls jac_g
+    vjp_variants = [p for p in all_variants(rng, 4) if not isinstance(p, SymFactor)]
     cases = []
-    for p in elementwise:
+    for p in vjp_variants:
         w = sample_params(p, rng)
         grad = rng.standard_normal(p.dim_model)
         cases.append((p, w, grad, -(p.jac_g(w).T @ grad + 0.3 * p.grad_h(w))))
@@ -183,10 +185,31 @@ def test_flow_rhs_never_builds_the_dense_jacobian(monkeypatch):
     def no_dense_jacobian(self, w):
         raise AssertionError("flow_rhs built the dense Jacobian")
 
-    for p in elementwise:
+    for p in vjp_variants:
         monkeypatch.setattr(type(p), "jac_g", no_dense_jacobian)
     for p, w, grad, expected in cases:
         assert np.array_equal(p.flow_rhs(w, grad, 0.3), expected), p.tag
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), D=st.integers(1, 8), d=st.integers(1, 8),
+       w_scale=st.floats(1e-3, 1e3))
+def test_quadratic_stacked_forms_equal_the_per_matrix_forms_exactly(seed, D, d, w_scale):
+    # g, jac_g and vjp_g take every A_i w from one stacked product; each row
+    # is the gemv A_i @ w and each g entry keeps its own dot
+    rng = make_rng(seed)
+    Q = np.linalg.qr(rng.standard_normal((D, D)))[0]
+    A_list = [Q @ np.diag(rng.standard_normal(D)) @ Q.T for _ in range(d)]
+    B = Q @ np.diag(rng.uniform(0.1, 2.0, D)) @ Q.T
+    p = QuadraticCommuting([0.5 * (A + A.T) for A in A_list], 0.5 * (B + B.T),
+                           rng.uniform(0.5, 1.5, D))
+    mats = [A.copy() for A in p.A]
+    w = w_scale * rng.standard_normal(D)
+    v = rng.standard_normal(d)
+    J = np.stack([A @ w for A in mats])
+    assert np.array_equal(p.g(w), np.array([0.5 * w @ (A @ w) for A in mats]))
+    assert np.array_equal(p.jac_g(w), J)
+    assert np.array_equal(p.vjp_g(w, v), J.T @ v)
 
 
 def test_deep_hadamard_jacobian_holds_the_other_factors():
