@@ -26,17 +26,23 @@ def _grad_field(p, idx):
 
 
 def hessian_fd(grad_fn, w, step=None):
-    """Central-difference Jacobian of an analytic gradient field."""
+    """Central-difference Jacobian of an analytic gradient field, symmetrized.
+
+    ``grad_fn(w)`` may also stack several gradients with the parameter axis
+    last, shape (..., D); the result then stacks their Hessians, (..., D, D),
+    each with the bits it would have on its own.
+    """
     w = np.asarray(w, dtype=float).ravel()
     if step is None:
         step = 1e-5 * (1.0 + np.max(np.abs(w)))
     D = w.size
-    H = np.empty((D, D))
+    columns = []
     for k in range(D):
         e = np.zeros(D)
         e[k] = step
-        H[:, k] = (grad_fn(w + e) - grad_fn(w - e)) / (2.0 * step)
-    return 0.5 * (H + H.T)
+        columns.append((grad_fn(w + e) - grad_fn(w - e)) / (2.0 * step))
+    H = np.stack(columns, axis=-1)
+    return 0.5 * (H + np.swapaxes(H, -1, -2))
 
 
 def lie_bracket(p, i, j, w, step=None):
@@ -71,16 +77,16 @@ def check_commuting(p, n_samples=50, tol=1e-4, seed=0, box=None):
     rng = make_rng(seed)
     lo, hi = box if box is not None else p.sample_box
     indices = list(range(p.dim_model)) + ["h"]
-    fields = [_grad_field(p, idx) for idx in indices]
     worst = 0.0
     worst_w = None
     worst_pair = ("", "")
     for _ in range(n_samples):
         w = rng.uniform(lo, hi, size=p.dim_params)
-        # each field's Hessian and value once per sample; the pairs below form
-        # lie_bracket's products from them in the same order
-        H = [hessian_fd(fld, w) for fld in fields]
-        G = [fld(w) for fld in fields]
+        # each field's Hessian and value once per sample (row i of jac_g is
+        # grad g_i, so one difference of jac_g per parameter serves every
+        # coordinate); the pairs below form lie_bracket's products in its order
+        H = list(hessian_fd(p.jac_g, w)) + [hessian_fd(p.grad_h, w)]
+        G = list(p.jac_g(w)) + [p.grad_h(w)]
         for ai in range(len(indices)):
             for aj in range(ai + 1, len(indices)):
                 norm = float(np.linalg.norm(H[aj] @ G[ai] - H[ai] @ G[aj]))

@@ -264,9 +264,6 @@ def diagonal_network_run(cfg: RegressionConfig) -> ExperimentReport:
     loss = LinearRegressionLoss(Z, y)
     phase1_end = cfg.steps * cfg.eta
 
-    def alpha(t):
-        return cfg.schedule.alpha(t) if t < phase1_end else 0.0
-
     if cfg.variant == "m":
         p = None
         params = np.zeros(cfg.n)
@@ -284,9 +281,12 @@ def diagonal_network_run(cfg: RegressionConfig) -> ExperimentReport:
 
     def rhs(t, w, left_limit):
         grad = cached[1] if w is cached[0] else loss.grad(model(w))
+        # the strength: the schedule's in phase 1, switched off in phase 2
+        alpha = cfg.schedule.alpha(t) if t < phase1_end else 0.0
         if p is None:
-            return -(grad + alpha(t) * np.sign(w))
-        return p.flow_rhs(w, grad, alpha(t))
+            # at alpha = 0 the L1 term drops out: no sign(w) to form
+            return -grad if alpha == 0 else -(grad + alpha * np.sign(w))
+        return p.flow_rhs(w, grad, alpha)
 
     def record(k, t, w):
         x = model(w)

@@ -22,9 +22,12 @@ import numpy as np
 
 from . import reparam
 from .core import (DivergedError, DomainError, DomainExitError, InputError,
-                   IntegratorConfig, Schedule, Trajectory)
+                   IntegratorConfig, Schedule, Trajectory, flat_vector)
 
 DIVERGENCE_LIMIT = 1e12
+# a state whose squared norm is at most this has every entry inside the limit
+# (with a factor-of-two margin for the dot's roundoff), so one dot clears it
+_FAST_SQUARED_BOUND = 0.5 * DIVERGENCE_LIMIT ** 2
 
 
 class QuadraticLoss:
@@ -35,11 +38,11 @@ class QuadraticLoss:
         self.target = np.asarray(target, dtype=float).ravel()
 
     def value(self, x):
-        r = np.asarray(x, dtype=float).ravel() - self.target
+        r = flat_vector(x, self.target.size, "model vector x") - self.target
         return float(0.5 * r @ (self.M @ r))
 
     def grad(self, x):
-        r = np.asarray(x, dtype=float).ravel() - self.target
+        r = flat_vector(x, self.target.size, "model vector x") - self.target
         return self.M @ r
 
 
@@ -56,18 +59,18 @@ class LinearRegressionLoss:
         self.d = max(1, self.Z.shape[0])
 
     def value(self, x):
-        r = self.Z @ np.asarray(x, dtype=float).ravel() - self.y
+        r = self.Z @ flat_vector(x, self.Z.shape[1], "model vector x") - self.y
         return float(0.5 * r @ r / self.d)
 
     # Z.dot(x) and r.dot(Z) run the same gemv as Z @ x and Z.T @ r with fewer
     # calls around it, so they return the same bits
     def grad(self, x):
-        r = self.Z.dot(np.asarray(x, dtype=float).ravel()) - self.y
+        r = self.Z.dot(flat_vector(x, self.Z.shape[1], "model vector x")) - self.y
         return r.dot(self.Z) / self.d
 
     def value_and_grad(self, x):
         """(value(x), grad(x)) from one residual; the same bits as the two calls."""
-        r = self.Z.dot(np.asarray(x, dtype=float).ravel()) - self.y
+        r = self.Z.dot(flat_vector(x, self.Z.shape[1], "model vector x")) - self.y
         return float(0.5 * r @ r / self.d), r.dot(self.Z) / self.d
 
 
@@ -93,7 +96,9 @@ def _integrate(rhs, state0, n_steps, h, record_every, record, method="euler"):
     them.  States are never modified in place.  Integration stops early when
     a step leaves the finite range or exceeds DIVERGENCE_LIMIT, or when
     ``rhs`` or ``record`` raises DomainError; the last healthy step is then
-    recorded only if it fell on the record grid.
+    recorded only if it fell on the record grid.  The guard first tries one
+    dot product, ``new . new <= DIVERGENCE_LIMIT**2 / 2``, and only a state
+    that fails it pays for the exact ``max |new_i| <= DIVERGENCE_LIMIT``.
 
     Returns (state, status, records): the last state computed (the offending
     one after a divergence); None on success or ("diverged"|"domain", t, exc)
@@ -127,7 +132,10 @@ def _integrate(rhs, state0, n_steps, h, record_every, record, method="euler"):
                 k3 = rhs(t + 0.5 * h, state + 0.5 * h * k2, False)
                 k4 = rhs(t + h, state + h * k3, True)
                 new = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.abs(new).max() <= DIVERGENCE_LIMIT:  # NaN fails the comparison too
+            # the dot clears almost every state; NaN, inf and large entries
+            # fall through to the exact test, which NaN fails too
+            if (not new.dot(new) <= _FAST_SQUARED_BOUND
+                    and not np.abs(new).max() <= DIVERGENCE_LIMIT):
                 state, status = new, ("diverged", t, None)
                 break
             state, t = new, k * h

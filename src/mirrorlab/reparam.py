@@ -13,7 +13,9 @@ elementwise variants compute without forming Jg and the quadratic one as
 ``vjp_g`` multiplies in the order of the dense product (coefficient, then
 ``v``), so both give the same bits.  The elementwise ``flow_rhs`` overrides
 check and split w once and share one set of derivative coefficients between
-the VJP and grad h.
+the VJP and grad h.  At ``alpha == 0`` (decay switched off) every ``flow_rhs``
+returns ``-vjp_g(w, v)`` without forming ``alpha * grad_h(w)``; wherever
+grad h is finite that gives the same bits up to the sign of an exact zero.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ class Parameterization:
     def flow_rhs(self, w, grad_f_x, alpha):
         w = self._check_params(w)
         grad_f_x = flat_vector(grad_f_x, self.dim_model, "loss gradient")
-        return -(self.vjp_g(w, grad_f_x) + alpha * self.grad_h(w))
+        vjp = self.vjp_g(w, grad_f_x)
+        return -(vjp if alpha == 0 else vjp + alpha * self.grad_h(w))
 
 
 class DeepHadamard(Parameterization):
@@ -94,8 +97,12 @@ class DeepHadamard(Parameterization):
         return self._check_params(w).reshape(self.depth, self.dim_model)
 
     def g(self, w):
-        # the reduction np.prod(axis=0) runs, without its wrapper
-        return np.multiply.reduce(self.split(w))
+        # the factor rows multiplied left to right, the order np.prod(axis=0) uses
+        f = self.split(w)
+        out = f[0] * f[1]
+        for row in f[2:]:
+            out *= row
+        return out
 
     def h(self, w):
         return self.h_scale * float(np.sum(self._check_params(w) ** 2))
@@ -123,21 +130,22 @@ class DeepHadamard(Parameterization):
     def _vjp(self, f, v):
         return (self._other_factors(f) * v).ravel()
 
-    def _decay(self, w):
-        return 2.0 * self.h_scale * w
-
     def vjp_g(self, w, v):
         return self._vjp(self.split(w), v)
 
     def grad_h(self, w):
-        return self._decay(self._check_params(w))
+        return 2.0 * self.h_scale * self._check_params(w)
 
     def flow_rhs(self, w, grad_f_x, alpha):
         # vjp_g and grad_h on one checked w
         w = self._check_params(w)
         grad_f_x = flat_vector(grad_f_x, self.dim_model, "loss gradient")
-        return -(self._vjp(w.reshape(self.depth, self.dim_model), grad_f_x)
-                 + alpha * self._decay(w))
+        vjp = self._vjp(w.reshape(self.depth, self.dim_model), grad_f_x)
+        if alpha == 0:
+            return -vjp
+        # plain weight decay (2 h_scale == 1) has grad h = 1.0 * w, i.e. w itself
+        scale = 2.0 * self.h_scale
+        return -(vjp + alpha * (w if scale == 1.0 else scale * w))
 
 
 class Hadamard(DeepHadamard):
@@ -256,7 +264,8 @@ class DifferencePair(TwoFactor):
         w = self._check_params(w)
         grad_f_x = flat_vector(grad_f_x, self.dim_model, "loss gradient")
         s = self._slopes(self._rows(w))
-        return -(self._vjp(s, grad_f_x) + alpha * s.ravel())
+        vjp = self._vjp(s, grad_f_x)
+        return -(vjp if alpha == 0 else vjp + alpha * s.ravel())
 
 
 class DiffPowers(DifferencePair):
@@ -405,4 +414,5 @@ class SymFactor(Parameterization):
     def flow_rhs(self, w, grad_f_x, alpha):
         U = self.as_matrix(w)
         S = flat_vector(grad_f_x, self.dim_model, "loss gradient").reshape(self.n, self.n)
-        return -(sym(S) @ U + alpha * U).ravel()
+        SU = sym(S) @ U
+        return -(SU if alpha == 0 else SU + alpha * U).ravel()

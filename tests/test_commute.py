@@ -10,7 +10,7 @@ from mirrorlab import (DeepHadamard, DiffPowers, DiffSquares, Hadamard,
                        check_regular, check_separable_pair, lie_bracket,
                        make_rng)
 from mirrorlab.cli import _build_variant
-from mirrorlab.commute import BracketReport
+from mirrorlab.commute import BracketReport, hessian_fd
 
 
 def deep3_expected_bracket(factors, coord):
@@ -193,6 +193,28 @@ def test_check_commuting_matches_the_per_pair_brackets_exactly(variant, seed):
     expected = per_pair_check(p, 3, 1e-4, seed)
     assert dataclasses.asdict(report) == dataclasses.asdict(expected)
     assert type(report.max_bracket_norm) is float
+
+
+@pytest.mark.parametrize("variant", ["hadamard", "deep-hadamard", "diff-powers", "quadratic"])
+def test_stacked_hessian_equals_each_coordinate_hessian_exactly(variant):
+    # a field with the parameter axis last gives every coordinate's Hessian,
+    # each with the bits of that coordinate's own central difference
+    p = _build_variant(variant, 3, 3, 4)
+    w = make_rng(4).uniform(*p.sample_box, size=p.dim_params)
+    H = hessian_fd(p.jac_g, w)
+    assert H.shape == (p.dim_model, p.dim_params, p.dim_params)
+    for i in range(p.dim_model):
+        assert np.array_equal(H[i], hessian_fd(lambda v, i=i: p.jac_g(v)[i], w)), i
+
+
+def test_check_commuting_differences_jac_g_once_per_parameter(monkeypatch):
+    p = _build_variant("deep-hadamard", 3, 3, 0)
+    calls = []
+    jac_g = type(p).jac_g
+    monkeypatch.setattr(type(p), "jac_g", lambda self, w: calls.append(1) or jac_g(self, w))
+    check_commuting(p, n_samples=2)
+    # per sample: two evaluations per parameter and one at w
+    assert len(calls) == 2 * (2 * p.dim_params + 1)
 
 
 def rotated_quadratic(rng, D, rotate_second=0.0):

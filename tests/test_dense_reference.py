@@ -20,7 +20,7 @@ def dense_rhs(p, loss, w, alpha):
     return -(p.jac_g(w).T @ loss.grad(p.g(w)) + alpha * p.grad_h(w))
 
 
-@pytest.mark.parametrize("variant", ["mw", "mwz"])
+@pytest.mark.parametrize("variant", ["m", "mw", "mwz"])
 def test_diagonal_run_matches_dense_euler_loop(variant):
     alpha0, T, eta, steps = 0.05, 1.0, 1e-2, 200
     cfg = RegressionConfig(eta=eta, steps=steps, variant=variant, record_every=50,
@@ -29,6 +29,15 @@ def test_diagonal_run_matches_dense_euler_loop(variant):
 
     Z, y, _ = make_regression_problem(cfg)
     loss = LinearRegressionLoss(Z, y)
+    if variant == "m":
+        # the L1-penalized model itself: x = w, h = ||w||_1
+        w = np.zeros(cfg.n)
+        for k in range(2 * steps):
+            t = k * eta
+            w = w + eta * -(loss.grad(w) + (alpha0 if t < T else 0.0) * np.sign(w))
+        assert report.final_params.tobytes() == w.tobytes()
+        assert report.final_x.tobytes() == w.tobytes()
+        return
     p = DeepHadamard([np.zeros(cfg.n)] + [np.ones(cfg.n)] * (len(variant) - 1))
     w = p.w_init
     for k in range(2 * steps):

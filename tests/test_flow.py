@@ -211,6 +211,30 @@ def test_integrate_accepts_states_at_the_divergence_limit():
     assert state.tolist() == [DIVERGENCE_LIMIT, -DIVERGENCE_LIMIT]
 
 
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_integrate_accepts_many_entries_near_the_limit(method):
+    # the squared norm, 10 * 0.81 * LIMIT**2, fails the one-dot bound, so the
+    # exact per-entry test decides, and every entry is inside the limit
+    state0 = 0.9 * DIVERGENCE_LIMIT * np.array([1.0, -1.0] * 5)
+    assert not state0.dot(state0) <= 0.5 * DIVERGENCE_LIMIT ** 2
+    state, status, records = _integrate(lambda t, s, left: np.zeros(10), state0, 3, 0.5, 1,
+                                        lambda k, t, s: {}, method)
+    assert status is None
+    assert records["step"].tolist() == [0, 1, 2, 3]
+    assert state.tolist() == state0.tolist()
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_integrate_rejects_one_entry_just_past_the_limit(method):
+    state0 = np.zeros(50)
+    state0[17] = np.nextafter(DIVERGENCE_LIMIT, np.inf)
+    state, status, records = _integrate(lambda t, s, left: np.zeros(50), state0, 3, 0.5, 1,
+                                        lambda k, t, s: {}, method)
+    assert status == ("diverged", 0.0, None)
+    assert records["step"].tolist() == [0]
+    assert state[17] == np.nextafter(DIVERGENCE_LIMIT, np.inf)
+
+
 def test_integrate_records_one_column_per_hook_name():
     h = 0.1
     state, status, records = _integrate(lambda t, s, left: np.array([1.0, -2.0]), np.zeros(2),
@@ -321,3 +345,15 @@ def test_least_squares_gradient_equals_the_dense_products_exactly(seed, rows, co
     value, grad = loss.value_and_grad(x)
     assert np.array_equal(grad, expected)
     assert value == loss.value(x) == float(0.5 * r @ r / max(1, rows))
+
+
+@pytest.mark.parametrize("loss", [
+    LinearRegressionLoss(np.ones((4, 3)), np.zeros(4)),
+    QuadraticLoss(np.eye(3), np.zeros(3)),
+], ids=["least-squares", "quadratic"])
+@pytest.mark.parametrize("x", [np.ones(2), np.ones(4), np.ones((2, 3)), [1.0]])
+def test_losses_reject_a_wrong_length_model_vector(loss, x):
+    methods = ["value", "grad"] + (["value_and_grad"] if hasattr(loss, "value_and_grad") else [])
+    for method in methods:
+        with pytest.raises(InputError, match="model vector x has length"):
+            getattr(loss, method)(x)

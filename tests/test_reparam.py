@@ -80,6 +80,37 @@ def test_flow_rhs_stationary_at_zero_gradient():
         assert np.allclose(rhs, 0.0)
 
 
+def test_flow_rhs_without_decay_is_the_negated_vjp():
+    # alpha = 0 forms no alpha * grad_h; the result equals the full formula
+    # (up to the sign of an exact zero, which array_equal ignores)
+    rng = make_rng(12)
+    for p in all_variants(rng, 4):
+        w = sample_params(p, rng)
+        grad = rng.standard_normal(p.dim_model)
+        if isinstance(p, SymFactor):
+            U = w.reshape(p.n, p.n)
+            S = grad.reshape(p.n, p.n)
+            expected = -(0.5 * (S + S.T) @ U + 0.0 * U).ravel()
+        else:
+            expected = -(p.jac_g(w).T @ grad + 0.0 * p.grad_h(w))
+        assert np.array_equal(p.flow_rhs(w, grad, 0.0), expected), p.tag
+
+
+@pytest.mark.parametrize("h_scale", [0.5, 1.0, 0.3])
+def test_deep_hadamard_decay_is_two_h_scale_w(h_scale):
+    # at h_scale = 0.5 the rhs takes w itself as grad h; 1.0 * w has its bits
+    rng = make_rng(13)
+    for depth in (2, 3):
+        p = DeepHadamard([rng.uniform(0.5, 1.5, 5) for _ in range(depth)], h_scale=h_scale)
+        w = rng.uniform(-2.0, 2.0, p.dim_params)
+        grad = rng.standard_normal(p.dim_model)
+        expected = -(p.jac_g(w).T @ grad + 0.3 * (2.0 * h_scale * w))
+        assert np.array_equal(p.flow_rhs(w, grad, 0.3), expected)
+        decay = p.grad_h(w)
+        assert decay is not w and not np.shares_memory(decay, w)
+        assert np.array_equal(decay, 2.0 * h_scale * w)
+
+
 def test_sym_factor_rhs_convention():
     # the factored-sensing flow: -(sym(S) U + alpha U), not the full chain rule
     rng = make_rng(4)
