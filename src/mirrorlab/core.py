@@ -254,10 +254,11 @@ def make_rng(seed):
 def flat_vector(x, n, what):
     """x as a flat float array of length n; InputError naming `what` otherwise.
 
-    The per-stage shape check of the flows: a contiguous float64 ndarray of
-    shape (n,), which is what ``np.asarray(x, dtype=float).ravel()`` would
-    return a view of, is returned as it is; anything else is converted and
-    raveled first.
+    The shape check of the public methods, which the flows run once per run
+    and at records, not at every stage: a contiguous float64 ndarray of shape
+    (n,), which is what ``np.asarray(x, dtype=float).ravel()`` would return a
+    view of, is returned as it is; anything else is converted and raveled
+    first.
     """
     if (type(x) is np.ndarray and x.shape == (n,) and x.dtype == np.float64
             and x.flags.c_contiguous):

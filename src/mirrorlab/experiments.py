@@ -5,7 +5,10 @@ the engine of ``flow`` (``_integrate``), the step size playing the role of a
 learning rate; each supplies the vector field and a per-snapshot hook that
 returns its metrics, and the engine's stacked records become the series of a
 uniform ``ExperimentReport`` that the command-line layer serializes to
-CSV/JSON.
+CSV/JSON.  The sensing and diagonal runners build their parameterization and
+loss from a validated config, and the sparse-coding runner checks the
+dictionary, target and code length it is given, so every stage calls the
+unchecked kernels of ``reparam`` and ``flow`` directly.
 """
 
 from __future__ import annotations
@@ -144,13 +147,13 @@ def matrix_sensing_run(cfg: SensingConfig) -> ExperimentReport:
         if w is cached[0]:
             grad = cached[1]
         else:
-            f_val, grad = loss.value_and_grad(p.g(w))
+            f_val, grad = loss._value_and_grad(p._g(w))
             watch(t, f_val)
-        return p.flow_rhs(w, grad, cfg.schedule.alpha(t))
+        return p._flow_rhs(w, grad, cfg.schedule.alpha(t))
 
     def record(k, t, w):
-        x = p.g(w)
-        f_val, cached[1] = loss.value_and_grad(x)
+        x = p._g(w)
+        f_val, cached[1] = loss._value_and_grad(x)
         cached[0] = w
         watch(t, f_val)
         X = x.reshape(cfg.n, cfg.n)
@@ -177,7 +180,7 @@ def matrix_sensing_run(cfg: SensingConfig) -> ExperimentReport:
         "a_final": float(rec["a"][-1]),
     }
     return _report("sensing", _cfg_dict(cfg), rec, summary, diverged=status is not None,
-                   eigenvalues=eigenvalues, final_x=p.g(w), final_params=w)
+                   eigenvalues=eigenvalues, final_x=p._g(w), final_params=w)
 
 
 def sensing_eigen_bias(report: ExperimentReport, cfg: SensingConfig):
@@ -273,24 +276,24 @@ def diagonal_network_run(cfg: RegressionConfig) -> ExperimentReport:
         params = p.w_init
 
     def model(params):
-        return params if p is None else p.g(params)
+        return params if p is None else p._g(params)
 
     # the engine hands each recorded state, unmodified, to the next step's
     # first stage, so rhs reuses the gradient the snapshot computed for it
     cached = [None, None]  # [state, loss gradient at model(state)]
 
     def rhs(t, w, left_limit):
-        grad = cached[1] if w is cached[0] else loss.grad(model(w))
+        grad = cached[1] if w is cached[0] else loss._grad(model(w))
         # the strength: the schedule's in phase 1, switched off in phase 2
         alpha = cfg.schedule.alpha(t) if t < phase1_end else 0.0
         if p is None:
             # at alpha = 0 the L1 term drops out: no sign(w) to form
             return -grad if alpha == 0 else -(grad + alpha * np.sign(w))
-        return p.flow_rhs(w, grad, alpha)
+        return p._flow_rhs(w, grad, alpha)
 
     def record(k, t, w):
         x = model(w)
-        f_val, cached[1] = loss.value_and_grad(x)
+        f_val, cached[1] = loss._value_and_grad(x)
         cached[0] = w
         l1 = float(np.abs(x).sum())
         l2 = math.sqrt(x.dot(x))
@@ -358,19 +361,20 @@ def sparse_coding_run(dictionary, target, variant_p, schedule: Schedule,
 
     flags = {"domain_exit": False, "left_unit_region": False}
     n_obs = D.shape[0]
+    inside_unit_region = getattr(variant_p, "_inside_unit_region", None)
 
     def code(w):
-        x = variant_p.g(w)
-        if hasattr(variant_p, "inside_unit_region") and not variant_p.inside_unit_region(w):
+        x = variant_p._g(w)
+        if inside_unit_region is not None and not inside_unit_region(w):
             flags["left_unit_region"] = True
         return x
 
     def rhs(t, w, left_limit):
-        return variant_p.flow_rhs(w, loss.grad(code(w)), schedule.alpha(t))
+        return variant_p._flow_rhs(w, loss._grad(code(w)), schedule.alpha(t))
 
     def record(k, t, w):
         x = code(w)
-        f_val = loss.value(x)
+        f_val = loss._value(x)
         return {"a": schedule.a(t), "train_loss": f_val, "recon_error": float(2.0 * f_val / n_obs),
                 "l1": float(np.sum(np.abs(x)))}
 

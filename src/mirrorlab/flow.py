@@ -12,6 +12,14 @@ them with the step index and time into one array per name.
 ``verify_equivalence`` drives both on the same grid and reports the sup
 deviation of the model-space iterates; it is the executable form of the
 equivalence between the two descriptions.
+
+Both flows check shapes once, at the run boundary: one public, checked
+evaluation of the field at the initial state raises ``InputError`` for a
+parameterization, family and loss that do not fit together.  Every stage
+and record then calls the unchecked kernels: the parameterization's ``_g``,
+``_h`` and ``_flow_rhs``, the loss's ``_value`` and ``_grad`` and the
+family's ``_dual_map``, which still make their value checks (domain,
+positivity).
 """
 
 from __future__ import annotations
@@ -38,12 +46,18 @@ class QuadraticLoss:
         self.target = np.asarray(target, dtype=float).ravel()
 
     def value(self, x):
-        r = flat_vector(x, self.target.size, "model vector x") - self.target
-        return float(0.5 * r @ (self.M @ r))
+        return self._value(flat_vector(x, self.target.size, "model vector x"))
 
     def grad(self, x):
-        r = flat_vector(x, self.target.size, "model vector x") - self.target
-        return self.M @ r
+        return self._grad(flat_vector(x, self.target.size, "model vector x"))
+
+    # the kernels take a flat float64 x of the target's length as given
+    def _value(self, x):
+        r = x - self.target
+        return float(0.5 * r @ (self.M @ r))
+
+    def _grad(self, x):
+        return self.M @ (x - self.target)
 
 
 class LinearRegressionLoss:
@@ -59,18 +73,27 @@ class LinearRegressionLoss:
         self.d = max(1, self.Z.shape[0])
 
     def value(self, x):
-        r = self.Z @ flat_vector(x, self.Z.shape[1], "model vector x") - self.y
-        return float(0.5 * r @ r / self.d)
+        return self._value(flat_vector(x, self.Z.shape[1], "model vector x"))
 
-    # Z.dot(x) and r.dot(Z) run the same gemv as Z @ x and Z.T @ r with fewer
-    # calls around it, so they return the same bits
     def grad(self, x):
-        r = self.Z.dot(flat_vector(x, self.Z.shape[1], "model vector x")) - self.y
-        return r.dot(self.Z) / self.d
+        return self._grad(flat_vector(x, self.Z.shape[1], "model vector x"))
 
     def value_and_grad(self, x):
         """(value(x), grad(x)) from one residual; the same bits as the two calls."""
-        r = self.Z.dot(flat_vector(x, self.Z.shape[1], "model vector x")) - self.y
+        return self._value_and_grad(flat_vector(x, self.Z.shape[1], "model vector x"))
+
+    # the kernels take a flat float64 x with one entry per column of Z as
+    # given.  Z.dot(x) and r.dot(Z) run the same gemv as Z @ x and Z.T @ r
+    # with fewer calls around it, so they return the same bits
+    def _value(self, x):
+        r = self.Z @ x - self.y
+        return float(0.5 * r @ r / self.d)
+
+    def _grad(self, x):
+        return (self.Z.dot(x) - self.y).dot(self.Z) / self.d
+
+    def _value_and_grad(self, x):
+        r = self.Z.dot(x) - self.y
         return float(0.5 * r @ r / self.d), r.dot(self.Z) / self.d
 
 
@@ -81,9 +104,15 @@ class ZeroLoss:
         self.n = n
 
     def value(self, x):
-        return 0.0
+        return self._value(flat_vector(x, self.n, "model vector x"))
 
     def grad(self, x):
+        return self._grad(flat_vector(x, self.n, "model vector x"))
+
+    def _value(self, x):
+        return 0.0
+
+    def _grad(self, x):
         return np.zeros(self.n)
 
 
@@ -153,16 +182,18 @@ def run_param_flow(p, loss, schedule: Schedule, cfg: IntegratorConfig) -> Trajec
     Raises DivergedError (with the partial trajectory attached) if the state
     leaves the finite range, DomainExitError if a variant's domain is left.
     """
+    # the one shape check: a loss that does not fit p raises InputError here
+    p.flow_rhs(p.w_init, loss.grad(p.g(p.w_init)), 0.0)
 
     def rhs(t, w, left_limit):
         alpha = schedule.alpha_left(t) if left_limit else schedule.alpha(t)
-        return p.flow_rhs(w, loss.grad(p.g(w)), alpha)
+        return p._flow_rhs(w, loss._grad(p._g(w)), alpha)
 
     def record(k, t, w):
-        x = p.g(w)
-        row = {"params": w, "x": x, "y": p.h(w), "train_loss": loss.value(x)}
+        x = p._g(w)
+        row = {"params": w, "x": x, "y": p._h(w), "train_loss": loss._value(x)}
         if hasattr(p, "inside_unit_region"):
-            row["unit_region"] = 1.0 if p.inside_unit_region(w) else 0.0
+            row["unit_region"] = 1.0 if p._inside_unit_region(w) else 0.0
         return row
 
     _, status, rec = _integrate(rhs, p.w_init, *cfg.grid(), cfg.record_every, record, cfg.method)
@@ -186,16 +217,19 @@ def run_param_flow(p, loss, schedule: Schedule, cfg: IntegratorConfig) -> Trajec
 
 def run_mirror_flow(family, loss, schedule: Schedule, cfg: IntegratorConfig) -> Trajectory:
     """Integrate the dual flow dmu = -grad_f(Q_{a_t}(mu)) dt from mu_0 = 0."""
+    mu0 = np.zeros(family.n)
+    # the one shape check: a loss that does not fit the family raises
+    # InputError here, and its gradient must have one entry per dual coordinate
+    flat_vector(loss.grad(family.dual_map(schedule.a(0.0), mu0)), family.n, "loss gradient")
 
     def rhs(t, mu, left_limit):
-        return -loss.grad(family.dual_map(schedule.a(t), mu))
+        return -loss._grad(family._dual_map(schedule.a(t), mu))
 
     def record(k, t, mu):
-        x = family.dual_map(schedule.a(t), mu)
-        return {"mu": mu, "x": x, "train_loss": loss.value(x)}
+        x = family._dual_map(schedule.a(t), mu)
+        return {"mu": mu, "x": x, "train_loss": loss._value(x)}
 
-    _, status, rec = _integrate(rhs, np.zeros(family.n), *cfg.grid(), cfg.record_every, record,
-                                cfg.method)
+    _, status, rec = _integrate(rhs, mu0, *cfg.grid(), cfg.record_every, record, cfg.method)
     traj = Trajectory(
         times=rec["t"],
         a=schedule.a(rec["t"]),

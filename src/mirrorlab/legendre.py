@@ -8,6 +8,12 @@ same contract:
 * ``dual_map(a, 0) == x_init`` at a == 0, so a flow started with mu = 0
   reproduces the initialization (grad R_0(x_init) == 0).
 
+``dual_map`` checks the shape of mu and calls the family's kernel
+``_dual_map``, which takes a flat float64 mu of length n as given but still
+checks a and, where the dual domain is an interval, mu's values.  The
+hyperbolic-entropy, log-cosh and diff-powers families check a before mu's
+shape, so an invalid a is the error they report first.
+
 Values are normalized as the convex conjugate of the dual potential, which
 pins every additive constant; this matters for the contracting check, where
 the slope of a -> R_a(x) is the quantity of interest.
@@ -68,6 +74,10 @@ class LegendreFamily:
         raise NotImplementedError
 
     def dual_map(self, a, mu):
+        """Q_a(mu), the gradient of the dual potential; inverts ``grad``."""
+        return self._dual_map(a, self._vec(mu, "mu"))
+
+    def _dual_map(self, a, mu):
         raise NotImplementedError
 
     def dual_jacobian(self, a, mu):
@@ -149,8 +159,11 @@ class HyperbolicEntropy(LegendreFamily):
         return float(np.sum(x * self.grad(a, x) - 0.5 * s))
 
     def dual_map(self, a, mu):
+        # an invalid a is reported before a wrong-length mu
+        return self._dual_map(self.check_a(a), self._vec(mu, "mu"))
+
+    def _dual_map(self, a, mu):
         a = self.check_a(a)
-        mu = self._vec(mu, "mu")
         e = np.exp(2.0 * mu)
         return 0.5 * np.exp(2.0 * a) * (self.u0sq * e - self.v0sq / e)
 
@@ -217,8 +230,7 @@ class Entropy(LegendreFamily):
         x = self._check_x(x)
         return 0.5 * np.log(x / self.scale(a))
 
-    def dual_map(self, a, mu):
-        mu = self._vec(mu, "mu")
+    def _dual_map(self, a, mu):
         return self.scale(a) * np.exp(2.0 * mu)
 
     def dual_jacobian(self, a, mu):
@@ -288,8 +300,11 @@ class LogCosh(LegendreFamily):
         return 0.5 * ((self.v0sq - 2.0 * a) * sig_pos - (self.u0sq - 2.0 * a) * sig_neg)
 
     def dual_map(self, a, mu):
+        # an invalid a is reported before a wrong-length mu
+        return self._dual_map(self.check_a(a), self._vec(mu, "mu"))
+
+    def _dual_map(self, a, mu):
         a = self.check_a(a)
-        mu = self._vec(mu, "mu")
         cu = self.u0sq - 2.0 * a
         cv = self.v0sq - 2.0 * a
         lo, hi = -cu / 2.0, cv / 2.0  # the bounds of domain(a)
@@ -365,8 +380,11 @@ class DiffPowersFlow(LegendreFamily):
         return DomainSpec(-cv, cu, primal="open, shrinking with a")
 
     def dual_map(self, a, mu):
+        # an invalid a is reported before a wrong-length mu
+        return self._dual_map(self.check_a(a), self._vec(mu, "mu"))
+
+    def _dual_map(self, a, mu):
         a, cu, cv = self._shifted(a)
-        mu = self._vec(mu, "mu")
         if not ((mu > -cv).all() and (mu < cu).all()):
             raise DomainError(f"dual point outside the interval ({-cv}, {cu}) at a={a}")
         up = (self.K * (cu - mu)) ** (-self.gamma)
@@ -455,8 +473,7 @@ class QuadraticFamily(LegendreFamily):
         mu = self._vec(mu, "mu")
         return float(0.25 * np.sum(self.z2 * np.exp(2.0 * self._phase(float(a), mu))))
 
-    def dual_map(self, a, mu):
-        mu = self._vec(mu, "mu")
+    def _dual_map(self, a, mu):
         e = self.z2 * np.exp(2.0 * self._phase(float(a), mu))
         return 0.5 * self.lam @ e
 

@@ -11,11 +11,20 @@ takes the vector-Jacobian product ``vjp_g(w, v) = Jg(w)^T v``, which the
 elementwise variants compute without forming Jg and the quadratic one as
 ``v @ (A @ w)``; ``jac_g`` serves the structure checks in ``commute``.  Each
 ``vjp_g`` multiplies in the order of the dense product (coefficient, then
-``v``), so both give the same bits.  The elementwise ``flow_rhs`` overrides
-check and split w once and share one set of derivative coefficients between
-the VJP and grad h.  At ``alpha == 0`` (decay switched off) every ``flow_rhs``
-returns ``-vjp_g(w, v)`` without forming ``alpha * grad_h(w)``; wherever
-grad h is finite that gives the same bits up to the sign of an exact zero.
+``v``), so both give the same bits.
+
+Shapes are checked at the boundary, values in the kernels.  The public
+``g``, ``h``, ``vjp_g``, ``grad_h`` and ``flow_rhs`` of the base class check
+the shape of ``w`` (and of the loss gradient) and call the kernels ``_g``,
+``_h``, ``_vjp_g``, ``_grad_h`` and ``_flow_rhs``, which take a flat float64
+``w`` of length ``dim_params`` as given; subclasses override the kernels
+only.  The flows check once per run and then step on the kernels.  Checks that depend on the
+values, such as the log-ratio positivity, stay in the kernels.  The
+elementwise ``_flow_rhs`` overrides split w once and share one set of
+derivative coefficients between the VJP and grad h.  At ``alpha == 0`` (decay
+switched off) every ``flow_rhs`` returns ``-vjp_g(w, v)`` without forming
+``alpha * grad_h(w)``; wherever grad h is finite that gives the same bits up
+to the sign of an exact zero.
 """
 
 from __future__ import annotations
@@ -26,7 +35,12 @@ from .core import DomainError, InputError, factor_pair, flat_vector, sym
 
 
 class Parameterization:
-    """Base class; subclasses fill in g, h and their derivatives."""
+    """Base class; subclasses fill in jac_g and the kernels _g, _h, _vjp_g, _grad_h.
+
+    The public g, h, vjp_g, grad_h and flow_rhs check shapes and call the
+    kernels, which take a flat float64 w of length dim_params (and a loss
+    gradient of length dim_model) as given.
+    """
 
     tag = "base"
     sample_box = (-2.0, 2.0)  # box used by numeric structure checks
@@ -42,27 +56,47 @@ class Parameterization:
         return flat_vector(w, self.dim_params, "parameter vector")
 
     def g(self, w):
-        raise NotImplementedError
+        """The model vector g(w), shape (dim_model,)."""
+        return self._g(self._check_params(w))
 
     def h(self, w):
-        raise NotImplementedError
+        """The regularizer h(w), a float."""
+        return self._h(self._check_params(w))
 
     def jac_g(self, w):
         """Jacobian of g, shape (dim_model, dim_params)."""
         raise NotImplementedError
 
     def vjp_g(self, w, v):
-        """Jg(w)^T v, shape (dim_params,); variants with a sparse Jg override it."""
-        return self.jac_g(w).T @ v
+        """Jg(w)^T v, shape (dim_params,)."""
+        return self._vjp_g(self._check_params(w), v)
 
     def grad_h(self, w):
-        raise NotImplementedError
+        """grad h(w), shape (dim_params,)."""
+        return self._grad_h(self._check_params(w))
 
     def flow_rhs(self, w, grad_f_x, alpha):
-        w = self._check_params(w)
-        grad_f_x = flat_vector(grad_f_x, self.dim_model, "loss gradient")
-        vjp = self.vjp_g(w, grad_f_x)
-        return -(vjp if alpha == 0 else vjp + alpha * self.grad_h(w))
+        """-(Jg(w)^T grad_f_x + alpha grad_h(w)), the field of the regularized flow."""
+        return self._flow_rhs(self._check_params(w),
+                              flat_vector(grad_f_x, self.dim_model, "loss gradient"), alpha)
+
+    # -- kernels: w is a flat float64 vector of length dim_params -----------
+    def _g(self, w):
+        raise NotImplementedError
+
+    def _h(self, w):
+        raise NotImplementedError
+
+    def _vjp_g(self, w, v):
+        # variants with a sparse Jg override this
+        return self.jac_g(w).T @ v
+
+    def _grad_h(self, w):
+        raise NotImplementedError
+
+    def _flow_rhs(self, w, v, alpha):
+        vjp = self._vjp_g(w, v)
+        return -(vjp if alpha == 0 else vjp + alpha * self._grad_h(w))
 
 
 class DeepHadamard(Parameterization):
@@ -96,16 +130,16 @@ class DeepHadamard(Parameterization):
     def split(self, w):
         return self._check_params(w).reshape(self.depth, self.dim_model)
 
-    def g(self, w):
+    def _g(self, w):
         # the factor rows multiplied left to right, the order np.prod(axis=0) uses
-        f = self.split(w)
+        f = w.reshape(self.depth, self.dim_model)
         out = f[0] * f[1]
-        for row in f[2:]:
-            out *= row
+        for j in range(2, self.depth):
+            out *= f[j]
         return out
 
-    def h(self, w):
-        return self.h_scale * float(np.sum(self._check_params(w) ** 2))
+    def _h(self, w):
+        return self.h_scale * float(np.sum(w ** 2))
 
     def _other_factors(self, f):
         """Row j: the elementwise product of every factor but f_j, in factor order."""
@@ -115,9 +149,9 @@ class DeepHadamard(Parameterization):
         # than f_j; multiplying the gathered columns left to right keeps the
         # factor order in every row
         first, second, *rest = self._others_table
-        out = f[first] * f[second]
+        out = f.take(first, 0) * f.take(second, 0)
         for column in rest:
-            out *= f[column]
+            out *= f.take(column, 0)
         return out
 
     def jac_g(self, w):
@@ -127,20 +161,14 @@ class DeepHadamard(Parameterization):
             J[np.arange(n), j * n + np.arange(n)] = others
         return J
 
-    def _vjp(self, f, v):
-        return (self._other_factors(f) * v).ravel()
+    def _vjp_g(self, w, v):
+        return (self._other_factors(w.reshape(self.depth, self.dim_model)) * v).ravel()
 
-    def vjp_g(self, w, v):
-        return self._vjp(self.split(w), v)
+    def _grad_h(self, w):
+        return 2.0 * self.h_scale * w
 
-    def grad_h(self, w):
-        return 2.0 * self.h_scale * self._check_params(w)
-
-    def flow_rhs(self, w, grad_f_x, alpha):
-        # vjp_g and grad_h on one checked w
-        w = self._check_params(w)
-        grad_f_x = flat_vector(grad_f_x, self.dim_model, "loss gradient")
-        vjp = self._vjp(w.reshape(self.depth, self.dim_model), grad_f_x)
+    def _flow_rhs(self, w, v, alpha):
+        vjp = self._vjp_g(w, v)
         if alpha == 0:
             return -vjp
         # plain weight decay (2 h_scale == 1) has grad h = 1.0 * w, i.e. w itself
@@ -165,10 +193,13 @@ class TwoFactor(Parameterization):
         super().__init__(2 * u0.size, u0.size, np.concatenate([u0, v0]))
         self.u0, self.v0 = u0, v0
 
+    def _rows(self, w):
+        """The (2, n) factor rows [u, v] of a checked w."""
+        return w.reshape(2, self.dim_model)
+
     def split(self, w):
-        w = self._check_params(w)
-        n = self.dim_model
-        return w[:n], w[n:]
+        u, v = self._rows(self._check_params(w))
+        return u, v
 
 
 class DiffSquares(TwoFactor):
@@ -187,12 +218,12 @@ class DiffSquares(TwoFactor):
         self.c_u = float(c_u)
         self.c_v = float(c_v)
 
-    def g(self, w):
-        u, v = self.split(w)
+    def _g(self, w):
+        u, v = self._rows(w)
         return u * u - v * v
 
-    def h(self, w):
-        u, v = self.split(w)
+    def _h(self, w):
+        u, v = self._rows(w)
         return float(self.c_u * np.sum(u * u) - self.c_v * np.sum(v * v))
 
     def jac_g(self, w):
@@ -203,12 +234,12 @@ class DiffSquares(TwoFactor):
         J[np.arange(n), n + np.arange(n)] = -2.0 * v
         return J
 
-    def vjp_g(self, w, v):
-        pos, neg = self.split(w)
+    def _vjp_g(self, w, v):
+        pos, neg = self._rows(w)
         return np.concatenate([2.0 * pos * v, -2.0 * neg * v])
 
-    def grad_h(self, w):
-        u, v = self.split(w)
+    def _grad_h(self, w):
+        u, v = self._rows(w)
         return np.concatenate([2.0 * self.c_u * u, -2.0 * self.c_v * v])
 
 
@@ -224,21 +255,18 @@ class DifferencePair(TwoFactor):
 
     sample_box = (0.5, 2.5)
 
-    def _rows(self, w):
-        return w.reshape(2, self.dim_model)
-
     def _phi(self, f):
         raise NotImplementedError
 
     def _slopes(self, f):
         raise NotImplementedError
 
-    def g(self, w):
-        f = self._phi(self._rows(self._check_params(w)))
+    def _g(self, w):
+        f = self._phi(self._rows(w))
         return f[0] - f[1]
 
-    def h(self, w):
-        f = self._phi(self._rows(self._check_params(w)))
+    def _h(self, w):
+        f = self._phi(self._rows(w))
         return float(np.sum(f[0]) + np.sum(f[1]))
 
     def jac_g(self, w):
@@ -253,18 +281,16 @@ class DifferencePair(TwoFactor):
     def _vjp(s, v):
         return np.concatenate([s[0] * v, -s[1] * v])
 
-    def vjp_g(self, w, v):
-        return self._vjp(self._slopes(self._rows(self._check_params(w))), v)
+    def _vjp_g(self, w, v):
+        return self._vjp(self._slopes(self._rows(w)), v)
 
-    def grad_h(self, w):
-        return self._slopes(self._rows(self._check_params(w))).ravel()
+    def _grad_h(self, w):
+        return self._slopes(self._rows(w)).ravel()
 
-    def flow_rhs(self, w, grad_f_x, alpha):
-        # vjp_g and grad_h on one checked w and one set of slopes
-        w = self._check_params(w)
-        grad_f_x = flat_vector(grad_f_x, self.dim_model, "loss gradient")
+    def _flow_rhs(self, w, v, alpha):
+        # the VJP and grad h from one set of slopes
         s = self._slopes(self._rows(w))
-        vjp = self._vjp(s, grad_f_x)
+        vjp = self._vjp(s, v)
         return -(vjp if alpha == 0 else vjp + alpha * s.ravel())
 
 
@@ -308,13 +334,11 @@ class LogRatio(DifferencePair):
             raise DomainError("log-ratio evaluation needs u, v > 0")
         return f
 
-    def split(self, w):
-        u, v = self._rows(self._check_params(w))
-        return u, v
-
     def inside_unit_region(self, w):
-        w = self._check_params(w)
-        return bool(np.all(w > 1.0))
+        return self._inside_unit_region(self._check_params(w))
+
+    def _inside_unit_region(self, w):
+        return bool((w > 1.0).all())
 
     def _phi(self, f):
         return np.log(f)
@@ -348,24 +372,22 @@ class QuadraticCommuting(Parameterization):
         self.A = np.stack([sym(A) for A in A_list])
         self.B = sym(B)
 
-    def g(self, w):
-        w = self._check_params(w)
+    def _g(self, w):
         half = 0.5 * w
         # one dot per row: a single gemv over the rows rounds differently
         return np.array([half @ Aw for Aw in self.A @ w])
 
-    def h(self, w):
-        w = self._check_params(w)
+    def _h(self, w):
         return float(0.5 * w @ (self.B @ w))
 
     def jac_g(self, w):
         return self.A @ self._check_params(w)
 
-    def vjp_g(self, w, v):
-        return v @ (self.A @ self._check_params(w))
+    def _vjp_g(self, w, v):
+        return v @ (self.A @ w)
 
-    def grad_h(self, w):
-        return self.B @ self._check_params(w)
+    def _grad_h(self, w):
+        return self.B @ w
 
 
 class SymFactor(Parameterization):
@@ -390,29 +412,25 @@ class SymFactor(Parameterization):
         self.n = U0.shape[0]
         super().__init__(self.n * self.n, self.n * self.n, U0.ravel())
 
-    def as_matrix(self, w):
-        return self._check_params(w).reshape(self.n, self.n)
-
-    def g(self, w):
-        U = self.as_matrix(w)
+    def _g(self, w):
+        U = w.reshape(self.n, self.n)
         return (U @ U.T).ravel()
 
-    def h(self, w):
-        return 0.5 * float(np.sum(self._check_params(w) ** 2))
+    def _h(self, w):
+        return 0.5 * float(np.sum(w ** 2))
 
     def jac_g(self, w):
         # d(U U^T)_{ij} / dU_{kl} = delta_{ik} U_{jl} + delta_{jk} U_{il}
-        U = self.as_matrix(w)
         n = self.n
+        U = self._check_params(w).reshape(n, n)
         eye = np.eye(n)
         J = np.einsum("ik,jl->ijkl", eye, U) + np.einsum("jk,il->ijkl", eye, U)
         return J.reshape(n * n, n * n)
 
-    def grad_h(self, w):
-        return self._check_params(w).copy()
+    def _grad_h(self, w):
+        return w.copy()
 
-    def flow_rhs(self, w, grad_f_x, alpha):
-        U = self.as_matrix(w)
-        S = flat_vector(grad_f_x, self.dim_model, "loss gradient").reshape(self.n, self.n)
-        SU = sym(S) @ U
+    def _flow_rhs(self, w, v, alpha):
+        U = w.reshape(self.n, self.n)
+        SU = sym(v.reshape(self.n, self.n)) @ U
         return -(SU if alpha == 0 else SU + alpha * U).ravel()

@@ -3,12 +3,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mirrorlab import (DeepHadamard, DiffPowers, DiffPowersFlow, DivergedError,
-                       DomainError, DomainExitError, Entropy, Hadamard, HyperbolicEntropy,
-                       InputError, IntegratorConfig, LogRatio, QuadraticLoss,
-                       Schedule, SymFactor, ZeroLoss, family_for, make_rng,
-                       riemannian_residual, run_mirror_flow, run_param_flow,
-                       verify_equivalence)
+from mirrorlab import (DeepHadamard, DiffPowers, DiffPowersFlow, DiffSquares,
+                       DivergedError, DomainError, DomainExitError, Entropy, Hadamard,
+                       HyperbolicEntropy, InputError, IntegratorConfig, LogCosh, LogRatio,
+                       QuadraticCommuting, QuadraticFamily, QuadraticLoss, RegressionConfig,
+                       Schedule, SensingConfig, SparseCodingConfig, SymFactor, ZeroLoss,
+                       diagonal_network_run, family_for, make_dictionary, make_rng,
+                       matrix_sensing_run, riemannian_residual, run_mirror_flow,
+                       run_param_flow, sparse_coding_run, verify_equivalence)
+from mirrorlab import experiments, flow, legendre, reparam
 from mirrorlab.flow import DIVERGENCE_LIMIT, LinearRegressionLoss, _integrate
 
 RNG = make_rng(0)
@@ -350,10 +353,150 @@ def test_least_squares_gradient_equals_the_dense_products_exactly(seed, rows, co
 @pytest.mark.parametrize("loss", [
     LinearRegressionLoss(np.ones((4, 3)), np.zeros(4)),
     QuadraticLoss(np.eye(3), np.zeros(3)),
-], ids=["least-squares", "quadratic"])
+    ZeroLoss(3),
+], ids=["least-squares", "quadratic", "zero"])
 @pytest.mark.parametrize("x", [np.ones(2), np.ones(4), np.ones((2, 3)), [1.0]])
 def test_losses_reject_a_wrong_length_model_vector(loss, x):
     methods = ["value", "grad"] + (["value_and_grad"] if hasattr(loss, "value_and_grad") else [])
     for method in methods:
         with pytest.raises(InputError, match="model vector x has length"):
             getattr(loss, method)(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 12), cols=st.integers(1, 12))
+def test_loss_kernels_return_the_bits_of_the_public_methods(seed, rows, cols):
+    # the flows step and record on _value, _grad and _value_and_grad; the
+    # public methods convert a loose x (a list here) and return the kernels' bits
+    rng = make_rng(seed)
+    x = rng.standard_normal(cols)
+    M = rng.standard_normal((cols, cols))
+    least_squares = LinearRegressionLoss(rng.standard_normal((rows, cols)),
+                                         rng.standard_normal(rows))
+    for loss in (least_squares, QuadraticLoss(M @ M.T, rng.standard_normal(cols)), ZeroLoss(cols)):
+        expected = loss._grad(x)
+        got = loss.grad(list(x))
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        assert np.float64(loss.value(list(x))).tobytes() == np.float64(loss._value(x)).tobytes()
+    value, grad = least_squares.value_and_grad(list(x))
+    k_value, k_grad = least_squares._value_and_grad(x)
+    assert value == k_value and grad.tobytes() == k_grad.tobytes()
+
+
+def _no_stepping(*args, **kwargs):
+    raise AssertionError("the flow took a step before rejecting its inputs")
+
+
+@pytest.mark.parametrize("loss, match", [
+    (QuadraticLoss(np.eye(3), np.zeros(3)), "model vector x has length 2, expected 3"),
+    (ZeroLoss(3), "model vector x has length 2, expected 3"),
+    # a ZeroLoss(1) mirror flow used to broadcast against two dual coordinates
+    (ZeroLoss(1), "model vector x has length 2, expected 1"),
+    # a loss whose gradient does not have one entry per model coordinate
+    (QuadraticLoss(np.ones((3, 2)), np.zeros(2)), "loss gradient has length 3, expected 2"),
+], ids=["quadratic", "zero-long", "zero-short", "gradient"])
+@pytest.mark.parametrize("flow_kind", ["param", "mirror"])
+def test_a_loss_that_does_not_fit_raises_before_the_first_step(monkeypatch, loss, match,
+                                                               flow_kind):
+    monkeypatch.setattr(flow, "_integrate", _no_stepping)
+    sched = Schedule("constant", 0.1, t_end=1.0)
+    cfg = IntegratorConfig("rk4", 0.1, 1.0)
+    with pytest.raises(InputError, match=match):
+        if flow_kind == "param":
+            run_param_flow(Hadamard([1.0, 2.0], [0.5, 0.5]), loss, sched, cfg)
+        else:
+            run_mirror_flow(Entropy(np.ones(2)), loss, sched, cfg)
+
+
+def _count_flat_vector(monkeypatch):
+    """A list that grows by one at every flat_vector call the package makes."""
+    calls = []
+    for module in (reparam, flow, legendre, experiments):
+        original = vars(module).get("flat_vector")
+        if original is not None:
+            monkeypatch.setattr(module, "flat_vector",
+                                lambda *args, _f=original: calls.append(1) or _f(*args))
+    return calls
+
+
+def _param_flow(p, loss):
+    def run(steps, every):
+        sched = Schedule("turnoff", 0.5, turnoff_time=0.5, t_end=1.0)
+        return run_param_flow(p, loss, sched, IntegratorConfig("rk4", 1.0 / steps, 1.0,
+                                                               record_every=every))
+    return run
+
+
+def _mirror_flow(family, loss):
+    def run(steps, every):
+        sched = Schedule("turnoff", 0.1, turnoff_time=0.5, t_end=1.0)
+        return run_mirror_flow(family, loss, sched, IntegratorConfig("rk4", 1.0 / steps, 1.0,
+                                                                     record_every=every))
+    return run
+
+
+def _sensing(steps, every):
+    sched = Schedule("turnoff", 0.05, turnoff_time=steps * 0.25 / 2, t_end=steps * 0.25)
+    return matrix_sensing_run(SensingConfig(n=4, r=1, m=12, steps=steps, schedule=sched,
+                                            record_every=every))
+
+
+def _diagonal(variant):
+    def run(steps, every):
+        # two phases of steps / 2 each
+        sched = Schedule("turnoff", 1.0, turnoff_time=steps * 1e-3 / 2, t_end=steps * 1e-3)
+        return diagonal_network_run(RegressionConfig(d=4, n=8, sparsity=2, steps=steps // 2,
+                                                     schedule=sched, variant=variant,
+                                                     record_every=every))
+    return run
+
+
+def _sparse_coding(p):
+    def run(steps, every):
+        D = make_dictionary(5, 4, seed=1)
+        sched = Schedule("turnoff", 0.5, turnoff_time=0.01, t_end=1.0)
+        return sparse_coding_run(D, np.ones(5), p, sched,
+                                 SparseCodingConfig(steps=steps, record_every=every))
+    return run
+
+
+def _runs():
+    rng = make_rng(21)
+    n = 3
+    A_list = [np.diag((np.arange(n + 1) == i).astype(float)) for i in range(n)]
+    quadratic = QuadraticCommuting(A_list, np.eye(n + 1), rng.uniform(0.5, 1.5, n + 1))
+    params = [Hadamard(rng.uniform(1, 2, n), rng.uniform(-0.5, 0.5, n)),
+              DeepHadamard([rng.uniform(0.5, 1.5, n) for _ in range(3)]),
+              DiffSquares(rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, n)),
+              DiffPowers(2, rng.uniform(0.8, 1.2, n), rng.uniform(0.8, 1.2, n)),
+              LogRatio(rng.uniform(1.0, 2.0, n), rng.uniform(1.0, 2.0, n)),
+              quadratic, SymFactor(0.5 * np.eye(2))]
+    runs = {f"param {p.tag}": _param_flow(p, quad_loss(p.dim_model, seed=3, positive_target=True))
+            for p in params}
+    families = [HyperbolicEntropy.from_hadamard(rng.uniform(1, 2, n), rng.uniform(-0.5, 0.5, n)),
+                Entropy(rng.uniform(0.5, 1.5, n)),
+                LogCosh(rng.uniform(0.8, 1.5, n), rng.uniform(0.8, 1.5, n)),
+                DiffPowersFlow(2, rng.uniform(0.9, 1.4, n), rng.uniform(0.9, 1.4, n)),
+                QuadraticFamily.from_parameterization(quadratic)]
+    runs.update({f"mirror {f.tag}": _mirror_flow(f, ZeroLoss(f.n)) for f in families})
+    runs["sensing"] = _sensing
+    runs.update({f"diagonal {v}": _diagonal(v) for v in ("m", "mw", "mwz")})
+    runs["sparse-coding log-ratio"] = _sparse_coding(LogRatio(np.full(4, 1.5), np.full(4, 1.2)))
+    runs["sparse-coding diff-powers"] = _sparse_coding(DiffPowers(2, np.ones(4), np.ones(4)))
+    return runs
+
+
+@pytest.mark.parametrize("name", list(_runs()))
+def test_runs_check_shapes_once_not_per_step(monkeypatch, name):
+    # shapes are checked at the run boundary; every stage and record runs on
+    # the unchecked kernels, so 500 steps with 11 records check as often as
+    # 250 steps with 2
+    run = _runs()[name]
+    calls = _count_flat_vector(monkeypatch)
+    counts = []
+    for steps, every, records in ((250, 250, 2), (500, 50, 11)):
+        calls.clear()
+        result = run(steps, every)
+        assert len(result.steps) == records and not getattr(result, "diverged", False)
+        counts.append(len(calls))
+    assert counts[0] == counts[1], counts

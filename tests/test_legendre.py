@@ -429,3 +429,33 @@ def test_dual_map_domain_is_open(family):
                 mu = mid.copy()
                 mu[i] = np.nextafter(edge, inward)
                 assert not np.any(np.isnan(family.dual_map(a, mu)))
+
+
+@pytest.mark.parametrize("tag", CONTRACT_FAMILIES)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), a_frac=st.floats(0.0, 1.0))
+def test_dual_map_kernel_returns_the_bits_of_dual_map(tag, seed, a_frac):
+    # the mirror flow steps on _dual_map; dual_map converts a loose mu (a
+    # list here) and must return the kernel's bits
+    fam, a, sample = _contract_point(tag, seed, a_frac)
+    for _ in range(3):
+        mu = fam.grad(a, sample())
+        expected = fam._dual_map(a, mu)
+        got = fam.dual_map(a, list(mu))
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), (fam.tag, a)
+
+
+@pytest.mark.parametrize("family", [
+    DiffPowersFlow(2, np.array([1.0, 1.3, 0.9]), np.array([1.2, 0.95, 1.1])),
+    LogCosh(np.array([1.0, 1.3, 0.9]), np.array([1.2, 0.95, 1.1])),
+], ids=["diff-powers-flow", "log-cosh"])
+def test_dual_map_kernel_keeps_the_value_checks(family):
+    # the kernel skips the shape check only: a point on the boundary of the
+    # dual interval and an a past the validity interval still raise
+    spec = family.domain(0.0)
+    mu = 0.5 * (spec.dual_lower + spec.dual_upper)
+    mu[0] = spec.dual_upper[0]
+    with pytest.raises(DomainError, match="outside"):
+        family._dual_map(0.0, mu)
+    with pytest.raises(DomainError):
+        family._dual_map(family.a_upper() + 1.0, np.zeros(family.n))

@@ -297,3 +297,39 @@ def test_check_params_converts_or_rejects(seed, n):
                 p._check_params(wrong)
             with pytest.raises(InputError):
                 p.flow_rhs(wrong, np.zeros(p.dim_model), 0.1)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), alpha=st.floats(1e-3, 10.0))
+def test_kernels_return_the_bits_of_the_public_methods(seed, n, alpha):
+    # the flows step on the unchecked kernels; the public methods convert a
+    # loose w (a list here) and must return the kernels' bits, sign of zero
+    # included, at alpha = 0 and alpha > 0
+    rng = make_rng(seed)
+    for p in all_variants(rng, n):
+        w = sample_params(p, rng)
+        v = rng.standard_normal(p.dim_model)
+        loose = list(w)
+        assert _same_bits(p._g(w), p.g(loose)), p.tag
+        assert _same_bits(p._h(w), p.h(loose)), p.tag
+        assert _same_bits(p._vjp_g(w, v), p.vjp_g(loose, v)), p.tag
+        assert _same_bits(p._grad_h(w), p.grad_h(loose)), p.tag
+        for a in (0.0, alpha):
+            assert _same_bits(p._flow_rhs(w, v, a), p.flow_rhs(loose, list(v), a)), (p.tag, a)
+
+
+def test_log_ratio_kernels_keep_the_positivity_check():
+    # the kernels skip the shape check only; a nonpositive factor still raises
+    p = LogRatio([1.0, 2.0], [1.0, 2.0])
+    w = np.array([1.0, -1.0, 1.0, 2.0])
+    v = np.ones(2)
+    for kernel in (lambda: p._g(w), lambda: p._h(w), lambda: p._vjp_g(w, v),
+                   lambda: p._grad_h(w), lambda: p._flow_rhs(w, v, 0.0),
+                   lambda: p._flow_rhs(w, v, 0.5)):
+        with pytest.raises(DomainError, match="needs u, v > 0"):
+            kernel()
