@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -438,31 +439,41 @@ def cmd_run_sensing(args):
         # peak memory to every command that does not use it
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_sensing_job, jobs))
-    else:
-        results = [_sensing_job(j) for j in jobs]
+            return _write_sensing_runs(out, pool.map(_sensing_job, jobs), jobs, args.plot)
+    return _write_sensing_runs(out, map(_sensing_job, jobs), jobs, args.plot)
+
+
+def _write_sensing_runs(out, results, jobs, plot):
+    """Write each seed's outputs as its run arrives from ``results``, in seed
+    order.  No name here holds a report while the next run is taken, so a
+    sweep keeps one report at a time."""
     code = EXIT_OK
-    for (rep, wall), cfg in zip(results, jobs):
-        stem = os.path.join(out, f"sensing_seed{cfg.seed}")
-        write_trajectory_csv(stem + ".csv", rep)
-        write_summary(stem + "_summary.json", rep, cfg.seed, wall,
-                      extra={"kkt_residual": _sensing_kkt(rep, cfg)})
-        if rep.diverged:
+    for cfg in jobs:
+        if _write_sensing_seed(out, *next(results), cfg, plot):
             code = EXIT_DIVERGED
-        if args.plot:
-            line_plot(stem + "_loss.svg",
-                      [("train loss", rep.times, rep.metrics["train_loss"]),
-                       ("recon error", rep.times, rep.metrics["recon_error"])],
-                      title="matrix sensing", xlabel="t", ylabel="error", logy=True)
-            line_plot(stem + "_norms.svg",
-                      [("nuclear norm", rep.times, rep.metrics["nuclear_norm"]),
-                       ("nuc/fro ratio", rep.times, rep.metrics["ratio"])],
-                      title="matrix sensing", xlabel="t", ylabel="norm")
-        s = rep.summary
-        print(f"seed {cfg.seed}: loss {s['final_train_loss']:.3e} recon {s['final_recon_error']:.3e} "
-              f"nuclear {s['final_nuclear_norm']:.4f}"
-              + (" [DIVERGED]" if rep.diverged else ""))
     return code
+
+
+def _write_sensing_seed(out, rep, wall, cfg, plot):
+    """One seed's CSV, summary, plots and console line; whether it diverged."""
+    stem = os.path.join(out, f"sensing_seed{cfg.seed}")
+    write_trajectory_csv(stem + ".csv", rep)
+    write_summary(stem + "_summary.json", rep, cfg.seed, wall,
+                  extra={"kkt_residual": _sensing_kkt(rep, cfg)})
+    if plot:
+        line_plot(stem + "_loss.svg",
+                  [("train loss", rep.times, rep.metrics["train_loss"]),
+                   ("recon error", rep.times, rep.metrics["recon_error"])],
+                  title="matrix sensing", xlabel="t", ylabel="error", logy=True)
+        line_plot(stem + "_norms.svg",
+                  [("nuclear norm", rep.times, rep.metrics["nuclear_norm"]),
+                   ("nuc/fro ratio", rep.times, rep.metrics["ratio"])],
+                  title="matrix sensing", xlabel="t", ylabel="norm")
+    s = rep.summary
+    print(f"seed {cfg.seed}: loss {s['final_train_loss']:.3e} recon {s['final_recon_error']:.3e} "
+          f"nuclear {s['final_nuclear_norm']:.4f}"
+          + (" [DIVERGED]" if rep.diverged else ""))
+    return rep.diverged
 
 
 def cmd_run_diagonal(args):
@@ -691,10 +702,16 @@ def build_parser():
     return top
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The one parser of the process, built at the first ``main`` call, not at
+    import; parse_args leaves it unchanged, so every call can share it."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     handlers = {

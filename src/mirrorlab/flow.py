@@ -2,8 +2,8 @@
 
 Two flows are implemented over one fixed-step Euler/RK4 engine, ``_integrate``,
 which the experiment runners share.  The engine also keeps every run's
-record: a per-snapshot hook returns named values, and ``_integrate`` stacks
-them with the step index and time into one array per name.
+record: a per-snapshot hook returns named values, and ``_integrate`` writes
+them with the step index and time into one preallocated table per name.
 
 
 * parameter space:  dw = -(Jg(w)^T grad_f(g(w)) + alpha_t grad_h(w)) dt
@@ -44,6 +44,9 @@ class QuadraticLoss:
     def __init__(self, M, target):
         self.M = np.asarray(M, dtype=float)
         self.target = np.asarray(target, dtype=float).ravel()
+        if self.M.shape != (self.target.size,) * 2:
+            raise InputError(f"M has shape {self.M.shape}, expected a square matrix of the "
+                             f"target's length {self.target.size}")
 
     def value(self, x):
         return self._value(flat_vector(x, self.target.size, "model vector x"))
@@ -70,6 +73,11 @@ class LinearRegressionLoss:
     def __init__(self, Z, y):
         self.Z = np.asarray(Z, dtype=float)
         self.y = np.asarray(y, dtype=float).ravel()
+        if self.Z.ndim != 2:
+            raise InputError(f"Z has {self.Z.ndim} dimensions, expected a 2-D matrix")
+        if self.y.size != self.Z.shape[0]:
+            raise InputError(f"y has length {self.y.size}, expected one entry per row of Z "
+                             f"({self.Z.shape[0]})")
         self.d = max(1, self.Z.shape[0])
 
     def value(self, x):
@@ -121,30 +129,53 @@ def _integrate(rhs, state0, n_steps, h, record_every, record, method="euler"):
 
     ``rhs(t, state, left_limit)`` is the vector field.  ``record(k, t, state)``
     sees the initial state, every ``record_every``-th step and the last step,
-    and returns a dict of named values for that snapshot; the engine keeps
-    them.  States are never modified in place.  Integration stops early when
-    a step leaves the finite range or exceeds DIVERGENCE_LIMIT, or when
-    ``rhs`` or ``record`` raises DomainError; the last healthy step is then
-    recorded only if it fell on the record grid.  The guard first tries one
-    dot product, ``new . new <= DIVERGENCE_LIMIT**2 / 2``, and only a state
-    that fails it pays for the exact ``max |new_i| <= DIVERGENCE_LIMIT``.
+    and returns a dict of named values for that snapshot; every snapshot must
+    return the names of the first, or ValueError is raised.  States are never
+    modified in place.  Integration stops early when a step leaves the finite
+    range or exceeds DIVERGENCE_LIMIT, or when ``rhs`` or ``record`` raises
+    DomainError; the last healthy step is then recorded only if it fell on
+    the record grid.  The guard first tries one dot product,
+    ``new . new <= DIVERGENCE_LIMIT**2 / 2``, and only a state that fails it
+    pays for the exact ``max |new_i| <= DIVERGENCE_LIMIT``.
+
+    The record is kept in one table per name, sized up front to the
+    ``1 + ceil(n_steps / record_every)`` snapshots of a finished run:
+    "step" (int64) and "t" (float64) exist from the start, and each hook name
+    gets a float64 table of shape ``(rows,) + np.shape(value)`` at the first
+    snapshot.  A snapshot is written in place once its hook has returned, so
+    a raising hook leaves no partial row.  Later values are not checked
+    against the first snapshot's shapes: one that broadcasts to its row
+    (a scalar into an array table) fills it.
 
     Returns (state, status, records): the last state computed (the offending
     one after a divergence); None on success or ("diverged"|"domain", t, exc)
     on early exit, t being the time of the last state accepted; and a dict
-    mapping "step", "t" and every name the hook returns to an array with one
-    entry per snapshot.
+    mapping "step", "t" and every name the hook returns to its table.  A
+    finished run returns the full tables; an early exit returns a compact
+    copy of the filled rows, which owns its data.
     """
     state = np.array(state0, dtype=float)
     t = 0.0
-    columns = {"step": [], "t": []}
+    rows = 1 + n_steps // record_every + (n_steps % record_every != 0)
+    tables = {"step": np.empty(rows, dtype=np.int64), "t": np.empty(rows)}
+    names = None  # the hook's names, fixed by the first snapshot
+    filled = 0
 
     def snapshot(k, t, state):
+        nonlocal names, filled
         row = record(k, t, state)
-        columns["step"].append(k)
-        columns["t"].append(t)
+        if names is None:
+            names = set(row)
+            for name, value in row.items():
+                tables[name] = np.empty((rows,) + np.shape(value))
+        elif row.keys() != names:
+            raise ValueError(f"record at step {k} returned {sorted(row)}, "
+                             f"expected the first snapshot's {sorted(names)}")
         for name, value in row.items():
-            columns.setdefault(name, []).append(value)
+            tables[name][filled] = value
+        tables["step"][filled] = k
+        tables["t"][filled] = t
+        filled += 1
 
     status = None
     try:
@@ -172,7 +203,9 @@ def _integrate(rhs, state0, n_steps, h, record_every, record, method="euler"):
                 snapshot(k, t, state)
     except DomainError as exc:
         status = ("domain", t, exc)
-    return state, status, {name: np.asarray(col) for name, col in columns.items()}
+    if filled < rows:
+        tables = {name: col[:filled].copy() for name, col in tables.items()}
+    return state, status, tables
 
 
 def run_param_flow(p, loss, schedule: Schedule, cfg: IntegratorConfig) -> Trajectory:

@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mirrorlab
-from mirrorlab import ExperimentReport, make_rng
+from mirrorlab import ExperimentReport, cli, make_rng
 from mirrorlab.cli import (EXIT_DIVERGED, EXIT_FAIL, EXIT_OK, EXIT_USAGE,
                            CSV_COLUMNS, UsageError, load_matrix, main,
                            parse_config, save_matrix, write_trajectory_csv)
@@ -126,17 +127,58 @@ def test_env_seed_override(tmp_path, monkeypatch):
     assert not (d2 / "sensing_seed1.csv").exists()
 
 
+def _summary_without_wall_time(path):
+    data = json.loads(path.read_text())
+    data.pop("wall_time_s")
+    return data
+
+
 def test_run_sensing_seed_sweep(tmp_path):
-    assert run_small_sensing(tmp_path, ["--seeds", "0,1", "--jobs", "2"]) == EXIT_OK
-    assert (tmp_path / "sensing_seed0.csv").exists()
-    assert (tmp_path / "sensing_seed1.csv").exists()
-    # worker-pool runs are byte-identical to inline runs
-    inline = tmp_path / "inline"
-    inline.mkdir()
+    # a sweep writes, inline and from the worker pool, what single-seed runs write
+    pooled, inline, single = tmp_path / "pooled", tmp_path / "inline", tmp_path / "single"
+    assert run_small_sensing(pooled, ["--seeds", "0,1", "--jobs", "2"]) == EXIT_OK
     assert run_small_sensing(inline, ["--seeds", "0,1", "--jobs", "1"]) == EXIT_OK
-    for seed in (0, 1):
-        assert ((tmp_path / f"sensing_seed{seed}.csv").read_bytes()
-                == (inline / f"sensing_seed{seed}.csv").read_bytes())
+    for seed in ("0", "1"):
+        assert run_small_sensing(single, ["--seed", seed]) == EXIT_OK
+    for sweep in (pooled, inline):
+        for seed in (0, 1):
+            stem = f"sensing_seed{seed}"
+            assert (sweep / f"{stem}.csv").read_bytes() == (single / f"{stem}.csv").read_bytes()
+            assert (_summary_without_wall_time(sweep / f"{stem}_summary.json")
+                    == _summary_without_wall_time(single / f"{stem}_summary.json"))
+
+
+def test_run_sensing_sweep_holds_one_report_at_a_time(tmp_path, monkeypatch):
+    # each seed's outputs are written, and its report dropped, before the
+    # next seed runs
+    reports = []
+
+    def job(cfg, _run=cli._sensing_job):
+        assert all(ref() is None for ref in reports), "an earlier seed's report is still held"
+        rep, wall = _run(cfg)
+        reports.append(weakref.ref(rep))
+        return rep, wall
+
+    monkeypatch.setattr(cli, "_sensing_job", job)
+    assert run_small_sensing(tmp_path, ["--seeds", "0,1,2", "--jobs", "1"]) == EXIT_OK
+    assert len(reports) == 3
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
+        "sensing_seed0.csv", "sensing_seed1.csv", "sensing_seed2.csv"]
+
+
+def test_main_builds_its_parser_once_and_calls_stay_independent(tmp_path, monkeypatch):
+    builds = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda _build=cli.build_parser: builds.append(1) or _build())
+    cli._parser.cache_clear()
+    sweep, single = tmp_path / "sweep", tmp_path / "single"
+    assert run_small_sensing(sweep, ["--seeds", "0,1"]) == EXIT_OK
+    assert main(["run", "sensing", "--bogus"]) == EXIT_USAGE
+    assert run_small_sensing(single) == EXIT_OK
+    assert builds == [1]
+    # the last call saw none of the first call's flags, only its own --seed 1
+    assert sorted(p.name for p in single.glob("*.csv")) == ["sensing_seed1.csv"]
+    assert (single / "sensing_seed1.csv").read_bytes() == (sweep / "sensing_seed1.csv").read_bytes()
 
 
 def test_run_diagonal_smoke(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -277,6 +279,59 @@ def test_integrate_records_end_at_the_last_recorded_healthy_step(rhs, record, ki
     assert {name: len(col) for name, col in records.items()} == {"step": len(steps),
                                                                  "t": len(steps),
                                                                  "x": len(steps)}
+    # a compact copy of the filled rows, not a view into the full tables
+    assert all(col.base is None for col in records.values())
+
+
+def test_integrate_tables_are_int64_steps_and_float64_values():
+    def record(k, t, s):
+        return {"x": s, "norm": float(s.dot(s)), "first": s[0], "flag": 1.0}
+
+    _, status, records = _integrate(lambda t, s, left: -s, np.ones(3), 7, 0.1, 3, record, "rk4")
+    assert status is None
+    assert records["step"].dtype == np.int64 and records["step"].tolist() == [0, 3, 6, 7]
+    assert {name: (col.dtype, col.shape) for name, col in records.items() if name != "step"} == {
+        "t": (np.float64, (4,)), "x": (np.float64, (4, 3)), "norm": (np.float64, (4,)),
+        "first": (np.float64, (4,)), "flag": (np.float64, (4,))}
+    # a finished run returns its full tables, which own their data
+    assert all(col.base is None for col in records.values())
+
+
+def test_integrate_hook_raising_at_step_0_returns_empty_step_and_time():
+    def record(k, t, s):
+        raise DomainError("hook left its domain")
+
+    _, status, records = _integrate(lambda t, s, left: s, np.ones(2), 5, 0.1, 1, record)
+    assert status[0] == "domain" and status[1] == 0.0
+    assert sorted(records) == ["step", "t"]
+    assert records["step"].dtype == np.int64 and records["step"].shape == (0,)
+    assert records["t"].dtype == np.float64 and records["t"].shape == (0,)
+
+
+@pytest.mark.parametrize("later", [{"x": 0.0, "y": 1.0}, {"y": 1.0}, {}],
+                         ids=["new-name", "renamed", "missing"])
+def test_integrate_rejects_a_row_whose_names_differ_from_the_first(later):
+    def record(k, t, s):
+        return {"x": 0.0} if k == 0 else later
+
+    with pytest.raises(ValueError, match=r"record at step 1 returned .*expected .*\['x'\]"):
+        _integrate(lambda t, s, left: s, np.ones(2), 3, 0.1, 1, record)
+
+
+def test_a_recorded_run_peaks_near_the_size_of_its_record():
+    # 20001 snapshots of 88 B each: one float64 table per name, no per-snapshot
+    # Python objects and no stacking copy at the end
+    n_steps = 20000
+    tracemalloc.start()
+    try:
+        _, status, records = _integrate(lambda t, s, left: -s, np.ones(8), n_steps, 1e-4, 1,
+                                        lambda k, t, s: {"x": s, "norm": float(s.dot(s))})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status is None and len(records["step"]) == n_steps + 1
+    kept = sum(col.nbytes for col in records.values())
+    assert peak <= 1.3 * kept, (peak, kept)
 
 
 def test_log_ratio_domain_exit():
@@ -383,6 +438,31 @@ def test_loss_kernels_return_the_bits_of_the_public_methods(seed, rows, cols):
     assert value == k_value and grad.tobytes() == k_grad.tobytes()
 
 
+@pytest.mark.parametrize("loss_class, args, match", [
+    (QuadraticLoss, (np.ones((3, 2)), np.zeros(2)), r"M has shape \(3, 2\), expected .* 2"),
+    (QuadraticLoss, (np.eye(3), np.zeros(2)), r"M has shape \(3, 3\), expected .* 2"),
+    (QuadraticLoss, (np.ones(2), np.zeros(2)), r"M has shape \(2,\), expected .* 2"),
+    (LinearRegressionLoss, (np.ones(3), np.ones(1)), "Z has 1 dimensions, expected a 2-D"),
+    (LinearRegressionLoss, (np.ones((3, 2)), np.ones(4)), r"y has length 4, .* row of Z \(3\)"),
+], ids=["quadratic-not-square", "quadratic-target", "quadratic-vector",
+        "least-squares-vector", "least-squares-rows"])
+def test_losses_reject_malformed_matrices_at_construction(loss_class, args, match):
+    with pytest.raises(InputError, match=match):
+        loss_class(*args)
+
+
+class _LongGradientLoss:
+    """A loss with one gradient entry too many for a two-coordinate model."""
+
+    def value(self, x):
+        return 0.0
+
+    def grad(self, x):
+        return np.zeros(3)
+
+    _value, _grad = value, grad
+
+
 def _no_stepping(*args, **kwargs):
     raise AssertionError("the flow took a step before rejecting its inputs")
 
@@ -393,7 +473,7 @@ def _no_stepping(*args, **kwargs):
     # a ZeroLoss(1) mirror flow used to broadcast against two dual coordinates
     (ZeroLoss(1), "model vector x has length 2, expected 1"),
     # a loss whose gradient does not have one entry per model coordinate
-    (QuadraticLoss(np.ones((3, 2)), np.zeros(2)), "loss gradient has length 3, expected 2"),
+    (_LongGradientLoss(), "loss gradient has length 3, expected 2"),
 ], ids=["quadratic", "zero-long", "zero-short", "gradient"])
 @pytest.mark.parametrize("flow_kind", ["param", "mirror"])
 def test_a_loss_that_does_not_fit_raises_before_the_first_step(monkeypatch, loss, match,
@@ -500,3 +580,20 @@ def test_runs_check_shapes_once_not_per_step(monkeypatch, name):
         assert len(result.steps) == records and not getattr(result, "diverged", False)
         counts.append(len(calls))
     assert counts[0] == counts[1], counts
+
+
+@pytest.mark.parametrize("name", list(_runs()))
+def test_every_runner_records_int64_steps_and_float64_series(name):
+    # all five hooks and both flows: scalars give float64 series, arrays
+    # float64 tables of one row per snapshot
+    result = _runs()[name](250, 50)
+    assert result.steps.dtype == np.int64 and result.steps.tolist() == list(range(0, 251, 50))
+    scalars = {"times": result.times, "a": result.a, **result.metrics}
+    if getattr(result, "y", None) is not None:
+        scalars["y"] = result.y
+    for key, col in scalars.items():
+        assert col.dtype == np.float64 and col.shape == (6,), key
+    for key in ("x", "params", "mu", "eigenvalues"):
+        col = getattr(result, key, None)
+        if col is not None:
+            assert col.dtype == np.float64 and col.ndim == 2 and len(col) == 6, key
