@@ -11,8 +11,8 @@ from .core import (DivergedError, DomainError, DomainExitError, InputError,
                    UnsupportedOperation, make_rng, nuclear_frobenius_ratio,
                    nuclear_norm)
 from .reparam import (DeepHadamard, DiffPowers, DiffSquares, Hadamard,
-                      LogRatio, Parameterization, QuadraticCommuting,
-                      SymFactor)
+                      L1Identity, LogRatio, Parameterization,
+                      QuadraticCommuting, SymFactor)
 from .legendre import (ContractingReport, DiffPowersFlow, DomainSpec, Entropy,
                        HyperbolicEntropy, LegendreFamily, LogCosh,
                        QuadraticFamily, contracting_check, family_for)

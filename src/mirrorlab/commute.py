@@ -22,7 +22,8 @@ def _grad_field(p, idx):
     idx = int(idx)
     if not 0 <= idx < p.dim_model:
         raise InputError(f"coordinate index {idx} out of range [0, {p.dim_model})")
-    return lambda w: p.jac_g(w)[idx]
+    e = np.eye(p.dim_model)[idx]
+    return lambda w: p.vjp_g(w, e)  # row idx of jac_g
 
 
 def hessian_fd(grad_fn, w, step=None):

@@ -128,7 +128,7 @@ def make_sensing_problem(cfg: SensingConfig):
 
 
 def matrix_sensing_run(cfg: SensingConfig) -> ExperimentReport:
-    """Discrete flow U <- U - eta (grad_X f(UU^T) U + alpha_t U) with schedule."""
+    """Discrete chain-rule flow U <- U - eta ((G + G^T) U + alpha_t U), G = grad_X f(UU^T)."""
     X_star, A, y, U = make_sensing_problem(cfg)
     loss = SensingLoss(A, y)
     p = reparam.SymFactor(U)
@@ -191,9 +191,11 @@ def sensing_eigen_bias(report: ExperimentReport, cfg: SensingConfig):
 
         sum_i (log(1/A(a)) - 1) lam_i + lam_i log lam_i,   A(a) = beta e^(2a),
 
-    whose constrained minimizer the flow's limit should match.  Eigenvalues
-    below -1e-10 are flagged (the flow preserves positive semidefiniteness up
-    to roundoff).
+    whose constrained minimizer the flow's limit should match.  The chain
+    rule gives lam = A(a) exp(4 mu) where ``Entropy`` has exp(2 mu); the
+    multiplier absorbs that factor, so neither the KKT residual nor the
+    minimizer depends on it.  Eigenvalues below -1e-10 are flagged (the flow
+    preserves positive semidefiniteness up to roundoff).
     """
     if cfg.sensing_kind != "commuting-diagonal":
         raise InputError("eigenvalue bias analysis requires commuting-diagonal sensing")
@@ -262,37 +264,29 @@ def make_regression_problem(cfg: RegressionConfig):
 
 
 def diagonal_network_run(cfg: RegressionConfig) -> ExperimentReport:
-    """Two-phase diagonal-network training; variant "m" uses an L1 penalty."""
+    """Two-phase diagonal-network training; variant "m" is the L1-penalized identity."""
     Z, y, x_star = make_regression_problem(cfg)
     loss = LinearRegressionLoss(Z, y)
     phase1_end = cfg.steps * cfg.eta
 
     if cfg.variant == "m":
-        p = None
-        params = np.zeros(cfg.n)
+        p = reparam.L1Identity(np.zeros(cfg.n))
     else:
         # one factor per letter of the variant name: "mw" is m * w, "mwz" is m * w * z
         p = reparam.DeepHadamard([np.zeros(cfg.n)] + [np.ones(cfg.n)] * (len(cfg.variant) - 1))
-        params = p.w_init
-
-    def model(params):
-        return params if p is None else p._g(params)
 
     # the engine hands each recorded state, unmodified, to the next step's
     # first stage, so rhs reuses the gradient the snapshot computed for it
-    cached = [None, None]  # [state, loss gradient at model(state)]
+    cached = [None, None]  # [state, loss gradient at g(state)]
 
     def rhs(t, w, left_limit):
-        grad = cached[1] if w is cached[0] else loss._grad(model(w))
+        grad = cached[1] if w is cached[0] else loss._grad(p._g(w))
         # the strength: the schedule's in phase 1, switched off in phase 2
         alpha = cfg.schedule.alpha(t) if t < phase1_end else 0.0
-        if p is None:
-            # at alpha = 0 the L1 term drops out: no sign(w) to form
-            return -grad if alpha == 0 else -(grad + alpha * np.sign(w))
         return p._flow_rhs(w, grad, alpha)
 
     def record(k, t, w):
-        x = model(w)
+        x = p._g(w)
         f_val, cached[1] = loss._value_and_grad(x)
         cached[0] = w
         l1 = float(np.abs(x).sum())
@@ -301,7 +295,7 @@ def diagonal_network_run(cfg: RegressionConfig) -> ExperimentReport:
                 "recon_error": float(((x - x_star) ** 2).sum()), "l1": l1,
                 "l1_l2_ratio": l1 / l2 if l2 > 0 else 0.0}
 
-    params, status, rec = _integrate(rhs, params, 2 * cfg.steps, cfg.eta, cfg.record_every, record)
+    params, status, rec = _integrate(rhs, p.w_init, 2 * cfg.steps, cfg.eta, cfg.record_every, record)
     gt_l1 = float(np.sum(np.abs(x_star)))
     gt_l2 = float(np.linalg.norm(x_star))
     summary = {
@@ -314,7 +308,7 @@ def diagonal_network_run(cfg: RegressionConfig) -> ExperimentReport:
         "converged": bool(rec["train_loss"][-1] <= 1e-10),
     }
     return _report("diagonal", _cfg_dict(cfg), rec, summary, diverged=status is not None,
-                   final_x=model(params), final_params=params)
+                   final_x=p._g(params), final_params=params)
 
 
 # ---------------------------------------------------------------------------

@@ -143,9 +143,9 @@ def _integrate(rhs, state0, n_steps, h, record_every, record, method="euler"):
     "step" (int64) and "t" (float64) exist from the start, and each hook name
     gets a float64 table of shape ``(rows,) + np.shape(value)`` at the first
     snapshot.  A snapshot is written in place once its hook has returned, so
-    a raising hook leaves no partial row.  Later values are not checked
-    against the first snapshot's shapes: one that broadcasts to its row
-    (a scalar into an array table) fills it.
+    a raising hook leaves no partial row.  A name whose first value was an
+    array must keep that shape: a later value of another shape raises
+    ValueError rather than broadcasting into its row.
 
     Returns (state, status, records): the last state computed (the offending
     one after a divergence); None on success or ("diverged"|"domain", t, exc)
@@ -159,6 +159,7 @@ def _integrate(rhs, state0, n_steps, h, record_every, record, method="euler"):
     rows = 1 + n_steps // record_every + (n_steps % record_every != 0)
     tables = {"step": np.empty(rows, dtype=np.int64), "t": np.empty(rows)}
     names = None  # the hook's names, fixed by the first snapshot
+    shapes = {}  # the first snapshot's shape of each array value
     filled = 0
 
     def snapshot(k, t, state):
@@ -168,9 +169,14 @@ def _integrate(rhs, state0, n_steps, h, record_every, record, method="euler"):
             names = set(row)
             for name, value in row.items():
                 tables[name] = np.empty((rows,) + np.shape(value))
+            shapes.update((name, np.shape(v)) for name, v in row.items() if np.ndim(v))
         elif row.keys() != names:
             raise ValueError(f"record at step {k} returned {sorted(row)}, "
                              f"expected the first snapshot's {sorted(names)}")
+        for name, shape in shapes.items():
+            if np.shape(row[name]) != shape:
+                raise ValueError(f"record at step {k} returned {name!r} of shape "
+                                 f"{np.shape(row[name])}, expected {shape}")
         for name, value in row.items():
             tables[name][filled] = value
         tables["step"][filled] = k

@@ -1,30 +1,32 @@
 """Reparameterization/regularizer pairs (g, h) with exact Jacobians and gradients.
 
 Each variant maps a packed parameter vector of length ``dim_params`` to a model
-vector of length ``dim_model`` and carries the matching explicit regularizer h.
-The right-hand side of the regularized gradient flow,
+vector of length ``dim_model``, carries the matching explicit regularizer h,
+and is defined by four kernels: ``_g``, ``_h``, the vector-Jacobian product
+``_vjp_g(w, v) = Jg(w)^T v`` and ``_grad_h``.  The right-hand side of the
+gradient flow on f(g(w)) + alpha h(w),
 
     dw/dt = -(Jg(w)^T grad_f(g(w)) + alpha * grad_h(w)),
 
-is exposed as ``flow_rhs`` so integrators never have to know the variant.  It
-takes the vector-Jacobian product ``vjp_g(w, v) = Jg(w)^T v``, which the
-elementwise variants compute without forming Jg and the quadratic one as
-``v @ (A @ w)``; ``jac_g`` serves the structure checks in ``commute``.  Each
-``vjp_g`` multiplies in the order of the dense product (coefficient, then
-``v``), so both give the same bits.
+is their chain rule, exposed as ``flow_rhs`` so integrators never have to
+know the variant.  The VJPs never form Jg: elementwise for the products,
+differences and log-ratios, ``v @ (A @ w)`` for the quadratics and
+``(V + V^T) U`` for the symmetric factorization.  The dense ``jac_g``, which
+serves the structure checks in ``commute``, stacks ``_vjp_g(w, e_i)`` over
+the unit vectors, so no variant writes its Jacobian twice.
 
 Shapes are checked at the boundary, values in the kernels.  The public
-``g``, ``h``, ``vjp_g``, ``grad_h`` and ``flow_rhs`` of the base class check
-the shape of ``w`` (and of the loss gradient) and call the kernels ``_g``,
-``_h``, ``_vjp_g``, ``_grad_h`` and ``_flow_rhs``, which take a flat float64
-``w`` of length ``dim_params`` as given; subclasses override the kernels
-only.  The flows check once per run and then step on the kernels.  Checks that depend on the
-values, such as the log-ratio positivity, stay in the kernels.  The
-elementwise ``_flow_rhs`` overrides split w once and share one set of
-derivative coefficients between the VJP and grad h.  At ``alpha == 0`` (decay
-switched off) every ``flow_rhs`` returns ``-vjp_g(w, v)`` without forming
-``alpha * grad_h(w)``; wherever grad h is finite that gives the same bits up
-to the sign of an exact zero.
+``g``, ``h``, ``jac_g``, ``vjp_g``, ``grad_h`` and ``flow_rhs`` check the
+shape of ``w`` (and of the loss gradient) and call the kernels, which take a
+flat float64 ``w`` of length ``dim_params`` as given; subclasses override the
+kernels only, and the flows check once per run and then step on them.
+Value checks, such as the log-ratio positivity, stay in the kernels.  The
+product and difference-pair ``_flow_rhs`` overrides split w once and share
+one set of derivative coefficients between the VJP and grad h, with the bits
+of the base composition.  At ``alpha == 0`` (decay switched off) every
+``flow_rhs`` returns ``-vjp_g(w, v)`` without forming ``alpha * grad_h(w)``;
+wherever grad h is finite that gives the same bits up to the sign of an
+exact zero.
 """
 
 from __future__ import annotations
@@ -35,11 +37,11 @@ from .core import DomainError, InputError, factor_pair, flat_vector, sym
 
 
 class Parameterization:
-    """Base class; subclasses fill in jac_g and the kernels _g, _h, _vjp_g, _grad_h.
+    """Base class; subclasses fill in the kernels _g, _h, _vjp_g and _grad_h.
 
-    The public g, h, vjp_g, grad_h and flow_rhs check shapes and call the
-    kernels, which take a flat float64 w of length dim_params (and a loss
-    gradient of length dim_model) as given.
+    The public g, h, jac_g, vjp_g, grad_h and flow_rhs check shapes and call
+    the kernels, which take a flat float64 w of length dim_params (and a loss
+    gradient of length dim_model) as given; jac_g and _flow_rhs compose them.
     """
 
     tag = "base"
@@ -64,8 +66,10 @@ class Parameterization:
         return self._h(self._check_params(w))
 
     def jac_g(self, w):
-        """Jacobian of g, shape (dim_model, dim_params)."""
-        raise NotImplementedError
+        """Jacobian of g, shape (dim_model, dim_params); row i is Jg(w)^T e_i."""
+        w = self._check_params(w)
+        rows = [self._vjp_g(w, e) for e in np.eye(self.dim_model)]
+        return np.array(rows).reshape(self.dim_model, self.dim_params)
 
     def vjp_g(self, w, v):
         """Jg(w)^T v, shape (dim_params,)."""
@@ -88,8 +92,7 @@ class Parameterization:
         raise NotImplementedError
 
     def _vjp_g(self, w, v):
-        # variants with a sparse Jg override this
-        return self.jac_g(w).T @ v
+        raise NotImplementedError
 
     def _grad_h(self, w):
         raise NotImplementedError
@@ -153,13 +156,6 @@ class DeepHadamard(Parameterization):
         for column in rest:
             out *= f.take(column, 0)
         return out
-
-    def jac_g(self, w):
-        n = self.dim_model
-        J = np.zeros((n, self.dim_params))
-        for j, others in enumerate(self._other_factors(self.split(w))):
-            J[np.arange(n), j * n + np.arange(n)] = others
-        return J
 
     def _vjp_g(self, w, v):
         return (self._other_factors(w.reshape(self.depth, self.dim_model)) * v).ravel()
@@ -226,14 +222,6 @@ class DiffSquares(TwoFactor):
         u, v = self._rows(w)
         return float(self.c_u * np.sum(u * u) - self.c_v * np.sum(v * v))
 
-    def jac_g(self, w):
-        u, v = self.split(w)
-        n = self.dim_model
-        J = np.zeros((n, 2 * n))
-        J[np.arange(n), np.arange(n)] = 2.0 * u
-        J[np.arange(n), n + np.arange(n)] = -2.0 * v
-        return J
-
     def _vjp_g(self, w, v):
         pos, neg = self._rows(w)
         return np.concatenate([2.0 * pos * v, -2.0 * neg * v])
@@ -268,14 +256,6 @@ class DifferencePair(TwoFactor):
     def _h(self, w):
         f = self._phi(self._rows(w))
         return float(np.sum(f[0]) + np.sum(f[1]))
-
-    def jac_g(self, w):
-        s = self._slopes(self._rows(self._check_params(w)))
-        n = self.dim_model
-        J = np.zeros((n, 2 * n))
-        J[np.arange(n), np.arange(n)] = s[0]
-        J[np.arange(n), n + np.arange(n)] = -s[1]
-        return J
 
     @staticmethod
     def _vjp(s, v):
@@ -380,9 +360,6 @@ class QuadraticCommuting(Parameterization):
     def _h(self, w):
         return float(0.5 * w @ (self.B @ w))
 
-    def jac_g(self, w):
-        return self.A @ self._check_params(w)
-
     def _vjp_g(self, w, v):
         return v @ (self.A @ w)
 
@@ -394,13 +371,13 @@ class SymFactor(Parameterization):
     """Symmetric factorization X = U U^T with weight decay h = ||U||_F^2 / 2.
 
     Parameters are U raveled; the model vector is X raveled (n*n entries).
-    ``flow_rhs`` follows the factored-sensing convention
+    The field is the base class's chain rule, the gradient flow of
+    f(U U^T) + alpha h:
 
-        dU/dt = -(sym(grad_f_X) U + alpha U),
+        dU/dt = -((G + G^T) U + alpha U),   G = grad_f_X,
 
-    i.e. the loss gradient enters once, not through the full chain rule
-    (which would double it); grad_f_X is symmetrized to absorb numeric
-    asymmetry.  Equivalently this is the gradient flow of f/2 + alpha h.
+    since Jg(U)^T G = (G + G^T) U for g(U) = U U^T.  A symmetric G enters
+    twice, and its antisymmetric part drops out.
     """
 
     tag = "sym-factor"
@@ -419,18 +396,35 @@ class SymFactor(Parameterization):
     def _h(self, w):
         return 0.5 * float(np.sum(w ** 2))
 
-    def jac_g(self, w):
-        # d(U U^T)_{ij} / dU_{kl} = delta_{ik} U_{jl} + delta_{jk} U_{il}
-        n = self.n
-        U = self._check_params(w).reshape(n, n)
-        eye = np.eye(n)
-        J = np.einsum("ik,jl->ijkl", eye, U) + np.einsum("jk,il->ijkl", eye, U)
-        return J.reshape(n * n, n * n)
+    def _vjp_g(self, w, v):
+        V = v.reshape(self.n, self.n)
+        return ((V + V.T) @ w.reshape(self.n, self.n)).ravel()
 
     def _grad_h(self, w):
         return w.copy()
 
-    def _flow_rhs(self, w, v, alpha):
-        U = w.reshape(self.n, self.n)
-        SU = sym(v.reshape(self.n, self.n)) @ U
-        return -(SU if alpha == 0 else SU + alpha * U).ravel()
+
+class L1Identity(Parameterization):
+    """The model itself, g(w) = w, with the L1 penalty h = ||w||_1.
+
+    The diagonal runner's variant "m": its field is -(grad_f(w) + alpha
+    sign(w)), with sign(0) = 0 as the subgradient at the kink.
+    """
+
+    tag = "l1-identity"
+
+    def __init__(self, w0):
+        w0 = np.asarray(w0, dtype=float).ravel()
+        super().__init__(w0.size, w0.size, w0)
+
+    def _g(self, w):
+        return w
+
+    def _h(self, w):
+        return float(np.abs(w).sum())
+
+    def _vjp_g(self, w, v):
+        return v
+
+    def _grad_h(self, w):
+        return np.sign(w)

@@ -1,9 +1,12 @@
 """Bit-for-bit pins of the flow runners against loops on the dense Jacobian.
 
 Each reference loop writes the flow's vector field as the textbook
-``-(Jg(w)^T grad_f(g(w)) + alpha grad_h(w))`` with the dense ``jac_g`` and its
-own closed-form schedule, so a change to the VJPs, the schedules or the
-stepping engine that moves any bit of a trajectory fails here.
+``-(Jg(w)^T grad_f(g(w)) + alpha grad_h(w))`` with its own closed-form
+schedule.  The dense Jacobian of the products is built here, block j being
+the diagonal of the other factors' product in factor order, not taken from
+``jac_g`` (which is derived from the VJPs under test).  A change to the VJPs,
+the schedules or the stepping engine that moves any bit of a trajectory
+fails here.
 """
 
 import numpy as np
@@ -16,8 +19,21 @@ from mirrorlab.experiments import make_regression_problem
 from mirrorlab.flow import LinearRegressionLoss
 
 
+def dense_jacobian(p, w):
+    """DeepHadamard's textbook Jacobian [diag(prod_{i != j} f_i)]_j, products in factor order."""
+    f = p.split(w)
+    blocks = []
+    for j in range(p.depth):
+        others = [f[i] for i in range(p.depth) if i != j]
+        prod = others[0]
+        for row in others[1:]:
+            prod = prod * row
+        blocks.append(np.diag(prod))
+    return np.hstack(blocks)
+
+
 def dense_rhs(p, loss, w, alpha):
-    return -(p.jac_g(w).T @ loss.grad(p.g(w)) + alpha * p.grad_h(w))
+    return -(dense_jacobian(p, w).T @ loss.grad(p.g(w)) + alpha * p.grad_h(w))
 
 
 @pytest.mark.parametrize("variant", ["m", "mw", "mwz"])
@@ -30,7 +46,7 @@ def test_diagonal_run_matches_dense_euler_loop(variant):
     Z, y, _ = make_regression_problem(cfg)
     loss = LinearRegressionLoss(Z, y)
     if variant == "m":
-        # the L1-penalized model itself: x = w, h = ||w||_1
+        # L1Identity, the L1-penalized model itself: x = w, h = ||w||_1
         w = np.zeros(cfg.n)
         for k in range(2 * steps):
             t = k * eta

@@ -318,6 +318,17 @@ def test_integrate_rejects_a_row_whose_names_differ_from_the_first(later):
         _integrate(lambda t, s, left: s, np.ones(2), 3, 0.1, 1, record)
 
 
+@pytest.mark.parametrize("later", [7.0, np.ones(3), np.ones((2, 1))],
+                         ids=["scalar", "longer", "column"])
+def test_integrate_rejects_an_array_value_whose_shape_differs_from_the_first(later):
+    # a scalar would broadcast into the array row and fill it with 7s
+    def record(k, t, s):
+        return {"x": s, "norm": 1.0} if k == 0 else {"x": later, "norm": 1.0}
+
+    with pytest.raises(ValueError, match=r"record at step 1 returned 'x' of shape .*expected \(2,\)"):
+        _integrate(lambda t, s, left: s, np.ones(2), 3, 0.1, 1, record)
+
+
 def test_a_recorded_run_peaks_near_the_size_of_its_record():
     # 20001 snapshots of 88 B each: one float64 table per name, no per-snapshot
     # Python objects and no stacking copy at the end

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirrorlab import (DeepHadamard, DiffPowers, DiffSquares, DomainError,
-                       Hadamard, InputError, LogRatio, QuadraticCommuting,
-                       SymFactor, make_rng)
+                       Hadamard, InputError, L1Identity, LogRatio,
+                       Parameterization, QuadraticCommuting, SymFactor,
+                       make_rng, reparam)
+from mirrorlab.reparam import DifferencePair
 
 
 def all_variants(rng, n=3):
@@ -19,12 +21,16 @@ def all_variants(rng, n=3):
         LogRatio(rng.uniform(0.8, 2.0, n), rng.uniform(0.8, 2.0, n)),
         QuadraticCommuting(A_list, np.eye(D), rng.uniform(0.5, 1.5, D)),
         SymFactor(rng.standard_normal((n, n))),
+        L1Identity(rng.uniform(-2.0, 2.0, n)),
     ]
 
 
 def sample_params(p, rng):
     lo, hi = p.sample_box
-    return rng.uniform(lo, hi, p.dim_params)
+    w = rng.uniform(lo, hi, p.dim_params)
+    if isinstance(p, L1Identity):
+        w += np.where(w < 0, -0.5, 0.5)  # keep |w| away from its kink at 0
+    return w
 
 
 def test_hadamard_eval():
@@ -87,12 +93,7 @@ def test_flow_rhs_without_decay_is_the_negated_vjp():
     for p in all_variants(rng, 4):
         w = sample_params(p, rng)
         grad = rng.standard_normal(p.dim_model)
-        if isinstance(p, SymFactor):
-            U = w.reshape(p.n, p.n)
-            S = grad.reshape(p.n, p.n)
-            expected = -(0.5 * (S + S.T) @ U + 0.0 * U).ravel()
-        else:
-            expected = -(p.jac_g(w).T @ grad + 0.0 * p.grad_h(w))
+        expected = -(p.vjp_g(w, grad) + 0.0 * p.grad_h(w))
         assert np.array_equal(p.flow_rhs(w, grad, 0.0), expected), p.tag
 
 
@@ -112,15 +113,15 @@ def test_deep_hadamard_decay_is_two_h_scale_w(h_scale):
 
 
 def test_sym_factor_rhs_convention():
-    # the factored-sensing flow: -(sym(S) U + alpha U), not the full chain rule
+    # the full chain rule of f(U U^T) + alpha h: -((S + S^T) U + alpha U),
+    # so a symmetric loss gradient enters twice
     rng = make_rng(4)
     U = rng.standard_normal((3, 3))
     p = SymFactor(U)
     S = rng.standard_normal((3, 3))
-    S = 0.5 * (S + S.T)
     alpha = 0.3
     rhs = p.flow_rhs(U.ravel(), S.ravel(), alpha).reshape(3, 3)
-    assert rhs == pytest.approx(-(S @ U + alpha * U))
+    assert rhs == pytest.approx(-((S + S.T) @ U + alpha * U))
 
 
 def test_sym_factor_rhs_symmetrizes():
@@ -192,32 +193,56 @@ def test_dimension_mismatch_errors():
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), v_scale=st.floats(1e-3, 1e3))
-def test_vjp_g_equals_dense_product_exactly(seed, n, v_scale):
-    # the elementwise VJPs multiply in the dense gemv's order and skip only
-    # its exact-zero terms, so the two agree bit for bit
+def test_vjp_g_matches_central_differences_of_g(seed, n, v_scale):
+    # an independent check of every VJP kernel: jac_g is derived from
+    # vjp_g, so the reference is a central difference of g itself
     rng = make_rng(seed)
     for p in all_variants(rng, n):
         w = sample_params(p, rng)
         v = v_scale * rng.standard_normal(p.dim_model)
-        assert np.array_equal(p.vjp_g(w, v), p.jac_g(w).T @ v), p.tag
+        J_fd = central_diff_jac(p.g, w)
+        scale = max(1.0, np.max(np.abs(J_fd))) * np.sum(np.abs(v))
+        assert np.max(np.abs(p.vjp_g(w, v) - J_fd.T @ v)) <= 1e-6 * scale, p.tag
+
+
+def test_jac_g_rows_are_the_vjps_of_the_unit_vectors():
+    rng = make_rng(10)
+    for p in all_variants(rng, 4):
+        w = sample_params(p, rng)
+        J = p.jac_g(w)
+        assert J.shape == (p.dim_model, p.dim_params), p.tag
+        for i, e in enumerate(np.eye(p.dim_model)):
+            assert np.array_equal(J[i], p.vjp_g(w, e)), (p.tag, i)
+    assert Hadamard([], []).jac_g([]).shape == (0, 0)
+
+
+def test_a_parameterization_is_its_four_kernels():
+    # jac_g is derived from _vjp_g, and the only field overrides are the two
+    # that share coefficients between the VJP and grad h
+    classes = [c for c in vars(reparam).values()
+               if isinstance(c, type) and issubclass(c, Parameterization) and c is not Parameterization]
+    assert SymFactor in classes and L1Identity in classes
+    assert [cls.__name__ for cls in classes if "jac_g" in vars(cls)] == []
+    assert {cls for cls in classes if "_flow_rhs" in vars(cls)} == {DeepHadamard, DifferencePair}
 
 
 def test_flow_rhs_never_builds_the_dense_jacobian(monkeypatch):
     rng = make_rng(11)
     # Hadamard is the depth-2 product; all_variants also has a depth-3 one.
     # QuadraticCommuting forms the rows A_i w for its VJP but never calls jac_g
-    vjp_variants = [p for p in all_variants(rng, 4) if not isinstance(p, SymFactor)]
+    variants = all_variants(rng, 4)
     cases = []
-    for p in vjp_variants:
+    for p in variants:
         w = sample_params(p, rng)
         grad = rng.standard_normal(p.dim_model)
-        cases.append((p, w, grad, -(p.jac_g(w).T @ grad + 0.3 * p.grad_h(w))))
+        expected = -(p.vjp_g(w, grad) + 0.3 * p.grad_h(w))
+        assert np.allclose(expected, -(p.jac_g(w).T @ grad + 0.3 * p.grad_h(w))), p.tag
+        cases.append((p, w, grad, expected))
 
     def no_dense_jacobian(self, w):
         raise AssertionError("flow_rhs built the dense Jacobian")
 
-    for p in vjp_variants:
-        monkeypatch.setattr(type(p), "jac_g", no_dense_jacobian)
+    monkeypatch.setattr(Parameterization, "jac_g", no_dense_jacobian)
     for p, w, grad, expected in cases:
         assert np.array_equal(p.flow_rhs(w, grad, 0.3), expected), p.tag
 
