@@ -638,8 +638,10 @@ def build_parser():
         sp.add_argument("--config", default=None)
         sp.add_argument("--out", default=None)
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--expect-fail", action="store_true")
+        if name != "optimality":
+            sp.add_argument("--tol", type=float, default=None)
+        if name in ("commuting", "contracting"):
+            sp.add_argument("--expect-fail", action="store_true")
         if name == "commuting":
             sp.add_argument("--variant", default=None)
             sp.add_argument("--depth", type=int, default=None)

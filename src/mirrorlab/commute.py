@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import InputError, make_rng
+from .core import InputError, make_rng, quadratic_matrices
 
 
 def _grad_field(p, idx):
@@ -147,12 +147,8 @@ class QuadCommuteReport:
 
 def check_quadratic_commuting(A_list, B, tol=1e-10):
     """Max Frobenius norm of pairwise commutators over {A_1..A_d, B}."""
-    mats = [np.asarray(A, dtype=float) for A in A_list] + [np.asarray(B, dtype=float)]
-    for M in mats:
-        if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape != mats[0].shape:
-            raise InputError("all matrices must be square and of equal size")
-        if np.max(np.abs(M - M.T)) > 1e-12 * max(1.0, float(np.max(np.abs(M)))):
-            raise InputError("matrices must be symmetric")
+    A_list, B = quadratic_matrices(A_list, B)
+    mats = A_list + [B]
     worst = 0.0
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):

@@ -278,5 +278,20 @@ def factor_pair(u0, v0):
     return u0, v0
 
 
+def quadratic_matrices(A_list, B):
+    """A_list and B as float arrays: at least one A_i, and every matrix square,
+    of B's size and symmetric; InputError otherwise."""
+    A_list = [np.asarray(A, dtype=float) for A in A_list]
+    if not A_list:
+        raise InputError("need at least one matrix A_i")
+    B = np.asarray(B, dtype=float)
+    for M in A_list + [B]:
+        if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape != B.shape:
+            raise InputError("all matrices must be square and of equal size")
+        if np.max(np.abs(M - M.T)) > 1e-12 * max(1.0, float(np.max(np.abs(M)))):
+            raise InputError("matrices must be symmetric")
+    return A_list, B
+
+
 def sym(X):
     return 0.5 * (X + X.T)

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import reparam
-from .core import DomainError, InputError, Schedule, make_rng
+from .core import InputError, Schedule, make_rng
 from .flow import LinearRegressionLoss, _integrate
-from .legendre import LegendreFamily
+from .legendre import LegendreFamily, _solve_dual
 
 
 @dataclass
@@ -426,45 +426,18 @@ def kkt_residual(Z, x_inf, family: LegendreFamily, a_T):
 def constrained_argmin(family: LegendreFamily, a, Z, Y, tol=1e-12, max_iter=200):
     """argmin { R_a(x) : Z x = Y } by Newton on the dual variables.
 
-    Stationarity forces grad R_a(x) = Z^T nu, i.e. x = Q_a(Z^T nu); Newton
-    solves Z Q_a(Z^T nu) = Y for nu.  Independent of any flow trajectory, so
-    it serves as the optimality oracle.
+    Stationarity forces grad R_a(x) = Z^T nu, i.e. x = Q_a(Z^T nu); the Newton
+    of ``legendre`` (the one behind every numeric ``grad``) solves
+    Z Q_a(Z^T nu) = Y for nu.  Independent of any flow trajectory, so it
+    serves as the optimality oracle.
     """
     Z = np.asarray(Z, dtype=float)
     Y = np.asarray(Y, dtype=float).ravel()
-    d = Z.shape[0]
-    nu = np.zeros(d)
-    scale = max(1.0, float(np.max(np.abs(Y))))
-
-    def residual(nu):
-        return Z @ family.dual_map(a, Z.T @ nu) - Y
-
-    r = residual(nu)
-    for _ in range(max_iter):
-        if np.max(np.abs(r)) <= tol * scale:
-            break
-        J = Z @ family.dual_jacobian(a, Z.T @ nu) @ Z.T
-        try:
-            step = np.linalg.solve(J, r)
-        except np.linalg.LinAlgError:
-            raise InputError("constrained minimization hit a singular system; is Y attainable?")
-        if not np.all(np.isfinite(step)):
-            raise InputError("constrained minimization hit a singular system; is Y attainable?")
-        t = 1.0
-        while t > 1e-14:
-            cand = nu - t * step
-            try:
-                r_cand = residual(cand)
-            except DomainError:
-                t *= 0.5
-                continue
-            if np.all(np.isfinite(r_cand)) and np.linalg.norm(r_cand) <= (1 - 1e-4 * t) * np.linalg.norm(r):
-                nu, r = cand, r_cand
-                break
-            t *= 0.5
-        else:
-            break
-    if np.max(np.abs(r)) > 1e-8 * scale:
+    try:
+        nu, r_max = _solve_dual(family, a, Z, Y, tol, max_iter)
+    except np.linalg.LinAlgError:
+        raise InputError("constrained minimization hit a singular system; is Y attainable?")
+    if r_max > 1e-8 * max(1.0, float(np.max(np.abs(Y)))):
         raise InputError("constrained minimization did not converge; is Y attainable?")
     return family.dual_map(a, Z.T @ nu)
 

@@ -8,11 +8,16 @@ same contract:
 * ``dual_map(a, 0) == x_init`` at a == 0, so a flow started with mu = 0
   reproduces the initialization (grad R_0(x_init) == 0).
 
-``dual_map`` checks the shape of mu and calls the family's kernel
-``_dual_map``, which takes a flat float64 mu of length n as given but still
-checks a and, where the dual domain is an interval, mu's values.  The
-hyperbolic-entropy, log-cosh and diff-powers families check a before mu's
-shape, so an invalid a is the error they report first.
+A family is its dual map: it defines the kernel ``_dual_map`` and
+``dual_jacobian``, and the base class derives the rest.  ``dual_map`` checks a
+and then mu's shape, so an invalid a is the error every family reports first,
+and calls the kernel, which takes a flat float64 mu of length n as given but
+still checks a and, where the dual domain is an interval, mu's values.
+``argmin_position`` is ``dual_map(a, 0)`` and ``hess`` inverts the dual
+Jacobian.  Where R_a has no closed-form gradient (the diff-powers flow and the
+commuting-quadratic family) ``grad`` inverts the dual map with the Newton of
+``_solve_dual``, the same solver that ``experiments.constrained_argmin`` runs
+as the optimality oracle.
 
 Values are normalized as the convex conjugate of the dual potential, which
 pins every additive constant; this matters for the contracting check, where
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DomainError, InputError, UnsupportedOperation, factor_pair, flat_vector,
-                   make_rng)
+                   make_rng, quadratic_matrices)
 
 
 @dataclass
@@ -71,11 +76,26 @@ class LegendreFamily:
         raise NotImplementedError
 
     def grad(self, a, x):
-        raise NotImplementedError
+        """grad R_a(x), the inverse of the dual map: the oracle's Newton with Z = I.
+
+        Families with a closed form override it.
+        """
+        a = self.check_a(a)
+        x = self._vec(x)
+        try:
+            mu, r_max = _solve_dual(self, a, np.eye(self.n), x, 1e-12, 100)
+        except np.linalg.LinAlgError:
+            r_max = np.inf
+        if r_max > 1e-6 * max(1.0, float(np.max(np.abs(x)))):
+            raise DomainError("dual inversion did not converge; x may lie outside the attainable range")
+        return mu
 
     def dual_map(self, a, mu):
-        """Q_a(mu), the gradient of the dual potential; inverts ``grad``."""
-        return self._dual_map(a, self._vec(mu, "mu"))
+        """Q_a(mu), the gradient of the dual potential; inverts ``grad``.
+
+        An invalid a is reported before a wrong-length mu.
+        """
+        return self._dual_map(self.check_a(a), self._vec(mu, "mu"))
 
     def _dual_map(self, a, mu):
         raise NotImplementedError
@@ -91,7 +111,6 @@ class LegendreFamily:
 
     def argmin_position(self, a):
         """The unique x with grad R_a(x) = 0."""
-        self.check_a(a)
         return self.dual_map(a, np.zeros(self.n))
 
     def domain(self, a):
@@ -104,6 +123,43 @@ class LegendreFamily:
         y = self._vec(y, "y")
         gy = self.grad(a, y)
         return float(self.value(a, x) - self.value(a, y) - gy @ (x - y))
+
+
+def _solve_dual(family, a, Z, Y, tol, max_iter):
+    """(nu, max |r|): Newton from nu = 0 on r(nu) = Z Q_a(Z^T nu) - Y.
+
+    Each step backtracks on the residual norm, halving past candidates that
+    leave the dual domain or overflow, and stops once max |r| <= tol *
+    max(1, max |Y|) or no halving down to 1e-14 decreases the norm; the caller
+    judges the residual it reached.  A singular or non-finite Newton system
+    raises ``np.linalg.LinAlgError``.
+    """
+    nu = np.zeros(Z.shape[0])
+    scale = max(1.0, float(np.max(np.abs(Y))))
+    r = Z @ family.dual_map(a, Z.T @ nu) - Y
+    for _ in range(max_iter):
+        if np.max(np.abs(r)) <= tol * scale:
+            break
+        step = np.linalg.solve(Z @ family.dual_jacobian(a, Z.T @ nu) @ Z.T, r)
+        if not np.all(np.isfinite(step)):
+            raise np.linalg.LinAlgError("non-finite Newton step")
+        t = 1.0
+        # an overflowing candidate is rejected by the finiteness test
+        with np.errstate(over="ignore", invalid="ignore"):
+            while t > 1e-14:
+                cand = nu - t * step
+                try:
+                    r_cand = Z @ family.dual_map(a, Z.T @ cand) - Y
+                except DomainError:
+                    t *= 0.5
+                    continue
+                if np.all(np.isfinite(r_cand)) and np.linalg.norm(r_cand) <= (1 - 1e-4 * t) * np.linalg.norm(r):
+                    nu, r = cand, r_cand
+                    break
+                t *= 0.5
+            else:
+                break
+    return nu, float(np.max(np.abs(r)))
 
 
 class HyperbolicEntropy(LegendreFamily):
@@ -158,10 +214,6 @@ class HyperbolicEntropy(LegendreFamily):
         s = np.sqrt(x * x + (self.c * np.exp(2.0 * a)) ** 2)
         return float(np.sum(x * self.grad(a, x) - 0.5 * s))
 
-    def dual_map(self, a, mu):
-        # an invalid a is reported before a wrong-length mu
-        return self._dual_map(self.check_a(a), self._vec(mu, "mu"))
-
     def _dual_map(self, a, mu):
         a = self.check_a(a)
         e = np.exp(2.0 * mu)
@@ -177,9 +229,6 @@ class HyperbolicEntropy(LegendreFamily):
         x = self._vec(x)
         s = np.sqrt(x * x + (self.c * np.exp(2.0 * self.check_a(a))) ** 2)
         return np.diag(0.5 / s)
-
-    def argmin_position(self, a):
-        return np.exp(2.0 * self.check_a(a)) * 0.5 * (self.u0sq - self.v0sq)
 
 
 class Entropy(LegendreFamily):
@@ -241,9 +290,6 @@ class Entropy(LegendreFamily):
         self.check_a(a)
         return np.diag(0.5 / x)
 
-    def argmin_position(self, a):
-        return self.scale(a)
-
     def domain(self, a):
         spec = super().domain(a)
         spec.primal = "x > 0 per coordinate"
@@ -299,10 +345,6 @@ class LogCosh(LegendreFamily):
         sig_neg = 1.0 - sig_pos
         return 0.5 * ((self.v0sq - 2.0 * a) * sig_pos - (self.u0sq - 2.0 * a) * sig_neg)
 
-    def dual_map(self, a, mu):
-        # an invalid a is reported before a wrong-length mu
-        return self._dual_map(self.check_a(a), self._vec(mu, "mu"))
-
     def _dual_map(self, a, mu):
         a = self.check_a(a)
         cu = self.u0sq - 2.0 * a
@@ -325,10 +367,6 @@ class LogCosh(LegendreFamily):
         sig = 0.5 * (1.0 + np.tanh(x))
         return np.diag((self.u0sq + self.v0sq - 4.0 * a) * sig * (1.0 - sig))
 
-    def argmin_position(self, a):
-        a = self.check_a(a)
-        return 0.5 * np.log((self.u0sq - 2.0 * a) / (self.v0sq - 2.0 * a))
-
     def domain(self, a):
         a = self.check_a(a)
         return DomainSpec(-(self.u0sq - 2.0 * a) / 2.0, (self.v0sq - 2.0 * a) / 2.0)
@@ -345,7 +383,7 @@ class DiffPowersFlow(LegendreFamily):
     c_u = u0^(2-2k)/K, c_v = v0^(2-2k)/K fixed by Q_0(0) = u0^(2k) - v0^(2k).
     The dual domain mu in (-c_v - a, c_u + a) loses |da| from each endpoint as
     a decreases, the range-shrinking effect; the map diverges at either
-    boundary.  grad is the numeric inverse (bisected Newton) for diagnostics.
+    boundary.  grad is the base class's numeric inverse, the oracle's Newton.
     """
 
     tag = "diff-powers-flow"
@@ -379,10 +417,6 @@ class DiffPowersFlow(LegendreFamily):
         _, cu, cv = self._shifted(a)
         return DomainSpec(-cv, cu, primal="open, shrinking with a")
 
-    def dual_map(self, a, mu):
-        # an invalid a is reported before a wrong-length mu
-        return self._dual_map(self.check_a(a), self._vec(mu, "mu"))
-
     def _dual_map(self, a, mu):
         a, cu, cv = self._shifted(a)
         if not ((mu > -cv).all() and (mu < cu).all()):
@@ -402,39 +436,6 @@ class DiffPowersFlow(LegendreFamily):
     def value(self, a, x):
         raise UnsupportedOperation("diff-powers flow has no closed-form potential")
 
-    def grad(self, a, x, tol=1e-12, max_iter=100):
-        """Numeric inverse of the dual map (safeguarded Newton with bisection)."""
-        a = self.check_a(a)
-        x = self._vec(x)
-        spec = self.domain(a)
-        mu = np.empty(self.n)
-        for i in range(self.n):
-            lo, hi = spec.dual_lower[i], spec.dual_upper[i]
-            m = 0.5 * (lo + hi)
-            for _ in range(max_iter):
-                qm = ((self.K * (self.c_u[i] + a - m)) ** (-self.gamma)
-                      - (self.K * (self.c_v[i] + a + m)) ** (-self.gamma))
-                err = qm - x[i]
-                if abs(err) <= tol * max(1.0, abs(x[i])):
-                    break
-                if err > 0:
-                    hi = m
-                else:
-                    lo = m
-                dq = (self.gamma * self.K * (self.K * (self.c_u[i] + a - m)) ** (-self.gamma - 1.0)
-                      + self.gamma * self.K * (self.K * (self.c_v[i] + a + m)) ** (-self.gamma - 1.0))
-                step = m - err / dq
-                m = step if lo < step < hi else 0.5 * (lo + hi)
-            mu[i] = m
-        return mu
-
-    def hess(self, a, x):
-        mu = self.grad(a, x)
-        return np.diag(1.0 / np.diag(self.dual_jacobian(a, mu)))
-
-    def argmin_position(self, a):
-        return self.dual_map(a, np.zeros(self.n))
-
 
 class QuadraticFamily(LegendreFamily):
     """Family induced by commuting quadratic maps G_i = w^T A_i w / 2, H = w^T B w / 2.
@@ -447,9 +448,8 @@ class QuadraticFamily(LegendreFamily):
     tag = "quadratic"
 
     def __init__(self, A_list, B, w_init, diag_tol=1e-8):
-        A_list = [np.asarray(A, dtype=float) for A in A_list]
-        B = np.asarray(B, dtype=float)
-        w_init = np.asarray(w_init, dtype=float).ravel()
+        A_list, B = quadratic_matrices(A_list, B)
+        w_init = flat_vector(w_init, B.shape[0], "w_init")
         super().__init__(len(A_list))
         self.dim = B.shape[0]
         V = _joint_eigenbasis(A_list + [B], diag_tol)
@@ -481,45 +481,6 @@ class QuadraticFamily(LegendreFamily):
         mu = self._vec(mu, "mu")
         e = self.z2 * np.exp(2.0 * self._phase(float(a), mu))
         return (self.lam * e) @ self.lam.T
-
-    def grad(self, a, x, tol=1e-12, max_iter=100):
-        """Invert the dual map by damped Newton on Q_a(mu) - <mu, x>."""
-        a = float(a)
-        x = self._vec(x)
-        mu = np.zeros(self.n)
-        scale = max(1.0, float(np.max(np.abs(x))))
-        cur = self.dual_potential(a, mu)  # psi(0); psi(mu) = Q_a(mu) - <mu, x>
-        for _ in range(max_iter):
-            r = self.dual_map(a, mu) - x
-            r_max = np.max(np.abs(r))
-            if r_max <= tol * scale:
-                return mu
-            H = self.dual_jacobian(a, mu)
-            try:
-                step = np.linalg.solve(H, r)
-            except np.linalg.LinAlgError:
-                raise DomainError("dual Jacobian singular; x may lie outside the attainable range")
-            t = 1.0
-            moved = False
-            while t > 1e-14:
-                cand = mu - t * step
-                # an overflowing candidate is rejected below.  Near the root the
-                # decrease in psi falls below its roundoff, so a candidate that
-                # halves the max residual is accepted too
-                with np.errstate(over="ignore", invalid="ignore"):
-                    cand_psi = self.dual_potential(a, cand) - cand @ x
-                    if np.isfinite(cand_psi) and (
-                            cand_psi <= cur + 1e-18
-                            or np.max(np.abs(self.dual_map(a, cand) - x)) <= 0.5 * r_max):
-                        mu, cur, moved = cand, cand_psi, True
-                        break
-                t *= 0.5
-            if not moved:
-                break
-        r = self.dual_map(a, mu) - x
-        if np.max(np.abs(r)) > 1e-6 * scale:
-            raise DomainError("dual inversion did not converge; x may lie outside the attainable range")
-        return mu
 
     def value(self, a, x):
         mu = self.grad(a, x)

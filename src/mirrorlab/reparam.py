@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DomainError, InputError, factor_pair, flat_vector, sym
+from .core import DomainError, InputError, factor_pair, flat_vector, quadratic_matrices, sym
 
 
 class Parameterization:
@@ -338,17 +338,8 @@ class QuadraticCommuting(Parameterization):
     tag = "quadratic"
 
     def __init__(self, A_list, B, w_init):
-        A_list = [np.asarray(A, dtype=float) for A in A_list]
-        if not A_list:
-            raise InputError("need at least one matrix A_i")
-        B = np.asarray(B, dtype=float)
-        D = B.shape[0]
-        for M in A_list + [B]:
-            if M.shape != (D, D):
-                raise InputError("all matrices must be square and of equal size")
-            if np.max(np.abs(M - M.T)) > 1e-12 * max(1.0, np.max(np.abs(M))):
-                raise InputError("matrices must be symmetric")
-        super().__init__(D, len(A_list), w_init)
+        A_list, B = quadratic_matrices(A_list, B)
+        super().__init__(B.shape[0], len(A_list), w_init)
         self.A = np.stack([sym(A) for A in A_list])
         self.B = sym(B)
 

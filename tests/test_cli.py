@@ -87,6 +87,15 @@ def test_verify_contracting_cli():
     assert main(bad + ["--expect-fail"]) == EXIT_OK
 
 
+def test_verify_flags_only_where_read():
+    # optimality reads neither --tol nor --expect-fail, and equivalence does
+    # not read --expect-fail: passing them is a usage error, not a no-op
+    assert main(["verify", "optimality", "--case", "diagonal", "--seed", "2",
+                 "--tol", "1e-30"]) == EXIT_USAGE
+    assert main(["verify", "optimality", "--case", "diagonal", "--expect-fail"]) == EXIT_USAGE
+    assert main(["verify", "equivalence", "--expect-fail"]) == EXIT_USAGE
+
+
 def run_small_sensing(tmp_path, extra=()):
     args = ["run", "sensing", "--out", str(tmp_path), "--n", "6", "--r", "2", "--m", "15",
             "--steps", "120", "--record-every", "10", "--schedule", "turnoff",

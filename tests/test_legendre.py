@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,8 @@ from hypothesis import strategies as st
 from mirrorlab import (DiffPowers, DiffPowersFlow, DomainError, Entropy,
                        Hadamard, HyperbolicEntropy, InputError, LogCosh,
                        LogRatio, QuadraticCommuting, QuadraticFamily,
-                       UnsupportedOperation, contracting_check, family_for,
+                       UnsupportedOperation, check_quadratic_commuting,
+                       constrained_argmin, contracting_check, family_for,
                        make_rng)
 
 
@@ -374,8 +377,9 @@ def _contract_point(tag, seed, a_frac):
 @given(seed=st.integers(0, 2**32 - 1), a_frac=st.floats(0.0, 1.0))
 def test_dual_map_inverts_grad(tag, seed, a_frac):
     # tolerance relative to max(1, |x|): 1e-12 for the closed forms (worst
-    # seen 6e-14); 1e-10 for the numeric Newton inverses of the diff-powers
-    # flow (worst seen 1e-12) and the quadratic family (worst seen 1.0e-12)
+    # seen 6.6e-14); 1e-10 for the numeric inverses of the diff-powers flow
+    # and the quadratic family, which share the oracle's Newton (worst seen
+    # 1.0e-12 each, over 15000 draws per family)
     tol = {"diff-powers-flow": 1e-10, "quadratic": 1e-10}.get(tag, 1e-12)
     fam, a, sample = _contract_point(tag, seed, a_frac)
     for _ in range(5):
@@ -459,3 +463,69 @@ def test_dual_map_kernel_keeps_the_value_checks(family):
         family._dual_map(0.0, mu)
     with pytest.raises(DomainError):
         family._dual_map(family.a_upper() + 1.0, np.zeros(family.n))
+
+
+# -- one Newton for every numeric inverse and for the oracle -------------------
+
+@pytest.mark.parametrize("tag", ["diff-powers-flow", "quadratic"])
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), a_frac=st.floats(0.0, 1.0))
+def test_numeric_grad_is_the_oracle_with_identity_constraints(tag, seed, a_frac):
+    # with Z = I the oracle's minimizer is Q_a(grad R_a(x)): the same solver,
+    # so the same bits
+    fam, a, sample = _contract_point(tag, seed, a_frac)
+    for _ in range(3):
+        x = sample()
+        expected = fam.dual_map(a, fam.grad(a, x))
+        assert constrained_argmin(fam, a, np.eye(fam.n), x).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("tag", CONTRACT_FAMILIES)
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), a_frac=st.floats(0.0, 1.0))
+def test_argmin_position_is_dual_map_at_zero(tag, seed, a_frac):
+    fam, a, _ = _contract_point(tag, seed, a_frac)
+    expected = fam.dual_map(a, np.zeros(fam.n))
+    assert fam.argmin_position(a).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("tag", [t for t in CONTRACT_FAMILIES if t != "quadratic"])
+def test_invalid_a_is_reported_before_a_wrong_length_mu(tag):
+    fam, a, _ = _contract_point(tag, 3, 0.5)
+    assert np.isfinite(fam.a_upper())
+    with pytest.raises(DomainError):
+        fam.dual_map(fam.a_upper() + 1.0, np.zeros(fam.n + 1))
+    with pytest.raises(InputError):
+        fam.dual_map(a, np.zeros(fam.n + 1))
+
+
+@pytest.mark.parametrize("tag", ["diff-powers-flow", "quadratic"])
+def test_numeric_grad_emits_no_warnings(tag):
+    # quadratic at a = 2, where long Newton steps overflow exp (seed 12 has
+    # such steps); diff-powers at the edge of the contract's range, where they
+    # leave the shrunken domain
+    fam, _, sample = _contract_point(tag, 12, 0.0)
+    a = 2.0 if tag == "quadratic" else -0.9 * float(np.min(np.minimum(fam.c_u, fam.c_v)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(20):
+            x = sample()
+            assert np.max(np.abs(fam.dual_map(a, fam.grad(a, x)) - x)) <= 1e-10 * max(1.0, np.max(np.abs(x)))
+
+
+@pytest.mark.parametrize("A_list, message", [
+    ([np.ones((3, 2))], "square and of equal size"), ([], "at least one matrix"),
+    ([np.triu(np.ones((3, 3)))], "must be symmetric")],
+    ids=["non-square", "empty", "non-symmetric"])
+@pytest.mark.parametrize("build", [QuadraticFamily, QuadraticCommuting,
+                                   lambda A, B, w: check_quadratic_commuting(A, B)],
+                         ids=["family", "parameterization", "commute-check"])
+def test_quadratic_matrices_are_checked_by_one_helper(A_list, message, build):
+    with pytest.raises(InputError, match=message):
+        build(A_list, np.eye(3), np.ones(3))
+
+
+@pytest.mark.parametrize("build", [QuadraticFamily, QuadraticCommuting])
+def test_quadratic_w_init_length_is_checked(build):
+    with pytest.raises(InputError, match="w_init has length 4, expected 3"):
+        build([np.diag([1.0, 0.0, 0.0])], np.eye(3), np.ones(4))
