@@ -8,6 +8,7 @@ parameterizes every time-dependent mirror geometry in this package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +80,7 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise InputError(f"unknown schedule kind {self.kind!r}; expected one of {SCHEDULE_KINDS}")
+        check_finite(alpha0=self.alpha0, turnoff_time=self.turnoff_time, t_end=self.t_end)
         if self.alpha0 < 0:
             raise InputError(f"alpha0 must be nonnegative, got {self.alpha0}")
         if self.t_end <= 0:
@@ -172,6 +174,7 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("euler", "rk4"):
             raise InputError(f"method must be 'euler' or 'rk4', got {self.method!r}")
+        check_finite(step=self.step, t_end=self.t_end)
         if self.step <= 0:
             raise InputError("step must be positive")
         if self.t_end <= 0:
@@ -246,6 +249,17 @@ def nuclear_norm(X):
     return float(np.sum(np.linalg.svd(np.asarray(X, dtype=float), compute_uv=False)))
 
 
+def check_finite(**values):
+    """InputError naming the first of ``values`` that is not a finite number.
+
+    The configs' range checks compare with ``<=`` and ``<``, which NaN passes,
+    so each config calls this first.
+    """
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise InputError(f"{name} must be finite, got {value}")
+
+
 def make_rng(seed):
     """Single 64-bit-seeded counter-based generator used everywhere."""
     return np.random.default_rng(np.uint64(seed) if seed is not None else None)
@@ -280,7 +294,7 @@ def factor_pair(u0, v0):
 
 def quadratic_matrices(A_list, B):
     """A_list and B as float arrays: at least one A_i, and every matrix square,
-    of B's size and symmetric; InputError otherwise."""
+    nonempty, of B's size and symmetric; InputError otherwise."""
     A_list = [np.asarray(A, dtype=float) for A in A_list]
     if not A_list:
         raise InputError("need at least one matrix A_i")
@@ -288,6 +302,8 @@ def quadratic_matrices(A_list, B):
     for M in A_list + [B]:
         if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape != B.shape:
             raise InputError("all matrices must be square and of equal size")
+        if M.size == 0:
+            raise InputError("matrices must be at least 1 x 1")
         if np.max(np.abs(M - M.T)) > 1e-12 * max(1.0, float(np.max(np.abs(M)))):
             raise InputError("matrices must be symmetric")
     return A_list, B

@@ -2,24 +2,29 @@
 
 All runners are deterministic given their seed and take plain Euler steps on
 the engine of ``flow`` (``_integrate``), the step size playing the role of a
-learning rate; each supplies the vector field and a per-snapshot hook that
-returns its metrics, and the engine's stacked records become the series of a
-uniform ``ExperimentReport`` that the command-line layer serializes to
-CSV/JSON.  The sensing and diagonal runners build their parameterization and
-loss from a validated config, and the sparse-coding runner checks the
-dictionary, target and code length it is given, so every stage calls the
-unchecked kernels of ``reparam`` and ``flow`` directly.
+learning rate; each supplies the vector field, a per-snapshot hook and a
+per-block finisher, and the engine's records become the series of a uniform
+``ExperimentReport`` that the command-line layer serializes to CSV/JSON.
+The hook computes only what needs the state itself: the train loss and the
+model vector ``x`` it is computed from (the sensing hook also watches the
+loss threshold and caches the gradient for the next step).  The finisher
+computes the other series from the block's stacked ``x`` in one call each
+(the strength ``a``, errors, norms and sensing's stacked ``eigvalsh``) with
+the bits of the per-state formulas, and drops ``x``.  The sensing and
+diagonal runners build their parameterization and loss from a validated
+config, and the sparse-coding runner checks the dictionary, target and code
+length it is given, so every stage calls the unchecked kernels of ``reparam``
+and ``flow`` directly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import reparam
-from .core import InputError, Schedule, make_rng
+from .core import InputError, Schedule, check_finite, make_rng
 from .flow import LinearRegressionLoss, _integrate
 from .legendre import LegendreFamily, _solve_dual
 
@@ -89,6 +94,7 @@ class SensingConfig:
     record_every: int = 10
 
     def __post_init__(self):
+        check_finite(beta=self.beta, eta=self.eta)
         if self.schedule is None:
             self.schedule = Schedule("constant", 0.0, t_end=max(self.steps * self.eta, 1e-12))
         if self.n < 1 or self.m < 1:
@@ -130,6 +136,7 @@ def make_sensing_problem(cfg: SensingConfig):
 def matrix_sensing_run(cfg: SensingConfig) -> ExperimentReport:
     """Discrete chain-rule flow U <- U - eta ((G + G^T) U + alpha_t U), G = grad_X f(UU^T)."""
     X_star, A, y, U = make_sensing_problem(cfg)
+    x_star = X_star.ravel()
     loss = SensingLoss(A, y)
     p = reparam.SymFactor(U)
 
@@ -156,19 +163,23 @@ def matrix_sensing_run(cfg: SensingConfig) -> ExperimentReport:
         f_val, cached[1] = loss._value_and_grad(x)
         cached[0] = w
         watch(t, f_val)
-        X = x.reshape(cfg.n, cfg.n)
-        # X is symmetric, so one eigvalsh (ascending) gives its spectrum and,
-        # in absolute value, its singular values
-        eigenvalues = np.linalg.eigvalsh(X)[::-1]
+        return {"train_loss": f_val, "x": x}
+
+    def finish(steps, times, block):
+        x = block.pop("x")
+        # each X is symmetric, so one stacked eigvalsh (ascending) gives every
+        # spectrum and, in absolute value, every set of singular values
+        eigenvalues = np.linalg.eigvalsh(x.reshape(-1, cfg.n, cfg.n))[:, ::-1]
         s = np.abs(eigenvalues)
-        nuclear = float(s.sum())
-        return {"a": cfg.schedule.a(t), "train_loss": f_val,
-                "recon_error": float(((X_star - X) ** 2).sum()),
+        nuclear = s.sum(1)
+        return {"a": cfg.schedule.a(times), "train_loss": block["train_loss"],
+                "recon_error": ((x_star - x) ** 2).sum(1),
                 "nuclear_norm": nuclear,
-                "ratio": float(nuclear / np.sqrt(s.dot(s))),
+                "ratio": nuclear / np.sqrt(_row_dots(s)),
                 "eigenvalues": eigenvalues}
 
-    w, status, rec = _integrate(rhs, p.w_init, cfg.steps, cfg.eta, cfg.record_every, record)
+    w, status, rec = _integrate(rhs, p.w_init, cfg.steps, cfg.eta, cfg.record_every, record,
+                                finish=finish)
     eigenvalues = rec.pop("eigenvalues")
     summary = {
         "final_train_loss": rec["train_loss"][-1],
@@ -240,6 +251,7 @@ class RegressionConfig:
     record_every: int = 100
 
     def __post_init__(self):
+        check_finite(eta=self.eta)
         if self.schedule is None:
             self.schedule = Schedule("constant", 0.0, t_end=max(2 * self.steps * self.eta, 1e-12))
         if not 0 <= self.d < self.n:
@@ -289,13 +301,18 @@ def diagonal_network_run(cfg: RegressionConfig) -> ExperimentReport:
         x = p._g(w)
         f_val, cached[1] = loss._value_and_grad(x)
         cached[0] = w
-        l1 = float(np.abs(x).sum())
-        l2 = math.sqrt(x.dot(x))
-        return {"a": cfg.schedule.a(min(t, phase1_end)), "train_loss": f_val,
-                "recon_error": float(((x - x_star) ** 2).sum()), "l1": l1,
-                "l1_l2_ratio": l1 / l2 if l2 > 0 else 0.0}
+        return {"train_loss": f_val, "x": x}
 
-    params, status, rec = _integrate(rhs, p.w_init, 2 * cfg.steps, cfg.eta, cfg.record_every, record)
+    def finish(steps, times, block):
+        x = block.pop("x")
+        l1 = np.abs(x).sum(1)
+        l2 = np.sqrt(_row_dots(x))
+        return {"a": cfg.schedule.a(np.minimum(times, phase1_end)),
+                "train_loss": block["train_loss"], "recon_error": ((x - x_star) ** 2).sum(1),
+                "l1": l1, "l1_l2_ratio": np.divide(l1, l2, out=np.zeros_like(l1), where=l2 > 0)}
+
+    params, status, rec = _integrate(rhs, p.w_init, 2 * cfg.steps, cfg.eta, cfg.record_every,
+                                     record, finish=finish)
     gt_l1 = float(np.sum(np.abs(x_star)))
     gt_l2 = float(np.linalg.norm(x_star))
     summary = {
@@ -322,6 +339,7 @@ class SparseCodingConfig:
     lr_scale: float = 1e-3
 
     def __post_init__(self):
+        check_finite(lr_scale=self.lr_scale)
         if self.steps < 1 or self.record_every < 1 or self.lr_scale <= 0:
             raise InputError("steps, record_every and lr_scale must be positive")
 
@@ -368,11 +386,16 @@ def sparse_coding_run(dictionary, target, variant_p, schedule: Schedule,
 
     def record(k, t, w):
         x = code(w)
-        f_val = loss._value(x)
-        return {"a": schedule.a(t), "train_loss": f_val, "recon_error": float(2.0 * f_val / n_obs),
-                "l1": float(np.sum(np.abs(x)))}
+        return {"train_loss": loss._value(x), "x": x}
 
-    params, status, rec = _integrate(rhs, variant_p.w_init, cfg.steps, eta, cfg.record_every, record)
+    def finish(steps, times, block):
+        x = block.pop("x")
+        f_val = block["train_loss"]
+        return {"a": schedule.a(times), "train_loss": f_val, "recon_error": 2.0 * f_val / n_obs,
+                "l1": np.abs(x).sum(1)}
+
+    params, status, rec = _integrate(rhs, variant_p.w_init, cfg.steps, eta, cfg.record_every,
+                                     record, finish=finish)
     flags["domain_exit"] = status is not None and status[0] == "domain"
     summary = {
         "eta": eta,
@@ -440,6 +463,12 @@ def constrained_argmin(family: LegendreFamily, a, Z, Y, tol=1e-12, max_iter=200)
     if r_max > 1e-8 * max(1.0, float(np.max(np.abs(Y)))):
         raise InputError("constrained minimization did not converge; is Y attainable?")
     return family.dual_map(a, Z.T @ nu)
+
+
+def _row_dots(x):
+    """x[i] . x[i] for every row, with the bits of each row's own ``x[i].dot(x[i])``
+    (a stacked matmul; einsum sums in another order)."""
+    return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
 
 
 def _report(kind, config, rec, summary, **fields):

@@ -2,8 +2,12 @@
 
 Two flows are implemented over one fixed-step Euler/RK4 engine, ``_integrate``,
 which the experiment runners share.  The engine also keeps every run's
-record: a per-snapshot hook returns named values, and ``_integrate`` writes
-them with the step index and time into one preallocated table per name.
+record: a per-snapshot hook returns named values, which the engine holds by
+reference in a block of up to ``RECORD_BLOCK`` snapshots.  A full block, and
+the last one, is stacked name by name, passed through the run's optional
+finisher, which computes statistics of the stacked states in one call per
+block, and written with the step index and time into one preallocated table
+per column.  A hook must therefore not modify a value after returning it.
 
 
 * parameter space:  dw = -(Jg(w)^T grad_f(g(w)) + alpha_t grad_h(w)) dt
@@ -36,6 +40,12 @@ DIVERGENCE_LIMIT = 1e12
 # a state whose squared norm is at most this has every entry inside the limit
 # (with a factor-of-two margin for the dot's roundoff), so one dot clears it
 _FAST_SQUARED_BOUND = 0.5 * DIVERGENCE_LIMIT ** 2
+# snapshots per record block: the engine holds at most this many hook rows
+# before it stacks them and writes its tables.  At 32 the per-call cost of
+# the stacked statistics is already amortized, and a sensing run (n = 20,
+# record_every=50) peaks at the traced memory of one write per snapshot;
+# 64 is no faster and adds 0.2 MB to that peak
+RECORD_BLOCK = 32
 
 
 class QuadraticLoss:
@@ -124,7 +134,7 @@ class ZeroLoss:
         return np.zeros(self.n)
 
 
-def _integrate(rhs, state0, n_steps, h, record_every, record, method="euler"):
+def _integrate(rhs, state0, n_steps, h, record_every, record, method="euler", finish=None):
     """Fixed-step Euler/RK4 on the grid t_k = k h with a divergence guard.
 
     ``rhs(t, state, left_limit)`` is the vector field.  ``record(k, t, state)``
@@ -138,50 +148,75 @@ def _integrate(rhs, state0, n_steps, h, record_every, record, method="euler"):
     ``new . new <= DIVERGENCE_LIMIT**2 / 2``, and only a state that fails it
     pays for the exact ``max |new_i| <= DIVERGENCE_LIMIT``.
 
-    The record is kept in one table per name, sized up front to the
+    The record is written a block of up to ``RECORD_BLOCK`` snapshots at a
+    time.  The block holds each hook row by reference, so a hook must not
+    modify a value after returning it (states never are, and the kernels
+    return fresh arrays).  A full block is flushed, and so is the last one
+    when the run ends or stops early: each name is stacked over the block,
+    and a value whose shape differs from the name's first raises ValueError
+    naming its step rather than broadcasting.  ``finish(steps, times,
+    block)``, if given, turns the stacked block (a dict of arrays with one
+    row per snapshot) into the columns to keep, one row per snapshot each,
+    so statistics of the states cost one vectorized call per block;
+    without it the stacked hook values are the columns.
+
+    The columns are kept in one table per name, sized to the
     ``1 + ceil(n_steps / record_every)`` snapshots of a finished run:
-    "step" (int64) and "t" (float64) exist from the start, and each hook name
-    gets a float64 table of shape ``(rows,) + np.shape(value)`` at the first
-    snapshot.  A snapshot is written in place once its hook has returned, so
-    a raising hook leaves no partial row.  A name whose first value was an
-    array must keep that shape: a later value of another shape raises
-    ValueError rather than broadcasting into its row.
+    "step" (int64) and "t" (float64) exist from the start, and each column
+    gets a float64 table of shape ``(rows,) + column.shape[1:]`` at the
+    first flush and is written with one slice assignment per block.
 
     Returns (state, status, records): the last state computed (the offending
     one after a divergence); None on success or ("diverged"|"domain", t, exc)
     on early exit, t being the time of the last state accepted; and a dict
-    mapping "step", "t" and every name the hook returns to its table.  A
-    finished run returns the full tables; an early exit returns a compact
-    copy of the filled rows, which owns its data.
+    mapping "step", "t" and every column name to its table.  A finished run
+    returns the full tables; an early exit returns a compact copy of the
+    filled rows, which owns its data.
     """
     state = np.array(state0, dtype=float)
     t = 0.0
     rows = 1 + n_steps // record_every + (n_steps % record_every != 0)
     tables = {"step": np.empty(rows, dtype=np.int64), "t": np.empty(rows)}
-    names = None  # the hook's names, fixed by the first snapshot
-    shapes = {}  # the first snapshot's shape of each array value
+    shapes = None  # the shape of each hook name's value at the first snapshot
+    block_steps, block_times, block_rows = [], [], []
     filled = 0
 
     def snapshot(k, t, state):
-        nonlocal names, filled
+        nonlocal shapes
         row = record(k, t, state)
-        if names is None:
-            names = set(row)
-            for name, value in row.items():
-                tables[name] = np.empty((rows,) + np.shape(value))
-            shapes.update((name, np.shape(v)) for name, v in row.items() if np.ndim(v))
-        elif row.keys() != names:
+        if shapes is None:
+            shapes = {name: np.shape(value) for name, value in row.items()}
+        elif row.keys() != shapes.keys():
             raise ValueError(f"record at step {k} returned {sorted(row)}, "
-                             f"expected the first snapshot's {sorted(names)}")
-        for name, shape in shapes.items():
-            if np.shape(row[name]) != shape:
-                raise ValueError(f"record at step {k} returned {name!r} of shape "
-                                 f"{np.shape(row[name])}, expected {shape}")
-        for name, value in row.items():
-            tables[name][filled] = value
-        tables["step"][filled] = k
-        tables["t"][filled] = t
-        filled += 1
+                             f"expected the first snapshot's {sorted(shapes)}")
+        block_rows.append(row)
+        block_steps.append(k)
+        block_times.append(t)
+        if len(block_rows) == RECORD_BLOCK:
+            flush()
+
+    def flush():
+        nonlocal filled
+        if not block_rows:
+            return
+        steps, times = np.array(block_steps, dtype=np.int64), np.array(block_times)
+        block = {name: _stack(name, [row[name] for row in block_rows], block_steps, shape)
+                 for name, shape in shapes.items()}
+        block_steps.clear()
+        block_times.clear()
+        block_rows.clear()
+        columns = block if finish is None else finish(steps, times, block)
+        end = filled + len(steps)
+        for name, col in columns.items():
+            if len(col) != len(steps):
+                raise ValueError(f"record column {name!r} has {len(col)} rows for a block "
+                                 f"of {len(steps)} snapshots")
+            if name not in tables:
+                tables[name] = np.empty((rows,) + col.shape[1:])
+            tables[name][filled:end] = col
+        tables["step"][filled:end] = steps
+        tables["t"][filled:end] = times
+        filled = end
 
     status = None
     try:
@@ -209,9 +244,27 @@ def _integrate(rhs, state0, n_steps, h, record_every, record, method="euler"):
                 snapshot(k, t, state)
     except DomainError as exc:
         status = ("domain", t, exc)
+    flush()
     if filled < rows:
         tables = {name: col[:filled].copy() for name, col in tables.items()}
     return state, status, tables
+
+
+def _stack(name, values, steps, shape):
+    """The values of one hook name over a block, as a float64 array with one
+    row per snapshot; ValueError naming the first step whose value does not
+    have ``shape``, the name's shape at the first snapshot."""
+    try:
+        stacked = np.array(values, dtype=float)
+        if stacked.shape[1:] == shape:
+            return stacked
+    except ValueError:  # values of different shapes do not stack
+        pass
+    for k, value in zip(steps, values):
+        if np.shape(value) != shape:
+            raise ValueError(f"record at step {k} returned {name!r} of shape "
+                             f"{np.shape(value)}, expected {shape}")
+    return np.array(values, dtype=float)  # every shape fits: raise the conversion's error
 
 
 def run_param_flow(p, loss, schedule: Schedule, cfg: IntegratorConfig) -> Trajectory:

@@ -299,6 +299,24 @@ def test_bad_input_exits_2_with_an_error_line(tmp_path, monkeypatch, capsys, arg
     assert any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["run", "flow", "--step", "nan"], "step"),
+    (["verify", "equivalence", "--step", "nan"], "step"),
+    (["run", "flow", "--t-end", "inf"], "t_end"),
+    (["run", "sensing", "--beta", "nan"], "beta"),
+    (["run", "flow", "--alpha0", "nan"], "alpha0"),
+    (["run", "sensing", "--eta", "nan"], "eta"),
+    (["run", "diagonal", "--eta", "nan"], "eta"),
+    (["run", "sparse-coding", "--lr-scale", "nan"], "lr_scale"),
+], ids=["flow-step", "equivalence-step", "flow-t-end-inf", "sensing-beta", "flow-alpha0",
+        "sensing-eta", "diagonal-eta", "sparse-coding-lr-scale"])
+def test_non_finite_numbers_exit_2_naming_the_option(tmp_path, capsys, argv, option):
+    # NaN passes every `<= 0` range check, so each config tests finiteness first
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"error: {option} must be finite" in err and "Traceback" not in err
+
+
 def _rowwise_csv(report):
     """The row-at-a-time trajectory CSV formatter that write_trajectory_csv replaced."""
 

@@ -173,6 +173,20 @@ def test_integrator_config_validation():
     assert n * h == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("build, name", [
+    (lambda v: Schedule("constant", v), "alpha0"),
+    (lambda v: Schedule("turnoff", 0.1, turnoff_time=v, t_end=1.0), "turnoff_time"),
+    (lambda v: Schedule("constant", 0.1, t_end=v), "t_end"),
+    (lambda v: IntegratorConfig(step=v), "step"),
+    (lambda v: IntegratorConfig(t_end=v), "t_end"),
+], ids=["schedule-alpha0", "schedule-turnoff-time", "schedule-t-end", "integrator-step",
+        "integrator-t-end"])
+def test_configs_reject_non_finite_numbers(build, name, bad):
+    with pytest.raises(InputError, match=f"{name} must be finite"):
+        build(bad)
+
+
 def test_trajectory_validation():
     with pytest.raises(InputError):
         Trajectory(times=[0.0, 0.0], a=[0.0, 0.0], x=np.zeros((2, 1)))

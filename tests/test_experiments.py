@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -306,11 +308,11 @@ def test_sensing_spectrum_metrics_match_the_svd(kind, monkeypatch):
 
     seen = []
 
-    def spy(rhs, state0, n_steps, h, record_every, record, method="euler"):
+    def spy(rhs, state0, n_steps, h, record_every, record, method="euler", finish=None):
         def spied(k, t, w):
             seen.append(w)
             return record(k, t, w)
-        return flow._integrate(rhs, state0, n_steps, h, record_every, spied, method)
+        return flow._integrate(rhs, state0, n_steps, h, record_every, spied, method, finish)
 
     monkeypatch.setattr(experiments, "_integrate", spy)
     cfg = SensingConfig(steps=600, seed=2, sensing_kind=kind, record_every=3,
@@ -325,3 +327,119 @@ def test_sensing_spectrum_metrics_match_the_svd(kind, monkeypatch):
         assert abs(rep.metrics["nuclear_norm"][i] - nuc) <= 1e-14 * nuc
         ratio = nuclear_frobenius_ratio(X)
         assert abs(rep.metrics["ratio"][i] - ratio) <= 1e-14 * ratio
+
+
+# ---------------------------------------------------------------------------
+# the runners' block statistics have the bits of the per-snapshot formulas
+# ---------------------------------------------------------------------------
+
+def _spy_on_states(monkeypatch):
+    """Every recorded (k, t, state) of the next runs, in record order."""
+    from mirrorlab import experiments, flow
+
+    seen = []
+
+    def spy(rhs, state0, n_steps, h, record_every, record, method="euler", finish=None):
+        def spied(k, t, w):
+            seen.append((k, t, w))
+            return record(k, t, w)
+        return flow._integrate(rhs, state0, n_steps, h, record_every, spied, method, finish)
+
+    monkeypatch.setattr(experiments, "_integrate", spy)
+    return seen
+
+
+def _assert_columns_have_the_rowwise_bits(rep, seen, rowwise):
+    """rowwise(k, t, w) -> dict of per-snapshot values; each is compared, as
+    float64 bytes, with the row of its column in ``rep``."""
+    from mirrorlab.flow import RECORD_BLOCK
+
+    assert len(seen) == len(rep.steps) > RECORD_BLOCK + 1  # crosses a block boundary
+    assert [k for k, _, _ in seen] == rep.steps.tolist()
+    rows = [rowwise(k, t, w) for k, t, w in seen]
+    columns = {"a": rep.a, "eigenvalues": rep.eigenvalues, **rep.metrics}
+    assert set(rows[0]) == {name for name, col in columns.items() if col is not None}
+    for name in rows[0]:
+        expected = np.array([row[name] for row in rows], dtype=float)
+        assert columns[name].tobytes() == expected.tobytes(), name
+
+
+@pytest.mark.parametrize("kind, schedule", [
+    ("random-symmetric", Schedule("turnoff", 0.2, turnoff_time=10.0, t_end=1250.0)),
+    ("commuting-diagonal", Schedule("cosine-decay", 0.2, turnoff_time=30.0, t_end=1250.0))],
+    ids=["random-symmetric", "commuting-diagonal"])
+def test_sensing_block_statistics_have_the_per_snapshot_bits(kind, schedule, monkeypatch):
+    from mirrorlab.experiments import SensingLoss
+    from mirrorlab.reparam import SymFactor
+
+    seen = _spy_on_states(monkeypatch)
+    cfg = SensingConfig(n=6, r=2, m=20, steps=150, seed=3, sensing_kind=kind, record_every=1,
+                        schedule=schedule)
+    rep = matrix_sensing_run(cfg)
+    X_star, A, y, U = make_sensing_problem(cfg)
+    loss, p = SensingLoss(A, y), SymFactor(U)
+
+    def rowwise(k, t, w):
+        x = p.g(w)
+        X = x.reshape(cfg.n, cfg.n)
+        eigenvalues = np.linalg.eigvalsh(X)[::-1]
+        s = np.abs(eigenvalues)
+        nuclear = float(s.sum())
+        return {"a": cfg.schedule.a(t), "train_loss": loss.value_and_grad(x)[0],
+                "recon_error": float(((X_star - X) ** 2).sum()), "nuclear_norm": nuclear,
+                "ratio": float(nuclear / np.sqrt(s.dot(s))), "eigenvalues": eigenvalues}
+
+    _assert_columns_have_the_rowwise_bits(rep, seen, rowwise)
+
+
+@pytest.mark.parametrize("variant", ["m", "mw", "mwz"])
+def test_diagonal_block_statistics_have_the_per_snapshot_bits(variant, monkeypatch):
+    from mirrorlab.experiments import make_regression_problem
+    from mirrorlab.flow import LinearRegressionLoss
+    from mirrorlab.reparam import DeepHadamard, L1Identity
+
+    seen = _spy_on_states(monkeypatch)
+    # the two phases meet at step 60, inside the first block; a cosine
+    # schedule takes Schedule.a through its sine
+    cfg = RegressionConfig(d=6, n=14, sparsity=2, eta=0.01, steps=60, variant=variant,
+                           record_every=1,
+                           schedule=Schedule("cosine-decay", 1.0, turnoff_time=0.9, t_end=1.2))
+    rep = diagonal_network_run(cfg)
+    Z, y, x_star = make_regression_problem(cfg)
+    loss, phase1_end = LinearRegressionLoss(Z, y), cfg.steps * cfg.eta
+    p = (L1Identity(np.zeros(cfg.n)) if variant == "m" else
+         DeepHadamard([np.zeros(cfg.n)] + [np.ones(cfg.n)] * (len(variant) - 1)))
+
+    def rowwise(k, t, w):
+        x = p.g(w)
+        l1 = float(np.abs(x).sum())
+        l2 = math.sqrt(x.dot(x))
+        return {"a": cfg.schedule.a(min(t, phase1_end)), "train_loss": loss.value_and_grad(x)[0],
+                "recon_error": float(((x - x_star) ** 2).sum()), "l1": l1,
+                "l1_l2_ratio": l1 / l2 if l2 > 0 else 0.0}
+
+    # every variant starts at x = 0, where the ratio takes its l2 == 0 branch
+    assert rep.metrics["l1_l2_ratio"][0] == 0.0
+    _assert_columns_have_the_rowwise_bits(rep, seen, rowwise)
+
+
+@pytest.mark.parametrize("p", [LogRatio(np.full(4, 1.5), np.full(4, 1.2)),
+                               DiffPowers(2, np.ones(4), np.ones(4))],
+                         ids=["log-ratio", "diff-powers"])
+def test_sparse_coding_block_statistics_have_the_per_snapshot_bits(p, monkeypatch):
+    from mirrorlab.experiments import DictionaryLoss
+
+    seen = _spy_on_states(monkeypatch)
+    D = make_dictionary(5, 4, seed=1)
+    target = np.linspace(-1.0, 1.0, 5)
+    sched = Schedule("linear-decay", 0.5, turnoff_time=0.01, t_end=1.0)
+    rep = sparse_coding_run(D, target, p, sched, SparseCodingConfig(steps=150, record_every=1))
+    loss = DictionaryLoss(D, target)
+
+    def rowwise(k, t, w):
+        x = p.g(w)
+        f_val = loss.value(x)
+        return {"a": sched.a(t), "train_loss": f_val, "recon_error": float(2.0 * f_val / 5),
+                "l1": float(np.sum(np.abs(x)))}
+
+    _assert_columns_have_the_rowwise_bits(rep, seen, rowwise)

@@ -329,6 +329,95 @@ def test_integrate_rejects_an_array_value_whose_shape_differs_from_the_first(lat
         _integrate(lambda t, s, left: s, np.ones(2), 3, 0.1, 1, record)
 
 
+@pytest.mark.parametrize("snapshots", sorted({1, 63, 64, 65, 129, flow.RECORD_BLOCK - 1,
+                                              flow.RECORD_BLOCK, flow.RECORD_BLOCK + 1,
+                                              2 * flow.RECORD_BLOCK + 1}))
+@pytest.mark.parametrize("with_finish", [False, True], ids=["rows", "finish"])
+def test_integrate_writes_every_snapshot_across_blocks(snapshots, with_finish):
+    # one snapshot per step: x_k = (k, -k), so every row says which step it holds
+    blocks = []
+
+    def finish(steps, times, block):
+        blocks.append(len(steps))
+        assert steps.dtype == np.int64 and times.dtype == np.float64
+        assert block["x"].shape == (len(steps), 2) and block["k"].shape == (len(steps),)
+        return {"x": block["x"], "k": block["k"], "x0_plus_k": block["x"][:, 0] + block["k"]}
+
+    state, status, records = _integrate(lambda t, s, left: np.array([1.0, -1.0]), np.zeros(2),
+                                        snapshots - 1, 1.0, 1,
+                                        lambda k, t, s: {"x": s, "k": float(k)},
+                                        finish=finish if with_finish else None)
+    steps = list(range(snapshots))
+    assert status is None
+    assert records["step"].tolist() == steps and records["t"].tolist() == steps
+    assert records["x"].tolist() == [[k, -k] for k in steps]
+    assert records["k"].tolist() == steps
+    assert all(col.base is None and len(col) == snapshots for col in records.values())
+    if with_finish:
+        assert records["x0_plus_k"].tolist() == [2 * k for k in steps]
+        full, rest = divmod(snapshots, flow.RECORD_BLOCK)
+        assert blocks == [flow.RECORD_BLOCK] * full + ([rest] if rest else [])
+
+
+# both exits fall in the middle of the second block
+_MID_BLOCK = flow.RECORD_BLOCK + flow.RECORD_BLOCK // 2
+
+
+def _blows_up_mid_block(t, state, left_limit):
+    return np.array([np.inf if t >= _MID_BLOCK - 1 else 1.0])
+
+
+def _hook_fails_mid_block(k, t, state):
+    if k == _MID_BLOCK:
+        raise DomainError("hook left its domain")
+    return {"x": state}
+
+
+@pytest.mark.parametrize("rhs, record, kind, snapshots", [
+    (_blows_up_mid_block, lambda k, t, s: {"x": s}, "diverged", _MID_BLOCK),
+    (lambda t, s, left: np.ones(1), _hook_fails_mid_block, "domain", _MID_BLOCK),
+], ids=["divergence-mid-block", "hook-domain-error-mid-block"])
+@pytest.mark.parametrize("with_finish", [False, True], ids=["rows", "finish"])
+def test_integrate_flushes_a_partial_block_on_an_early_exit(rhs, record, kind, snapshots,
+                                                            with_finish):
+    def finish(steps, times, block):
+        return {"x": block["x"], "twice": 2.0 * block["x"][:, 0]}
+
+    _, status, records = _integrate(rhs, np.zeros(1), 100, 1.0, 1, record,
+                                    finish=finish if with_finish else None)
+    assert status[0] == kind
+    assert records["step"].tolist() == list(range(snapshots))
+    assert records["x"][:, 0].tolist() == list(range(snapshots))
+    if with_finish:
+        assert records["twice"].tolist() == [2.0 * k for k in range(snapshots)]
+    # the rows of both blocks, in a compact copy that owns its data
+    assert all(col.base is None and len(col) == snapshots for col in records.values())
+
+
+@pytest.mark.parametrize("n_steps", [10, 100], ids=["last-block", "full-block"])
+def test_integrate_rejects_a_finisher_column_of_the_wrong_length(n_steps):
+    def finish(steps, times, block):
+        return {"x": block["x"], "short": block["x"][1:, 0]}
+
+    with pytest.raises(ValueError, match=r"record column 'short' has \d+ rows for a block of "
+                                         r"\d+ snapshots"):
+        _integrate(lambda t, s, left: s, np.ones(2), n_steps, 0.1, 1, lambda k, t, s: {"x": s},
+                   finish=finish)
+
+
+@pytest.mark.parametrize("bad_step", [5, flow.RECORD_BLOCK + 6], ids=["first-block",
+                                                                    "second-block"])
+@pytest.mark.parametrize("with_finish", [False, True], ids=["rows", "finish"])
+def test_integrate_names_the_step_of_a_shape_change_in_a_block(bad_step, with_finish):
+    def record(k, t, s):
+        return {"x": np.ones(3) if k == bad_step else s, "norm": 1.0}
+
+    with pytest.raises(ValueError, match=rf"record at step {bad_step} returned 'x' of shape "
+                                         r"\(3,\), expected \(2,\)"):
+        _integrate(lambda t, s, left: s, np.ones(2), 100, 0.01, 1, record,
+                   finish=(lambda steps, times, block: block) if with_finish else None)
+
+
 def test_a_recorded_run_peaks_near_the_size_of_its_record():
     # 20001 snapshots of 88 B each: one float64 table per name, no per-snapshot
     # Python objects and no stacking copy at the end

@@ -525,6 +525,16 @@ def test_quadratic_matrices_are_checked_by_one_helper(A_list, message, build):
         build(A_list, np.eye(3), np.ones(3))
 
 
+@pytest.mark.parametrize("build", [QuadraticFamily, QuadraticCommuting,
+                                   lambda A, B, w: check_quadratic_commuting(A, B)],
+                         ids=["family", "parameterization", "commute-check"])
+def test_empty_quadratic_matrices_are_input_errors(build):
+    # 0 x 0 matrices pass the square test; the symmetry test's max of an
+    # empty array must not be reached
+    with pytest.raises(InputError, match=r"at least 1 x 1"):
+        build([np.zeros((0, 0))], np.zeros((0, 0)), np.zeros(0))
+
+
 @pytest.mark.parametrize("build", [QuadraticFamily, QuadraticCommuting])
 def test_quadratic_w_init_length_is_checked(build):
     with pytest.raises(InputError, match="w_init has length 4, expected 3"):
