@@ -1,11 +1,13 @@
 """Command-line front end: config parsing, experiment dispatch, CSV/SVG emission.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
-3 numeric divergence.  Config files are flat ``key = value`` text with
-``[section]`` headers; command-line flags override config values.  The
-environment variable MIRRORLAB_SEED overrides any configured seed.  Each
-option is then cast once to the type of its default; a value that cannot be
-read as that type is a usage error.
+3 numeric divergence.  Each command declares its options once, in
+``COMMANDS``, with their defaults; the parser derives one flag per option
+from there.  Config files are flat ``key = value`` text with ``[section]``
+headers; command-line flags override config values.  The environment
+variable MIRRORLAB_SEED overrides any configured seed.  Each option is then
+cast once to the type of its default; a value that cannot be read as that
+type, or a float option that is not finite, is a usage error.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -26,10 +29,11 @@ from . import legendre, reparam
 from .commute import check_commuting
 from .core import (DivergedError, DomainExitError, InputError, IntegratorConfig,
                    MirrorlabError, Schedule, make_rng)
-from .experiments import (RegressionConfig, SensingConfig, SparseCodingConfig,
-                          constrained_argmin, diagonal_network_run,
-                          kkt_residual, make_dictionary, matrix_sensing_run,
-                          sparse_coding_run)
+from .experiments import (ExperimentReport, RegressionConfig, SensingConfig,
+                          SensingLoss, SparseCodingConfig, constrained_argmin,
+                          diagonal_network_run, kkt_residual, make_dictionary,
+                          make_regression_problem, make_sensing_problem,
+                          matrix_sensing_run, sparse_coding_run)
 from .flow import (LinearRegressionLoss, QuadraticLoss, run_mirror_flow,
                    run_param_flow, verify_equivalence)
 from .legendre import contracting_check
@@ -165,16 +169,19 @@ def write_summary(path, report, seed, wall_time_s, extra=None):
 
 def _merged(args, defaults, section):
     """defaults < config file < explicit flags < MIRRORLAB_SEED, each value cast
-    once to the type of its default."""
+    once to the type of its default.  A key of the command's own [section]
+    that is none of its options is a usage error; [schedule] is shared by
+    every command and read, not checked."""
     merged = dict(defaults)
     if args.config:
-        cfg = parse_config(args.config)
-        for key, val in cfg.items():
+        for key, val in parse_config(args.config).items():
             sect, _, name = key.partition(".")
+            if sect == section and name not in merged:
+                raise UsageError(f"[{section}] {name}: not an option of this command")
             if sect in (section, "schedule") and name in merged:
                 merged[name] = val
     for name in defaults:
-        val = getattr(args, name.replace("-", "_"), None)
+        val = getattr(args, name)
         if val is not None:
             merged[name] = val
     env_seed = os.environ.get("MIRRORLAB_SEED")
@@ -187,19 +194,22 @@ def _merged(args, defaults, section):
 
 def _typed(name, val, kind):
     """val cast to kind; UsageError naming the option if val cannot be read as a
-    kind, or is a float with a fractional part and kind is int."""
+    kind, is a float with a fractional part and kind is int, or is a float
+    that is not finite."""
     try:
         out = kind(val)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise UsageError(f"{name}: cannot read {val!r} as {kind.__name__}")
     if kind is int and isinstance(val, float) and out != val:
         raise UsageError(f"{name}: cannot read {val!r} as int")
+    if kind is float and not math.isfinite(out):
+        raise UsageError(f"{name} must be finite, got {out}")
     return out
 
 
-def _schedule_from(merged):
-    return Schedule(merged["kind"], merged["alpha0"], turnoff_time=merged["turnoff_time"],
-                    t_end=merged["t_end"])
+def _schedule_from(opts):
+    return Schedule(opts["kind"], opts["alpha0"], turnoff_time=opts["turnoff_time"],
+                    t_end=opts["t_end"])
 
 
 def _write_report(out, name, report):
@@ -238,17 +248,14 @@ def _build_variant(name, n, depth, seed):
     raise UsageError(f"unknown variant {name!r}")
 
 
-def cmd_verify_commuting(args):
-    merged = _merged(args, {"variant": "hadamard", "n": 3, "depth": 3, "samples": 50,
-                            "tol": 1e-4, "seed": 0}, "commuting")
-    p = _build_variant(merged["variant"], merged["n"], merged["depth"], merged["seed"])
-    report = check_commuting(p, n_samples=merged["samples"], tol=merged["tol"], seed=merged["seed"])
+def cmd_verify_commuting(args, opts):
+    p = _build_variant(opts["variant"], opts["n"], opts["depth"], opts["seed"])
+    report = check_commuting(p, n_samples=opts["samples"], tol=opts["tol"], seed=opts["seed"])
     print(f"{'variant':<16} {'samples':>8} {'tol':>10} {'max bracket':>14} {'pass':>6}")
     print(f"{report.variant:<16} {report.n_samples:>8} {report.tol:>10.1e} "
           f"{report.max_bracket_norm:>14.3e} {str(report.passed):>6}")
     _write_report(args.out, "commuting", report)
-    ok = report.passed != bool(args.expect_fail)
-    return EXIT_OK if ok else EXIT_FAIL
+    return EXIT_OK if report.passed != args.expect_fail else EXIT_FAIL
 
 
 def _equivalence_case(family_name, seed):
@@ -275,19 +282,15 @@ def _equivalence_case(family_name, seed):
     raise UsageError(f"unknown equivalence family {family_name!r}")
 
 
-def cmd_verify_equivalence(args):
-    merged = _merged(args, {"family": "hadamard", "seed": 0, "tol": 1e-4, "step": 1e-3,
-                            "kind": "turnoff", "alpha0": 0.5, "turnoff_time": 1.0, "t_end": 4.0},
-                     "equivalence")
-    if merged["family"] == "diff-powers":
-        # the dual map matches the raw factor flow exactly only without
-        # accumulated strength; check the classical case
-        merged["alpha0"] = 0.0
-        merged["kind"] = "constant"
-    p, family, loss = _equivalence_case(merged["family"], merged["seed"])
-    sched = _schedule_from(merged)
-    cfg = IntegratorConfig("rk4", merged["step"], merged["t_end"], record_every=10)
-    report = verify_equivalence(p, family, loss, sched, cfg, tol=merged["tol"])
+def cmd_verify_equivalence(args, opts):
+    p, family, loss = _equivalence_case(opts["family"], opts["seed"])
+    # a fixed schedule per family: the diff-powers dual map matches the raw
+    # factor flow exactly only without accumulated strength, so that family
+    # checks the classical, undecayed case
+    kind, alpha0 = ("constant", 0.0) if opts["family"] == "diff-powers" else ("turnoff", 0.5)
+    sched = Schedule(kind, alpha0, turnoff_time=1.0, t_end=opts["t_end"])
+    cfg = IntegratorConfig("rk4", opts["step"], opts["t_end"], record_every=10)
+    report = verify_equivalence(p, family, loss, sched, cfg, tol=opts["tol"])
     print(f"pair {report.pair}: max deviation {report.max_deviation:.3e} "
           f"(tol {report.tol:.1e}) over {report.n_points} points -> "
           f"{'PASS' if report.passed else 'FAIL'}")
@@ -295,11 +298,9 @@ def cmd_verify_equivalence(args):
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
-def cmd_verify_contracting(args):
-    merged = _merged(args, {"family": "hyperbolic", "a_min": -2.0, "grid": 50,
-                            "tol": 1e-8, "seed": 0}, "contracting")
-    rng = make_rng(merged["seed"])
-    name, grid = merged["family"], merged["grid"]
+def cmd_verify_contracting(args, opts):
+    rng = make_rng(opts["seed"])
+    name, grid = opts["family"], opts["grid"]
     n = 3
     if name == "hyperbolic":
         fam = legendre.HyperbolicEntropy.from_hadamard(rng.uniform(1.0, 2.0, n), rng.uniform(-0.5, 0.5, n))
@@ -318,23 +319,18 @@ def cmd_verify_contracting(args):
         xs = [rng.uniform(0.1, 2.0, d) for _ in range(grid)]
     else:
         raise UsageError(f"unknown contracting family {name!r}")
-    a_grid = np.linspace(merged["a_min"], 0.0, grid)
-    report = contracting_check(fam, a_grid, xs, tol=merged["tol"])
+    a_grid = np.linspace(opts["a_min"], 0.0, grid)
+    report = contracting_check(fam, a_grid, xs, tol=opts["tol"])
     print(f"family {fam.tag}: max slope {report.max_slope:.3e}, "
           f"max positive slope {report.max_positive_slope:.3e} (tol {report.tol:.1e}), "
           f"{report.n_skipped} skipped -> {'PASS' if report.passed else 'FAIL'}")
     _write_report(args.out, "contracting", report)
-    expected_fail = bool(args.expect_fail)
-    return EXIT_OK if report.passed != expected_fail else EXIT_FAIL
+    return EXIT_OK if report.passed != args.expect_fail else EXIT_FAIL
 
 
-def cmd_verify_optimality(args):
-    from .experiments import SensingLoss
-
-    merged = _merged(args, {"case": "diagonal", "seed": 0, "kkt_tol": 1e-4,
-                            "oracle_tol": 1e-3}, "optimality")
-    rng = make_rng(merged["seed"])
-    if merged["case"] == "diagonal":
+def cmd_verify_optimality(args, opts):
+    rng = make_rng(opts["seed"])
+    if opts["case"] == "diagonal":
         n, d = 6, 3
         Z = rng.standard_normal((d, n))
         x_star = np.zeros(n)
@@ -346,7 +342,7 @@ def cmd_verify_optimality(args):
         sched = Schedule("turnoff", 2.0, turnoff_time=1.0, t_end=120.0)
         traj = run_param_flow(p, loss, sched, IntegratorConfig("rk4", 5e-3, 120.0, record_every=4000))
         x_inf = traj.x[-1]
-    elif merged["case"] == "sensing":
+    elif opts["case"] == "sensing":
         n, m, beta = 8, 4, 0.1
         lam_star = np.zeros(n)
         lam_star[rng.choice(n, 2, replace=False)] = [0.6, 0.4]
@@ -362,19 +358,19 @@ def cmd_verify_optimality(args):
         traj = run_param_flow(p, loss, sched, IntegratorConfig("rk4", 5e-3, 150.0, record_every=4000))
         x_inf = np.diag(traj.x[-1].reshape(n, n))
     else:
-        raise UsageError(f"unknown optimality case {merged['case']!r}")
+        raise UsageError(f"unknown optimality case {opts['case']!r}")
     a_T = float(sched.a(sched.t_end))
     res = kkt_residual(Z, x_inf, fam, a_T)
     oracle = constrained_argmin(fam, a_T, Z, y)
     diff = float(np.max(np.abs(oracle - x_inf)))
-    ok = res <= merged["kkt_tol"] and diff <= merged["oracle_tol"]
-    print(f"case {merged['case']}: kkt residual {res:.3e} (tol {merged['kkt_tol']:.1e}), "
-          f"oracle deviation {diff:.3e} (tol {merged['oracle_tol']:.1e}) -> "
+    ok = res <= opts["kkt_tol"] and diff <= opts["oracle_tol"]
+    print(f"case {opts['case']}: kkt residual {res:.3e} (tol {opts['kkt_tol']:.1e}), "
+          f"oracle deviation {diff:.3e} (tol {opts['oracle_tol']:.1e}) -> "
           f"{'PASS' if ok else 'FAIL'}")
     if args.out:
         _ensure_outdir(args.out)
         with open(os.path.join(args.out, "optimality_report.json"), "w") as fh:
-            json.dump({"case": merged["case"], "kkt_residual": res, "oracle_deviation": diff,
+            json.dump({"case": opts["case"], "kkt_residual": res, "oracle_deviation": diff,
                        "passed": ok}, fh, indent=2)
             fh.write("\n")
     return EXIT_OK if ok else EXIT_FAIL
@@ -390,49 +386,22 @@ def _sensing_job(cfg):
     return matrix_sensing_run(cfg), time.perf_counter() - t0
 
 
-def _sensing_kkt(rep, cfg):
-    """KKT residual of the final eigenvalues; only commuting-diagonal runs
-    attach an eigenvalue potential."""
-    if cfg.sensing_kind != "commuting-diagonal" or rep.diverged:
-        return None
-    from .experiments import make_sensing_problem
-
-    _, A, _, _ = make_sensing_problem(cfg)
-    Z = A[:, np.arange(cfg.n), np.arange(cfg.n)]
-    lam = np.diag(rep.final_x.reshape(cfg.n, cfg.n))
-    fam = legendre.Entropy(cfg.beta * np.ones(cfg.n))
+def _kkt_or_none(Z, x, family, a):
+    """KKT residual of x, or None where kkt_residual rejects the point."""
     try:
-        return float(kkt_residual(Z, np.maximum(lam, 1e-300), fam, float(rep.a[-1])))
-    except (InputError, MirrorlabError):
+        return float(kkt_residual(Z, x, family, a))
+    except MirrorlabError:
         return None
 
 
-def _diagonal_kkt(rep, cfg):
-    if cfg.variant != "mw" or rep.diverged:
-        return None
-    from .experiments import make_regression_problem
-
-    Z, _, _ = make_regression_problem(cfg)
-    fam = legendre.HyperbolicEntropy.from_hadamard(np.zeros(cfg.n), np.ones(cfg.n))
-    try:
-        return float(kkt_residual(Z, rep.final_x, fam, float(rep.a[-1])))
-    except (InputError, MirrorlabError):
-        return None
-
-
-def cmd_run_sensing(args):
-    merged = _merged(args, {"n": 20, "r": 5, "m": 120, "beta": 0.1, "eta": 0.25,
-                            "steps": 5000, "record_every": 10, "seed": 0,
-                            "sensing_kind": "random-symmetric",
-                            "kind": "turnoff", "alpha0": 0.02, "turnoff_time": 625.0,
-                            "t_end": 1250.0, "seeds": ""}, "sensing")
+def cmd_run_sensing(args, opts):
     out = _ensure_outdir(args.out)
-    seeds = ([_typed("seeds", s, int) for s in merged["seeds"].split(",") if s != ""]
-             or [merged["seed"]])
-    sched = _schedule_from(merged)
-    jobs = [SensingConfig(n=merged["n"], r=merged["r"], m=merged["m"], beta=merged["beta"],
-                          eta=merged["eta"], steps=merged["steps"],
-                          record_every=merged["record_every"], sensing_kind=merged["sensing_kind"],
+    seeds = ([_typed("seeds", s, int) for s in opts["seeds"].split(",") if s != ""]
+             or [opts["seed"]])
+    sched = _schedule_from(opts)
+    jobs = [SensingConfig(n=opts["n"], r=opts["r"], m=opts["m"], beta=opts["beta"],
+                          eta=opts["eta"], steps=opts["steps"],
+                          record_every=opts["record_every"], sensing_kind=opts["sensing_kind"],
                           seed=seed, schedule=sched) for seed in seeds]
     if args.jobs > 1 and len(jobs) > 1:
         # imported here: the process pool's import chain adds about 1 MB of
@@ -456,10 +425,17 @@ def _write_sensing_runs(out, results, jobs, plot):
 
 def _write_sensing_seed(out, rep, wall, cfg, plot):
     """One seed's CSV, summary, plots and console line; whether it diverged."""
+    kkt = None
+    if cfg.sensing_kind == "commuting-diagonal" and not rep.diverged:
+        # only commuting-diagonal runs attach an eigenvalue potential
+        _, A, _, _ = make_sensing_problem(cfg)
+        diag = np.arange(cfg.n)
+        lam = np.maximum(np.diag(rep.final_x.reshape(cfg.n, cfg.n)), 1e-300)
+        kkt = _kkt_or_none(A[:, diag, diag], lam, legendre.Entropy(cfg.beta * np.ones(cfg.n)),
+                           float(rep.a[-1]))
     stem = os.path.join(out, f"sensing_seed{cfg.seed}")
     write_trajectory_csv(stem + ".csv", rep)
-    write_summary(stem + "_summary.json", rep, cfg.seed, wall,
-                  extra={"kkt_residual": _sensing_kkt(rep, cfg)})
+    write_summary(stem + "_summary.json", rep, cfg.seed, wall, extra={"kkt_residual": kkt})
     if plot:
         line_plot(stem + "_loss.svg",
                   [("train loss", rep.times, rep.metrics["train_loss"]),
@@ -476,24 +452,23 @@ def _write_sensing_seed(out, rep, wall, cfg, plot):
     return rep.diverged
 
 
-def cmd_run_diagonal(args):
-    merged = _merged(args, {"d": 40, "n": 100, "sparsity": 5, "eta": 1e-3, "steps": 20000,
-                            "record_every": 100, "seed": 0, "variant": "mw",
-                            "kind": "turnoff", "alpha0": 1.0, "turnoff_time": 20.0,
-                            "t_end": 40.0}, "diagonal")
+def cmd_run_diagonal(args, opts):
     out = _ensure_outdir(args.out)
-    sched = _schedule_from(merged)
-    cfg = RegressionConfig(d=merged["d"], n=merged["n"], sparsity=merged["sparsity"],
-                           eta=merged["eta"], steps=merged["steps"], schedule=sched,
-                           variant=merged["variant"], seed=merged["seed"],
-                           record_every=merged["record_every"])
+    cfg = RegressionConfig(d=opts["d"], n=opts["n"], sparsity=opts["sparsity"],
+                           eta=opts["eta"], steps=opts["steps"], schedule=_schedule_from(opts),
+                           variant=opts["variant"], seed=opts["seed"],
+                           record_every=opts["record_every"])
     t0 = time.perf_counter()
     rep = diagonal_network_run(cfg)
     wall = time.perf_counter() - t0
+    kkt = None
+    if cfg.variant == "mw" and not rep.diverged:
+        Z, _, _ = make_regression_problem(cfg)
+        fam = legendre.HyperbolicEntropy.from_hadamard(np.zeros(cfg.n), np.ones(cfg.n))
+        kkt = _kkt_or_none(Z, rep.final_x, fam, float(rep.a[-1]))
     stem = os.path.join(out, f"diagonal_{cfg.variant}_seed{cfg.seed}")
     write_trajectory_csv(stem + ".csv", rep)
-    write_summary(stem + "_summary.json", rep, cfg.seed, wall,
-                  extra={"kkt_residual": _diagonal_kkt(rep, cfg)})
+    write_summary(stem + "_summary.json", rep, cfg.seed, wall, extra={"kkt_residual": kkt})
     if args.plot:
         line_plot(stem + "_ratio.svg",
                   [("l1/l2 ratio", rep.times, rep.metrics["l1_l2_ratio"])],
@@ -509,18 +484,14 @@ def cmd_run_diagonal(args):
     return EXIT_DIVERGED if rep.diverged else EXIT_OK
 
 
-def cmd_run_sparse_coding(args):
-    merged = _merged(args, {"n_obs": 200, "n_features": 50, "k": 2, "variant": "diff-powers",
-                            "steps": 300, "record_every": 1, "lr_scale": 1e-3, "seed": 0,
-                            "kind": "constant", "alpha0": 1e-3, "turnoff_time": 0.0,
-                            "t_end": 1e9, "dictionary": ""}, "sparse_coding")
+def cmd_run_sparse_coding(args, opts):
     out = _ensure_outdir(args.out)
-    seed = merged["seed"]
+    seed, k, variant = opts["seed"], opts["k"], opts["variant"]
     rng = make_rng(seed)
-    if merged["dictionary"]:
-        D = load_matrix(merged["dictionary"])
+    if opts["dictionary"]:
+        D = load_matrix(opts["dictionary"])
     else:
-        D = make_dictionary(merged["n_obs"], merged["n_features"], seed=seed)
+        D = make_dictionary(opts["n_obs"], opts["n_features"], seed=seed)
     n = D.shape[1]
     print(f"dictionary: {D.shape[0]} observations x {n} features")
     code_star = np.zeros(n)
@@ -528,63 +499,58 @@ def cmd_run_sparse_coding(args):
     code_star[idx] = rng.standard_normal(len(idx))
     target = D @ code_star + 0.05 * rng.standard_normal(D.shape[0])
     x_init = rng.standard_normal(n)
-    k = merged["k"]
-    if merged["variant"] == "diff-powers":
+    if variant == "diff-powers":
         if k < 1:
             raise UsageError("k must be a positive integer")
         u0 = (0.5 * (np.sqrt(x_init**2 + 1.0) + x_init)) ** (1.0 / (2 * k))
         v0 = (0.5 * (np.sqrt(x_init**2 + 1.0) - x_init)) ** (1.0 / (2 * k))
         p = reparam.DiffPowers(k, u0, v0)
-    elif merged["variant"] == "log-ratio":
+    elif variant == "log-ratio":
         xs = 0.1
         u0 = 1.0 / (1.0 + np.exp(-xs)) * np.ones(n)
         v0 = 1.0 / (1.0 + np.exp(xs)) * np.ones(n)
         p = reparam.LogRatio(u0, v0)
     else:
-        raise UsageError(f"unknown sparse-coding variant {merged['variant']!r}")
-    if merged["kind"] != "constant" and merged["turnoff_time"] <= 0:
-        merged["turnoff_time"] = 1.0
-    sched = _schedule_from(merged)
-    cfg = SparseCodingConfig(steps=merged["steps"], record_every=merged["record_every"],
-                             lr_scale=merged["lr_scale"])
+        raise UsageError(f"unknown sparse-coding variant {variant!r}")
+    if opts["kind"] != "constant" and opts["turnoff_time"] <= 0:
+        opts["turnoff_time"] = 1.0
+    sched = _schedule_from(opts)
+    cfg = SparseCodingConfig(steps=opts["steps"], record_every=opts["record_every"],
+                             lr_scale=opts["lr_scale"])
     t0 = time.perf_counter()
     rep = sparse_coding_run(D, target, p, sched, cfg)
     wall = time.perf_counter() - t0
-    stem = os.path.join(out, f"sparse_{merged['variant']}_seed{seed}")
+    stem = os.path.join(out, f"sparse_{variant}_seed{seed}")
     write_trajectory_csv(stem + ".csv", rep)
     write_summary(stem + "_summary.json", rep, seed, wall,
                   extra={"flags": rep.flags, "kkt_residual": None})
     if args.plot and len(rep.times) > 1:
         line_plot(stem + "_l1.svg", [("code l1 norm", rep.steps, rep.metrics["l1"])],
                   title="sparse coding", xlabel="step", ylabel="l1")
-    print(f"variant {merged['variant']} k={k}: final l1 {rep.summary['final_l1']:.4f}, "
+    print(f"variant {variant} k={k}: final l1 {rep.summary['final_l1']:.4f}, "
           f"stationary at step {rep.summary['stationarity_step']}, flags {rep.flags}")
     return EXIT_DIVERGED if rep.diverged else EXIT_OK
 
 
-def cmd_run_flow(args):
-    merged = _merged(args, {"family": "entropy", "n": 4, "seed": 0, "method": "rk4",
-                            "step": 1e-3, "record_every": 10,
-                            "kind": "constant", "alpha0": 0.1, "turnoff_time": 1.0,
-                            "t_end": 4.0}, "flow")
+def cmd_run_flow(args, opts):
     out = _ensure_outdir(args.out)
-    seed, n = merged["seed"], merged["n"]
+    seed, n = opts["seed"], opts["n"]
     if n < 1:
         raise UsageError("n must be positive")
     rng = make_rng(seed)
-    if merged["family"] == "entropy":
+    if opts["family"] == "entropy":
         fam = legendre.Entropy(rng.uniform(0.5, 1.5, n))
         target = rng.uniform(0.5, 2.0, n)
-    elif merged["family"] == "hyperbolic":
+    elif opts["family"] == "hyperbolic":
         fam = legendre.HyperbolicEntropy.from_hadamard(rng.uniform(1.0, 2.0, n),
                                                        rng.uniform(-0.5, 0.5, n))
         target = rng.standard_normal(n)
     else:
-        raise UsageError(f"unknown flow family {merged['family']!r}")
+        raise UsageError(f"unknown flow family {opts['family']!r}")
     loss = QuadraticLoss(np.eye(n), target)
-    sched = _schedule_from(merged)
-    cfg = IntegratorConfig(merged["method"], merged["step"], merged["t_end"],
-                           record_every=merged["record_every"])
+    sched = _schedule_from(opts)
+    cfg = IntegratorConfig(opts["method"], opts["step"], opts["t_end"],
+                           record_every=opts["record_every"])
     t0 = time.perf_counter()
     try:
         traj = run_mirror_flow(fam, loss, sched, cfg)
@@ -592,22 +558,20 @@ def cmd_run_flow(args):
         traj = exc.trajectory
         print(f"flow stopped early: {exc}", file=sys.stderr)
         if traj is not None:
-            _write_flow_outputs(out, merged, traj, seed, time.perf_counter() - t0, args.plot)
+            _write_flow_outputs(out, opts, traj, seed, time.perf_counter() - t0, args.plot)
         return EXIT_DIVERGED
     wall = time.perf_counter() - t0
-    _write_flow_outputs(out, merged, traj, seed, wall, args.plot)
+    _write_flow_outputs(out, opts, traj, seed, wall, args.plot)
     print(f"family {fam.tag}: {len(traj)} records, final loss "
           f"{traj.metrics['train_loss'][-1]:.3e}")
     return EXIT_OK
 
 
-def _write_flow_outputs(out, merged, traj, seed, wall, plot):
-    from .experiments import ExperimentReport
-
-    stem = os.path.join(out, f"flow_{merged['family']}_seed{seed}")
+def _write_flow_outputs(out, opts, traj, seed, wall, plot):
+    stem = os.path.join(out, f"flow_{opts['family']}_seed{seed}")
     rep = ExperimentReport(
         kind="flow",
-        config=dict(merged),
+        config=dict(opts),
         steps=traj.steps,
         times=traj.times,
         a=traj.a,
@@ -626,81 +590,66 @@ def _write_flow_outputs(out, merged, traj, seed, wall, plot):
 # entry point
 # ---------------------------------------------------------------------------
 
+# (group, name) -> (handler, config section, {option: default}): the one
+# declaration of each command's options.  build_parser derives a flag per
+# option, typed by its default (``kind`` is spelled --schedule); _merged reads
+# the command's [section] plus the shared [schedule]; main calls
+# handler(args, options).
+COMMANDS = {
+    ("verify", "commuting"): (cmd_verify_commuting, "commuting", {
+        "variant": "hadamard", "n": 3, "depth": 3, "samples": 50, "tol": 1e-4, "seed": 0}),
+    ("verify", "equivalence"): (cmd_verify_equivalence, "equivalence", {
+        "family": "hadamard", "seed": 0, "tol": 1e-4, "step": 1e-3, "t_end": 4.0}),
+    ("verify", "contracting"): (cmd_verify_contracting, "contracting", {
+        "family": "hyperbolic", "a_min": -2.0, "grid": 50, "tol": 1e-8, "seed": 0}),
+    ("verify", "optimality"): (cmd_verify_optimality, "optimality", {
+        "case": "diagonal", "seed": 0, "kkt_tol": 1e-4, "oracle_tol": 1e-3}),
+    ("run", "sensing"): (cmd_run_sensing, "sensing", {
+        "n": 20, "r": 5, "m": 120, "beta": 0.1, "eta": 0.25, "steps": 5000, "record_every": 10,
+        "seed": 0, "sensing_kind": "random-symmetric", "kind": "turnoff", "alpha0": 0.02,
+        "turnoff_time": 625.0, "t_end": 1250.0, "seeds": ""}),
+    ("run", "diagonal"): (cmd_run_diagonal, "diagonal", {
+        "d": 40, "n": 100, "sparsity": 5, "eta": 1e-3, "steps": 20000, "record_every": 100,
+        "seed": 0, "variant": "mw", "kind": "turnoff", "alpha0": 1.0, "turnoff_time": 20.0,
+        "t_end": 40.0}),
+    ("run", "sparse-coding"): (cmd_run_sparse_coding, "sparse_coding", {
+        "n_obs": 200, "n_features": 50, "k": 2, "variant": "diff-powers", "steps": 300,
+        "record_every": 1, "lr_scale": 1e-3, "seed": 0, "kind": "constant", "alpha0": 1e-3,
+        "turnoff_time": 0.0, "t_end": 1e9, "dictionary": ""}),
+    ("run", "flow"): (cmd_run_flow, "flow", {
+        "family": "entropy", "n": 4, "seed": 0, "method": "rk4", "step": 1e-3,
+        "record_every": 10, "kind": "constant", "alpha0": 0.1, "turnoff_time": 1.0,
+        "t_end": 4.0}),
+}
+
+_HELP = {"kind": "schedule kind: constant|turnoff|linear-decay|cosine-decay",
+         "seeds": "comma-separated seed sweep", "dictionary": "headerless CSV matrix"}
+
+
 def build_parser():
+    """One flag per COMMANDS option, plus the fixed switches: --config and
+    --out everywhere, --expect-fail where a verify reads it, and --plot and
+    --jobs on every run."""
     top = argparse.ArgumentParser(prog="mirrorlab",
                                   description="time-dependent mirror flow laboratory")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    ver = sub.add_parser("verify", help="run a verification suite")
-    vsub = ver.add_subparsers(dest="check", required=True)
-    for name in ("commuting", "equivalence", "contracting", "optimality"):
-        sp = vsub.add_parser(name)
+    groups = top.add_subparsers(dest="command", required=True)
+    subs = {group: groups.add_parser(group, help=text).add_subparsers(dest="name", required=True)
+            for group, text in (("verify", "run a verification suite"),
+                                ("run", "run an experiment and write CSV/JSON outputs"))}
+    for (group, name), (_, _, options) in COMMANDS.items():
+        sp = subs[group].add_parser(name)
         sp.add_argument("--config", default=None)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        if name != "optimality":
-            sp.add_argument("--tol", type=float, default=None)
-        if name in ("commuting", "contracting"):
+        sp.add_argument("--out", default=None, required=group == "run")
+        if group == "run":
+            sp.add_argument("--plot", action="store_true")
+            sp.add_argument("--jobs", type=int, default=1,
+                            help="worker processes of a --seeds sweep")
+        elif name in ("commuting", "contracting"):
             sp.add_argument("--expect-fail", action="store_true")
-        if name == "commuting":
-            sp.add_argument("--variant", default=None)
-            sp.add_argument("--depth", type=int, default=None)
-            sp.add_argument("--n", type=int, default=None)
-            sp.add_argument("--samples", type=int, default=None)
-        if name == "equivalence":
-            sp.add_argument("--family", default=None)
-            sp.add_argument("--step", type=float, default=None)
-            sp.add_argument("--t-end", dest="t_end", type=float, default=None)
-        if name == "contracting":
-            sp.add_argument("--family", default=None)
-            sp.add_argument("--a-min", dest="a_min", type=float, default=None)
-            sp.add_argument("--grid", type=int, default=None)
-        if name == "optimality":
-            sp.add_argument("--case", default=None)
-            sp.add_argument("--kkt-tol", dest="kkt_tol", type=float, default=None)
-            sp.add_argument("--oracle-tol", dest="oracle_tol", type=float, default=None)
-
-    run = sub.add_parser("run", help="run an experiment and write CSV/JSON outputs")
-    rsub = run.add_subparsers(dest="experiment", required=True)
-    for name in ("sensing", "diagonal", "sparse-coding", "flow"):
-        sp = rsub.add_parser(name)
-        sp.add_argument("--config", default=None)
-        sp.add_argument("--out", required=True)
-        sp.add_argument("--plot", action="store_true")
-        sp.add_argument("--jobs", type=int, default=1)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--steps", type=int, default=None)
-        sp.add_argument("--eta", type=float, default=None)
-        sp.add_argument("--record-every", dest="record_every", type=int, default=None)
-        sp.add_argument("--schedule", dest="kind", default=None,
-                        help="schedule kind: constant|turnoff|linear-decay|cosine-decay")
-        sp.add_argument("--alpha0", type=float, default=None)
-        sp.add_argument("--turnoff-time", dest="turnoff_time", type=float, default=None)
-        sp.add_argument("--t-end", dest="t_end", type=float, default=None)
-        if name == "sensing":
-            sp.add_argument("--n", type=int, default=None)
-            sp.add_argument("--r", type=int, default=None)
-            sp.add_argument("--m", type=int, default=None)
-            sp.add_argument("--beta", type=float, default=None)
-            sp.add_argument("--sensing-kind", dest="sensing_kind", default=None)
-            sp.add_argument("--seeds", default=None, help="comma-separated seed sweep")
-        if name == "diagonal":
-            sp.add_argument("--variant", default=None, help="m | mw | mwz")
-            sp.add_argument("--d", type=int, default=None)
-            sp.add_argument("--n", type=int, default=None)
-            sp.add_argument("--sparsity", type=int, default=None)
-        if name == "sparse-coding":
-            sp.add_argument("--variant", default=None, help="diff-powers | log-ratio")
-            sp.add_argument("--k", type=int, default=None)
-            sp.add_argument("--dictionary", default=None, help="headerless CSV matrix")
-            sp.add_argument("--n-obs", dest="n_obs", type=int, default=None)
-            sp.add_argument("--n-features", dest="n_features", type=int, default=None)
-            sp.add_argument("--lr-scale", dest="lr_scale", type=float, default=None)
-        if name == "flow":
-            sp.add_argument("--family", default=None, help="entropy | hyperbolic")
-            sp.add_argument("--n", type=int, default=None)
-            sp.add_argument("--method", default=None)
-            sp.add_argument("--step", type=float, default=None)
+        for opt, default in options.items():
+            flag = "--schedule" if opt == "kind" else "--" + opt.replace("_", "-")
+            sp.add_argument(flag, dest=opt, type=type(default), default=None,
+                            help=f"{_HELP.get(opt, '')} (default {default!r})")
     return top
 
 
@@ -716,23 +665,10 @@ def main(argv=None):
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    handlers = {
-        ("verify", "commuting"): cmd_verify_commuting,
-        ("verify", "equivalence"): cmd_verify_equivalence,
-        ("verify", "contracting"): cmd_verify_contracting,
-        ("verify", "optimality"): cmd_verify_optimality,
-        ("run", "sensing"): cmd_run_sensing,
-        ("run", "diagonal"): cmd_run_diagonal,
-        ("run", "sparse-coding"): cmd_run_sparse_coding,
-        ("run", "flow"): cmd_run_flow,
-    }
-    key = (args.command, getattr(args, "check", None) or getattr(args, "experiment", None))
+    handler, section, options = COMMANDS[args.command, args.name]
     try:
-        return handlers[key](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InputError as exc:
+        return handler(args, _merged(args, options, section))
+    except (UsageError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DivergedError, DomainExitError) as exc:

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 import weakref
@@ -87,13 +88,23 @@ def test_verify_contracting_cli():
     assert main(bad + ["--expect-fail"]) == EXIT_OK
 
 
-def test_verify_flags_only_where_read():
-    # optimality reads neither --tol nor --expect-fail, and equivalence does
-    # not read --expect-fail: passing them is a usage error, not a no-op
+def test_flags_only_where_read(tmp_path):
+    # optimality reads neither --tol nor --expect-fail, equivalence does not
+    # read --expect-fail, flow takes --step, not --steps or --eta, and sparse
+    # coding takes --lr-scale, not --eta: passing them is a usage error, not a
+    # no-op
     assert main(["verify", "optimality", "--case", "diagonal", "--seed", "2",
                  "--tol", "1e-30"]) == EXIT_USAGE
     assert main(["verify", "optimality", "--case", "diagonal", "--expect-fail"]) == EXIT_USAGE
     assert main(["verify", "equivalence", "--expect-fail"]) == EXIT_USAGE
+    out = ["--out", str(tmp_path)]
+    assert main(["run", "flow", "--steps", "3"] + out) == EXIT_USAGE
+    assert main(["run", "flow", "--eta", "99"] + out) == EXIT_USAGE
+    assert main(["run", "sparse-coding", "--eta", "99"] + out) == EXIT_USAGE
+    assert list(tmp_path.iterdir()) == []
+    # every run command keeps --jobs, which only a sensing seed sweep reads
+    for name in ("sensing", "diagonal", "sparse-coding", "flow"):
+        assert cli._parser().parse_args(["run", name, "--jobs", "1"] + out).jobs == 1
 
 
 def run_small_sensing(tmp_path, extra=()):
@@ -282,11 +293,14 @@ def test_diagonal_summary_has_kkt_field(tmp_path):
     (["run", "sensing"], "abc", None),
     (["run", "sensing", "--seeds", "0,x"], None, None),
     (["run", "flow"], None, "[flow]\nn = abc\n"),
+    (["run", "flow"], None, "[flow]\nn = inf\n"),
+    (["run", "flow"], None, "[flow]\nstpes = 3\n"),
     (["verify", "commuting", "--n", "0"], None, None),
     (["verify", "commuting", "--n", "-2"], None, None),
 ], ids=["diagonal-record-every-0", "diagonal-steps-0", "sparse-coding-k-0", "sensing-m-0",
         "sensing-n-0", "flow-n-0", "sparse-coding-n-features-0", "env-seed-abc", "seeds-0-x",
-        "config-n-abc", "commuting-n-0", "commuting-n-negative"])
+        "config-n-abc", "config-n-inf", "config-typo-stpes", "commuting-n-0",
+        "commuting-n-negative"])
 def test_bad_input_exits_2_with_an_error_line(tmp_path, monkeypatch, capsys, argv, env_seed,
                                               config):
     if env_seed is not None:
@@ -308,13 +322,43 @@ def test_bad_input_exits_2_with_an_error_line(tmp_path, monkeypatch, capsys, arg
     (["run", "sensing", "--eta", "nan"], "eta"),
     (["run", "diagonal", "--eta", "nan"], "eta"),
     (["run", "sparse-coding", "--lr-scale", "nan"], "lr_scale"),
+    (["verify", "contracting", "--a-min", "nan", "--grid", "5"], "a_min"),
+    (["verify", "equivalence", "--tol", "nan"], "tol"),
+    (["verify", "commuting", "--tol", "nan"], "tol"),
+    (["verify", "optimality", "--kkt-tol", "nan"], "kkt_tol"),
+    (["verify", "optimality", "--oracle-tol", "inf"], "oracle_tol"),
 ], ids=["flow-step", "equivalence-step", "flow-t-end-inf", "sensing-beta", "flow-alpha0",
-        "sensing-eta", "diagonal-eta", "sparse-coding-lr-scale"])
+        "sensing-eta", "diagonal-eta", "sparse-coding-lr-scale", "contracting-a-min",
+        "equivalence-tol", "commuting-tol", "optimality-kkt-tol", "optimality-oracle-tol-inf"])
 def test_non_finite_numbers_exit_2_naming_the_option(tmp_path, capsys, argv, option):
     # NaN passes every `<= 0` range check, so each config tests finiteness first
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert f"error: {option} must be finite" in err and "Traceback" not in err
+
+
+def test_config_key_outside_the_options_names_its_section(tmp_path, capsys):
+    # a typo in the command's own section is an error; [schedule] is shared
+    # by every command, so keys a command does not read pass there
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("[flow]\nstpes = 3\n")
+    assert main(["run", "flow", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+    assert "error: [flow] stpes" in capsys.readouterr().err
+    cfg.write_text("[schedule]\nkind = constant\nsteps = 3\n[sensing]\nseed = 1\n")
+    assert main(["run", "flow", "--config", str(cfg), "--out", str(tmp_path),
+                 "--t-end", "0.01"]) == EXIT_OK
+
+
+def test_readme_command_lines_parse():
+    # every example of README's "Command line" block names only flags its
+    # command declares
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("mirrorlab ")]
+    assert len(lines) >= 8
+    for line in lines:
+        cli._parser().parse_args(shlex.split(line)[1:])
 
 
 def _rowwise_csv(report):
