@@ -340,7 +340,8 @@ def cmd_verify_optimality(args, opts):
         p = reparam.DeepHadamard([np.zeros(n), np.ones(n)])
         fam = legendre.HyperbolicEntropy.from_hadamard(np.zeros(n), np.ones(n))
         sched = Schedule("turnoff", 2.0, turnoff_time=1.0, t_end=120.0)
-        traj = run_param_flow(p, loss, sched, IntegratorConfig("rk4", 5e-3, 120.0, record_every=4000))
+        traj = run_param_flow(p, loss, sched,
+                              IntegratorConfig("dopri5", 5e-3, 120.0, record_every=4000))
         x_inf = traj.x[-1]
     elif opts["case"] == "sensing":
         n, m, beta = 8, 4, 0.1
@@ -355,7 +356,8 @@ def cmd_verify_optimality(args, opts):
         p = reparam.SymFactor(np.sqrt(beta) * np.eye(n))
         fam = legendre.Entropy(beta * np.ones(n))
         sched = Schedule("turnoff", 2.0, turnoff_time=0.5, t_end=150.0)
-        traj = run_param_flow(p, loss, sched, IntegratorConfig("rk4", 5e-3, 150.0, record_every=4000))
+        traj = run_param_flow(p, loss, sched,
+                              IntegratorConfig("dopri5", 5e-3, 150.0, record_every=4000))
         x_inf = np.diag(traj.x[-1].reshape(n, n))
     else:
         raise UsageError(f"unknown optimality case {opts['case']!r}")
@@ -425,17 +427,23 @@ def _write_sensing_runs(out, results, jobs, plot):
 
 def _write_sensing_seed(out, rep, wall, cfg, plot):
     """One seed's CSV, summary, plots and console line; whether it diverged."""
-    kkt = None
-    if cfg.sensing_kind == "commuting-diagonal" and not rep.diverged:
+    extra = {"kkt_residual": None}
+    if cfg.sensing_kind == "commuting-diagonal":
         # only commuting-diagonal runs attach an eigenvalue potential
         _, A, _, _ = make_sensing_problem(cfg)
         diag = np.arange(cfg.n)
-        lam = np.maximum(np.diag(rep.final_x.reshape(cfg.n, cfg.n)), 1e-300)
-        kkt = _kkt_or_none(A[:, diag, diag], lam, legendre.Entropy(cfg.beta * np.ones(cfg.n)),
-                           float(rep.a[-1]))
+        Z = A[:, diag, diag]
+        # a design of full column rank has one interpolant, where the KKT
+        # condition holds trivially; kkt_residual needs full row rank, so it
+        # is null for such a design with more rows than columns
+        extra["unique_interpolant"] = bool(np.linalg.matrix_rank(Z) == cfg.n)
+        if not rep.diverged:
+            lam = np.maximum(np.diag(rep.final_x.reshape(cfg.n, cfg.n)), 1e-300)
+            fam = legendre.Entropy(cfg.beta * np.ones(cfg.n))
+            extra["kkt_residual"] = _kkt_or_none(Z, lam, fam, float(rep.a[-1]))
     stem = os.path.join(out, f"sensing_seed{cfg.seed}")
     write_trajectory_csv(stem + ".csv", rep)
-    write_summary(stem + "_summary.json", rep, cfg.seed, wall, extra={"kkt_residual": kkt})
+    write_summary(stem + "_summary.json", rep, cfg.seed, wall, extra=extra)
     if plot:
         line_plot(stem + "_loss.svg",
                   [("train loss", rep.times, rep.metrics["train_loss"]),

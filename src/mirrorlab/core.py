@@ -164,7 +164,13 @@ def _check_time(t):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step integrator settings shared by the parameter and mirror flows."""
+    """Integrator settings shared by the parameter and mirror flows.
+
+    "euler" and "rk4" take fixed steps of ``step`` (adjusted to land on
+    ``t_end``); "dopri5" takes error-controlled steps that land on the same
+    record times, with ``step`` as its first trial step and the scale of its
+    step floor.
+    """
 
     method: str = "rk4"
     step: float = 1e-3
@@ -172,8 +178,8 @@ class IntegratorConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.method not in ("euler", "rk4"):
-            raise InputError(f"method must be 'euler' or 'rk4', got {self.method!r}")
+        if self.method not in ("euler", "rk4", "dopri5"):
+            raise InputError(f"method must be 'euler', 'rk4' or 'dopri5', got {self.method!r}")
         check_finite(step=self.step, t_end=self.t_end)
         if self.step <= 0:
             raise InputError("step must be positive")

@@ -1,13 +1,18 @@
 """Time integration of regularized parameter flows and their dual mirror flows.
 
-Two flows are implemented over one fixed-step Euler/RK4 engine, ``_integrate``,
-which the experiment runners share.  The engine also keeps every run's
-record: a per-snapshot hook returns named values, which the engine holds by
-reference in a block of up to ``RECORD_BLOCK`` snapshots.  A full block, and
-the last one, is stacked name by name, passed through the run's optional
-finisher, which computes statistics of the stacked states in one call per
-block, and written with the step index and time into one preallocated table
-per column.  A hook must therefore not modify a value after returning it.
+Two flows are implemented over one engine, ``_integrate``, which the
+experiment runners share.  It steps by fixed-step Euler or RK4, or by
+"dopri5", Dormand & Prince's error-controlled 5(4) pair (tolerances
+``RTOL`` and ``ATOL``), whose steps land on every record time of the fixed
+grid and on the schedule's turn-off time; the runners take Euler steps of
+their learning rate, and ``verify optimality`` runs dopri5.  The engine also
+keeps every run's record: a per-snapshot hook returns named values, which
+the engine holds by reference in a block of up to ``RECORD_BLOCK``
+snapshots.  A full block, and the last one, is stacked name by name, passed
+through the run's optional finisher, which computes statistics of the
+stacked states in one call per block, and written with the step index and
+time into one preallocated table per column.  A hook must therefore not
+modify a value after returning it.
 
 
 * parameter space:  dw = -(Jg(w)^T grad_f(g(w)) + alpha_t grad_h(w)) dt
@@ -46,6 +51,29 @@ _FAST_SQUARED_BOUND = 0.5 * DIVERGENCE_LIMIT ** 2
 # record_every=50) peaks at the traced memory of one write per snapshot;
 # 64 is no faster and adds 0.2 MB to that peak
 RECORD_BLOCK = 32
+
+# error control of the "dopri5" method: tolerances per entry, and the
+# smallest step as a fraction of the nominal step h.  No step is shorter than
+# the floor, so a run takes at most 1000 times the steps of its fixed grid;
+# the smallest step of the optimality flows, seeds 0-4, is 0.047 h
+RTOL = 1e-12
+ATOL = 1e-14
+STEP_FLOOR = 1e-3
+# Dormand & Prince's 5(4) pair (J. Comput. Appl. Math. 6, 1980): the stage
+# matrix, whose last row is the fifth-order weights, so that the seventh stage
+# is the field at the new state; the stage times; and the error weights,
+# fifth- minus fourth-order
+_DP_A = np.array([
+    [0, 0, 0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
+])
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
 
 class QuadraticLoss:
@@ -134,8 +162,9 @@ class ZeroLoss:
         return np.zeros(self.n)
 
 
-def _integrate(rhs, state0, n_steps, h, record_every, record, method="euler", finish=None):
-    """Fixed-step Euler/RK4 on the grid t_k = k h with a divergence guard.
+def _integrate(rhs, state0, n_steps, h, record_every, record, method="euler", finish=None,
+               breaks=()):
+    """Euler, RK4 or Dormand-Prince 5(4) over the grid t_k = k h with a divergence guard.
 
     ``rhs(t, state, left_limit)`` is the vector field.  ``record(k, t, state)``
     sees the initial state, every ``record_every``-th step and the last step,
@@ -147,6 +176,13 @@ def _integrate(rhs, state0, n_steps, h, record_every, record, method="euler", fi
     the record grid.  The guard first tries one dot product,
     ``new . new <= DIVERGENCE_LIMIT**2 / 2``, and only a state that fails it
     pays for the exact ``max |new_i| <= DIVERGENCE_LIMIT``.
+
+    Euler and RK4 take the ``n_steps`` steps of size ``h``.  "dopri5" takes
+    error-controlled steps (``_dopri5``) that land exactly on every record
+    time k h of that grid and on every time in ``breaks``, where the field
+    may jump or kink; the fixed methods ignore ``breaks``.  Its records have
+    the same "step" and "t" columns as RK4's, and the guard and the status
+    of an early exit are the same.
 
     The record is written a block of up to ``RECORD_BLOCK`` snapshots at a
     time.  The block holds each hook row by reference, so a hook must not
@@ -221,33 +257,138 @@ def _integrate(rhs, state0, n_steps, h, record_every, record, method="euler", fi
     status = None
     try:
         snapshot(0, t, state)
-        for k in range(1, n_steps + 1):
-            if method == "euler":
-                new = state + h * rhs(t, state, False)
-            else:
-                # the final stage sits on the next grid node, where a schedule
-                # may jump; evaluate its left limit there to integrate each
-                # smooth segment at full order
-                k1 = rhs(t, state, False)
-                k2 = rhs(t + 0.5 * h, state + 0.5 * h * k1, False)
-                k3 = rhs(t + 0.5 * h, state + 0.5 * h * k2, False)
-                k4 = rhs(t + h, state + h * k3, True)
-                new = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            # the dot clears almost every state; NaN, inf and large entries
-            # fall through to the exact test, which NaN fails too
-            if (not new.dot(new) <= _FAST_SQUARED_BOUND
-                    and not np.abs(new).max() <= DIVERGENCE_LIMIT):
-                state, status = new, ("diverged", t, None)
-                break
-            state, t = new, k * h
-            if k % record_every == 0 or k == n_steps:
-                snapshot(k, t, state)
+        if method == "dopri5":
+            for t_new, new, k in _dopri5(rhs, state, n_steps, h, record_every, breaks):
+                if _runaway(new):
+                    state, status = new, ("diverged", t, None)
+                    break
+                state, t = new, t_new
+                if k is not None:
+                    snapshot(k, t, state)
+        else:
+            for k in range(1, n_steps + 1):
+                if method == "euler":
+                    new = state + h * rhs(t, state, False)
+                else:
+                    # the final stage sits on the next grid node, where a
+                    # schedule may jump; evaluate its left limit there to
+                    # integrate each smooth segment at full order
+                    k1 = rhs(t, state, False)
+                    k2 = rhs(t + 0.5 * h, state + 0.5 * h * k1, False)
+                    k3 = rhs(t + 0.5 * h, state + 0.5 * h * k2, False)
+                    k4 = rhs(t + h, state + h * k3, True)
+                    new = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if _runaway(new):
+                    state, status = new, ("diverged", t, None)
+                    break
+                state, t = new, k * h
+                if k % record_every == 0 or k == n_steps:
+                    snapshot(k, t, state)
     except DomainError as exc:
         status = ("domain", t, exc)
     flush()
     if filled < rows:
         tables = {name: col[:filled].copy() for name, col in tables.items()}
     return state, status, tables
+
+
+def _runaway(new):
+    """Whether a step's state left the finite range or exceeds DIVERGENCE_LIMIT.
+
+    The dot clears almost every state; NaN, inf and large entries fall
+    through to the exact test, which NaN fails too."""
+    return not new.dot(new) <= _FAST_SQUARED_BOUND and not np.abs(new).max() <= DIVERGENCE_LIMIT
+
+
+def _landings(n_steps, h, record_every, breaks):
+    """The times an adaptive run must land on, in order, as (t, k, is_break):
+    every record time t = k h of the fixed grid, with its step index k, and
+    every break in (0, n_steps h], with k None unless it is a record time."""
+    nodes = list(range(record_every, n_steps, record_every)) + [n_steps]
+    cuts = sorted({float(b) for b in breaks if 0.0 < b <= n_steps * h}, reverse=True)
+    for k in nodes:
+        t = k * h
+        while cuts and cuts[-1] < t:
+            yield cuts.pop(), None, True
+        on_break = bool(cuts) and cuts[-1] == t
+        if on_break:
+            cuts.pop()
+        yield t, k, on_break
+
+
+def _dopri5(rhs, y, n_steps, h, record_every, breaks):
+    """The accepted steps of Dormand-Prince 5(4), as (t, state, k).
+
+    k is the step index of a record time of the fixed grid and None between
+    them.  A step is accepted when the RMS norm of its error estimate,
+    relative to ``ATOL + RTOL * max(|y|, |y_new|)`` per entry, is at most 1;
+    the next step is ``0.9 err^(-1/5)`` times this one, within [0.2, 5].  A
+    stage that raises DomainError, or is not finite, rejects the step, which
+    is retried at 0.2 of its size.  Steps never shrink below ``STEP_FLOOR *
+    h``, and a step of the floor's size is taken whatever its error: there
+    the caller's guard stops a runaway state, and a DomainError propagates,
+    as on a fixed step.
+
+    A step that ends on a break evaluates its two stages at the right end,
+    where a schedule may jump, with ``left_limit`` set, and the next step
+    evaluates the field afresh there; every other step reuses its last stage
+    as the next one's first (first same as last).
+    """
+    floor = STEP_FLOOR * h
+    K = np.empty((7, y.size))
+    t, dt, fresh = 0.0, h, True
+    for t_next, k, is_break in _landings(n_steps, h, record_every, breaks):
+        while t < t_next:
+            lands = t + dt >= t_next
+            step = t_next - t if lands else dt
+            t_new = t_next if lands else t + dt
+            left = lands and is_break
+            if fresh:
+                K[0] = rhs(t, y, False)
+            try:
+                # a trial step may overflow or divide by an underflowed value;
+                # its non-finite error rejects it
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    new, err = _dopri5_step(rhs, t, y, K, step, t_new, left)
+            except DomainError:
+                if step <= floor:
+                    raise
+                err = np.inf
+            fresh = False
+            if not err <= 1.0 and step > floor:
+                dt = max(floor, step * _step_factor(err))
+                continue
+            yield t_new, new, k if lands else None
+            # a step cut short to land keeps the size it was proposed at
+            dt = max(floor, step * _step_factor(err), dt if lands else 0.0)
+            t, y = t_new, new
+            fresh = left
+            if not fresh:
+                K[0] = K[6]
+
+
+def _dopri5_step(rhs, t, y, K, dt, t_new, left):
+    """One Dormand-Prince step of size dt from (t, y), K[0] holding the field
+    at (t, y): fills K[1:] and returns the new state and the squared RMS norm
+    of the scaled error estimate."""
+    dtA = dt * _DP_A
+    for i in range(1, 7):
+        stage = y + dtA[i, :i] @ K[:i]
+        # the last two stages sit at the right end, t_new exactly
+        K[i] = rhs(t_new, stage, left) if i >= 5 else rhs(t + _DP_C[i] * dt, stage, False)
+    new = stage  # the seventh stage is evaluated at the fifth-order solution
+    scaled = (dt * _DP_E) @ K / (ATOL + RTOL * np.maximum(np.abs(y), np.abs(new)))
+    return new, float(scaled.dot(scaled)) / scaled.size
+
+
+def _step_factor(err):
+    """The next step over this one, ``0.9 err^(-1/5)`` within [0.2, 5], for
+    the squared RMS error norm ``err``; 0.2 when ``err`` is not finite."""
+    if err == 0.0:
+        return 5.0
+    if not err < np.inf:
+        return 0.2
+    return min(5.0, max(0.2, 0.9 * err ** -0.1))
 
 
 def _stack(name, values, steps, shape):
@@ -265,6 +406,12 @@ def _stack(name, values, steps, shape):
             raise ValueError(f"record at step {k} returned {name!r} of shape "
                              f"{np.shape(value)}, expected {shape}")
     return np.array(values, dtype=float)  # every shape fits: raise the conversion's error
+
+
+def _breaks(schedule):
+    """Where a schedule's strength jumps or kinks: its turn-off time, for
+    every kind but constant."""
+    return () if schedule.kind == "constant" else (schedule.turnoff_time,)
 
 
 def run_param_flow(p, loss, schedule: Schedule, cfg: IntegratorConfig) -> Trajectory:
@@ -288,7 +435,8 @@ def run_param_flow(p, loss, schedule: Schedule, cfg: IntegratorConfig) -> Trajec
             row["unit_region"] = 1.0 if p._inside_unit_region(w) else 0.0
         return row
 
-    _, status, rec = _integrate(rhs, p.w_init, *cfg.grid(), cfg.record_every, record, cfg.method)
+    _, status, rec = _integrate(rhs, p.w_init, *cfg.grid(), cfg.record_every, record, cfg.method,
+                                breaks=_breaks(schedule))
     traj = Trajectory(
         times=rec["t"],
         a=schedule.a(rec["t"]),
@@ -321,7 +469,8 @@ def run_mirror_flow(family, loss, schedule: Schedule, cfg: IntegratorConfig) -> 
         x = family._dual_map(schedule.a(t), mu)
         return {"mu": mu, "x": x, "train_loss": loss._value(x)}
 
-    _, status, rec = _integrate(rhs, mu0, *cfg.grid(), cfg.record_every, record, cfg.method)
+    _, status, rec = _integrate(rhs, mu0, *cfg.grid(), cfg.record_every, record, cfg.method,
+                                breaks=_breaks(schedule))
     traj = Trajectory(
         times=rec["t"],
         a=schedule.a(rec["t"]),

@@ -144,8 +144,9 @@ def _solve_dual(family, a, Z, Y, tol, max_iter):
         if not np.all(np.isfinite(step)):
             raise np.linalg.LinAlgError("non-finite Newton step")
         t = 1.0
-        # an overflowing candidate is rejected by the finiteness test
-        with np.errstate(over="ignore", invalid="ignore"):
+        # an overflowing candidate, or one whose dual map divides by an
+        # underflowed exp, is rejected by the finiteness test
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             while t > 1e-14:
                 cand = nu - t * step
                 try:

@@ -245,6 +245,35 @@ def test_run_flow_labels_rows_with_their_step(tmp_path):
     assert [row.split(",")[0] for row in rows] == ["0", "3", "5"]
 
 
+def test_run_flow_dopri5_records_the_rk4_rows(tmp_path):
+    rows = {}
+    for method in ("rk4", "dopri5"):
+        out = tmp_path / method
+        args = ["run", "flow", "--out", str(out), "--family", "hyperbolic", "--method", method,
+                "--schedule", "turnoff", "--turnoff-time", "0.37", "--t-end", "1.0",
+                "--step", "0.01", "--record-every", "7", "--seed", "0"]
+        assert main(args) == EXIT_OK
+        lines = (out / "flow_hyperbolic_seed0.csv").read_text().splitlines()
+        rows[method] = [line.split(",")[:2] for line in lines]
+    # the same step and t columns, bit for bit
+    assert rows["dopri5"] == rows["rk4"]
+
+
+@pytest.mark.parametrize("kind, m, unique", [("commuting-diagonal", 15, True),
+                                             ("commuting-diagonal", 4, False),
+                                             ("random-symmetric", 15, None)])
+def test_sensing_summary_says_when_the_interpolant_is_unique(tmp_path, kind, m, unique):
+    # a commuting-diagonal design with more rows than columns has full column
+    # rank, so its one interpolant needs no KKT residual
+    args = ["run", "sensing", "--out", str(tmp_path), "--n", "6", "--r", "2", "--m", str(m),
+            "--steps", "80", "--record-every", "20", "--sensing-kind", kind,
+            "--schedule", "constant", "--alpha0", "0.0", "--t-end", "20", "--seed", "0"]
+    assert main(args) == EXIT_OK
+    summary = json.loads((tmp_path / "sensing_seed0_summary.json").read_text())
+    assert summary.get("unique_interpolant") is unique
+    assert (summary["kkt_residual"] is None) is (unique is not False)
+
+
 def test_config_file_drives_run(tmp_path):
     cfg = tmp_path / "sensing.cfg"
     cfg.write_text("[sensing]\nn = 6\nr = 2\nm = 15\nsteps = 80\nrecord_every = 20\n"

@@ -8,8 +8,8 @@ from mirrorlab import (DiffPowers, Entropy, HyperbolicEntropy, InputError,
                        LogRatio, RegressionConfig, Schedule, SensingConfig,
                        SparseCodingConfig, constrained_argmin,
                        diagonal_network_run, kkt_residual, make_dictionary,
-                       make_rng, make_sensing_problem, matrix_sensing_run,
-                       nuclear_frobenius_ratio, nuclear_norm,
+                       make_regression_problem, make_rng, make_sensing_problem,
+                       matrix_sensing_run, nuclear_frobenius_ratio, nuclear_norm,
                        sensing_eigen_bias, sparse_coding_run,
                        stationarity_step)
 
@@ -239,6 +239,18 @@ def test_kkt_residual_rank_deficient():
     Z = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
     with pytest.raises(InputError):
         kkt_residual(Z, np.ones(3), ent, -0.5)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a", [-4.0, -8.0, -12.0])
+def test_constrained_argmin_runs_under_warnings_as_errors(a):
+    # on the default diagonal problem, Newton trial points underflow exp(2 mu)
+    # in the hyperbolic dual map, which divides by it; the line search
+    # rejects them as non-finite without a warning
+    Z, y, _ = make_regression_problem(RegressionConfig())
+    fam = HyperbolicEntropy.from_hadamard(np.zeros(Z.shape[1]), np.ones(Z.shape[1]))
+    x = constrained_argmin(fam, a, Z, y)
+    assert np.max(np.abs(Z @ x - y)) < 1e-10
 
 
 def test_constrained_argmin_matches_scipy():

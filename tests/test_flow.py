@@ -145,6 +145,62 @@ def test_step_halving_rk4_order():
     assert e2 <= e1 / 4.0
 
 
+# 0.6137 is not a node of the grids below, so the steps must land on it
+@pytest.mark.parametrize("kind, turnoff", [("constant", 0.0), ("turnoff", 0.6137),
+                                           ("linear-decay", 0.6137), ("cosine-decay", 0.6137)])
+@pytest.mark.parametrize("flow_kind", ["param", "mirror"])
+def test_dopri5_matches_the_closed_form_drifts(kind, turnoff, flow_kind):
+    # zero loss: weight decay gives w_t = w_0 exp(a_t), and the mirror flow
+    # x_t = x_0 exp(2 a_t)
+    sched = Schedule(kind, 0.7, turnoff_time=turnoff, t_end=2.0)
+    cfg = IntegratorConfig("dopri5", 1e-2, 2.0, record_every=7)
+    if flow_kind == "param":
+        p = Hadamard([1.0, 2.0], [0.5, -0.4])
+        traj = run_param_flow(p, ZeroLoss(2), sched, cfg)
+        got, expected = traj.params, p.w_init[None, :] * np.exp(traj.a)[:, None]
+    else:
+        x0 = np.array([1.0, 2.0])
+        traj = run_mirror_flow(Entropy(x0), ZeroLoss(2), sched, cfg)
+        got, expected = traj.x, x0[None, :] * np.exp(2.0 * traj.a)[:, None]
+    assert traj.steps.tolist() == list(range(0, 200, 7)) + [200]
+    assert np.max(np.abs(got - expected)) <= 1e-11
+
+
+def test_dopri5_records_the_step_and_time_columns_of_rk4():
+    p = Hadamard([1.4, 1.1], [0.3, -0.5])
+    loss = quad_loss(2, seed=6)
+    sched = Schedule("turnoff", 0.5, turnoff_time=0.6137, t_end=1.3)
+    trajs = [run_param_flow(p, loss, sched, IntegratorConfig(method, 1e-2, 1.3, record_every=7))
+             for method in ("rk4", "dopri5")]
+    h = IntegratorConfig("dopri5", 1e-2, 1.3).grid()[1]
+    assert trajs[1].steps.tolist() == trajs[0].steps.tolist()
+    assert trajs[1].times.tobytes() == trajs[0].times.tobytes()
+    assert trajs[1].times.tolist() == [k * h for k in trajs[1].steps.tolist()]
+    # RK4 straddles the turn-off jump, so it is first-order accurate here
+    assert np.max(np.abs(trajs[1].x - trajs[0].x)) < 1e-2
+
+
+def test_dopri5_lands_on_record_times_and_breaks_inside_the_run():
+    # a break on a record time marks it; one past the end, at 0 or repeated is dropped
+    assert list(flow._landings(10, 0.1, 4, (0.25, 0.8, 0.8, 5.0, 0.0))) == [
+        (0.25, None, True), (0.4, 4, False), (0.8, 8, True), (1.0, 10, False)]
+
+
+def test_dopri5_log_cosh_run_that_leaves_its_domain_ends_with_domain_status():
+    # a nearly constant pull (M tiny, target huge) carries mu across the upper
+    # end of the log-cosh domain at t ~ 0.465; rejected steps close in on it
+    lc = LogCosh(np.array([1.0, 1.2]), np.array([0.9, 1.1]))
+    loss = QuadraticLoss(1e-6 * np.eye(2), np.array([1e6, -1e6]))
+    sched = Schedule("turnoff", 0.2, turnoff_time=0.3, t_end=4.0)
+    exits = []
+    for method in ("rk4", "dopri5"):
+        with pytest.raises(DomainExitError) as exc_info:
+            run_mirror_flow(lc, loss, sched, IntegratorConfig(method, 1e-2, 4.0, record_every=5))
+        exits.append(exc_info.value)
+    assert exits[1].trajectory.steps.tolist() == exits[0].trajectory.steps.tolist()
+    assert exits[0].time <= exits[1].time < exits[0].time + 1e-2
+
+
 def test_riemannian_residual_classical_case():
     ent = Entropy(np.array([0.8, 1.3]))
     loss = QuadraticLoss(np.eye(2), np.array([1.5, 0.6]))
@@ -192,18 +248,27 @@ def test_divergence_guard():
     assert err.trajectory is not None and err.last_valid_time < 40.0
 
 
-@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("method", ["euler", "rk4", "dopri5"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 100.0 * DIVERGENCE_LIMIT])
 def test_integrate_stops_on_nonfinite_or_huge_state(bad, method):
     def rhs(t, state, left_limit):
         return np.array([0.0, bad if t >= 1.0 else 0.0])
 
     state, status, records = _integrate(rhs, np.ones(2), 10, 0.5, 1, lambda k, t, s: {}, method)
-    # RK4's last stage of the step from t = 0.5 already samples t = 1
-    last_ok = 2 if method == "euler" else 1
-    assert status == ("diverged", 0.5 * last_ok, None)
-    assert records["step"].tolist() == list(range(last_ok + 1))
     assert not np.abs(state[1]) <= DIVERGENCE_LIMIT
+    if method == "dopri5":
+        # rejected steps close in on t = 1 down to the step floor, where a
+        # non-finite stage stops the run; a huge finite field is stepped
+        # across at the floor, onto the record time t = 1, and runs away after
+        floor = flow.STEP_FLOOR * 0.5
+        last_ok = 2 if np.isfinite(bad) else 1
+        assert status[0] == "diverged" and status[2] is None
+        assert (1.0 < status[1] < 1.1) if np.isfinite(bad) else (1.0 - floor <= status[1] < 1.0)
+    else:
+        # RK4's last stage of the step from t = 0.5 already samples t = 1
+        last_ok = 2 if method == "euler" else 1
+        assert status == ("diverged", 0.5 * last_ok, None)
+    assert records["step"].tolist() == list(range(last_ok + 1))
 
 
 def test_integrate_accepts_states_at_the_divergence_limit():
@@ -216,7 +281,7 @@ def test_integrate_accepts_states_at_the_divergence_limit():
     assert state.tolist() == [DIVERGENCE_LIMIT, -DIVERGENCE_LIMIT]
 
 
-@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("method", ["euler", "rk4", "dopri5"])
 def test_integrate_accepts_many_entries_near_the_limit(method):
     # the squared norm, 10 * 0.81 * LIMIT**2, fails the one-dot bound, so the
     # exact per-entry test decides, and every entry is inside the limit
@@ -229,7 +294,7 @@ def test_integrate_accepts_many_entries_near_the_limit(method):
     assert state.tolist() == state0.tolist()
 
 
-@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("method", ["euler", "rk4", "dopri5"])
 def test_integrate_rejects_one_entry_just_past_the_limit(method):
     state0 = np.zeros(50)
     state0[17] = np.nextafter(DIVERGENCE_LIMIT, np.inf)
