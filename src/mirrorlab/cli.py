@@ -289,7 +289,7 @@ def cmd_verify_equivalence(args, opts):
     # checks the classical, undecayed case
     kind, alpha0 = ("constant", 0.0) if opts["family"] == "diff-powers" else ("turnoff", 0.5)
     sched = Schedule(kind, alpha0, turnoff_time=1.0, t_end=opts["t_end"])
-    cfg = IntegratorConfig("rk4", opts["step"], opts["t_end"], record_every=10)
+    cfg = IntegratorConfig("dopri5", opts["step"], opts["t_end"], record_every=10)
     report = verify_equivalence(p, family, loss, sched, cfg, tol=opts["tol"])
     print(f"pair {report.pair}: max deviation {report.max_deviation:.3e} "
           f"(tol {report.tol:.1e}) over {report.n_points} points -> "
@@ -631,7 +631,8 @@ COMMANDS = {
 }
 
 _HELP = {"kind": "schedule kind: constant|turnoff|linear-decay|cosine-decay",
-         "seeds": "comma-separated seed sweep", "dictionary": "headerless CSV matrix"}
+         "seeds": "comma-separated seed sweep", "dictionary": "headerless CSV matrix",
+         "step": "fixed step; for dopri5 the record grid and first trial step"}
 
 
 def build_parser():

@@ -5,20 +5,21 @@ experiment runners share.  It steps by fixed-step Euler or RK4, or by
 "dopri5", Dormand & Prince's error-controlled 5(4) pair (tolerances
 ``RTOL`` and ``ATOL``), whose steps land on every record time of the fixed
 grid and on the schedule's turn-off time; the runners take Euler steps of
-their learning rate, and ``verify optimality`` runs dopri5.  The engine also
-keeps every run's record: a per-snapshot hook returns named values, which
-the engine holds by reference in a block of up to ``RECORD_BLOCK``
-snapshots.  A full block, and the last one, is stacked name by name, passed
-through the run's optional finisher, which computes statistics of the
-stacked states in one call per block, and written with the step index and
-time into one preallocated table per column.  A hook must therefore not
-modify a value after returning it.
+their learning rate, and ``verify optimality`` and ``verify equivalence``
+run dopri5.  The engine also keeps every run's record: a per-snapshot hook
+returns named values, which the engine holds by reference in a block of up
+to ``RECORD_BLOCK`` snapshots.  A full block, and the last one, is stacked
+name by name, passed through the run's optional finisher, which computes
+statistics of the stacked states in one call per block, and written with
+the step index and time into one preallocated table per column.  A hook
+must therefore not modify a value after returning it.
 
 
 * parameter space:  dw = -(Jg(w)^T grad_f(g(w)) + alpha_t grad_h(w)) dt
 * dual space:       dmu = -grad_f(Q_{a_t}(mu)) dt,  x_t = Q_{a_t}(mu_t), mu_0 = 0
 
-``verify_equivalence`` drives both on the same grid and reports the sup
+``verify_equivalence`` drives both with one integrator config, so with any
+method they are compared at the same record times, and reports the sup
 deviation of the model-space iterates; it is the executable form of the
 equivalence between the two descriptions.
 

@@ -344,9 +344,7 @@ class QuadraticCommuting(Parameterization):
         self.B = sym(B)
 
     def _g(self, w):
-        half = 0.5 * w
-        # one dot per row: a single gemv over the rows rounds differently
-        return np.array([half @ Aw for Aw in self.A @ w])
+        return (self.A @ w) @ (0.5 * w)
 
     def _h(self, w):
         return float(0.5 * w @ (self.B @ w))

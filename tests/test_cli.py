@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shlex
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 import mirrorlab
-from mirrorlab import ExperimentReport, cli, make_rng
+from mirrorlab import (ExperimentReport, IntegratorConfig, Schedule, cli, make_rng,
+                       verify_equivalence)
 from mirrorlab.cli import (EXIT_DIVERGED, EXIT_FAIL, EXIT_OK, EXIT_USAGE,
                            CSV_COLUMNS, UsageError, load_matrix, main,
                            parse_config, save_matrix, write_trajectory_csv)
@@ -71,6 +73,32 @@ def test_matrix_roundtrip_17_digits(tmp_path):
 def test_verify_equivalence_exit_codes():
     assert main(["verify", "equivalence", "--family", "hadamard",
                  "--t-end", "1.0", "--step", "0.002"]) == EXIT_OK
+
+
+EQUIVALENCE_FAMILIES = ["hadamard", "entropy", "quadratic", "diff-powers"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("family", EQUIVALENCE_FAMILIES)
+def test_verify_equivalence_default_checks_401_points_tightly(tmp_path, family, seed):
+    assert main(["verify", "equivalence", "--family", family, "--seed", str(seed),
+                 "--out", str(tmp_path)]) == EXIT_OK
+    report = json.loads((tmp_path / "equivalence_report.json").read_text())
+    assert report["n_points"] == 401
+    assert report["max_deviation"] <= 1e-9
+
+
+@pytest.mark.parametrize("family", EQUIVALENCE_FAMILIES)
+def test_verify_equivalence_runs_dopri5_on_the_step_grid(tmp_path, family):
+    # the command compares both flows by dopri5 at the record times k h of
+    # --step (default 1e-3), every 10th node up to --t-end (default 4)
+    assert main(["verify", "equivalence", "--family", family, "--out", str(tmp_path)]) == EXIT_OK
+    kind, alpha0 = ("constant", 0.0) if family == "diff-powers" else ("turnoff", 0.5)
+    sched = Schedule(kind, alpha0, turnoff_time=1.0, t_end=4.0)
+    direct = verify_equivalence(*cli._equivalence_case(family, 0), sched,
+                                IntegratorConfig("dopri5", 1e-3, 4.0, record_every=10))
+    report = json.loads((tmp_path / "equivalence_report.json").read_text())
+    assert report == dataclasses.asdict(direct)
 
 
 def test_verify_commuting_expect_fail():

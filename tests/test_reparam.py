@@ -247,25 +247,49 @@ def test_flow_rhs_never_builds_the_dense_jacobian(monkeypatch):
         assert np.array_equal(p.flow_rhs(w, grad, 0.3), expected), p.tag
 
 
+def random_commuting_quadratic(rng, D, d):
+    """QuadraticCommuting whose A_i and B are symmetric and share eigenvectors."""
+    Q = np.linalg.qr(rng.standard_normal((D, D)))[0]
+    A_list = [Q @ np.diag(rng.standard_normal(D)) @ Q.T for _ in range(d)]
+    B = Q @ np.diag(rng.uniform(0.1, 2.0, D)) @ Q.T
+    return QuadraticCommuting([0.5 * (A + A.T) for A in A_list], 0.5 * (B + B.T),
+                              rng.uniform(0.5, 1.5, D))
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), D=st.integers(1, 8), d=st.integers(1, 8),
        w_scale=st.floats(1e-3, 1e3))
 def test_quadratic_stacked_forms_equal_the_per_matrix_forms_exactly(seed, D, d, w_scale):
-    # g, jac_g and vjp_g take every A_i w from one stacked product; each row
-    # is the gemv A_i @ w and each g entry keeps its own dot
+    # jac_g and vjp_g take every A_i w from one stacked product; each row is
+    # the gemv A_i @ w
     rng = make_rng(seed)
-    Q = np.linalg.qr(rng.standard_normal((D, D)))[0]
-    A_list = [Q @ np.diag(rng.standard_normal(D)) @ Q.T for _ in range(d)]
-    B = Q @ np.diag(rng.uniform(0.1, 2.0, D)) @ Q.T
-    p = QuadraticCommuting([0.5 * (A + A.T) for A in A_list], 0.5 * (B + B.T),
-                           rng.uniform(0.5, 1.5, D))
+    p = random_commuting_quadratic(rng, D, d)
     mats = [A.copy() for A in p.A]
     w = w_scale * rng.standard_normal(D)
     v = rng.standard_normal(d)
     J = np.stack([A @ w for A in mats])
-    assert np.array_equal(p.g(w), np.array([0.5 * w @ (A @ w) for A in mats]))
     assert np.array_equal(p.jac_g(w), J)
     assert np.array_equal(p.vjp_g(w, v), J.T @ v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), D=st.integers(1, 8), d=st.integers(1, 8),
+       w_scale=st.floats(1e-3, 1e3))
+def test_quadratic_g_is_one_contraction_of_the_per_row_forms(seed, D, d, w_scale):
+    # g contracts the stacked rows A_i w with w / 2 in one product, which sums
+    # in another order than one dot per row: each entry agrees to roundoff of
+    # its terms, and jac_g and vjp_g stay the derivatives of this g
+    rng = make_rng(seed)
+    p = random_commuting_quadratic(rng, D, d)
+    w = w_scale * rng.standard_normal(D)
+    per_row = np.array([0.5 * w @ (A @ w) for A in p.A])
+    terms = np.abs(p.A @ w) @ np.abs(0.5 * w)
+    assert np.all(np.abs(p.g(w) - per_row) <= 1e-15 * terms)
+    J_fd = central_diff_jac(p.g, w)
+    scale = max(1.0, np.max(np.abs(J_fd)))
+    assert np.max(np.abs(p.jac_g(w) - J_fd)) <= 1e-6 * scale
+    v = rng.standard_normal(d)
+    assert np.max(np.abs(p.vjp_g(w, v) - J_fd.T @ v)) <= 1e-6 * scale * np.sum(np.abs(v))
 
 
 def test_deep_hadamard_jacobian_holds_the_other_factors():
