@@ -16,17 +16,16 @@ from .reparam import (DeepHadamard, DiffPowers, DiffSquares, Hadamard,
 from .legendre import (ContractingReport, DiffPowersFlow, DomainSpec, Entropy,
                        HyperbolicEntropy, LegendreFamily, LogCosh,
                        QuadraticFamily, contracting_check, family_for)
-from .commute import (check_commuting, check_quadratic_commuting,
-                      check_regular, check_separable_pair, hessian_fd,
+from .commute import (check_commuting, check_quadratic_commuting, hessian_fd,
                       lie_bracket)
 from .flow import (EquivalenceReport, LinearRegressionLoss, QuadraticLoss,
-                   ZeroLoss, riemannian_residual, run_mirror_flow,
-                   run_param_flow, verify_equivalence)
+                   ZeroLoss, run_mirror_flow, run_param_flow,
+                   verify_equivalence)
 from .experiments import (ExperimentReport, RegressionConfig, SensingConfig,
                           SparseCodingConfig, constrained_argmin,
                           diagonal_network_run, kkt_residual, make_dictionary,
                           make_regression_problem, make_sensing_problem,
-                          matrix_sensing_run, sensing_eigen_bias,
-                          sparse_coding_run, stationarity_step)
+                          matrix_sensing_run, sparse_coding_run,
+                          stationarity_step)
 
 __version__ = "0.1.0"

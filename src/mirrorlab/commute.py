@@ -104,40 +104,6 @@ def check_commuting(p, n_samples=50, tol=1e-4, seed=0, box=None):
     )
 
 
-def check_regular(p, w, tol=1e-8):
-    """True iff the n-th largest singular value of the Jacobian exceeds tol."""
-    s = np.linalg.svd(p.jac_g(w), compute_uv=False)
-    return bool(len(s) >= p.dim_model and s[p.dim_model - 1] > tol)
-
-
-@dataclass
-class SeparableReport:
-    c_estimate: float
-    max_residual: float
-    passed: bool
-    status: str = "ok"
-
-
-def check_separable_pair(g_scalar, h_scalar, samples, tol=1e-8):
-    """Least-squares fit of h = c * g over scalar samples.
-
-    Linear dependence of the two analytic coordinate functions is exactly the
-    condition under which the pair commutes (vanishing Wronskian), so this is
-    the practical separable-compatibility test.
-    """
-    samples = np.asarray(samples, dtype=float).ravel()
-    gv = np.array([g_scalar(s) for s in samples], dtype=float)
-    hv = np.array([h_scalar(s) for s in samples], dtype=float)
-    gg = float(gv @ gv)
-    if gg == 0.0:
-        return SeparableReport(c_estimate=np.nan, max_residual=np.nan, passed=False,
-                               status="inconclusive: g vanishes on all samples")
-    c = float(gv @ hv) / gg
-    resid = float(np.max(np.abs(hv - c * gv)))
-    scale = max(float(np.max(np.abs(hv))), 1e-300)
-    return SeparableReport(c_estimate=c, max_residual=resid, passed=resid <= tol * scale)
-
-
 @dataclass
 class QuadCommuteReport:
     max_commutator_fro: float

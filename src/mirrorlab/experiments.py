@@ -1,20 +1,20 @@
 """Desk-scale experiments: matrix sensing, diagonal networks, sparse coding, optimality.
 
-All runners are deterministic given their seed and take plain Euler steps on
-the engine of ``flow`` (``_integrate``), the step size playing the role of a
-learning rate; each supplies the vector field, a per-snapshot hook and a
-per-block finisher, and the engine's records become the series of a uniform
-``ExperimentReport`` that the command-line layer serializes to CSV/JSON.
-The hook computes only what needs the state itself: the train loss and the
-model vector ``x`` it is computed from (the sensing hook also watches the
-loss threshold and caches the gradient for the next step).  The finisher
-computes the other series from the block's stacked ``x`` in one call each
-(the strength ``a``, errors, norms and sensing's stacked ``eigvalsh``) with
-the bits of the per-state formulas, and drops ``x``.  The sensing and
-diagonal runners build their parameterization and loss from a validated
-config, and the sparse-coding runner checks the dictionary, target and code
-length it is given, so every stage calls the unchecked kernels of ``reparam``
-and ``flow`` directly.
+All runners are deterministic given their seed and take plain Euler steps of
+the parameter flow of ``flow`` (``_param_flow``), the step size playing the
+role of a learning rate.  Each runner builds its problem (parameterization,
+loss and schedule) and a per-block finisher; the loop owns the field, the
+gradient cache, the loss-threshold watch (sensing's time to threshold), the
+unit-region flag (sparse coding), the switch-off of the strength (the
+diagonal runner's second phase) and the strength column ``a``.  The
+finisher computes the other series from the block's stacked ``x`` and train
+losses in one call each (errors, norms and sensing's stacked ``eigvalsh``)
+with the bits of the per-state formulas, and the engine's records become
+the series of a uniform ``ExperimentReport`` that the command-line layer
+serializes to CSV/JSON.  The sensing and diagonal runners build their
+parameterization and loss from a validated config, and the sparse-coding
+runner checks the dictionary, target and code length it is given, so every
+stage calls the unchecked kernels of ``reparam`` and ``flow`` directly.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import reparam
 from .core import InputError, Schedule, check_finite, make_rng
-from .flow import LinearRegressionLoss, _integrate
+from .flow import LinearRegressionLoss, _param_flow
 from .legendre import LegendreFamily, _solve_dual
 
 
@@ -140,88 +140,34 @@ def matrix_sensing_run(cfg: SensingConfig) -> ExperimentReport:
     loss = SensingLoss(A, y)
     p = reparam.SymFactor(U)
 
-    below = []  # time of the first step whose loss is at most LOSS_THRESHOLD
-
-    def watch(t, f_val):
-        if not below and f_val <= LOSS_THRESHOLD:
-            below.append(t)
-
-    # the engine hands each recorded state, unmodified, to the next step's
-    # first stage, so rhs reuses the gradient the snapshot computed for it
-    cached = [None, None]  # [state, loss gradient at g(state)]
-
-    def rhs(t, w, left_limit):
-        if w is cached[0]:
-            grad = cached[1]
-        else:
-            f_val, grad = loss._value_and_grad(p._g(w))
-            watch(t, f_val)
-        return p._flow_rhs(w, grad, cfg.schedule.alpha(t))
-
-    def record(k, t, w):
-        x = p._g(w)
-        f_val, cached[1] = loss._value_and_grad(x)
-        cached[0] = w
-        watch(t, f_val)
-        return {"train_loss": f_val, "x": x}
-
     def finish(steps, times, block):
-        x = block.pop("x")
+        x = block["x"]
         # each X is symmetric, so one stacked eigvalsh (ascending) gives every
         # spectrum and, in absolute value, every set of singular values
         eigenvalues = np.linalg.eigvalsh(x.reshape(-1, cfg.n, cfg.n))[:, ::-1]
         s = np.abs(eigenvalues)
         nuclear = s.sum(1)
-        return {"a": cfg.schedule.a(times), "train_loss": block["train_loss"],
+        return {"train_loss": block["train_loss"],
                 "recon_error": ((x_star - x) ** 2).sum(1),
                 "nuclear_norm": nuclear,
                 "ratio": nuclear / np.sqrt(_row_dots(s)),
                 "eigenvalues": eigenvalues}
 
-    w, status, rec = _integrate(rhs, p.w_init, cfg.steps, cfg.eta, cfg.record_every, record,
-                                finish=finish)
+    w, status, rec, events = _param_flow(p, loss, cfg.schedule, cfg.steps, cfg.eta,
+                                         cfg.record_every, "euler", finish,
+                                         threshold=LOSS_THRESHOLD)
     eigenvalues = rec.pop("eigenvalues")
     summary = {
         "final_train_loss": rec["train_loss"][-1],
         "final_recon_error": rec["recon_error"][-1],
         "final_nuclear_norm": rec["nuclear_norm"][-1],
         "final_ratio": rec["ratio"][-1],
-        "time_to_threshold": below[0] if below else None,
+        "time_to_threshold": events["threshold_time"],
         "converged": bool(rec["train_loss"][-1] <= LOSS_THRESHOLD),
         "a_final": float(rec["a"][-1]),
     }
     return _report("sensing", _cfg_dict(cfg), rec, summary, diverged=status is not None,
                    eigenvalues=eigenvalues, final_x=p._g(w), final_params=w)
-
-
-def sensing_eigen_bias(report: ExperimentReport, cfg: SensingConfig):
-    """Eigenvalue trajectories and the entropy-type potential they minimize.
-
-    Only meaningful for commuting-diagonal sensing started from
-    U0 U0^T = beta I; the potential evaluated is
-
-        sum_i (log(1/A(a)) - 1) lam_i + lam_i log lam_i,   A(a) = beta e^(2a),
-
-    whose constrained minimizer the flow's limit should match.  The chain
-    rule gives lam = A(a) exp(4 mu) where ``Entropy`` has exp(2 mu); the
-    multiplier absorbs that factor, so neither the KKT residual nor the
-    minimizer depends on it.  Eigenvalues below -1e-10 are flagged (the flow
-    preserves positive semidefiniteness up to roundoff).
-    """
-    if cfg.sensing_kind != "commuting-diagonal":
-        raise InputError("eigenvalue bias analysis requires commuting-diagonal sensing")
-    eigs = report.eigenvalues
-    scale = cfg.beta * np.exp(2.0 * report.a)
-    clipped = np.clip(eigs, 0.0, None)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xlogx = np.where(clipped > 0, clipped * np.log(np.where(clipped > 0, clipped, 1.0)), 0.0)
-    value = np.sum((np.log(1.0 / scale)[:, None] - 1.0) * clipped + xlogx, axis=1)
-    return {
-        "times": report.times,
-        "eigenvalues": eigs,
-        "potential": value,
-        "negative_flagged": bool(np.any(eigs < -1e-10)),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -287,32 +233,16 @@ def diagonal_network_run(cfg: RegressionConfig) -> ExperimentReport:
         # one factor per letter of the variant name: "mw" is m * w, "mwz" is m * w * z
         p = reparam.DeepHadamard([np.zeros(cfg.n)] + [np.ones(cfg.n)] * (len(cfg.variant) - 1))
 
-    # the engine hands each recorded state, unmodified, to the next step's
-    # first stage, so rhs reuses the gradient the snapshot computed for it
-    cached = [None, None]  # [state, loss gradient at g(state)]
-
-    def rhs(t, w, left_limit):
-        grad = cached[1] if w is cached[0] else loss._grad(p._g(w))
-        # the strength: the schedule's in phase 1, switched off in phase 2
-        alpha = cfg.schedule.alpha(t) if t < phase1_end else 0.0
-        return p._flow_rhs(w, grad, alpha)
-
-    def record(k, t, w):
-        x = p._g(w)
-        f_val, cached[1] = loss._value_and_grad(x)
-        cached[0] = w
-        return {"train_loss": f_val, "x": x}
-
     def finish(steps, times, block):
-        x = block.pop("x")
+        x = block["x"]
         l1 = np.abs(x).sum(1)
         l2 = np.sqrt(_row_dots(x))
-        return {"a": cfg.schedule.a(np.minimum(times, phase1_end)),
-                "train_loss": block["train_loss"], "recon_error": ((x - x_star) ** 2).sum(1),
+        return {"train_loss": block["train_loss"], "recon_error": ((x - x_star) ** 2).sum(1),
                 "l1": l1, "l1_l2_ratio": np.divide(l1, l2, out=np.zeros_like(l1), where=l2 > 0)}
 
-    params, status, rec = _integrate(rhs, p.w_init, 2 * cfg.steps, cfg.eta, cfg.record_every,
-                                     record, finish=finish)
+    # the strength is the schedule's in phase 1 and switched off in phase 2
+    params, status, rec, _ = _param_flow(p, loss, cfg.schedule, 2 * cfg.steps, cfg.eta,
+                                         cfg.record_every, "euler", finish, off_after=phase1_end)
     gt_l1 = float(np.sum(np.abs(x_star)))
     gt_l2 = float(np.linalg.norm(x_star))
     summary = {
@@ -371,32 +301,17 @@ def sparse_coding_run(dictionary, target, variant_p, schedule: Schedule,
     loss = DictionaryLoss(D, target)
     eta = cfg.lr_scale / loss.lipschitz()
 
-    flags = {"domain_exit": False, "left_unit_region": False}
     n_obs = D.shape[0]
-    inside_unit_region = getattr(variant_p, "_inside_unit_region", None)
-
-    def code(w):
-        x = variant_p._g(w)
-        if inside_unit_region is not None and not inside_unit_region(w):
-            flags["left_unit_region"] = True
-        return x
-
-    def rhs(t, w, left_limit):
-        return variant_p._flow_rhs(w, loss._grad(code(w)), schedule.alpha(t))
-
-    def record(k, t, w):
-        x = code(w)
-        return {"train_loss": loss._value(x), "x": x}
 
     def finish(steps, times, block):
-        x = block.pop("x")
         f_val = block["train_loss"]
-        return {"a": schedule.a(times), "train_loss": f_val, "recon_error": 2.0 * f_val / n_obs,
-                "l1": np.abs(x).sum(1)}
+        return {"train_loss": f_val, "recon_error": 2.0 * f_val / n_obs,
+                "l1": np.abs(block["x"]).sum(1)}
 
-    params, status, rec = _integrate(rhs, variant_p.w_init, cfg.steps, eta, cfg.record_every,
-                                     record, finish=finish)
-    flags["domain_exit"] = status is not None and status[0] == "domain"
+    params, status, rec, events = _param_flow(variant_p, loss, schedule, cfg.steps, eta,
+                                              cfg.record_every, "euler", finish)
+    flags = {"domain_exit": status is not None and status[0] == "domain",
+             "left_unit_region": events["left_unit_region"]}
     summary = {
         "eta": eta,
         "final_l1": rec["l1"][-1],

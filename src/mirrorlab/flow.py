@@ -18,6 +18,9 @@ must therefore not modify a value after returning it.
 * parameter space:  dw = -(Jg(w)^T grad_f(g(w)) + alpha_t grad_h(w)) dt
 * dual space:       dmu = -grad_f(Q_{a_t}(mu)) dt,  x_t = Q_{a_t}(mu_t), mu_0 = 0
 
+One loop, ``_param_flow``, builds the parameter flow for ``run_param_flow``
+and the runners of ``experiments``, each of which passes its own finisher.
+
 ``verify_equivalence`` drives both with one integrator config, so with any
 method they are compared at the same record times, and reports the sup
 deviation of the model-space iterates; it is the executable form of the
@@ -27,9 +30,9 @@ Both flows check shapes once, at the run boundary: one public, checked
 evaluation of the field at the initial state raises ``InputError`` for a
 parameterization, family and loss that do not fit together.  Every stage
 and record then calls the unchecked kernels: the parameterization's ``_g``,
-``_h`` and ``_flow_rhs``, the loss's ``_value`` and ``_grad`` and the
-family's ``_dual_map``, which still make their value checks (domain,
-positivity).
+``_h`` and ``_flow_rhs``, the loss's ``_value``, ``_grad`` and
+``_value_and_grad`` and the family's ``_dual_map``, which still make their
+value checks (domain, positivity).
 """
 
 from __future__ import annotations
@@ -101,6 +104,11 @@ class QuadraticLoss:
     def _grad(self, x):
         return self.M @ (x - self.target)
 
+    def _value_and_grad(self, x):
+        r = x - self.target
+        Mr = self.M @ r
+        return float(0.5 * r @ Mr), Mr
+
 
 class LinearRegressionLoss:
     """Least squares f(x) = ||Z x - y||^2 / (2 d), d the number of rows of Z.
@@ -161,6 +169,9 @@ class ZeroLoss:
 
     def _grad(self, x):
         return np.zeros(self.n)
+
+    def _value_and_grad(self, x):
+        return 0.0, np.zeros(self.n)
 
 
 def _integrate(rhs, state0, n_steps, h, record_every, record, method="euler", finish=None,
@@ -415,32 +426,93 @@ def _breaks(schedule):
     return () if schedule.kind == "constant" else (schedule.turnoff_time,)
 
 
+def _param_flow(p, loss, schedule: Schedule, n_steps, h, record_every, method, finish,
+                off_after=np.inf, threshold=None):
+    """The parameter flow of ``p`` on ``loss``: the one place its field is built.
+
+    The strength is the schedule's before ``off_after`` (its left limit on a
+    stage that asks for it) and zero from it on.  Each snapshot records
+    "params", "x" = g(w), "train_loss" and, for a parameterization with a
+    unit region, "unit_region" (1.0 inside), and keeps its loss gradient for
+    the next step's first stage, which the engine hands the same state.
+    Every evaluation checks the unit region, and watches the loss when a
+    ``threshold`` is given.  ``finish(steps, times, block)`` turns a stacked
+    block into the columns to keep; the loop adds "a" = a(min(t, off_after)).
+    Returns ``_integrate``'s (w, status, records) and the events
+    {"threshold_time": the first t whose loss is at most ``threshold``, or
+    None; "left_unit_region": whether any evaluated state left it}.
+    """
+    inside = getattr(p, "_inside_unit_region", None)
+    events = {"threshold_time": None, "left_unit_region": False}
+    cached = [None, None]  # [the last snapshot's state, the loss gradient at g(state)]
+
+    def watch(t, f_val):
+        if events["threshold_time"] is None and f_val <= threshold:
+            events["threshold_time"] = t
+
+    def unit_region(w):
+        if inside(w):
+            return 1.0
+        events["left_unit_region"] = True
+        return 0.0
+
+    def rhs(t, w, left_limit):
+        if w is cached[0]:
+            grad = cached[1]
+        else:
+            x = p._g(w)
+            if inside is not None:
+                unit_region(w)
+            if threshold is None:
+                grad = loss._grad(x)
+            else:
+                f_val, grad = loss._value_and_grad(x)
+                watch(t, f_val)
+        if left_limit:
+            alpha = schedule.alpha_left(t) if t <= off_after else 0.0
+        else:
+            alpha = schedule.alpha(t) if t < off_after else 0.0
+        return p._flow_rhs(w, grad, alpha)
+
+    def record(k, t, w):
+        x = p._g(w)
+        row = {"params": w, "x": x}
+        if inside is not None:
+            row["unit_region"] = unit_region(w)
+        row["train_loss"], grad = loss._value_and_grad(x)
+        if threshold is not None:
+            watch(t, row["train_loss"])
+        cached[:] = w, grad
+        return row
+
+    def finish_block(steps, times, block):
+        return {"a": schedule.a(np.minimum(times, off_after)), **finish(steps, times, block)}
+
+    w, status, rec = _integrate(rhs, p.w_init, n_steps, h, record_every, record, method,
+                                finish_block, breaks=_breaks(schedule) + (off_after,))
+    return w, status, rec, events
+
+
 def run_param_flow(p, loss, schedule: Schedule, cfg: IntegratorConfig) -> Trajectory:
     """Integrate the regularized gradient flow in parameter space.
 
-    Records w, x = g(w), y = h(w), the accumulated strength a and the loss.
+    Records w, x = g(w), y = h(w), the accumulated strength a and the loss,
+    and for a parameterization with a unit region whether w lies inside it.
     Raises DivergedError (with the partial trajectory attached) if the state
     leaves the finite range, DomainExitError if a variant's domain is left.
     """
     # the one shape check: a loss that does not fit p raises InputError here
     p.flow_rhs(p.w_init, loss.grad(p.g(p.w_init)), 0.0)
 
-    def rhs(t, w, left_limit):
-        alpha = schedule.alpha_left(t) if left_limit else schedule.alpha(t)
-        return p._flow_rhs(w, loss._grad(p._g(w)), alpha)
+    def finish(steps, times, block):
+        block["y"] = np.array([p._h(w) for w in block["params"]])
+        return block
 
-    def record(k, t, w):
-        x = p._g(w)
-        row = {"params": w, "x": x, "y": p._h(w), "train_loss": loss._value(x)}
-        if hasattr(p, "inside_unit_region"):
-            row["unit_region"] = 1.0 if p._inside_unit_region(w) else 0.0
-        return row
-
-    _, status, rec = _integrate(rhs, p.w_init, *cfg.grid(), cfg.record_every, record, cfg.method,
-                                breaks=_breaks(schedule))
+    _, status, rec, _ = _param_flow(p, loss, schedule, *cfg.grid(), cfg.record_every, cfg.method,
+                                    finish)
     traj = Trajectory(
         times=rec["t"],
-        a=schedule.a(rec["t"]),
+        a=rec["a"],
         x=rec["x"],
         params=rec["params"],
         y=rec["y"],
@@ -542,31 +614,3 @@ def verify_equivalence(p, family, loss, schedule: Schedule, cfg: IntegratorConfi
         n_points=n,
     )
 
-
-def riemannian_residual(family, traj: Trajectory, loss, schedule: Schedule, t_from):
-    """Residual of dx/dt = -hess(R_{a_T})^(-1) grad_f(x) after the turn-off time.
-
-    Velocities come from central differences on the recorded grid, the metric
-    Hessian is analytic per family.  Only the frozen-geometry segment is
-    checked, so t_from must not precede the schedule's turn-off.
-    """
-    if schedule.kind == "constant" and schedule.alpha0 > 0:
-        raise InputError("constant nonzero schedules never turn off; no frozen-geometry segment")
-    turnoff = 0.0 if schedule.alpha0 == 0 else schedule.turnoff_time
-    if t_from < turnoff - 1e-12:
-        raise InputError(f"t_from={t_from} precedes the turn-off time {turnoff}")
-    a_T = float(schedule.a(traj.times[-1]))
-    # the centered stencil must lie wholly in the frozen segment: the velocity
-    # is kinked at the switch, so both neighbors must sit at or after t_from
-    idx = [i for i in range(1, len(traj) - 1) if traj.times[i - 1] >= t_from - 1e-12]
-    if not idx:
-        raise InputError("no interior recorded points at or after t_from")
-    times = traj.times[idx]
-    residuals = np.empty(len(idx))
-    for out, i in enumerate(idx):
-        dt = traj.times[i + 1] - traj.times[i - 1]
-        xdot = (traj.x[i + 1] - traj.x[i - 1]) / dt
-        H = family.hess(a_T, traj.x[i])
-        drift = np.linalg.solve(H, loss.grad(traj.x[i]))
-        residuals[out] = np.linalg.norm(xdot + drift)
-    return times, residuals

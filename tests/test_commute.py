@@ -6,8 +6,7 @@ import pytest
 
 from mirrorlab import (DeepHadamard, DiffPowers, DiffSquares, Hadamard,
                        InputError, LogRatio, QuadraticCommuting,
-                       check_commuting, check_quadratic_commuting,
-                       check_regular, check_separable_pair, lie_bracket,
+                       check_commuting, check_quadratic_commuting, lie_bracket,
                        make_rng)
 from mirrorlab.cli import _build_variant
 from mirrorlab.commute import BracketReport, hessian_fd
@@ -97,38 +96,6 @@ def test_deep_hadamard_depth3_fails_commuting():
     parsed = json.loads(json.dumps(dataclasses.asdict(report)))
     assert parsed["variant"] == "deep-hadamard"
     assert parsed["passed"] is False
-
-
-def test_check_regular_examples():
-    p = Hadamard([1.0, 1.0], [0.0, 0.0])
-    assert check_regular(p, p.w_init)
-    assert not check_regular(p, np.zeros(4))
-    q = LogRatio([1.0], [1.0])
-    assert check_regular(q, q.w_init)
-
-
-def test_separable_exact_multiple():
-    rng = make_rng(5)
-    samples = rng.uniform(-2.0, 2.0, 30)
-    rep = check_separable_pair(lambda u: u**2, lambda u: 3.0 * u**2, samples)
-    assert rep.passed and rep.c_estimate == pytest.approx(3.0)
-
-
-def test_separable_identity_vs_square_fails():
-    samples = np.linspace(-2.0, 2.0, 25)
-    rep = check_separable_pair(lambda u: u, lambda u: u**2, samples)
-    assert not rep.passed
-
-
-def test_separable_power_pair():
-    samples = np.linspace(0.2, 2.0, 25)
-    rep = check_separable_pair(lambda u: u**4, lambda u: u**4, samples)
-    assert rep.passed and rep.c_estimate == pytest.approx(1.0)
-
-
-def test_separable_degenerate_inconclusive():
-    rep = check_separable_pair(lambda u: 0.0, lambda u: u, np.linspace(-1, 1, 5))
-    assert not rep.passed and "inconclusive" in rep.status
 
 
 def test_quadratic_commuting_diagonal():

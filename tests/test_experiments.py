@@ -1,17 +1,18 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from mirrorlab import (DiffPowers, Entropy, HyperbolicEntropy, InputError,
-                       LogRatio, RegressionConfig, Schedule, SensingConfig,
+from mirrorlab import (DiffPowers, Entropy, Hadamard, HyperbolicEntropy, InputError,
+                       IntegratorConfig, LinearRegressionLoss, LogRatio,
+                       RegressionConfig, Schedule, SensingConfig,
                        SparseCodingConfig, constrained_argmin,
                        diagonal_network_run, kkt_residual, make_dictionary,
                        make_regression_problem, make_rng, make_sensing_problem,
                        matrix_sensing_run, nuclear_frobenius_ratio, nuclear_norm,
-                       sensing_eigen_bias, sparse_coding_run,
-                       stationarity_step)
+                       run_param_flow, sparse_coding_run, stationarity_step)
 
 
 def small_sensing(schedule, seed=0, kind="random-symmetric", steps=800):
@@ -54,28 +55,15 @@ def test_sensing_csv_metrics_present():
     assert rep.summary["time_to_threshold"] is None or rep.summary["time_to_threshold"] >= 0
 
 
-def test_eigen_bias_requires_diagonal_kind():
-    rep = matrix_sensing_run(small_sensing(Schedule("constant", 0.0, t_end=20.0), steps=80))
-    with pytest.raises(InputError):
-        sensing_eigen_bias(rep, rep_config_obj(rep))
-
-
-def rep_config_obj(rep):
-    cfg = dict(rep.config)
-    cfg["schedule"] = Schedule(**cfg["schedule"])
-    return SensingConfig(**cfg)
-
-
 def test_eigen_bias_series():
     cfg = small_sensing(Schedule("turnoff", 0.1, turnoff_time=20.0, t_end=400.0),
                         kind="commuting-diagonal", steps=1600)
     rep = matrix_sensing_run(cfg)
-    out = sensing_eigen_bias(rep, cfg)
-    assert out["eigenvalues"][0] == pytest.approx(np.full(cfg.n, cfg.beta))
-    assert not out["negative_flagged"]
-    assert np.all(np.isfinite(out["potential"]))
+    assert rep.eigenvalues[0] == pytest.approx(np.full(cfg.n, cfg.beta))
+    # the flow preserves positive semidefiniteness up to roundoff
+    assert not np.any(rep.eigenvalues < -1e-10)
     # recovered run: eigenvalue sum approaches the unit nuclear norm
-    assert np.sum(out["eigenvalues"][-1]) == pytest.approx(1.0, abs=0.05)
+    assert np.sum(rep.eigenvalues[-1]) == pytest.approx(1.0, abs=0.05)
 
 
 def test_diagonal_network_validation():
@@ -157,6 +145,16 @@ def test_sparse_coding_log_ratio_domain_exit():
     assert rep.flags["domain_exit"]
     assert rep.flags["left_unit_region"]
     assert rep.diverged
+
+
+def test_sparse_coding_flags_a_unit_region_exit_between_snapshots():
+    # one Euler step overshoots u below 1 and the next brings it back: only
+    # the field evaluation at the unrecorded step 1 sees the exit
+    sched = Schedule("constant", 0.0, t_end=1.0)
+    rep = sparse_coding_run(np.eye(1), [-1.0], LogRatio([1.2], [1.5]), sched,
+                            SparseCodingConfig(steps=2, record_every=2, lr_scale=1.0))
+    assert rep.steps.tolist() == [0, 2] and np.all(rep.final_params > 1.0)
+    assert rep.flags == {"domain_exit": False, "left_unit_region": True}
 
 
 @pytest.mark.parametrize("lr_scale", [1.0, 5.0, 50.0])
@@ -307,6 +305,33 @@ def test_diagonal_recording_changes_no_step(variant):
     _assert_same_steps(*reps)
 
 
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_param_flow_recording_changes_no_step(method):
+    p = Hadamard([1.5, 1.2, 1.8], [0.4, -0.2, 0.1])
+    rng = make_rng(4)
+    loss = LinearRegressionLoss(rng.standard_normal((2, 3)), rng.standard_normal(2))
+    sched = Schedule("turnoff", 0.5, turnoff_time=0.5, t_end=1.0)
+    trajs = [run_param_flow(p, loss, sched, IntegratorConfig(method, 1e-3, 1.0, record_every=every))
+             for every in (1, 1000)]
+    _assert_same_steps(*[SimpleNamespace(final_params=traj.params[-1], steps=traj.steps,
+                                         metrics=traj.metrics) for traj in trajs])
+
+
+@pytest.mark.parametrize("p", [LogRatio(np.full(4, 1.5), np.full(4, 1.2)),
+                               DiffPowers(2, np.ones(4), np.ones(4))],
+                         ids=["log-ratio", "diff-powers"])
+def test_sparse_coding_recording_changes_no_step(p):
+    D = make_dictionary(5, 4, seed=1)
+    sched = Schedule("turnoff", 0.5, turnoff_time=0.25, t_end=1.0)
+    reps = [sparse_coding_run(D, np.linspace(-1.0, 1.0, 5), p, sched,
+                              SparseCodingConfig(steps=1000, record_every=every))
+            for every in (1, 1000)]
+    _assert_same_steps(*reps)
+    # the decay drives the log-ratio factors below 1 without leaving the domain
+    assert reps[0].flags == reps[1].flags == {"domain_exit": False,
+                                              "left_unit_region": p.tag == "log-ratio"}
+
+
 def _assert_same_steps(dense, sparse):
     assert dense.final_params.tobytes() == sparse.final_params.tobytes()
     shared = np.isin(dense.steps, sparse.steps)
@@ -316,17 +341,19 @@ def _assert_same_steps(dense, sparse):
 
 @pytest.mark.parametrize("kind", ["random-symmetric", "commuting-diagonal"])
 def test_sensing_spectrum_metrics_match_the_svd(kind, monkeypatch):
-    from mirrorlab import experiments, flow
+    from mirrorlab import flow
 
     seen = []
+    integrate = flow._integrate
 
-    def spy(rhs, state0, n_steps, h, record_every, record, method="euler", finish=None):
+    def spy(rhs, state0, n_steps, h, record_every, record, method="euler", finish=None,
+            breaks=()):
         def spied(k, t, w):
             seen.append(w)
             return record(k, t, w)
-        return flow._integrate(rhs, state0, n_steps, h, record_every, spied, method, finish)
+        return integrate(rhs, state0, n_steps, h, record_every, spied, method, finish, breaks)
 
-    monkeypatch.setattr(experiments, "_integrate", spy)
+    monkeypatch.setattr(flow, "_integrate", spy)
     cfg = SensingConfig(steps=600, seed=2, sensing_kind=kind, record_every=3,
                         schedule=Schedule("turnoff", 0.2, turnoff_time=62.5, t_end=1250.0))
     rep = matrix_sensing_run(cfg)
@@ -347,17 +374,19 @@ def test_sensing_spectrum_metrics_match_the_svd(kind, monkeypatch):
 
 def _spy_on_states(monkeypatch):
     """Every recorded (k, t, state) of the next runs, in record order."""
-    from mirrorlab import experiments, flow
+    from mirrorlab import flow
 
     seen = []
+    integrate = flow._integrate
 
-    def spy(rhs, state0, n_steps, h, record_every, record, method="euler", finish=None):
+    def spy(rhs, state0, n_steps, h, record_every, record, method="euler", finish=None,
+            breaks=()):
         def spied(k, t, w):
             seen.append((k, t, w))
             return record(k, t, w)
-        return flow._integrate(rhs, state0, n_steps, h, record_every, spied, method, finish)
+        return integrate(rhs, state0, n_steps, h, record_every, spied, method, finish, breaks)
 
-    monkeypatch.setattr(experiments, "_integrate", spy)
+    monkeypatch.setattr(flow, "_integrate", spy)
     return seen
 
 

@@ -11,7 +11,7 @@ from mirrorlab import (DeepHadamard, DiffPowers, DiffPowersFlow, DiffSquares,
                        QuadraticCommuting, QuadraticFamily, QuadraticLoss, RegressionConfig,
                        Schedule, SensingConfig, SparseCodingConfig, SymFactor, ZeroLoss,
                        diagonal_network_run, family_for, make_dictionary, make_rng,
-                       matrix_sensing_run, riemannian_residual, run_mirror_flow,
+                       matrix_sensing_run, run_mirror_flow,
                        run_param_flow, sparse_coding_run, verify_equivalence)
 from mirrorlab import experiments, flow, legendre, reparam
 from mirrorlab.flow import DIVERGENCE_LIMIT, LinearRegressionLoss, _integrate
@@ -199,43 +199,6 @@ def test_dopri5_log_cosh_run_that_leaves_its_domain_ends_with_domain_status():
         exits.append(exc_info.value)
     assert exits[1].trajectory.steps.tolist() == exits[0].trajectory.steps.tolist()
     assert exits[0].time <= exits[1].time < exits[0].time + 1e-2
-
-
-def test_riemannian_residual_classical_case():
-    ent = Entropy(np.array([0.8, 1.3]))
-    loss = QuadraticLoss(np.eye(2), np.array([1.5, 0.6]))
-    sched = Schedule("constant", 0.0, t_end=1.0)
-    residuals = {}
-    for step in (2e-3, 1e-3):
-        traj = run_mirror_flow(ent, loss, sched, IntegratorConfig("rk4", step, 1.0, record_every=1))
-        _, res = riemannian_residual(ent, traj, loss, sched, 0.0)
-        residuals[step] = np.max(res)
-    assert residuals[1e-3] < 1e-5
-    # central differencing is second order: quartering under step halving
-    assert residuals[1e-3] <= residuals[2e-3] / 3.0
-
-
-def test_riemannian_residual_post_turnoff():
-    fam = HyperbolicEntropy.from_hadamard(np.array([1.5, 1.2]), np.array([0.4, -0.2]))
-    p = Hadamard(np.array([1.5, 1.2]), np.array([0.4, -0.2]))
-    loss = quad_loss(2, seed=7)
-    sched = Schedule("turnoff", 0.5, turnoff_time=0.5, t_end=2.0)
-    traj = run_param_flow(p, loss, sched, IntegratorConfig("rk4", 1e-3, 2.0, record_every=1))
-    times, res = riemannian_residual(fam, traj, loss, sched, 0.5)
-    assert np.all(times >= 0.5)
-    assert np.max(res) < 1e-3
-
-
-def test_riemannian_residual_requires_turnoff():
-    ent = Entropy(np.ones(2))
-    loss = quad_loss(2)
-    sched = Schedule("constant", 0.1, t_end=1.0)
-    traj = run_mirror_flow(ent, loss, sched, IntegratorConfig("rk4", 1e-2, 1.0, record_every=1))
-    with pytest.raises(InputError):
-        riemannian_residual(ent, traj, loss, sched, 0.5)
-    sched_to = Schedule("turnoff", 0.1, turnoff_time=0.8, t_end=1.0)
-    with pytest.raises(InputError):
-        riemannian_residual(ent, traj, loss, sched_to, 0.5)
 
 
 def test_divergence_guard():
@@ -598,6 +561,10 @@ def test_loss_kernels_return_the_bits_of_the_public_methods(seed, rows, cols):
         got = loss.grad(list(x))
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
         assert np.float64(loss.value(list(x))).tobytes() == np.float64(loss._value(x)).tobytes()
+        # the parameter flow caches its gradient from _value_and_grad, for any loss
+        k_value, k_grad = loss._value_and_grad(x)
+        assert np.float64(k_value).tobytes() == np.float64(loss._value(x)).tobytes()
+        assert k_grad.dtype == expected.dtype and k_grad.tobytes() == expected.tobytes()
     value, grad = least_squares.value_and_grad(list(x))
     k_value, k_grad = least_squares._value_and_grad(x)
     assert value == k_value and grad.tobytes() == k_grad.tobytes()
