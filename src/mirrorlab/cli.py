@@ -228,12 +228,22 @@ def _ensure_outdir(path):
 # verify subcommands
 # ---------------------------------------------------------------------------
 
+def _unit_diagonals(d, D):
+    """The commuting D x D matrices A_i = e_i e_i^T, i < d."""
+    return [np.diag((np.arange(D) == i).astype(float)) for i in range(d)]
+
+
+def _hadamard_init(rng, n):
+    """The CLI's Hadamard factor pair: uniform on [1, 2), then on [-0.5, 0.5)."""
+    return rng.uniform(1.0, 2.0, n), rng.uniform(-0.5, 0.5, n)
+
+
 def _build_variant(name, n, depth, seed):
     if n < 1:
         raise UsageError("n must be positive")
     rng = make_rng(seed)
     if name == "hadamard":
-        return reparam.Hadamard(rng.uniform(1.0, 2.0, n), rng.uniform(-0.5, 0.5, n))
+        return reparam.Hadamard(*_hadamard_init(rng, n))
     if name == "deep-hadamard":
         return reparam.DeepHadamard([rng.uniform(0.5, 1.5, n) for _ in range(depth)])
     if name == "diff-squares":
@@ -243,8 +253,8 @@ def _build_variant(name, n, depth, seed):
     if name == "log-ratio":
         return reparam.LogRatio(rng.uniform(1.1, 2.0, n), rng.uniform(1.1, 2.0, n))
     if name == "quadratic":
-        A_list = [np.diag((np.arange(n + 1) == i).astype(float)) for i in range(n)]
-        return reparam.QuadraticCommuting(A_list, np.eye(n + 1), rng.uniform(0.7, 1.5, n + 1))
+        return reparam.QuadraticCommuting(_unit_diagonals(n, n + 1), np.eye(n + 1),
+                                          rng.uniform(0.7, 1.5, n + 1))
     raise UsageError(f"unknown variant {name!r}")
 
 
@@ -264,7 +274,7 @@ def _equivalence_case(family_name, seed):
     Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
     M = Q @ np.diag(rng.uniform(0.5, 2.0, n)) @ Q.T
     if family_name == "hadamard":
-        p = reparam.Hadamard(rng.uniform(1.0, 2.0, n), rng.uniform(-0.5, 0.5, n))
+        p = reparam.Hadamard(*_hadamard_init(rng, n))
         return p, legendre.family_for(p), QuadraticLoss(M, rng.standard_normal(n))
     if family_name == "entropy":
         m0 = rng.uniform(0.8, 1.2, n)
@@ -272,8 +282,7 @@ def _equivalence_case(family_name, seed):
         return p, legendre.family_for(p), QuadraticLoss(M, rng.uniform(0.5, 2.0, n))
     if family_name == "quadratic":
         d, D = 4, 5
-        A_list = [np.diag((np.arange(D) == i).astype(float)) for i in range(d)]
-        p = reparam.QuadraticCommuting(A_list, np.eye(D), rng.uniform(0.7, 1.5, D))
+        p = reparam.QuadraticCommuting(_unit_diagonals(d, D), np.eye(D), rng.uniform(0.7, 1.5, D))
         return p, legendre.family_for(p), QuadraticLoss(np.diag(rng.uniform(0.5, 2.0, d)),
                                                         rng.uniform(0.3, 1.0, d))
     if family_name == "diff-powers":
@@ -303,7 +312,7 @@ def cmd_verify_contracting(args, opts):
     name, grid = opts["family"], opts["grid"]
     n = 3
     if name == "hyperbolic":
-        fam = legendre.HyperbolicEntropy.from_hadamard(rng.uniform(1.0, 2.0, n), rng.uniform(-0.5, 0.5, n))
+        fam = legendre.HyperbolicEntropy.from_hadamard(*_hadamard_init(rng, n))
         xs = [rng.uniform(-3.0, 3.0, n) for _ in range(grid)]
     elif name == "entropy":
         fam = legendre.Entropy(rng.uniform(0.5, 1.5, n))
@@ -314,8 +323,8 @@ def cmd_verify_contracting(args, opts):
     elif name in ("quadratic", "quadratic-neg"):
         sign = -1.0 if name == "quadratic-neg" else 1.0
         d, D = 2, 3
-        A_list = [np.diag((np.arange(D) == i).astype(float)) for i in range(d)]
-        fam = legendre.QuadraticFamily(A_list, sign * np.eye(D), rng.uniform(0.7, 1.5, D))
+        fam = legendre.QuadraticFamily(_unit_diagonals(d, D), sign * np.eye(D),
+                                       rng.uniform(0.7, 1.5, D))
         xs = [rng.uniform(0.1, 2.0, d) for _ in range(grid)]
     else:
         raise UsageError(f"unknown contracting family {name!r}")
@@ -495,6 +504,7 @@ def cmd_run_diagonal(args, opts):
 def cmd_run_sparse_coding(args, opts):
     out = _ensure_outdir(args.out)
     seed, k, variant = opts["seed"], opts["k"], opts["variant"]
+    sched = _schedule_from(opts)
     rng = make_rng(seed)
     if opts["dictionary"]:
         D = load_matrix(opts["dictionary"])
@@ -520,9 +530,6 @@ def cmd_run_sparse_coding(args, opts):
         p = reparam.LogRatio(u0, v0)
     else:
         raise UsageError(f"unknown sparse-coding variant {variant!r}")
-    if opts["kind"] != "constant" and opts["turnoff_time"] <= 0:
-        opts["turnoff_time"] = 1.0
-    sched = _schedule_from(opts)
     cfg = SparseCodingConfig(steps=opts["steps"], record_every=opts["record_every"],
                              lr_scale=opts["lr_scale"])
     t0 = time.perf_counter()
@@ -550,8 +557,7 @@ def cmd_run_flow(args, opts):
         fam = legendre.Entropy(rng.uniform(0.5, 1.5, n))
         target = rng.uniform(0.5, 2.0, n)
     elif opts["family"] == "hyperbolic":
-        fam = legendre.HyperbolicEntropy.from_hadamard(rng.uniform(1.0, 2.0, n),
-                                                       rng.uniform(-0.5, 0.5, n))
+        fam = legendre.HyperbolicEntropy.from_hadamard(*_hadamard_init(rng, n))
         target = rng.standard_normal(n)
     else:
         raise UsageError(f"unknown flow family {opts['family']!r}")
@@ -623,16 +629,16 @@ COMMANDS = {
     ("run", "sparse-coding"): (cmd_run_sparse_coding, "sparse_coding", {
         "n_obs": 200, "n_features": 50, "k": 2, "variant": "diff-powers", "steps": 300,
         "record_every": 1, "lr_scale": 1e-3, "seed": 0, "kind": "constant", "alpha0": 1e-3,
-        "turnoff_time": 0.0, "t_end": 1e9, "dictionary": ""}),
+        "turnoff_time": 1.0, "t_end": 1e9, "dictionary": ""}),
     ("run", "flow"): (cmd_run_flow, "flow", {
-        "family": "entropy", "n": 4, "seed": 0, "method": "rk4", "step": 1e-3,
+        "family": "entropy", "n": 4, "seed": 0, "method": "dopri5", "step": 1e-3,
         "record_every": 10, "kind": "constant", "alpha0": 0.1, "turnoff_time": 1.0,
         "t_end": 4.0}),
 }
 
 _HELP = {"kind": "schedule kind: constant|turnoff|linear-decay|cosine-decay",
          "seeds": "comma-separated seed sweep", "dictionary": "headerless CSV matrix",
-         "step": "fixed step; for dopri5 the record grid and first trial step"}
+         "step": "dopri5's record grid and first trial step; euler's fixed step"}
 
 
 def build_parser():

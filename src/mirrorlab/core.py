@@ -113,10 +113,9 @@ class Schedule:
     def alpha_left(self, t):
         """Left limit of alpha at t; differs from alpha only at the turn-off jump.
 
-        Fixed-step integrators evaluate right-endpoint stages with this so
-        that a step ending exactly at the discontinuity integrates the smooth
-        left segment (full order is retained when the turn-off time is a grid
-        node).
+        dopri5 evaluates the two stages at the right end of a step that
+        lands on the turn-off time with this, so that the step integrates
+        the smooth left segment at full order.
         """
         t = _check_time(t)
         if self.kind != "turnoff":
@@ -166,20 +165,20 @@ def _check_time(t):
 class IntegratorConfig:
     """Integrator settings shared by the parameter and mirror flows.
 
-    "euler" and "rk4" take fixed steps of ``step`` (adjusted to land on
-    ``t_end``); "dopri5" takes error-controlled steps that land on the same
-    record times, with ``step`` as its first trial step and the scale of its
-    step floor.
+    "euler" takes fixed steps of ``step`` (adjusted to land on ``t_end``);
+    "dopri5" takes error-controlled steps that land on the same record
+    times, with ``step`` as its first trial step and the scale of its step
+    floor.
     """
 
-    method: str = "rk4"
+    method: str = "dopri5"
     step: float = 1e-3
     t_end: float = 1.0
     record_every: int = 1
 
     def __post_init__(self):
-        if self.method not in ("euler", "rk4", "dopri5"):
-            raise InputError(f"method must be 'euler', 'rk4' or 'dopri5', got {self.method!r}")
+        if self.method not in ("euler", "dopri5"):
+            raise InputError(f"method must be 'euler' or 'dopri5', got {self.method!r}")
         check_finite(step=self.step, t_end=self.t_end)
         if self.step <= 0:
             raise InputError("step must be positive")

@@ -1,18 +1,19 @@
 """Time integration of regularized parameter flows and their dual mirror flows.
 
 Two flows are implemented over one engine, ``_integrate``, which the
-experiment runners share.  It steps by fixed-step Euler or RK4, or by
-"dopri5", Dormand & Prince's error-controlled 5(4) pair (tolerances
-``RTOL`` and ``ATOL``), whose steps land on every record time of the fixed
-grid and on the schedule's turn-off time; the runners take Euler steps of
-their learning rate, and ``verify optimality`` and ``verify equivalence``
-run dopri5.  The engine also keeps every run's record: a per-snapshot hook
-returns named values, which the engine holds by reference in a block of up
-to ``RECORD_BLOCK`` snapshots.  A full block, and the last one, is stacked
-name by name, passed through the run's optional finisher, which computes
-statistics of the stacked states in one call per block, and written with
-the step index and time into one preallocated table per column.  A hook
-must therefore not modify a value after returning it.
+experiment runners share.  It is one loop over the accepted steps of a
+method: fixed-step Euler, or "dopri5", Dormand & Prince's error-controlled
+5(4) pair (tolerances ``RTOL`` and ``ATOL``), whose steps land on every
+record time of the fixed grid and on the schedule's turn-off time.  The
+runners take Euler steps of their learning rate; ``run flow``, ``verify
+optimality`` and ``verify equivalence`` run dopri5.  The engine also keeps
+every run's record: a per-snapshot hook returns named values, which the
+engine holds by reference in a block of up to ``RECORD_BLOCK`` snapshots.
+A full block, and the last one, is stacked name by name, passed through the
+run's optional finisher, which computes statistics of the stacked states in
+one call per block, and written with the step index and time into one
+preallocated table per column.  A hook must therefore not modify a value
+after returning it.
 
 
 * parameter space:  dw = -(Jg(w)^T grad_f(g(w)) + alpha_t grad_h(w)) dt
@@ -176,7 +177,7 @@ class ZeroLoss:
 
 def _integrate(rhs, state0, n_steps, h, record_every, record, method="euler", finish=None,
                breaks=()):
-    """Euler, RK4 or Dormand-Prince 5(4) over the grid t_k = k h with a divergence guard.
+    """Euler or Dormand-Prince 5(4) over the grid t_k = k h with a divergence guard.
 
     ``rhs(t, state, left_limit)`` is the vector field.  ``record(k, t, state)``
     sees the initial state, every ``record_every``-th step and the last step,
@@ -189,12 +190,14 @@ def _integrate(rhs, state0, n_steps, h, record_every, record, method="euler", fi
     ``new . new <= DIVERGENCE_LIMIT**2 / 2``, and only a state that fails it
     pays for the exact ``max |new_i| <= DIVERGENCE_LIMIT``.
 
-    Euler and RK4 take the ``n_steps`` steps of size ``h``.  "dopri5" takes
-    error-controlled steps (``_dopri5``) that land exactly on every record
-    time k h of that grid and on every time in ``breaks``, where the field
-    may jump or kink; the fixed methods ignore ``breaks``.  Its records have
-    the same "step" and "t" columns as RK4's, and the guard and the status
-    of an early exit are the same.
+    A method is a generator of its accepted steps as (t, state, k), k the
+    step index of a record time and None between them, which one loop
+    consumes; the loop owns the guard, the snapshots and the status of an
+    early exit.  "euler" (``_euler``) takes the ``n_steps`` steps of size
+    ``h`` and ignores ``breaks``.  "dopri5" (``_dopri5``) takes
+    error-controlled steps that land exactly on every record time k h of
+    that grid, so its "step" and "t" columns are Euler's, and on every time
+    in ``breaks``, where the field may jump or kink.
 
     The record is written a block of up to ``RECORD_BLOCK`` snapshots at a
     time.  The block holds each hook row by reference, so a hook must not
@@ -266,36 +269,18 @@ def _integrate(rhs, state0, n_steps, h, record_every, record, method="euler", fi
         tables["t"][filled:end] = times
         filled = end
 
+    steps = (_dopri5(rhs, state, n_steps, h, record_every, breaks) if method == "dopri5"
+             else _euler(rhs, state, n_steps, h, record_every))
     status = None
     try:
         snapshot(0, t, state)
-        if method == "dopri5":
-            for t_new, new, k in _dopri5(rhs, state, n_steps, h, record_every, breaks):
-                if _runaway(new):
-                    state, status = new, ("diverged", t, None)
-                    break
-                state, t = new, t_new
-                if k is not None:
-                    snapshot(k, t, state)
-        else:
-            for k in range(1, n_steps + 1):
-                if method == "euler":
-                    new = state + h * rhs(t, state, False)
-                else:
-                    # the final stage sits on the next grid node, where a
-                    # schedule may jump; evaluate its left limit there to
-                    # integrate each smooth segment at full order
-                    k1 = rhs(t, state, False)
-                    k2 = rhs(t + 0.5 * h, state + 0.5 * h * k1, False)
-                    k3 = rhs(t + 0.5 * h, state + 0.5 * h * k2, False)
-                    k4 = rhs(t + h, state + h * k3, True)
-                    new = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                if _runaway(new):
-                    state, status = new, ("diverged", t, None)
-                    break
-                state, t = new, k * h
-                if k % record_every == 0 or k == n_steps:
-                    snapshot(k, t, state)
+        for t_new, new, k in steps:
+            if _runaway(new):
+                state, status = new, ("diverged", t, None)
+                break
+            state, t = new, t_new
+            if k is not None:
+                snapshot(k, t, state)
     except DomainError as exc:
         status = ("domain", t, exc)
     flush()
@@ -310,6 +295,13 @@ def _runaway(new):
     The dot clears almost every state; NaN, inf and large entries fall
     through to the exact test, which NaN fails too."""
     return not new.dot(new) <= _FAST_SQUARED_BOUND and not np.abs(new).max() <= DIVERGENCE_LIMIT
+
+
+def _euler(rhs, y, n_steps, h, record_every):
+    """The ``n_steps`` Euler steps of size h, as (t, state, k) with k as in ``_dopri5``."""
+    for k in range(1, n_steps + 1):
+        y = y + h * rhs((k - 1) * h, y, False)
+        yield k * h, y, k if k % record_every == 0 or k == n_steps else None
 
 
 def _landings(n_steps, h, record_every, breaks):

@@ -55,7 +55,7 @@ def _equivalence_case(kind):
 
 def test_c1_equivalence():
     sched = Schedule("turnoff", alpha0=0.5, turnoff_time=1.0, t_end=4.0)
-    cfg = IntegratorConfig("rk4", 1e-3, 4.0, record_every=10)
+    cfg = IntegratorConfig("dopri5", 1e-3, 4.0, record_every=10)
     results = {}
     for kind in ("hadamard", "quadratic", "entropy"):
         p, loss = _equivalence_case(kind)

@@ -273,18 +273,16 @@ def test_run_flow_labels_rows_with_their_step(tmp_path):
     assert [row.split(",")[0] for row in rows] == ["0", "3", "5"]
 
 
-def test_run_flow_dopri5_records_the_rk4_rows(tmp_path):
-    rows = {}
-    for method in ("rk4", "dopri5"):
-        out = tmp_path / method
-        args = ["run", "flow", "--out", str(out), "--family", "hyperbolic", "--method", method,
-                "--schedule", "turnoff", "--turnoff-time", "0.37", "--t-end", "1.0",
-                "--step", "0.01", "--record-every", "7", "--seed", "0"]
-        assert main(args) == EXIT_OK
-        lines = (out / "flow_hyperbolic_seed0.csv").read_text().splitlines()
-        rows[method] = [line.split(",")[:2] for line in lines]
-    # the same step and t columns, bit for bit
-    assert rows["dopri5"] == rows["rk4"]
+def test_run_flow_dopri5_records_the_grid_rows(tmp_path):
+    args = ["run", "flow", "--out", str(tmp_path), "--family", "hyperbolic", "--method", "dopri5",
+            "--schedule", "turnoff", "--turnoff-time", "0.37", "--t-end", "1.0",
+            "--step", "0.01", "--record-every", "7", "--seed", "0"]
+    assert main(args) == EXIT_OK
+    lines = (tmp_path / "flow_hyperbolic_seed0.csv").read_text().splitlines()
+    n_steps, h = IntegratorConfig("dopri5", 0.01, 1.0).grid()
+    # the step and t columns of the grid k h, bit for bit
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        [str(k), repr(k * h)] for k in list(range(0, n_steps, 7)) + [n_steps]]
 
 
 @pytest.mark.parametrize("kind, m, unique", [("commuting-diagonal", 15, True),
@@ -346,6 +344,8 @@ def test_diagonal_summary_has_kkt_field(tmp_path):
     (["run", "sensing", "--m", "0"], None, None),
     (["run", "sensing", "--n", "0", "--r", "0"], None, None),
     (["run", "flow", "--n", "0"], None, None),
+    (["run", "flow", "--method", "rk4"], None, None),
+    (["run", "sparse-coding", "--schedule", "turnoff", "--turnoff-time", "0"], None, None),
     (["run", "sparse-coding", "--n-features", "0"], None, None),
     (["run", "sensing"], "abc", None),
     (["run", "sensing", "--seeds", "0,x"], None, None),
@@ -355,7 +355,8 @@ def test_diagonal_summary_has_kkt_field(tmp_path):
     (["verify", "commuting", "--n", "0"], None, None),
     (["verify", "commuting", "--n", "-2"], None, None),
 ], ids=["diagonal-record-every-0", "diagonal-steps-0", "sparse-coding-k-0", "sensing-m-0",
-        "sensing-n-0", "flow-n-0", "sparse-coding-n-features-0", "env-seed-abc", "seeds-0-x",
+        "sensing-n-0", "flow-n-0", "flow-method-rk4", "sparse-coding-turnoff-time-0",
+        "sparse-coding-n-features-0", "env-seed-abc", "seeds-0-x",
         "config-n-abc", "config-n-inf", "config-typo-stpes", "commuting-n-0",
         "commuting-n-negative"])
 def test_bad_input_exits_2_with_an_error_line(tmp_path, monkeypatch, capsys, argv, env_seed,

@@ -173,6 +173,12 @@ def test_integrator_config_validation():
     assert n * h == pytest.approx(1.0)
 
 
+def test_integrator_config_takes_euler_or_dopri5():
+    with pytest.raises(InputError, match=r"method must be 'euler' or 'dopri5', got 'rk4'"):
+        IntegratorConfig("rk4", 1e-2, 1.0)
+    assert IntegratorConfig().method == "dopri5"
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("build, name", [
     (lambda v: Schedule("constant", v), "alpha0"),

@@ -64,30 +64,20 @@ def test_diagonal_run_matches_dense_euler_loop(variant):
     assert report.final_x.tobytes() == p.g(w).tobytes()
 
 
-def test_rk4_hadamard_flow_matches_dense_rk4_loop():
+def test_hadamard_flow_matches_dense_euler_loop():
     rng = make_rng(21)
     n, alpha0, T = 5, 0.4, 1.0
     p = Hadamard(rng.uniform(1.0, 2.0, n), rng.uniform(-0.5, 0.5, n))
     Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
     loss = QuadraticLoss(Q @ np.diag(rng.uniform(0.5, 2.0, n)) @ Q.T, rng.standard_normal(n))
-    cfg = IntegratorConfig("rk4", 1e-2, 2.0, record_every=10)
+    cfg = IntegratorConfig("euler", 1e-2, 2.0, record_every=10)
     traj = run_param_flow(p, loss, Schedule("turnoff", alpha0, turnoff_time=T, t_end=2.0), cfg)
-
-    def alpha(t):
-        return alpha0 if t < T else 0.0
-
-    def alpha_left(t):
-        return alpha0 if t <= T else 0.0
 
     n_steps, h = cfg.grid()
     w, states = p.w_init, [p.w_init]
     for k in range(n_steps):
         t = k * h
-        k1 = dense_rhs(p, loss, w, alpha(t))
-        k2 = dense_rhs(p, loss, w + 0.5 * h * k1, alpha(t + 0.5 * h))
-        k3 = dense_rhs(p, loss, w + 0.5 * h * k2, alpha(t + 0.5 * h))
-        k4 = dense_rhs(p, loss, w + h * k3, alpha_left(t + h))
-        w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        w = w + h * dense_rhs(p, loss, w, alpha0 if t < T else 0.0)
         if (k + 1) % cfg.record_every == 0:
             states.append(w)
 

@@ -31,7 +31,8 @@ def test_energy_descent_without_regularization():
     p = Hadamard([1.5, 1.2, 1.8], [0.3, -0.2, 0.4])
     loss = quad_loss(3, seed=1)
     sched = Schedule("constant", 0.0, t_end=2.0)
-    traj = run_param_flow(p, loss, sched, IntegratorConfig("rk4", 1e-3, 2.0, record_every=10))
+    cfg = IntegratorConfig("dopri5", 1e-3, 2.0, record_every=10)
+    traj = run_param_flow(p, loss, sched, cfg)
     f = traj.metrics["train_loss"]
     assert np.all(np.diff(f) <= 1e-10)
 
@@ -40,7 +41,8 @@ def test_pure_decay_closed_form():
     # zero loss gradient, constant alpha: w_t = w_0 exp(-alpha t) under weight decay
     p = Hadamard([1.0, 2.0], [0.5, -0.4])
     sched = Schedule("constant", 0.3, t_end=1.5)
-    traj = run_param_flow(p, ZeroLoss(2), sched, IntegratorConfig("rk4", 1e-3, 1.5, record_every=50))
+    cfg = IntegratorConfig("dopri5", 1e-3, 1.5, record_every=50)
+    traj = run_param_flow(p, ZeroLoss(2), sched, cfg)
     expected = p.w_init[None, :] * np.exp(-0.3 * traj.times)[:, None]
     assert np.max(np.abs(traj.params - expected)) < 1e-10
 
@@ -50,7 +52,8 @@ def test_sym_factor_norm_bounded_under_decay():
     U0 = rng.standard_normal((3, 3))
     p = SymFactor(U0)
     sched = Schedule("constant", 0.5, t_end=2.0)
-    traj = run_param_flow(p, ZeroLoss(9), sched, IntegratorConfig("rk4", 1e-2, 2.0, record_every=1))
+    cfg = IntegratorConfig("dopri5", 1e-2, 2.0, record_every=1)
+    traj = run_param_flow(p, ZeroLoss(9), sched, cfg)
     norms = np.linalg.norm(traj.params, axis=1)
     assert np.all(norms <= norms[0] + 1e-12)
     assert norms[-1] == pytest.approx(norms[0] * np.exp(-0.5 * 2.0), rel=1e-8)
@@ -61,7 +64,8 @@ def test_mirror_flow_entropy_stays_positive_and_converges():
     target = np.array([2.0, 0.7])
     loss = QuadraticLoss(np.eye(2), target)
     sched = Schedule("turnoff", 0.4, turnoff_time=0.5, t_end=30.0)
-    traj = run_mirror_flow(ent, loss, sched, IntegratorConfig("rk4", 5e-3, 30.0, record_every=100))
+    cfg = IntegratorConfig("dopri5", 5e-3, 30.0, record_every=100)
+    traj = run_mirror_flow(ent, loss, sched, cfg)
     assert np.all(traj.x > 0)
     assert traj.final_x == pytest.approx(target, abs=1e-6)
 
@@ -71,11 +75,12 @@ def test_mirror_flow_pure_drift_matches_scale():
     x0 = np.array([1.0, 2.0])
     ent = Entropy(x0)
     sched = Schedule("constant", 0.25, t_end=2.0)
-    traj = run_mirror_flow(ent, ZeroLoss(2), sched, IntegratorConfig("rk4", 1e-3, 2.0, record_every=100))
+    cfg = IntegratorConfig("dopri5", 1e-3, 2.0, record_every=100)
+    traj = run_mirror_flow(ent, ZeroLoss(2), sched, cfg)
     expected = x0[None, :] * np.exp(2.0 * traj.a)[:, None]
     assert np.max(np.abs(traj.x - expected)) < 1e-12
     hyp = HyperbolicEntropy.from_hadamard(np.array([1.5, 1.2]), np.array([0.5, -0.3]))
-    traj = run_mirror_flow(hyp, ZeroLoss(2), sched, IntegratorConfig("rk4", 1e-3, 2.0, record_every=100))
+    traj = run_mirror_flow(hyp, ZeroLoss(2), sched, cfg)
     x0h = hyp.dual_map(0.0, np.zeros(2))
     assert np.max(np.abs(traj.x - x0h[None, :] * np.exp(2.0 * traj.a)[:, None])) < 1e-12
 
@@ -96,7 +101,7 @@ def test_equivalence_matched_pairs(case):
         p = QuadraticCommuting(A_list, np.eye(4), rng.uniform(0.7, 1.5, 4))
         loss = QuadraticLoss(np.diag(rng.uniform(0.5, 2.0, 3)), rng.uniform(0.3, 1.0, 3))
     sched = Schedule("turnoff", 0.5, turnoff_time=0.5, t_end=2.0)
-    cfg = IntegratorConfig("rk4", 1e-3, 2.0, record_every=20)
+    cfg = IntegratorConfig("dopri5", 1e-3, 2.0, record_every=20)
     rep = verify_equivalence(p, family_for(p), loss, sched, cfg)
     assert rep.passed and rep.max_deviation < 1e-8
 
@@ -107,7 +112,7 @@ def test_equivalence_diff_powers_classical():
     p = DiffPowers(2, np.array([1.1, 1.3]), np.array([0.9, 1.0]))
     loss = QuadraticLoss(0.5 * np.eye(2), np.array([0.6, -0.2]))
     sched = Schedule("constant", 0.0, t_end=2.0)
-    cfg = IntegratorConfig("rk4", 1e-3, 2.0, record_every=20)
+    cfg = IntegratorConfig("dopri5", 1e-3, 2.0, record_every=20)
     rep = verify_equivalence(p, family_for(p), loss, sched, cfg, tol=1e-5)
     assert rep.passed
 
@@ -117,7 +122,7 @@ def test_equivalence_refuses_depth_three():
     fam = Entropy(np.ones(2))
     with pytest.raises(InputError):
         verify_equivalence(p, fam, quad_loss(2), Schedule("constant", 0.0, t_end=1.0),
-                           IntegratorConfig("rk4", 1e-2, 1.0))
+                           IntegratorConfig("dopri5", 1e-2, 1.0))
 
 
 def test_equivalence_rejects_unmatched_or_inconsistent():
@@ -125,24 +130,11 @@ def test_equivalence_rejects_unmatched_or_inconsistent():
     dp = DiffPowersFlow(2, np.ones(2), np.ones(2))
     with pytest.raises(InputError):
         verify_equivalence(p, dp, quad_loss(2), Schedule("constant", 0.0, t_end=1.0),
-                           IntegratorConfig("rk4", 1e-2, 1.0))
+                           IntegratorConfig("dopri5", 1e-2, 1.0))
     wrong = Entropy(np.array([2.0, 2.0]))  # does not reproduce g(w_init) = 0.5
     with pytest.raises(InputError):
         verify_equivalence(p, wrong, quad_loss(2), Schedule("constant", 0.0, t_end=1.0),
-                           IntegratorConfig("rk4", 1e-2, 1.0))
-
-
-def test_step_halving_rk4_order():
-    p = Hadamard([1.4, 1.1], [0.3, -0.5])
-    loss = quad_loss(2, seed=6)
-    sched = Schedule("turnoff", 0.5, turnoff_time=0.5, t_end=1.0)
-    finals = []
-    for step in (4e-2, 2e-2, 1e-2):
-        traj = run_param_flow(p, loss, sched, IntegratorConfig("rk4", step, 1.0, record_every=10**6))
-        finals.append(traj.final_x)
-    e1 = np.linalg.norm(finals[0] - finals[1])
-    e2 = np.linalg.norm(finals[1] - finals[2])
-    assert e2 <= e1 / 4.0
+                           IntegratorConfig("dopri5", 1e-2, 1.0))
 
 
 # 0.6137 is not a node of the grids below, so the steps must land on it
@@ -166,17 +158,18 @@ def test_dopri5_matches_the_closed_form_drifts(kind, turnoff, flow_kind):
     assert np.max(np.abs(got - expected)) <= 1e-11
 
 
-def test_dopri5_records_the_step_and_time_columns_of_rk4():
+def test_dopri5_records_the_step_and_time_columns_of_the_grid():
     p = Hadamard([1.4, 1.1], [0.3, -0.5])
     loss = quad_loss(2, seed=6)
     sched = Schedule("turnoff", 0.5, turnoff_time=0.6137, t_end=1.3)
     trajs = [run_param_flow(p, loss, sched, IntegratorConfig(method, 1e-2, 1.3, record_every=7))
-             for method in ("rk4", "dopri5")]
-    h = IntegratorConfig("dopri5", 1e-2, 1.3).grid()[1]
-    assert trajs[1].steps.tolist() == trajs[0].steps.tolist()
+             for method in ("euler", "dopri5")]
+    n_steps, h = IntegratorConfig("dopri5", 1e-2, 1.3).grid()
+    grid = list(range(0, n_steps, 7)) + [n_steps]
+    assert trajs[1].steps.tolist() == trajs[0].steps.tolist() == grid
     assert trajs[1].times.tobytes() == trajs[0].times.tobytes()
     assert trajs[1].times.tolist() == [k * h for k in trajs[1].steps.tolist()]
-    # RK4 straddles the turn-off jump, so it is first-order accurate here
+    # Euler is first-order accurate
     assert np.max(np.abs(trajs[1].x - trajs[0].x)) < 1e-2
 
 
@@ -188,17 +181,18 @@ def test_dopri5_lands_on_record_times_and_breaks_inside_the_run():
 
 def test_dopri5_log_cosh_run_that_leaves_its_domain_ends_with_domain_status():
     # a nearly constant pull (M tiny, target huge) carries mu across the upper
-    # end of the log-cosh domain at t ~ 0.465; rejected steps close in on it
+    # end of the log-cosh domain at t ~ 0.465; rejected steps close in on it,
+    # and Euler leaves it within one step of that
     lc = LogCosh(np.array([1.0, 1.2]), np.array([0.9, 1.1]))
     loss = QuadraticLoss(1e-6 * np.eye(2), np.array([1e6, -1e6]))
     sched = Schedule("turnoff", 0.2, turnoff_time=0.3, t_end=4.0)
     exits = []
-    for method in ("rk4", "dopri5"):
+    for method in ("euler", "dopri5"):
         with pytest.raises(DomainExitError) as exc_info:
             run_mirror_flow(lc, loss, sched, IntegratorConfig(method, 1e-2, 4.0, record_every=5))
         exits.append(exc_info.value)
     assert exits[1].trajectory.steps.tolist() == exits[0].trajectory.steps.tolist()
-    assert exits[0].time <= exits[1].time < exits[0].time + 1e-2
+    assert abs(exits[1].time - exits[0].time) < 1e-2
 
 
 def test_divergence_guard():
@@ -211,7 +205,7 @@ def test_divergence_guard():
     assert err.trajectory is not None and err.last_valid_time < 40.0
 
 
-@pytest.mark.parametrize("method", ["euler", "rk4", "dopri5"])
+@pytest.mark.parametrize("method", ["euler", "dopri5"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 100.0 * DIVERGENCE_LIMIT])
 def test_integrate_stops_on_nonfinite_or_huge_state(bad, method):
     def rhs(t, state, left_limit):
@@ -228,9 +222,8 @@ def test_integrate_stops_on_nonfinite_or_huge_state(bad, method):
         assert status[0] == "diverged" and status[2] is None
         assert (1.0 < status[1] < 1.1) if np.isfinite(bad) else (1.0 - floor <= status[1] < 1.0)
     else:
-        # RK4's last stage of the step from t = 0.5 already samples t = 1
-        last_ok = 2 if method == "euler" else 1
-        assert status == ("diverged", 0.5 * last_ok, None)
+        last_ok = 2
+        assert status == ("diverged", 1.0, None)
     assert records["step"].tolist() == list(range(last_ok + 1))
 
 
@@ -244,7 +237,7 @@ def test_integrate_accepts_states_at_the_divergence_limit():
     assert state.tolist() == [DIVERGENCE_LIMIT, -DIVERGENCE_LIMIT]
 
 
-@pytest.mark.parametrize("method", ["euler", "rk4", "dopri5"])
+@pytest.mark.parametrize("method", ["euler", "dopri5"])
 def test_integrate_accepts_many_entries_near_the_limit(method):
     # the squared norm, 10 * 0.81 * LIMIT**2, fails the one-dot bound, so the
     # exact per-entry test decides, and every entry is inside the limit
@@ -257,7 +250,7 @@ def test_integrate_accepts_many_entries_near_the_limit(method):
     assert state.tolist() == state0.tolist()
 
 
-@pytest.mark.parametrize("method", ["euler", "rk4", "dopri5"])
+@pytest.mark.parametrize("method", ["euler", "dopri5"])
 def test_integrate_rejects_one_entry_just_past_the_limit(method):
     state0 = np.zeros(50)
     state0[17] = np.nextafter(DIVERGENCE_LIMIT, np.inf)
@@ -315,7 +308,7 @@ def test_integrate_tables_are_int64_steps_and_float64_values():
     def record(k, t, s):
         return {"x": s, "norm": float(s.dot(s)), "first": s[0], "flag": 1.0}
 
-    _, status, records = _integrate(lambda t, s, left: -s, np.ones(3), 7, 0.1, 3, record, "rk4")
+    _, status, records = _integrate(lambda t, s, left: -s, np.ones(3), 7, 0.1, 3, record, "dopri5")
     assert status is None
     assert records["step"].dtype == np.int64 and records["step"].tolist() == [0, 3, 6, 7]
     assert {name: (col.dtype, col.shape) for name, col in records.items() if name != "step"} == {
@@ -476,7 +469,8 @@ def test_convergence_after_turnoff():
     p = Hadamard(np.full(3, 1.5), np.full(3, 0.2))
     loss = quad_loss(3, seed=8)
     sched = Schedule("turnoff", 1.0, turnoff_time=0.5, t_end=40.0)
-    traj = run_param_flow(p, loss, sched, IntegratorConfig("rk4", 5e-3, 40.0, record_every=200))
+    cfg = IntegratorConfig("dopri5", 5e-3, 40.0, record_every=200)
+    traj = run_param_flow(p, loss, sched, cfg)
     steps = np.linalg.norm(np.diff(traj.x, axis=0), axis=1)
     assert steps[-1] < 1e-8
     assert np.linalg.norm(loss.grad(traj.final_x)) < 1e-6
@@ -498,7 +492,7 @@ def test_quadratic_encoding_trajectory_agreement():
     hyp = HyperbolicEntropy.from_hadamard(m0, w0)
     loss = quad_loss(n, seed=11)
     sched = Schedule("turnoff", 0.5, turnoff_time=0.5, t_end=2.0)
-    cfg = IntegratorConfig("rk4", 2e-3, 2.0, record_every=20)
+    cfg = IntegratorConfig("dopri5", 2e-3, 2.0, record_every=20)
     t_q = run_mirror_flow(qf, loss, sched, cfg)
     t_h = run_mirror_flow(hyp, loss, sched, cfg)
     assert np.max(np.abs(t_q.x - t_h.x)) < 1e-6
@@ -612,7 +606,7 @@ def test_a_loss_that_does_not_fit_raises_before_the_first_step(monkeypatch, loss
                                                                flow_kind):
     monkeypatch.setattr(flow, "_integrate", _no_stepping)
     sched = Schedule("constant", 0.1, t_end=1.0)
-    cfg = IntegratorConfig("rk4", 0.1, 1.0)
+    cfg = IntegratorConfig("dopri5", 0.1, 1.0)
     with pytest.raises(InputError, match=match):
         if flow_kind == "param":
             run_param_flow(Hadamard([1.0, 2.0], [0.5, 0.5]), loss, sched, cfg)
@@ -634,16 +628,16 @@ def _count_flat_vector(monkeypatch):
 def _param_flow(p, loss):
     def run(steps, every):
         sched = Schedule("turnoff", 0.5, turnoff_time=0.5, t_end=1.0)
-        return run_param_flow(p, loss, sched, IntegratorConfig("rk4", 1.0 / steps, 1.0,
-                                                               record_every=every))
+        cfg = IntegratorConfig("dopri5", 1.0 / steps, 1.0, record_every=every)
+        return run_param_flow(p, loss, sched, cfg)
     return run
 
 
 def _mirror_flow(family, loss):
     def run(steps, every):
         sched = Schedule("turnoff", 0.1, turnoff_time=0.5, t_end=1.0)
-        return run_mirror_flow(family, loss, sched, IntegratorConfig("rk4", 1.0 / steps, 1.0,
-                                                                     record_every=every))
+        cfg = IntegratorConfig("dopri5", 1.0 / steps, 1.0, record_every=every)
+        return run_mirror_flow(family, loss, sched, cfg)
     return run
 
 
