@@ -28,7 +28,7 @@ loss = QuadraticLoss(Q @ np.diag(rng.uniform(0.5, 2.0, n)) @ Q.T, rng.standard_n
 schedule = Schedule("turnoff", alpha0=0.5, turnoff_time=1.0, t_end=4.0)
 cfg = IntegratorConfig("dopri5", 1e-3, 4.0, record_every=10)
 
-report = verify_equivalence(p, family, loss, schedule, cfg)
+report = verify_equivalence(p, loss, schedule, cfg)
 print(f"parameter flow vs mirror flow ({report.pair}):")
 print(f"  max deviation over {report.n_points} recorded points: {report.max_deviation:.2e}")
 print(f"  weight decay was active until t = {schedule.turnoff_time}, then off\n")

@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 3 numeric divergence.  Each command declares its options once, in
-``COMMANDS``, with their defaults; the parser derives one flag per option
-from there.  Config files are flat ``key = value`` text with ``[section]``
-headers; command-line flags override config values.  The environment
+``COMMANDS``, with their defaults; a run takes the options of its config
+from the fields of the config class, and the parser derives one flag per
+option from there.  Config files are flat ``key = value`` text with
+``[section]`` headers; command-line flags override config values.  The environment
 variable MIRRORLAB_SEED overrides any configured seed.  Each option is then
 cast once to the type of its default; a value that cannot be read as that
 type, or a float option that is not finite, is a usage error.
@@ -48,6 +49,14 @@ CSV_CHUNK_ROWS = 512
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Prints a flag error as an ``error:`` line, like every other usage error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +216,19 @@ def _typed(name, val, kind):
     return out
 
 
-def _schedule_from(opts):
-    return Schedule(opts["kind"], opts["alpha0"], turnoff_time=opts["turnoff_time"],
-                    t_end=opts["t_end"])
+def _schedule_from(opts, t_end):
+    return Schedule(opts["kind"], opts["alpha0"], turnoff_time=opts["turnoff_time"], t_end=t_end)
+
+
+def _fields(cls):
+    """The options a run takes from its config class: every field but the
+    schedule, with its default."""
+    return {f.name: f.default for f in dataclasses.fields(cls) if f.name != "schedule"}
+
+
+def _config(cls, opts, **given):
+    """cls built from the options named by its fields, ``given`` overriding them."""
+    return cls(**{name: opts[name] for name in _fields(cls)} | given)
 
 
 def _write_report(out, name, report):
@@ -275,31 +294,30 @@ def _equivalence_case(family_name, seed):
     M = Q @ np.diag(rng.uniform(0.5, 2.0, n)) @ Q.T
     if family_name == "hadamard":
         p = reparam.Hadamard(*_hadamard_init(rng, n))
-        return p, legendre.family_for(p), QuadraticLoss(M, rng.standard_normal(n))
+        return p, QuadraticLoss(M, rng.standard_normal(n))
     if family_name == "entropy":
         m0 = rng.uniform(0.8, 1.2, n)
         p = reparam.Hadamard(m0, m0)
-        return p, legendre.family_for(p), QuadraticLoss(M, rng.uniform(0.5, 2.0, n))
+        return p, QuadraticLoss(M, rng.uniform(0.5, 2.0, n))
     if family_name == "quadratic":
         d, D = 4, 5
         p = reparam.QuadraticCommuting(_unit_diagonals(d, D), np.eye(D), rng.uniform(0.7, 1.5, D))
-        return p, legendre.family_for(p), QuadraticLoss(np.diag(rng.uniform(0.5, 2.0, d)),
-                                                        rng.uniform(0.3, 1.0, d))
+        return p, QuadraticLoss(np.diag(rng.uniform(0.5, 2.0, d)), rng.uniform(0.3, 1.0, d))
     if family_name == "diff-powers":
         p = reparam.DiffPowers(2, rng.uniform(0.9, 1.4, 3), rng.uniform(0.9, 1.4, 3))
-        return p, legendre.family_for(p), QuadraticLoss(0.5 * np.eye(3), rng.uniform(-0.5, 0.5, 3))
+        return p, QuadraticLoss(0.5 * np.eye(3), rng.uniform(-0.5, 0.5, 3))
     raise UsageError(f"unknown equivalence family {family_name!r}")
 
 
 def cmd_verify_equivalence(args, opts):
-    p, family, loss = _equivalence_case(opts["family"], opts["seed"])
+    p, loss = _equivalence_case(opts["family"], opts["seed"])
     # a fixed schedule per family: the diff-powers dual map matches the raw
     # factor flow exactly only without accumulated strength, so that family
     # checks the classical, undecayed case
     kind, alpha0 = ("constant", 0.0) if opts["family"] == "diff-powers" else ("turnoff", 0.5)
     sched = Schedule(kind, alpha0, turnoff_time=1.0, t_end=opts["t_end"])
     cfg = IntegratorConfig("dopri5", opts["step"], opts["t_end"], record_every=10)
-    report = verify_equivalence(p, family, loss, sched, cfg, tol=opts["tol"])
+    report = verify_equivalence(p, loss, sched, cfg, tol=opts["tol"])
     print(f"pair {report.pair}: max deviation {report.max_deviation:.3e} "
           f"(tol {report.tol:.1e}) over {report.n_points} points -> "
           f"{'PASS' if report.passed else 'FAIL'}")
@@ -379,8 +397,7 @@ def cmd_verify_optimality(args, opts):
           f"oracle deviation {diff:.3e} (tol {opts['oracle_tol']:.1e}) -> "
           f"{'PASS' if ok else 'FAIL'}")
     if args.out:
-        _ensure_outdir(args.out)
-        with open(os.path.join(args.out, "optimality_report.json"), "w") as fh:
+        with open(os.path.join(_ensure_outdir(args.out), "optimality_report.json"), "w") as fh:
             json.dump({"case": opts["case"], "kkt_residual": res, "oracle_deviation": diff,
                        "passed": ok}, fh, indent=2)
             fh.write("\n")
@@ -406,21 +423,18 @@ def _kkt_or_none(Z, x, family, a):
 
 
 def cmd_run_sensing(args, opts):
-    out = _ensure_outdir(args.out)
     seeds = ([_typed("seeds", s, int) for s in opts["seeds"].split(",") if s != ""]
              or [opts["seed"]])
-    sched = _schedule_from(opts)
-    jobs = [SensingConfig(n=opts["n"], r=opts["r"], m=opts["m"], beta=opts["beta"],
-                          eta=opts["eta"], steps=opts["steps"],
-                          record_every=opts["record_every"], sensing_kind=opts["sensing_kind"],
-                          seed=seed, schedule=sched) for seed in seeds]
+    # the schedule ends with the run, as SensingConfig's default one does
+    sched = _schedule_from(opts, max(opts["steps"] * opts["eta"], 1e-12))
+    jobs = [_config(SensingConfig, opts, seed=seed, schedule=sched) for seed in seeds]
     if args.jobs > 1 and len(jobs) > 1:
         # imported here: the process pool's import chain adds about 1 MB of
         # peak memory to every command that does not use it
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            return _write_sensing_runs(out, pool.map(_sensing_job, jobs), jobs, args.plot)
-    return _write_sensing_runs(out, map(_sensing_job, jobs), jobs, args.plot)
+            return _write_sensing_runs(args.out, pool.map(_sensing_job, jobs), jobs, args.plot)
+    return _write_sensing_runs(args.out, map(_sensing_job, jobs), jobs, args.plot)
 
 
 def _write_sensing_runs(out, results, jobs, plot):
@@ -450,7 +464,7 @@ def _write_sensing_seed(out, rep, wall, cfg, plot):
             lam = np.maximum(np.diag(rep.final_x.reshape(cfg.n, cfg.n)), 1e-300)
             fam = legendre.Entropy(cfg.beta * np.ones(cfg.n))
             extra["kkt_residual"] = _kkt_or_none(Z, lam, fam, float(rep.a[-1]))
-    stem = os.path.join(out, f"sensing_seed{cfg.seed}")
+    stem = os.path.join(_ensure_outdir(out), f"sensing_seed{cfg.seed}")
     write_trajectory_csv(stem + ".csv", rep)
     write_summary(stem + "_summary.json", rep, cfg.seed, wall, extra=extra)
     if plot:
@@ -470,11 +484,9 @@ def _write_sensing_seed(out, rep, wall, cfg, plot):
 
 
 def cmd_run_diagonal(args, opts):
-    out = _ensure_outdir(args.out)
-    cfg = RegressionConfig(d=opts["d"], n=opts["n"], sparsity=opts["sparsity"],
-                           eta=opts["eta"], steps=opts["steps"], schedule=_schedule_from(opts),
-                           variant=opts["variant"], seed=opts["seed"],
-                           record_every=opts["record_every"])
+    # the schedule ends with phase 2, as RegressionConfig's default one does
+    sched = _schedule_from(opts, max(2 * opts["steps"] * opts["eta"], 1e-12))
+    cfg = _config(RegressionConfig, opts, schedule=sched)
     t0 = time.perf_counter()
     rep = diagonal_network_run(cfg)
     wall = time.perf_counter() - t0
@@ -483,7 +495,7 @@ def cmd_run_diagonal(args, opts):
         Z, _, _ = make_regression_problem(cfg)
         fam = legendre.HyperbolicEntropy.from_hadamard(np.zeros(cfg.n), np.ones(cfg.n))
         kkt = _kkt_or_none(Z, rep.final_x, fam, float(rep.a[-1]))
-    stem = os.path.join(out, f"diagonal_{cfg.variant}_seed{cfg.seed}")
+    stem = os.path.join(_ensure_outdir(args.out), f"diagonal_{cfg.variant}_seed{cfg.seed}")
     write_trajectory_csv(stem + ".csv", rep)
     write_summary(stem + "_summary.json", rep, cfg.seed, wall, extra={"kkt_residual": kkt})
     if args.plot:
@@ -502,9 +514,9 @@ def cmd_run_diagonal(args, opts):
 
 
 def cmd_run_sparse_coding(args, opts):
-    out = _ensure_outdir(args.out)
     seed, k, variant = opts["seed"], opts["k"], opts["variant"]
-    sched = _schedule_from(opts)
+    # t_end sets only a constant schedule's total_strength
+    sched = _schedule_from(opts, 1e9)
     rng = make_rng(seed)
     if opts["dictionary"]:
         D = load_matrix(opts["dictionary"])
@@ -530,12 +542,11 @@ def cmd_run_sparse_coding(args, opts):
         p = reparam.LogRatio(u0, v0)
     else:
         raise UsageError(f"unknown sparse-coding variant {variant!r}")
-    cfg = SparseCodingConfig(steps=opts["steps"], record_every=opts["record_every"],
-                             lr_scale=opts["lr_scale"])
+    cfg = _config(SparseCodingConfig, opts)
     t0 = time.perf_counter()
     rep = sparse_coding_run(D, target, p, sched, cfg)
     wall = time.perf_counter() - t0
-    stem = os.path.join(out, f"sparse_{variant}_seed{seed}")
+    stem = os.path.join(_ensure_outdir(args.out), f"sparse_{variant}_seed{seed}")
     write_trajectory_csv(stem + ".csv", rep)
     write_summary(stem + "_summary.json", rep, seed, wall,
                   extra={"flags": rep.flags, "kkt_residual": None})
@@ -548,7 +559,6 @@ def cmd_run_sparse_coding(args, opts):
 
 
 def cmd_run_flow(args, opts):
-    out = _ensure_outdir(args.out)
     seed, n = opts["seed"], opts["n"]
     if n < 1:
         raise UsageError("n must be positive")
@@ -562,7 +572,7 @@ def cmd_run_flow(args, opts):
     else:
         raise UsageError(f"unknown flow family {opts['family']!r}")
     loss = QuadraticLoss(np.eye(n), target)
-    sched = _schedule_from(opts)
+    sched = _schedule_from(opts, opts["t_end"])
     cfg = IntegratorConfig(opts["method"], opts["step"], opts["t_end"],
                            record_every=opts["record_every"])
     t0 = time.perf_counter()
@@ -572,17 +582,17 @@ def cmd_run_flow(args, opts):
         traj = exc.trajectory
         print(f"flow stopped early: {exc}", file=sys.stderr)
         if traj is not None:
-            _write_flow_outputs(out, opts, traj, seed, time.perf_counter() - t0, args.plot)
+            _write_flow_outputs(args.out, opts, traj, seed, time.perf_counter() - t0, args.plot)
         return EXIT_DIVERGED
     wall = time.perf_counter() - t0
-    _write_flow_outputs(out, opts, traj, seed, wall, args.plot)
+    _write_flow_outputs(args.out, opts, traj, seed, wall, args.plot)
     print(f"family {fam.tag}: {len(traj)} records, final loss "
           f"{traj.metrics['train_loss'][-1]:.3e}")
     return EXIT_OK
 
 
 def _write_flow_outputs(out, opts, traj, seed, wall, plot):
-    stem = os.path.join(out, f"flow_{opts['family']}_seed{seed}")
+    stem = os.path.join(_ensure_outdir(out), f"flow_{opts['family']}_seed{seed}")
     rep = ExperimentReport(
         kind="flow",
         config=dict(opts),
@@ -605,7 +615,8 @@ def _write_flow_outputs(out, opts, traj, seed, wall, plot):
 # ---------------------------------------------------------------------------
 
 # (group, name) -> (handler, config section, {option: default}): the one
-# declaration of each command's options.  build_parser derives a flag per
+# declaration of each command's options, a run's config options being the
+# fields of its config class.  build_parser derives a flag per
 # option, typed by its default (``kind`` is spelled --schedule); _merged reads
 # the command's [section] plus the shared [schedule]; main calls
 # handler(args, options).
@@ -619,17 +630,14 @@ COMMANDS = {
     ("verify", "optimality"): (cmd_verify_optimality, "optimality", {
         "case": "diagonal", "seed": 0, "kkt_tol": 1e-4, "oracle_tol": 1e-3}),
     ("run", "sensing"): (cmd_run_sensing, "sensing", {
-        "n": 20, "r": 5, "m": 120, "beta": 0.1, "eta": 0.25, "steps": 5000, "record_every": 10,
-        "seed": 0, "sensing_kind": "random-symmetric", "kind": "turnoff", "alpha0": 0.02,
-        "turnoff_time": 625.0, "t_end": 1250.0, "seeds": ""}),
+        **_fields(SensingConfig), "kind": "turnoff", "alpha0": 0.02, "turnoff_time": 625.0,
+        "seeds": ""}),
     ("run", "diagonal"): (cmd_run_diagonal, "diagonal", {
-        "d": 40, "n": 100, "sparsity": 5, "eta": 1e-3, "steps": 20000, "record_every": 100,
-        "seed": 0, "variant": "mw", "kind": "turnoff", "alpha0": 1.0, "turnoff_time": 20.0,
-        "t_end": 40.0}),
+        **_fields(RegressionConfig), "kind": "turnoff", "alpha0": 1.0, "turnoff_time": 20.0}),
     ("run", "sparse-coding"): (cmd_run_sparse_coding, "sparse_coding", {
-        "n_obs": 200, "n_features": 50, "k": 2, "variant": "diff-powers", "steps": 300,
-        "record_every": 1, "lr_scale": 1e-3, "seed": 0, "kind": "constant", "alpha0": 1e-3,
-        "turnoff_time": 1.0, "t_end": 1e9, "dictionary": ""}),
+        "n_obs": 200, "n_features": 50, "k": 2, "variant": "diff-powers",
+        **_fields(SparseCodingConfig), "seed": 0, "kind": "constant", "alpha0": 1e-3,
+        "turnoff_time": 1.0, "dictionary": ""}),
     ("run", "flow"): (cmd_run_flow, "flow", {
         "family": "entropy", "n": 4, "seed": 0, "method": "dopri5", "step": 1e-3,
         "record_every": 10, "kind": "constant", "alpha0": 0.1, "turnoff_time": 1.0,
@@ -645,8 +653,7 @@ def build_parser():
     """One flag per COMMANDS option, plus the fixed switches: --config and
     --out everywhere, --expect-fail where a verify reads it, and --plot and
     --jobs on every run."""
-    top = argparse.ArgumentParser(prog="mirrorlab",
-                                  description="time-dependent mirror flow laboratory")
+    top = _Parser(prog="mirrorlab", description="time-dependent mirror flow laboratory")
     groups = top.add_subparsers(dest="command", required=True)
     subs = {group: groups.add_parser(group, help=text).add_subparsers(dest="name", required=True)
             for group, text in (("verify", "run a verification suite"),

@@ -71,12 +71,12 @@ class BracketReport:
     worst_pair: tuple = ("", "")
 
 
-def check_commuting(p, n_samples=50, tol=1e-4, seed=0, box=None):
-    """Sample the box and evaluate all pairwise brackets, h included."""
+def check_commuting(p, n_samples=50, tol=1e-4, seed=0):
+    """Sample ``p.sample_box`` and evaluate all pairwise brackets, h included."""
     if n_samples < 1:
         raise InputError("n_samples must be >= 1")
     rng = make_rng(seed)
-    lo, hi = box if box is not None else p.sample_box
+    lo, hi = p.sample_box
     indices = list(range(p.dim_model)) + ["h"]
     worst = 0.0
     worst_w = None

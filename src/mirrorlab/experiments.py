@@ -19,7 +19,7 @@ stage calls the unchecked kernels of ``reparam`` and ``flow`` directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -166,7 +166,7 @@ def matrix_sensing_run(cfg: SensingConfig) -> ExperimentReport:
         "converged": bool(rec["train_loss"][-1] <= LOSS_THRESHOLD),
         "a_final": float(rec["a"][-1]),
     }
-    return _report("sensing", _cfg_dict(cfg), rec, summary, diverged=status is not None,
+    return _report("sensing", asdict(cfg), rec, summary, diverged=status is not None,
                    eigenvalues=eigenvalues, final_x=p._g(w), final_params=w)
 
 
@@ -254,7 +254,7 @@ def diagonal_network_run(cfg: RegressionConfig) -> ExperimentReport:
         "a_final": float(cfg.schedule.a(phase1_end)),
         "converged": bool(rec["train_loss"][-1] <= 1e-10),
     }
-    return _report("diagonal", _cfg_dict(cfg), rec, summary, diverged=status is not None,
+    return _report("diagonal", asdict(cfg), rec, summary, diverged=status is not None,
                    final_x=p._g(params), final_params=params)
 
 
@@ -264,7 +264,10 @@ def diagonal_network_run(cfg: RegressionConfig) -> ExperimentReport:
 
 @dataclass
 class SparseCodingConfig:
-    steps: int = 100
+    """A sparse-coding run's Euler steps, record interval and step scale; the
+    fields and defaults of ``run sparse-coding``'s options of those names."""
+
+    steps: int = 300
     record_every: int = 1
     lr_scale: float = 1e-3
 
@@ -319,17 +322,14 @@ def sparse_coding_run(dictionary, target, variant_p, schedule: Schedule,
         "stationarity_step": stationarity_step(rec["l1"], rec["step"]) if len(rec["l1"]) > 1 else None,
     }
     config = {"steps": cfg.steps, "lr_scale": cfg.lr_scale, "variant": variant_p.tag,
-              "schedule": _schedule_dict(schedule)}
+              "schedule": asdict(schedule)}
     return _report("sparse-coding", config, rec, summary, diverged=status is not None, flags=flags,
                    final_x=None if status is not None else variant_p.g(params), final_params=params)
 
 
-def stationarity_step(series, steps, rtol=0.05):
-    """First recorded step after which the series stays within rtol of its end.
-
-    The tolerance is relative to the series' total range, so flat series are
-    stationary immediately.
-    """
+def stationarity_step(series, steps):
+    """First recorded step from which the series stays within 5 % of its total
+    range of its last value, so flat series are stationary immediately."""
     s = np.asarray(series, dtype=float)
     steps = np.asarray(steps)
     span = float(np.max(s) - np.min(s))
@@ -337,7 +337,7 @@ def stationarity_step(series, steps, rtol=0.05):
         return int(steps[0])
     dev = np.abs(s - s[-1])
     tail_max = np.flip(np.maximum.accumulate(np.flip(dev)))
-    idx = int(np.argmax(tail_max <= rtol * span))
+    idx = int(np.argmax(tail_max <= 0.05 * span))
     return int(steps[idx])
 
 
@@ -361,18 +361,19 @@ def kkt_residual(Z, x_inf, family: LegendreFamily, a_T):
     return float(np.linalg.norm(g - proj) / max(1.0, np.linalg.norm(g)))
 
 
-def constrained_argmin(family: LegendreFamily, a, Z, Y, tol=1e-12, max_iter=200):
+def constrained_argmin(family: LegendreFamily, a, Z, Y):
     """argmin { R_a(x) : Z x = Y } by Newton on the dual variables.
 
     Stationarity forces grad R_a(x) = Z^T nu, i.e. x = Q_a(Z^T nu); the Newton
     of ``legendre`` (the one behind every numeric ``grad``) solves
-    Z Q_a(Z^T nu) = Y for nu.  Independent of any flow trajectory, so it
+    Z Q_a(Z^T nu) = Y for nu, until max |r| <= 1e-12 max(1, max |Y|) or for
+    at most 200 iterations.  Independent of any flow trajectory, so it
     serves as the optimality oracle.
     """
     Z = np.asarray(Z, dtype=float)
     Y = np.asarray(Y, dtype=float).ravel()
     try:
-        nu, r_max = _solve_dual(family, a, Z, Y, tol, max_iter)
+        nu, r_max = _solve_dual(family, a, Z, Y, 1e-12, 200)
     except np.linalg.LinAlgError:
         raise InputError("constrained minimization hit a singular system; is Y attainable?")
     if r_max > 1e-8 * max(1.0, float(np.max(np.abs(Y)))):
@@ -394,13 +395,3 @@ def _report(kind, config, rec, summary, **fields):
     return ExperimentReport(kind=kind, config=config, steps=steps, times=times, a=a,
                             metrics=metrics, summary=summary, **fields)
 
-
-def _schedule_dict(s: Schedule):
-    return {"kind": s.kind, "alpha0": s.alpha0, "turnoff_time": s.turnoff_time, "t_end": s.t_end}
-
-
-def _cfg_dict(cfg):
-    out = {}
-    for key, val in cfg.__dict__.items():
-        out[key] = _schedule_dict(val) if isinstance(val, Schedule) else val
-    return out

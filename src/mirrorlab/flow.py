@@ -22,10 +22,11 @@ after returning it.
 One loop, ``_param_flow``, builds the parameter flow for ``run_param_flow``
 and the runners of ``experiments``, each of which passes its own finisher.
 
-``verify_equivalence`` drives both with one integrator config, so with any
-method they are compared at the same record times, and reports the sup
-deviation of the model-space iterates; it is the executable form of the
-equivalence between the two descriptions.
+``verify_equivalence`` drives the parameter flow of a parameterization and
+the mirror flow of the family ``legendre.family_for`` matches to it with one
+integrator config, so with any method they are compared at the same record
+times, and reports the sup deviation of the model-space iterates; it is the
+executable form of the equivalence between the two descriptions.
 
 Both flows check shapes once, at the run boundary: one public, checked
 evaluation of the field at the initial state raises ``InputError`` for a
@@ -45,6 +46,7 @@ import numpy as np
 from . import reparam
 from .core import (DivergedError, DomainError, DomainExitError, InputError,
                    IntegratorConfig, Schedule, Trajectory, flat_vector)
+from .legendre import family_for
 
 DIVERGENCE_LIMIT = 1e12
 # a state whose squared norm is at most this has every entry inside the limit
@@ -566,34 +568,19 @@ class EquivalenceReport:
     n_points: int
 
 
-_MATCHED_PAIRS = {
-    ("hadamard", "hyperbolic-entropy"),
-    ("hadamard", "entropy"),
-    ("deep-hadamard", "hyperbolic-entropy"),
-    ("deep-hadamard", "entropy"),
-    ("quadratic", "quadratic"),
-    ("diff-powers", "diff-powers-flow"),
-}
-
-
-def verify_equivalence(p, family, loss, schedule: Schedule, cfg: IntegratorConfig,
+def verify_equivalence(p, loss, schedule: Schedule, cfg: IntegratorConfig,
                        tol=1e-4) -> EquivalenceReport:
-    """Run the parameter flow and the mirror flow and compare model iterates.
+    """Run the parameter flow of ``p`` and the mirror flow of its matched family,
+    ``legendre.family_for(p)``, and compare the model iterates.
 
-    Only matched (parameterization, family) pairs are accepted; product
-    parameterizations of depth three or more are refused outright since their
-    coordinate fields do not commute with weight decay.
+    A parameterization without a family raises ``family_for``'s InputError;
+    products of depth three or more, whose coordinate fields do not commute
+    with weight decay, are refused outright.  The diff-powers and log-cosh
+    families match their flows only while no strength accumulates.
     """
     if isinstance(p, reparam.DeepHadamard) and p.depth >= 3:
         raise InputError("depth >= 3 products do not commute with weight decay; no matched family")
-    if (p.tag, family.tag) not in _MATCHED_PAIRS:
-        raise InputError(f"unmatched pair: parameterization {p.tag!r} with family {family.tag!r}")
-    x0_param = p.g(p.w_init)
-    x0_family = family.dual_map(0.0, np.zeros(family.n))
-    scale = max(1.0, float(np.max(np.abs(x0_param))))
-    if np.max(np.abs(x0_param - x0_family)) > 1e-8 * scale:
-        raise InputError("family payload does not reproduce the parameterization's initialization")
-
+    family = family_for(p)
     traj_p = run_param_flow(p, loss, schedule, cfg)
     traj_m = run_mirror_flow(family, loss, schedule, cfg)
     n = min(len(traj_p), len(traj_m))

@@ -448,12 +448,12 @@ class QuadraticFamily(LegendreFamily):
 
     tag = "quadratic"
 
-    def __init__(self, A_list, B, w_init, diag_tol=1e-8):
+    def __init__(self, A_list, B, w_init):
         A_list, B = quadratic_matrices(A_list, B)
         w_init = flat_vector(w_init, B.shape[0], "w_init")
         super().__init__(len(A_list))
         self.dim = B.shape[0]
-        V = _joint_eigenbasis(A_list + [B], diag_tol)
+        V = _joint_eigenbasis(A_list + [B], 1e-8)
         self.lam = np.stack([np.diag(V.T @ A @ V) for A in A_list])  # (n, dim)
         self.b = np.diag(V.T @ B @ V)
         self.z2 = (V.T @ w_init) ** 2

@@ -199,20 +199,14 @@ class TwoFactor(Parameterization):
 
 
 class DiffSquares(TwoFactor):
-    """g(u, v) = u^2 - v^2 with h = sum c_u u_i^2 - c_v v_i^2.
+    """g(u, v) = u^2 - v^2 with weight decay h = sum u_i^2 + v_i^2 on both factor vectors.
 
-    c_u = 1, c_v = -1 gives weight decay on both factor vectors.  Rotating the
-    Hadamard coordinates by u = (m+w)/sqrt(2), v = (m-w)/sqrt(2) gives
-    u^2 - v^2 = 2 m*w, i.e. this variant equals twice the Hadamard map under
-    that change of variables.
+    Rotating the Hadamard coordinates by u = (m+w)/sqrt(2), v = (m-w)/sqrt(2)
+    gives u^2 - v^2 = 2 m*w, i.e. this variant equals twice the Hadamard map
+    under that change of variables.
     """
 
     tag = "diff-squares"
-
-    def __init__(self, u0, v0, c_u=1.0, c_v=-1.0):
-        super().__init__(u0, v0)
-        self.c_u = float(c_u)
-        self.c_v = float(c_v)
 
     def _g(self, w):
         u, v = self._rows(w)
@@ -220,15 +214,14 @@ class DiffSquares(TwoFactor):
 
     def _h(self, w):
         u, v = self._rows(w)
-        return float(self.c_u * np.sum(u * u) - self.c_v * np.sum(v * v))
+        return float(np.sum(u * u) + np.sum(v * v))
 
     def _vjp_g(self, w, v):
         pos, neg = self._rows(w)
         return np.concatenate([2.0 * pos * v, -2.0 * neg * v])
 
     def _grad_h(self, w):
-        u, v = self._rows(w)
-        return np.concatenate([2.0 * self.c_u * u, -2.0 * self.c_v * v])
+        return 2.0 * w
 
 
 class DifferencePair(TwoFactor):

@@ -9,10 +9,6 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 50
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf"]
 
 
-def _finite(vals):
-    return [v for v in vals if v is not None and math.isfinite(v)]
-
-
 def _ticks(lo, hi, n=5):
     if hi <= lo:
         hi = lo + 1.0

@@ -15,7 +15,7 @@ from mirrorlab import (DeepHadamard, DiffPowers, DiffPowersFlow, Entropy,
                        QuadraticCommuting, QuadraticFamily, QuadraticLoss,
                        RegressionConfig, Schedule, SensingConfig, SymFactor,
                        SparseCodingConfig, constrained_argmin, contracting_check,
-                       diagonal_network_run, family_for, kkt_residual,
+                       diagonal_network_run, kkt_residual,
                        lie_bracket, LinearRegressionLoss, make_dictionary,
                        make_rng, matrix_sensing_run, run_param_flow,
                        sparse_coding_run, verify_equivalence)
@@ -60,7 +60,7 @@ def test_c1_equivalence():
     for kind in ("hadamard", "quadratic", "entropy"):
         p, loss = _equivalence_case(kind)
         t0 = time.time()
-        rep = verify_equivalence(p, family_for(p), loss, sched, cfg, tol=1e-4)
+        rep = verify_equivalence(p, loss, sched, cfg, tol=1e-4)
         elapsed = time.time() - t0
         results[kind] = (rep.max_deviation, elapsed)
         assert elapsed < 10.0, f"{kind} took {elapsed:.1f}s"

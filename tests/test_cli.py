@@ -135,10 +135,49 @@ def test_flags_only_where_read(tmp_path):
         assert cli._parser().parse_args(["run", name, "--jobs", "1"] + out).jobs == 1
 
 
+# a tiny run of each run command whose schedule takes effect (a turn-off
+# time inside the run's horizon), and the value each string option moves to
+TINY_RUNS = {
+    "sensing": ({"n": 4, "r": 2, "m": 10, "steps": 20, "record_every": 5, "turnoff_time": 2.0},
+                {"sensing_kind": "commuting-diagonal", "seeds": "1"}),
+    "diagonal": ({"d": 4, "n": 8, "sparsity": 2, "steps": 20, "record_every": 5,
+                  "turnoff_time": 0.01}, {"variant": "mwz"}),
+    "sparse-coding": ({"n_obs": 12, "n_features": 6, "steps": 10, "record_every": 2,
+                       "kind": "turnoff", "turnoff_time": 1e-3},
+                      {"variant": "log-ratio", "dictionary": "dict.csv"}),
+    "flow": ({"n": 2, "step": 0.01, "t_end": 0.1, "record_every": 2, "kind": "turnoff",
+              "turnoff_time": 0.05}, {"family": "hyperbolic", "method": "euler"}),
+}
+
+
+@pytest.mark.parametrize("name", list(TINY_RUNS))
+def test_every_run_option_changes_the_run(tmp_path, capsys, name):
+    # each option moved off its value alone (an int by one, a float by half of
+    # itself, a string to another value) changes the CSVs or stdout
+    base, strings = TINY_RUNS[name]
+    save_matrix(str(tmp_path / "dict.csv"), make_rng(5).standard_normal((12, 6)))
+    values = {**cli.COMMANDS["run", name][2], **base}
+
+    def run(moved):
+        out = tmp_path / "-".join(["out", *moved])
+        argv = ["run", name, "--out", str(out)]
+        for opt, val in {**values, **moved}.items():
+            flag = "--schedule" if opt == "kind" else "--" + opt.replace("_", "-")
+            argv += [flag, str(tmp_path / val) if opt == "dictionary" and val else str(val)]
+        assert main(argv) == EXIT_OK
+        return capsys.readouterr().out, {p.name: p.read_bytes() for p in out.glob("*.csv")}
+
+    strings = {"kind": "linear-decay", **strings}
+    moves = {opt: val + 1 if type(val) is int else 1.5 * val if type(val) is float
+             else strings[opt] for opt, val in values.items()}
+    reference = run({})
+    assert [opt for opt, val in moves.items() if run({opt: val}) == reference] == []
+
+
 def run_small_sensing(tmp_path, extra=()):
     args = ["run", "sensing", "--out", str(tmp_path), "--n", "6", "--r", "2", "--m", "15",
             "--steps", "120", "--record-every", "10", "--schedule", "turnoff",
-            "--alpha0", "0.05", "--turnoff-time", "15", "--t-end", "30", "--seed", "1"]
+            "--alpha0", "0.05", "--turnoff-time", "15", "--seed", "1"]
     return main(args + list(extra))
 
 
@@ -233,7 +272,7 @@ def test_run_diagonal_smoke(tmp_path):
     args = ["run", "diagonal", "--out", str(tmp_path), "--variant", "mw", "--d", "8",
             "--n", "20", "--sparsity", "2", "--steps", "500", "--record-every", "50",
             "--schedule", "turnoff", "--alpha0", "0.5", "--turnoff-time", "0.5",
-            "--t-end", "1.0", "--seed", "0", "--plot"]
+            "--seed", "0", "--plot"]
     assert main(args) == EXIT_OK
     csv_path = tmp_path / "diagonal_mw_seed0.csv"
     header = csv_path.read_text().splitlines()[0]
@@ -293,7 +332,7 @@ def test_sensing_summary_says_when_the_interpolant_is_unique(tmp_path, kind, m, 
     # rank, so its one interpolant needs no KKT residual
     args = ["run", "sensing", "--out", str(tmp_path), "--n", "6", "--r", "2", "--m", str(m),
             "--steps", "80", "--record-every", "20", "--sensing-kind", kind,
-            "--schedule", "constant", "--alpha0", "0.0", "--t-end", "20", "--seed", "0"]
+            "--schedule", "constant", "--alpha0", "0.0", "--seed", "0"]
     assert main(args) == EXIT_OK
     summary = json.loads((tmp_path / "sensing_seed0_summary.json").read_text())
     assert summary.get("unique_interpolant") is unique
@@ -317,7 +356,7 @@ def test_run_sensing_divergence_exit_3(tmp_path):
     # an absurd step size blows the factored iterates past the guard
     args = ["run", "sensing", "--out", str(tmp_path), "--n", "6", "--r", "2", "--m", "15",
             "--steps", "200", "--eta", "50.0", "--record-every", "5",
-            "--schedule", "constant", "--alpha0", "0.0", "--t-end", "10000", "--seed", "0"]
+            "--schedule", "constant", "--alpha0", "0.0", "--seed", "0"]
     assert main(args) == EXIT_DIVERGED
     # truncated outputs still written
     lines = (tmp_path / "sensing_seed0.csv").read_text().splitlines()
@@ -330,7 +369,7 @@ def test_diagonal_summary_has_kkt_field(tmp_path):
     args = ["run", "diagonal", "--out", str(tmp_path), "--variant", "mw", "--d", "6",
             "--n", "14", "--sparsity", "2", "--steps", "3000", "--record-every", "300",
             "--eta", "0.002", "--schedule", "turnoff", "--alpha0", "1.0",
-            "--turnoff-time", "6.0", "--t-end", "12.0", "--seed", "0"]
+            "--turnoff-time", "6.0", "--seed", "0"]
     assert main(args) == EXIT_OK
     summary = json.loads((tmp_path / "diagonal_mw_seed0_summary.json").read_text())
     assert "kkt_residual" in summary
@@ -354,11 +393,14 @@ def test_diagonal_summary_has_kkt_field(tmp_path):
     (["run", "flow"], None, "[flow]\nstpes = 3\n"),
     (["verify", "commuting", "--n", "0"], None, None),
     (["verify", "commuting", "--n", "-2"], None, None),
+    (["run", "sensing", "--t-end", "5"], None, None),
+    (["run", "diagonal", "--variant", "x"], None, None),
+    (["run", "sparse-coding", "--variant", "x"], None, None),
 ], ids=["diagonal-record-every-0", "diagonal-steps-0", "sparse-coding-k-0", "sensing-m-0",
         "sensing-n-0", "flow-n-0", "flow-method-rk4", "sparse-coding-turnoff-time-0",
         "sparse-coding-n-features-0", "env-seed-abc", "seeds-0-x",
         "config-n-abc", "config-n-inf", "config-typo-stpes", "commuting-n-0",
-        "commuting-n-negative"])
+        "commuting-n-negative", "sensing-t-end", "diagonal-variant-x", "sparse-coding-variant-x"])
 def test_bad_input_exits_2_with_an_error_line(tmp_path, monkeypatch, capsys, argv, env_seed,
                                               config):
     if env_seed is not None:
@@ -367,8 +409,11 @@ def test_bad_input_exits_2_with_an_error_line(tmp_path, monkeypatch, capsys, arg
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(config)
         argv = argv + ["--config", str(cfg)]
-    assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == EXIT_USAGE
     assert any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
+    # the output directory is made only when the first file is written
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, option", [

@@ -204,7 +204,7 @@ def test_sparse_coding_input_validation():
 def test_stationarity_step_basic():
     steps = np.arange(0, 100, 10)
     series = np.concatenate([np.linspace(1.0, 0.0, 5), np.zeros(5)])
-    assert stationarity_step(series, steps, rtol=0.05) == 40
+    assert stationarity_step(series, steps) == 40
     assert stationarity_step(np.ones(10), steps) == 0
 
 

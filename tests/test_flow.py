@@ -10,7 +10,7 @@ from mirrorlab import (DeepHadamard, DiffPowers, DiffPowersFlow, DiffSquares,
                        HyperbolicEntropy, InputError, IntegratorConfig, LogCosh, LogRatio,
                        QuadraticCommuting, QuadraticFamily, QuadraticLoss, RegressionConfig,
                        Schedule, SensingConfig, SparseCodingConfig, SymFactor, ZeroLoss,
-                       diagonal_network_run, family_for, make_dictionary, make_rng,
+                       diagonal_network_run, make_dictionary, make_rng,
                        matrix_sensing_run, run_mirror_flow,
                        run_param_flow, sparse_coding_run, verify_equivalence)
 from mirrorlab import experiments, flow, legendre, reparam
@@ -102,7 +102,7 @@ def test_equivalence_matched_pairs(case):
         loss = QuadraticLoss(np.diag(rng.uniform(0.5, 2.0, 3)), rng.uniform(0.3, 1.0, 3))
     sched = Schedule("turnoff", 0.5, turnoff_time=0.5, t_end=2.0)
     cfg = IntegratorConfig("dopri5", 1e-3, 2.0, record_every=20)
-    rep = verify_equivalence(p, family_for(p), loss, sched, cfg)
+    rep = verify_equivalence(p, loss, sched, cfg)
     assert rep.passed and rep.max_deviation < 1e-8
 
 
@@ -113,27 +113,36 @@ def test_equivalence_diff_powers_classical():
     loss = QuadraticLoss(0.5 * np.eye(2), np.array([0.6, -0.2]))
     sched = Schedule("constant", 0.0, t_end=2.0)
     cfg = IntegratorConfig("dopri5", 1e-3, 2.0, record_every=20)
-    rep = verify_equivalence(p, family_for(p), loss, sched, cfg, tol=1e-5)
+    rep = verify_equivalence(p, loss, sched, cfg, tol=1e-5)
     assert rep.passed
+
+
+def test_equivalence_log_ratio_matches_log_cosh_only_without_strength():
+    # like diff-powers, the log-cosh dual map matches the log-ratio factor
+    # flow while no strength accumulates, and not under decay
+    rng = make_rng(3)
+    p = LogRatio(rng.uniform(1.1, 2.0, 3), rng.uniform(1.1, 2.0, 3))
+    loss = QuadraticLoss(0.5 * np.eye(3), rng.uniform(-0.5, 0.5, 3))
+    cfg = IntegratorConfig("dopri5", 1e-3, 2.0, record_every=20)
+    zero = verify_equivalence(p, loss, Schedule("constant", 0.0, t_end=2.0), cfg)
+    assert zero.pair == "log-ratio/log-cosh" and zero.passed and zero.max_deviation < 1e-12
+    decay = Schedule("turnoff", 0.5, turnoff_time=0.5, t_end=2.0)
+    assert not verify_equivalence(p, loss, decay, cfg).passed
 
 
 def test_equivalence_refuses_depth_three():
     p = DeepHadamard([np.ones(2)] * 3)
-    fam = Entropy(np.ones(2))
     with pytest.raises(InputError):
-        verify_equivalence(p, fam, quad_loss(2), Schedule("constant", 0.0, t_end=1.0),
+        verify_equivalence(p, quad_loss(2), Schedule("constant", 0.0, t_end=1.0),
                            IntegratorConfig("dopri5", 1e-2, 1.0))
 
 
-def test_equivalence_rejects_unmatched_or_inconsistent():
-    p = Hadamard([1.0, 1.0], [0.5, 0.5])
-    dp = DiffPowersFlow(2, np.ones(2), np.ones(2))
-    with pytest.raises(InputError):
-        verify_equivalence(p, dp, quad_loss(2), Schedule("constant", 0.0, t_end=1.0),
-                           IntegratorConfig("dopri5", 1e-2, 1.0))
-    wrong = Entropy(np.array([2.0, 2.0]))  # does not reproduce g(w_init) = 0.5
-    with pytest.raises(InputError):
-        verify_equivalence(p, wrong, quad_loss(2), Schedule("constant", 0.0, t_end=1.0),
+@pytest.mark.parametrize("p", [DiffSquares(np.ones(2), np.ones(2)), SymFactor(np.eye(2))],
+                         ids=["diff-squares", "sym-factor"])
+def test_equivalence_refuses_a_parameterization_without_a_family(p):
+    loss = QuadraticLoss(np.eye(p.dim_model), np.zeros(p.dim_model))
+    with pytest.raises(InputError, match="no default family"):
+        verify_equivalence(p, loss, Schedule("constant", 0.0, t_end=1.0),
                            IntegratorConfig("dopri5", 1e-2, 1.0))
 
 

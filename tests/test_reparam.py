@@ -60,7 +60,7 @@ def test_hadamard_h_is_weight_decay():
 
 
 def test_diff_squares_signed_h():
-    p = DiffSquares([1.0], [2.0], c_u=1.0, c_v=-1.0)
+    p = DiffSquares([1.0], [2.0])
     assert p.h(p.w_init) == pytest.approx(5.0)
 
 
