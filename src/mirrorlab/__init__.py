@@ -7,7 +7,7 @@ exercise the convergence and optimality statements behind the construction.
 """
 
 from .core import (DivergedError, DomainError, DomainExitError, InputError,
-                   IntegratorConfig, MirrorlabError, Schedule, Trajectory,
+                   IntegratorConfig, MirrorlabError, RunRecord, Schedule,
                    UnsupportedOperation, make_rng, nuclear_frobenius_ratio,
                    nuclear_norm)
 from .reparam import (DeepHadamard, DiffPowers, DiffSquares, Hadamard,
@@ -21,7 +21,7 @@ from .commute import (check_commuting, check_quadratic_commuting, hessian_fd,
 from .flow import (EquivalenceReport, LinearRegressionLoss, QuadraticLoss,
                    ZeroLoss, run_mirror_flow, run_param_flow,
                    verify_equivalence)
-from .experiments import (ExperimentReport, RegressionConfig, SensingConfig,
+from .experiments import (RegressionConfig, SensingConfig,
                           SparseCodingConfig, constrained_argmin,
                           diagonal_network_run, kkt_residual, make_dictionary,
                           make_regression_problem, make_sensing_problem,

@@ -6,9 +6,11 @@ Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 from the fields of the config class, and the parser derives one flag per
 option from there.  Config files are flat ``key = value`` text with
 ``[section]`` headers; command-line flags override config values.  The environment
-variable MIRRORLAB_SEED overrides any configured seed.  Each option is then
-cast once to the type of its default; a value that cannot be read as that
-type, or a float option that is not finite, is a usage error.
+variable MIRRORLAB_SEED overrides any configured seed, a ``--seeds`` sweep
+included.  Each option is then cast once to the type of its default; a value
+that cannot be read as that type, or a float option that is not finite, is a
+usage error.  Every ``run`` command writes the ``RunRecord`` of its run, also
+of one that stopped early, as a trajectory CSV and a summary JSON.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from . import legendre, reparam
 from .commute import check_commuting
 from .core import (DivergedError, DomainExitError, InputError, IntegratorConfig,
                    MirrorlabError, Schedule, make_rng)
-from .experiments import (ExperimentReport, RegressionConfig, SensingConfig,
+from .experiments import (RegressionConfig, SensingConfig,
                           SensingLoss, SparseCodingConfig, constrained_argmin,
                           diagonal_network_run, kkt_residual, make_dictionary,
                           make_regression_problem, make_sensing_problem,
@@ -128,19 +130,19 @@ def config_hash(obj):
     return hashlib.sha256(json.dumps(obj, sort_keys=True, default=str).encode()).hexdigest()[:16]
 
 
-def write_trajectory_csv(path, report):
-    """Fixed-schema trajectory CSV; metrics the run lacks stay empty.
+def write_trajectory_csv(path, record):
+    """A run record's fixed-schema trajectory CSV; metrics the run lacks stay empty.
 
     Steps are written as ints and every other cell as the repr of a float
     (nan, inf and -inf included).  Rows go out in chunks of CSV_CHUNK_ROWS,
     each column of a chunk formatted in one pass, so the memory held stays
     bounded whatever the run's length.
     """
-    m = report.metrics
-    columns = [(np.asarray(report.steps).astype(int), str)]
-    for series in (report.times, report.a) + tuple(m.get(c) for c in CSV_COLUMNS[3:]):
+    m = record.metrics
+    columns = [(np.asarray(record.steps).astype(int), str)]
+    for series in (record.times, record.a) + tuple(m.get(c) for c in CSV_COLUMNS[3:]):
         columns.append((None if series is None else np.asarray(series, dtype=float), repr))
-    n_rows = len(report.steps)
+    n_rows = len(record.steps)
     with open(path, "w") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for lo in range(0, n_rows, CSV_CHUNK_ROWS):
@@ -151,15 +153,17 @@ def write_trajectory_csv(path, report):
     return path
 
 
-def write_summary(path, report, seed, wall_time_s, extra=None):
+def write_summary(path, record, seed, wall_time_s, extra=None):
+    """A run record's summary JSON: its config hash, seed, wall time, status
+    and summary, then ``extra``."""
     payload = {
-        "config_hash": config_hash(report.config),
+        "config_hash": config_hash(record.config),
         "seed": seed,
-        "converged": bool(report.summary.get("converged", False)),
+        "converged": bool(record.summary.get("converged", False)),
         "wall_time_s": wall_time_s,
-        "diverged": report.diverged,
+        "diverged": record.diverged,
     }
-    for key, val in report.summary.items():
+    for key, val in record.summary.items():
         if key == "converged":
             continue
         payload[key] = (None if val is None
@@ -196,6 +200,8 @@ def _merged(args, defaults, section):
     env_seed = os.environ.get("MIRRORLAB_SEED")
     if env_seed is not None and "seed" in merged:
         merged["seed"] = env_seed
+        if "seeds" in merged:  # it overrides a seed sweep too
+            merged["seeds"] = ""
     for name, default in defaults.items():
         merged[name] = _typed(name, merged[name], type(default))
     return merged
@@ -241,6 +247,15 @@ def _write_report(out, name, report):
 def _ensure_outdir(path):
     os.makedirs(path, exist_ok=True)
     return path
+
+
+def _write_run(out, name, record, seed, wall, extra):
+    """Write a run's CSV and summary as OUT/NAME.csv and OUT/NAME_summary.json;
+    returns OUT/NAME, the stem of its plots."""
+    stem = os.path.join(_ensure_outdir(out), name)
+    write_trajectory_csv(stem + ".csv", record)
+    write_summary(stem + "_summary.json", record, seed, wall, extra=extra)
+    return stem
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +382,8 @@ def cmd_verify_optimality(args, opts):
         p = reparam.DeepHadamard([np.zeros(n), np.ones(n)])
         fam = legendre.HyperbolicEntropy.from_hadamard(np.zeros(n), np.ones(n))
         sched = Schedule("turnoff", 2.0, turnoff_time=1.0, t_end=120.0)
-        traj = run_param_flow(p, loss, sched,
-                              IntegratorConfig("dopri5", 5e-3, 120.0, record_every=4000))
-        x_inf = traj.x[-1]
+        x_inf = run_param_flow(p, loss, sched,
+                               IntegratorConfig("dopri5", 5e-3, 120.0, record_every=4000)).final_x
     elif opts["case"] == "sensing":
         n, m, beta = 8, 4, 0.1
         lam_star = np.zeros(n)
@@ -383,9 +397,9 @@ def cmd_verify_optimality(args, opts):
         p = reparam.SymFactor(np.sqrt(beta) * np.eye(n))
         fam = legendre.Entropy(beta * np.ones(n))
         sched = Schedule("turnoff", 2.0, turnoff_time=0.5, t_end=150.0)
-        traj = run_param_flow(p, loss, sched,
-                              IntegratorConfig("dopri5", 5e-3, 150.0, record_every=4000))
-        x_inf = np.diag(traj.x[-1].reshape(n, n))
+        rec = run_param_flow(p, loss, sched,
+                             IntegratorConfig("dopri5", 5e-3, 150.0, record_every=4000))
+        x_inf = np.diag(rec.final_x.reshape(n, n))
     else:
         raise UsageError(f"unknown optimality case {opts['case']!r}")
     a_T = float(sched.a(sched.t_end))
@@ -464,9 +478,7 @@ def _write_sensing_seed(out, rep, wall, cfg, plot):
             lam = np.maximum(np.diag(rep.final_x.reshape(cfg.n, cfg.n)), 1e-300)
             fam = legendre.Entropy(cfg.beta * np.ones(cfg.n))
             extra["kkt_residual"] = _kkt_or_none(Z, lam, fam, float(rep.a[-1]))
-    stem = os.path.join(_ensure_outdir(out), f"sensing_seed{cfg.seed}")
-    write_trajectory_csv(stem + ".csv", rep)
-    write_summary(stem + "_summary.json", rep, cfg.seed, wall, extra=extra)
+    stem = _write_run(out, f"sensing_seed{cfg.seed}", rep, cfg.seed, wall, extra)
     if plot:
         line_plot(stem + "_loss.svg",
                   [("train loss", rep.times, rep.metrics["train_loss"]),
@@ -495,9 +507,8 @@ def cmd_run_diagonal(args, opts):
         Z, _, _ = make_regression_problem(cfg)
         fam = legendre.HyperbolicEntropy.from_hadamard(np.zeros(cfg.n), np.ones(cfg.n))
         kkt = _kkt_or_none(Z, rep.final_x, fam, float(rep.a[-1]))
-    stem = os.path.join(_ensure_outdir(args.out), f"diagonal_{cfg.variant}_seed{cfg.seed}")
-    write_trajectory_csv(stem + ".csv", rep)
-    write_summary(stem + "_summary.json", rep, cfg.seed, wall, extra={"kkt_residual": kkt})
+    stem = _write_run(args.out, f"diagonal_{cfg.variant}_seed{cfg.seed}", rep, cfg.seed, wall,
+                      {"kkt_residual": kkt})
     if args.plot:
         line_plot(stem + "_ratio.svg",
                   [("l1/l2 ratio", rep.times, rep.metrics["l1_l2_ratio"])],
@@ -546,10 +557,8 @@ def cmd_run_sparse_coding(args, opts):
     t0 = time.perf_counter()
     rep = sparse_coding_run(D, target, p, sched, cfg)
     wall = time.perf_counter() - t0
-    stem = os.path.join(_ensure_outdir(args.out), f"sparse_{variant}_seed{seed}")
-    write_trajectory_csv(stem + ".csv", rep)
-    write_summary(stem + "_summary.json", rep, seed, wall,
-                  extra={"flags": rep.flags, "kkt_residual": None})
+    stem = _write_run(args.out, f"sparse_{variant}_seed{seed}", rep, seed, wall,
+                      {"flags": rep.flags, "kkt_residual": None})
     if args.plot and len(rep.times) > 1:
         line_plot(stem + "_l1.svg", [("code l1 norm", rep.steps, rep.metrics["l1"])],
                   title="sparse coding", xlabel="step", ylabel="l1")
@@ -577,37 +586,23 @@ def cmd_run_flow(args, opts):
                            record_every=opts["record_every"])
     t0 = time.perf_counter()
     try:
-        traj = run_mirror_flow(fam, loss, sched, cfg)
+        rec, code = run_mirror_flow(fam, loss, sched, cfg), EXIT_OK
     except (DivergedError, DomainExitError) as exc:
-        traj = exc.trajectory
         print(f"flow stopped early: {exc}", file=sys.stderr)
-        if traj is not None:
-            _write_flow_outputs(args.out, opts, traj, seed, time.perf_counter() - t0, args.plot)
-        return EXIT_DIVERGED
+        rec, code = exc.record, EXIT_DIVERGED
     wall = time.perf_counter() - t0
-    _write_flow_outputs(args.out, opts, traj, seed, wall, args.plot)
-    print(f"family {fam.tag}: {len(traj)} records, final loss "
-          f"{traj.metrics['train_loss'][-1]:.3e}")
-    return EXIT_OK
-
-
-def _write_flow_outputs(out, opts, traj, seed, wall, plot):
-    stem = os.path.join(_ensure_outdir(out), f"flow_{opts['family']}_seed{seed}")
-    rep = ExperimentReport(
-        kind="flow",
-        config=dict(opts),
-        steps=traj.steps,
-        times=traj.times,
-        a=traj.a,
-        metrics={"train_loss": traj.metrics["train_loss"],
-                 "l1": np.sum(np.abs(traj.x), axis=1)},
-        summary={"final_train_loss": float(traj.metrics["train_loss"][-1]), "converged": False},
-    )
-    write_trajectory_csv(stem + ".csv", rep)
-    write_summary(stem + "_summary.json", rep, seed, wall, extra={"kkt_residual": None})
-    if plot:
-        line_plot(stem + "_loss.svg", [("loss", traj.times, traj.metrics["train_loss"])],
+    # the CLI's options are the run's config; "l1" is the CSV's norm of x
+    rec.config = dict(opts)
+    rec.metrics["l1"] = np.sum(np.abs(rec.metrics["x"]), axis=1)
+    stem = _write_run(args.out, f"flow_{opts['family']}_seed{seed}", rec, seed, wall,
+                      {"kkt_residual": None})
+    if args.plot:
+        line_plot(stem + "_loss.svg", [("loss", rec.times, rec.metrics["train_loss"])],
                   title="mirror flow", xlabel="t", ylabel="loss", logy=True)
+    if code == EXIT_OK:
+        print(f"family {fam.tag}: {len(rec.times)} records, final loss "
+              f"{rec.summary['final_train_loss']:.3e}")
+    return code
 
 
 # ---------------------------------------------------------------------------

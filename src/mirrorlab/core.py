@@ -1,4 +1,4 @@
-"""Shared numeric substrate: regularization schedules, trajectories, small helpers.
+"""Shared numeric substrate: regularization schedules, run records, small helpers.
 
 Time-varying regularization is described by a `Schedule`, which exposes both the
 instantaneous strength ``alpha(t)`` and the accumulated (negated) integral
@@ -31,22 +31,24 @@ class UnsupportedOperation(MirrorlabError, NotImplementedError):
 
 
 class DivergedError(MirrorlabError, RuntimeError):
-    """A flow left the finite range; carries the last valid time."""
+    """A flow left the finite range; carries the last valid time and the
+    ``RunRecord`` up to it."""
 
-    def __init__(self, message, last_valid_time, trajectory=None):
+    def __init__(self, message, last_valid_time, record=None):
         super().__init__(message)
         self.last_valid_time = last_valid_time
-        self.trajectory = trajectory
+        self.record = record
 
 
 class DomainExitError(MirrorlabError, RuntimeError):
-    """A dual iterate left the (possibly shrinking) domain of the dual map."""
+    """A dual iterate left the (possibly shrinking) domain of the dual map;
+    carries the exit time, the domain's bounds there and the ``RunRecord``."""
 
-    def __init__(self, message, time, bounds=None, trajectory=None):
+    def __init__(self, message, time, bounds=None, record=None):
         super().__init__(message)
         self.time = time
         self.bounds = bounds
-        self.trajectory = trajectory
+        self.record = record
 
 
 SCHEDULE_KINDS = ("constant", "turnoff", "linear-decay", "cosine-decay")
@@ -196,46 +198,38 @@ class IntegratorConfig:
 
 
 @dataclass
-class Trajectory:
-    """Time-stamped record of a flow.
+class RunRecord:
+    """The record of one run of a flow or a runner: the engine's tables, one
+    row per snapshot.
 
-    `params`, `x`, `mu` and `y` are stacked row-per-snapshot (or None when the
-    flow does not produce them); `steps` holds the step index of each
-    snapshot; `metrics` holds named scalar series of the same length as
-    `times`.
+    ``steps``, ``times`` and ``a`` are the step index, time and accumulated
+    strength of each snapshot, and ``metrics`` maps every other column name
+    to its table (a scalar series, or a stacked state such as "x").
+    ``diverged`` says the run stopped early, on a divergence or a domain
+    exit; ``summary`` holds its scalar results and ``config`` what produced it.
     """
 
+    kind: str
+    config: dict
+    steps: np.ndarray
     times: np.ndarray
     a: np.ndarray
-    x: np.ndarray
-    params: np.ndarray | None = None
-    mu: np.ndarray | None = None
-    y: np.ndarray | None = None
-    metrics: dict = field(default_factory=dict)
-    steps: np.ndarray | None = None
+    metrics: dict
+    summary: dict
+    diverged: bool = False
+    flags: dict = field(default_factory=dict)
+    eigenvalues: np.ndarray | None = None
+    final_x: np.ndarray | None = None
+    final_params: np.ndarray | None = None
 
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.a = np.asarray(self.a, dtype=float)
-        n = len(self.times)
-        if np.any(np.diff(self.times) <= 0):
-            raise InputError("trajectory times must be strictly increasing")
-        if np.any(np.diff(self.a) > 1e-12):
-            raise InputError("accumulated strength series must be nonincreasing")
-        for name, arr in [("a", self.a), ("x", self.x), ("params", self.params), ("mu", self.mu),
-                          ("y", self.y), ("steps", self.steps)]:
-            if arr is not None and len(arr) != n:
-                raise InputError(f"trajectory field {name!r} has length {len(arr)}, expected {n}")
-        for name, series in self.metrics.items():
-            if len(series) != n:
-                raise InputError(f"metric {name!r} has length {len(series)}, expected {n}")
-
-    def __len__(self):
-        return len(self.times)
-
-    @property
-    def final_x(self):
-        return self.x[-1]
+    @classmethod
+    def from_tables(cls, kind, config, tables, summary, status, **fields):
+        """The record of the engine's ``tables`` and ``status`` (None unless the
+        run stopped early): every table but "step", "t" and "a" is a metric."""
+        metrics = dict(tables)
+        steps, times, a = metrics.pop("step"), metrics.pop("t"), metrics.pop("a")
+        return cls(kind=kind, config=config, steps=steps, times=times, a=a, metrics=metrics,
+                   summary=summary, diverged=status is not None, **fields)
 
 
 def nuclear_frobenius_ratio(X):

@@ -9,40 +9,26 @@ unit-region flag (sparse coding), the switch-off of the strength (the
 diagonal runner's second phase) and the strength column ``a``.  The
 finisher computes the other series from the block's stacked ``x`` and train
 losses in one call each (errors, norms and sensing's stacked ``eigvalsh``)
-with the bits of the per-state formulas, and the engine's records become
-the series of a uniform ``ExperimentReport`` that the command-line layer
-serializes to CSV/JSON.  The sensing and diagonal runners build their
-parameterization and loss from a validated config, and the sparse-coding
-runner checks the dictionary, target and code length it is given, so every
-stage calls the unchecked kernels of ``reparam`` and ``flow`` directly.
+with the bits of the per-state formulas.  Each runner returns the
+``core.RunRecord`` of the engine's tables and status, the record the flows
+return too, which the command-line layer serializes to CSV/JSON; a run that
+stops early is marked ``diverged``, not raised.  The sensing and diagonal
+runners build their parameterization and loss from a validated config, and
+the sparse-coding runner checks the dictionary, target and code length it is
+given, so every stage calls the unchecked kernels of ``reparam`` and
+``flow`` directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import reparam
-from .core import InputError, Schedule, check_finite, make_rng
+from .core import InputError, RunRecord, Schedule, check_finite, make_rng
 from .flow import LinearRegressionLoss, _param_flow
 from .legendre import LegendreFamily, _solve_dual
-
-
-@dataclass
-class ExperimentReport:
-    kind: str
-    config: dict
-    steps: np.ndarray
-    times: np.ndarray
-    a: np.ndarray
-    metrics: dict
-    summary: dict
-    diverged: bool = False
-    flags: dict = field(default_factory=dict)
-    eigenvalues: np.ndarray | None = None
-    final_x: np.ndarray | None = None
-    final_params: np.ndarray | None = None
 
 
 class SensingLoss(LinearRegressionLoss):
@@ -133,7 +119,7 @@ def make_sensing_problem(cfg: SensingConfig):
     return X_star, A, y, U0
 
 
-def matrix_sensing_run(cfg: SensingConfig) -> ExperimentReport:
+def matrix_sensing_run(cfg: SensingConfig) -> RunRecord:
     """Discrete chain-rule flow U <- U - eta ((G + G^T) U + alpha_t U), G = grad_X f(UU^T)."""
     X_star, A, y, U = make_sensing_problem(cfg)
     x_star = X_star.ravel()
@@ -166,8 +152,8 @@ def matrix_sensing_run(cfg: SensingConfig) -> ExperimentReport:
         "converged": bool(rec["train_loss"][-1] <= LOSS_THRESHOLD),
         "a_final": float(rec["a"][-1]),
     }
-    return _report("sensing", asdict(cfg), rec, summary, diverged=status is not None,
-                   eigenvalues=eigenvalues, final_x=p._g(w), final_params=w)
+    return RunRecord.from_tables("sensing", asdict(cfg), rec, summary, status,
+                                 eigenvalues=eigenvalues, final_x=p._g(w), final_params=w)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +207,7 @@ def make_regression_problem(cfg: RegressionConfig):
     return Z, y, x_star
 
 
-def diagonal_network_run(cfg: RegressionConfig) -> ExperimentReport:
+def diagonal_network_run(cfg: RegressionConfig) -> RunRecord:
     """Two-phase diagonal-network training; variant "m" is the L1-penalized identity."""
     Z, y, x_star = make_regression_problem(cfg)
     loss = LinearRegressionLoss(Z, y)
@@ -254,8 +240,8 @@ def diagonal_network_run(cfg: RegressionConfig) -> ExperimentReport:
         "a_final": float(cfg.schedule.a(phase1_end)),
         "converged": bool(rec["train_loss"][-1] <= 1e-10),
     }
-    return _report("diagonal", asdict(cfg), rec, summary, diverged=status is not None,
-                   final_x=p._g(params), final_params=params)
+    return RunRecord.from_tables("diagonal", asdict(cfg), rec, summary, status,
+                                 final_x=p._g(params), final_params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +273,7 @@ def make_dictionary(n_obs, n_features, seed=0):
 
 
 def sparse_coding_run(dictionary, target, variant_p, schedule: Schedule,
-                      cfg: SparseCodingConfig) -> ExperimentReport:
+                      cfg: SparseCodingConfig) -> RunRecord:
     """Regression flow on a reparameterized code; step = lr_scale / Lip(D).
 
     The L1 norm of the code is the headline series; runs whose factors leave
@@ -323,8 +309,9 @@ def sparse_coding_run(dictionary, target, variant_p, schedule: Schedule,
     }
     config = {"steps": cfg.steps, "lr_scale": cfg.lr_scale, "variant": variant_p.tag,
               "schedule": asdict(schedule)}
-    return _report("sparse-coding", config, rec, summary, diverged=status is not None, flags=flags,
-                   final_x=None if status is not None else variant_p.g(params), final_params=params)
+    return RunRecord.from_tables("sparse-coding", config, rec, summary, status, flags=flags,
+                                 final_x=None if status is not None else variant_p.g(params),
+                                 final_params=params)
 
 
 def stationarity_step(series, steps):
@@ -385,13 +372,3 @@ def _row_dots(x):
     """x[i] . x[i] for every row, with the bits of each row's own ``x[i].dot(x[i])``
     (a stacked matmul; einsum sums in another order)."""
     return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
-
-
-def _report(kind, config, rec, summary, **fields):
-    """An ExperimentReport whose step, time, strength and metric series are the
-    engine's records: every column of ``rec`` but "step", "t" and "a" is a metric."""
-    metrics = dict(rec)
-    steps, times, a = metrics.pop("step"), metrics.pop("t"), metrics.pop("a")
-    return ExperimentReport(kind=kind, config=config, steps=steps, times=times, a=a,
-                            metrics=metrics, summary=summary, **fields)
-

@@ -21,6 +21,9 @@ after returning it.
 
 One loop, ``_param_flow``, builds the parameter flow for ``run_param_flow``
 and the runners of ``experiments``, each of which passes its own finisher.
+Both flows, like those runners, return the ``core.RunRecord`` of the
+engine's tables and status; a flow that stops early raises DivergedError or
+DomainExitError carrying it (``_ended``).
 
 ``verify_equivalence`` drives the parameter flow of a parameterization and
 the mirror flow of the family ``legendre.family_for`` matches to it with one
@@ -39,13 +42,13 @@ value checks (domain, positivity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import reparam
 from .core import (DivergedError, DomainError, DomainExitError, InputError,
-                   IntegratorConfig, Schedule, Trajectory, flat_vector)
+                   IntegratorConfig, RunRecord, Schedule, flat_vector)
 from .legendre import family_for
 
 DIVERGENCE_LIMIT = 1e12
@@ -487,13 +490,14 @@ def _param_flow(p, loss, schedule: Schedule, n_steps, h, record_every, method, f
     return w, status, rec, events
 
 
-def run_param_flow(p, loss, schedule: Schedule, cfg: IntegratorConfig) -> Trajectory:
+def run_param_flow(p, loss, schedule: Schedule, cfg: IntegratorConfig) -> RunRecord:
     """Integrate the regularized gradient flow in parameter space.
 
-    Records w, x = g(w), y = h(w), the accumulated strength a and the loss,
-    and for a parameterization with a unit region whether w lies inside it.
-    Raises DivergedError (with the partial trajectory attached) if the state
-    leaves the finite range, DomainExitError if a variant's domain is left.
+    Records w ("params"), x = g(w), y = h(w), the accumulated strength a and
+    the loss, and for a parameterization with a unit region whether w lies
+    inside it.  Raises DivergedError (with the partial record attached) if
+    the state leaves the finite range, DomainExitError if a variant's domain
+    is left.
     """
     # the one shape check: a loss that does not fit p raises InputError here
     p.flow_rhs(p.w_init, loss.grad(p.g(p.w_init)), 0.0)
@@ -504,26 +508,18 @@ def run_param_flow(p, loss, schedule: Schedule, cfg: IntegratorConfig) -> Trajec
 
     _, status, rec, _ = _param_flow(p, loss, schedule, *cfg.grid(), cfg.record_every, cfg.method,
                                     finish)
-    traj = Trajectory(
-        times=rec["t"],
-        a=rec["a"],
-        x=rec["x"],
-        params=rec["params"],
-        y=rec["y"],
-        metrics={name: rec[name] for name in ("train_loss", "unit_region") if name in rec},
-        steps=rec["step"],
-    )
-    if status is not None:
-        kind, t_bad, exc = status
-        if kind == "diverged":
-            raise DivergedError(f"parameter flow diverged near t={t_bad:.6g}", t_bad, traj)
-        raise DomainExitError(f"parameter flow left its domain near t={t_bad:.6g}: {exc}", t_bad,
-                              trajectory=traj)
-    return traj
+    record = _flow_record("param-flow", schedule, cfg, rec, status,
+                          final_params=rec["params"][-1])
+    return _ended(record, status, "parameter flow", "parameter flow left its domain")
 
 
-def run_mirror_flow(family, loss, schedule: Schedule, cfg: IntegratorConfig) -> Trajectory:
-    """Integrate the dual flow dmu = -grad_f(Q_{a_t}(mu)) dt from mu_0 = 0."""
+def run_mirror_flow(family, loss, schedule: Schedule, cfg: IntegratorConfig) -> RunRecord:
+    """Integrate the dual flow dmu = -grad_f(Q_{a_t}(mu)) dt from mu_0 = 0.
+
+    Records mu, x = Q_{a_t}(mu), the accumulated strength a and the loss;
+    raises as ``run_param_flow`` does, a DomainExitError with the domain's
+    bounds at the exit time.
+    """
     mu0 = np.zeros(family.n)
     # the one shape check: a loss that does not fit the family raises
     # InputError here, and its gradient must have one entry per dual coordinate
@@ -536,27 +532,39 @@ def run_mirror_flow(family, loss, schedule: Schedule, cfg: IntegratorConfig) -> 
         x = family._dual_map(schedule.a(t), mu)
         return {"mu": mu, "x": x, "train_loss": loss._value(x)}
 
+    def finish(steps, times, block):
+        return {"a": schedule.a(times), **block}
+
     _, status, rec = _integrate(rhs, mu0, *cfg.grid(), cfg.record_every, record, cfg.method,
-                                breaks=_breaks(schedule))
-    traj = Trajectory(
-        times=rec["t"],
-        a=schedule.a(rec["t"]),
-        x=rec["x"],
-        mu=rec["mu"],
-        metrics={"train_loss": rec["train_loss"]},
-        steps=rec["step"],
-    )
-    if status is not None:
-        kind, t_bad, exc = status
-        if kind == "diverged":
-            raise DivergedError(f"mirror flow diverged near t={t_bad:.6g}", t_bad, traj)
-        try:
-            bounds = family.domain(schedule.a(t_bad))
-        except DomainError:
-            bounds = None
-        raise DomainExitError(f"dual iterate left the domain near t={t_bad:.6g}: {exc}", t_bad,
-                              bounds=bounds, trajectory=traj)
-    return traj
+                                finish, breaks=_breaks(schedule))
+    return _ended(_flow_record("mirror-flow", schedule, cfg, rec, status), status, "mirror flow",
+                  "dual iterate left the domain", lambda t: family.domain(schedule.a(t)))
+
+
+def _flow_record(kind, schedule, cfg, tables, status, **fields):
+    """A flow's record: its schedule and integrator config, its final loss
+    as the summary, and its last snapshot's x."""
+    return RunRecord.from_tables(kind, {"schedule": asdict(schedule), "integrator": asdict(cfg)},
+                                 tables, {"final_train_loss": float(tables["train_loss"][-1])},
+                                 status, final_x=tables["x"][-1], **fields)
+
+
+def _ended(record, status, what, domain_exit, bounds=None):
+    """``record`` when the run finished.  An early exit raises the error that
+    carries it: DivergedError "WHAT diverged near t=...", or DomainExitError
+    "DOMAIN_EXIT near t=...: cause", with ``bounds(t)`` at the exit time as
+    its bounds when given and evaluable."""
+    if status is None:
+        return record
+    kind, t_bad, exc = status
+    if kind == "diverged":
+        raise DivergedError(f"{what} diverged near t={t_bad:.6g}", t_bad, record)
+    try:
+        where = None if bounds is None else bounds(t_bad)
+    except DomainError:
+        where = None
+    raise DomainExitError(f"{domain_exit} near t={t_bad:.6g}: {exc}", t_bad, bounds=where,
+                          record=record)
 
 
 @dataclass
@@ -581,10 +589,10 @@ def verify_equivalence(p, loss, schedule: Schedule, cfg: IntegratorConfig,
     if isinstance(p, reparam.DeepHadamard) and p.depth >= 3:
         raise InputError("depth >= 3 products do not commute with weight decay; no matched family")
     family = family_for(p)
-    traj_p = run_param_flow(p, loss, schedule, cfg)
-    traj_m = run_mirror_flow(family, loss, schedule, cfg)
-    n = min(len(traj_p), len(traj_m))
-    dev = float(np.max(np.abs(traj_p.x[:n] - traj_m.x[:n])))
+    x_p = run_param_flow(p, loss, schedule, cfg).metrics["x"]
+    x_m = run_mirror_flow(family, loss, schedule, cfg).metrics["x"]
+    n = min(len(x_p), len(x_m))
+    dev = float(np.max(np.abs(x_p[:n] - x_m[:n])))
     return EquivalenceReport(
         pair=f"{p.tag}/{family.tag}",
         max_deviation=dev,

@@ -157,9 +157,9 @@ def test_c4_optimality():
     y = diags @ lam_star
     p = SymFactor(np.sqrt(beta) * np.eye(n))
     sched = Schedule("turnoff", 2.0, turnoff_time=0.5, t_end=150.0)
-    traj = run_param_flow(p, SensingLoss(A, y), sched,
-                          IntegratorConfig("dopri5", 5e-3, 150.0, record_every=5000))
-    lam_inf = np.diag(traj.x[-1].reshape(n, n))
+    rec = run_param_flow(p, SensingLoss(A, y), sched,
+                         IntegratorConfig("dopri5", 5e-3, 150.0, record_every=5000))
+    lam_inf = np.diag(rec.final_x.reshape(n, n))
     fam = Entropy(beta * np.ones(n))
     a_T = float(sched.a(150.0))
     kkt_sensing = kkt_residual(diags, lam_inf, fam, a_T)
@@ -172,9 +172,9 @@ def test_c4_optimality():
     y2 = Z @ x_star
     p2 = DeepHadamard([np.zeros(n2), np.ones(n2)])
     sched2 = Schedule("turnoff", 2.0, turnoff_time=1.0, t_end=120.0)
-    traj2 = run_param_flow(p2, LinearRegressionLoss(Z, y2), sched2,
-                           IntegratorConfig("dopri5", 5e-3, 120.0, record_every=5000))
-    x_inf = traj2.x[-1]
+    rec2 = run_param_flow(p2, LinearRegressionLoss(Z, y2), sched2,
+                          IntegratorConfig("dopri5", 5e-3, 120.0, record_every=5000))
+    x_inf = rec2.final_x
     fam2 = HyperbolicEntropy.from_hadamard(np.zeros(n2), np.ones(n2))
     a_T2 = float(sched2.a(120.0))
     kkt_diag = kkt_residual(Z, x_inf, fam2, a_T2)

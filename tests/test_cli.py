@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import mirrorlab
-from mirrorlab import (ExperimentReport, IntegratorConfig, Schedule, cli, make_rng,
+from mirrorlab import (IntegratorConfig, RunRecord, Schedule, cli, make_rng,
                        verify_equivalence)
 from mirrorlab.cli import (EXIT_DIVERGED, EXIT_FAIL, EXIT_OK, EXIT_USAGE,
                            CSV_COLUMNS, UsageError, load_matrix, main,
@@ -214,6 +214,13 @@ def test_env_seed_override(tmp_path, monkeypatch):
     assert not (d2 / "sensing_seed1.csv").exists()
 
 
+def test_env_seed_overrides_a_seed_sweep(tmp_path, monkeypatch):
+    monkeypatch.setenv("MIRRORLAB_SEED", "7")
+    assert run_small_sensing(tmp_path, ["--seeds", "0,1"]) == EXIT_OK
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "sensing_seed7.csv", "sensing_seed7_summary.json"]
+
+
 def _summary_without_wall_time(path):
     data = json.loads(path.read_text())
     data.pop("wall_time_s")
@@ -310,6 +317,20 @@ def test_run_flow_labels_rows_with_their_step(tmp_path):
     assert main(args) == EXIT_OK
     rows = (tmp_path / "flow_hyperbolic_seed0.csv").read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == ["0", "3", "5"]
+
+
+def test_run_flow_that_stops_early_says_so_in_its_summary(tmp_path, capsys):
+    # Euler steps of 2 blow the hyperbolic mirror flow up near t = 4
+    args = ["run", "flow", "--out", str(tmp_path), "--family", "hyperbolic", "--method", "euler",
+            "--step", "2", "--t-end", "200", "--record-every", "1"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(args) == EXIT_DIVERGED
+    assert "flow stopped early: mirror flow diverged near t=4" in capsys.readouterr().err
+    # the truncated CSV is written: the rows up to the last finite step
+    rows = (tmp_path / "flow_hyperbolic_seed0.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0", "1", "2"]
+    summary = json.loads((tmp_path / "flow_hyperbolic_seed0_summary.json").read_text())
+    assert summary["diverged"] is True
 
 
 def test_run_flow_dopri5_records_the_grid_rows(tmp_path):
@@ -499,8 +520,8 @@ def test_trajectory_csv_matches_the_rowwise_formatter(tmp_path, n_rows, present)
         return v
 
     steps = np.arange(n_rows) * 7
-    report = ExperimentReport(kind="test", config={}, steps=steps, times=steps * 0.25, a=series(),
-                              metrics={c: series() for c in present}, summary={})
+    report = RunRecord(kind="test", config={}, steps=steps, times=steps * 0.25, a=series(),
+                       metrics={c: series() for c in present}, summary={})
     write_trajectory_csv(str(tmp_path / "t.csv"), report)
     assert (tmp_path / "t.csv").read_bytes() == _rowwise_csv(report)
 

@@ -4,8 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from mirrorlab import (DomainError, InputError, IntegratorConfig, Schedule,
-                       Trajectory, make_rng, nuclear_frobenius_ratio)
+from mirrorlab import (DomainError, DomainExitError, Entropy, Hadamard, InputError,
+                       IntegratorConfig, LogRatio, QuadraticLoss, RegressionConfig, Schedule,
+                       SensingConfig, SparseCodingConfig, ZeroLoss, diagonal_network_run,
+                       make_dictionary, make_rng, matrix_sensing_run, nuclear_frobenius_ratio,
+                       run_mirror_flow, run_param_flow, sparse_coding_run)
 
 KINDS = ["constant", "turnoff", "linear-decay", "cosine-decay"]
 
@@ -193,17 +196,50 @@ def test_configs_reject_non_finite_numbers(build, name, bad):
         build(bad)
 
 
-def test_trajectory_validation():
-    with pytest.raises(InputError):
-        Trajectory(times=[0.0, 0.0], a=[0.0, 0.0], x=np.zeros((2, 1)))
-    with pytest.raises(InputError):
-        Trajectory(times=[0.0, 1.0], a=[0.0, 0.1], x=np.zeros((2, 1)))  # a increases
-    with pytest.raises(InputError):
-        Trajectory(times=[0.0, 1.0], a=[0.0, -0.1], x=np.zeros((3, 1)))
-    tr = Trajectory(times=[0.0, 1.0], a=[0.0, -0.1], x=np.arange(2.0).reshape(2, 1),
-                    metrics={"train_loss": np.zeros(2)})
-    assert len(tr) == 2
-    assert tr.final_x[0] == 1.0
+def _log_ratio_domain_exit():
+    # weight decay pulls LogRatio's factors to zero, out of their domain
+    with pytest.raises(DomainExitError) as exc_info:
+        run_param_flow(LogRatio([0.5], [0.5]), ZeroLoss(1), Schedule("constant", 5.0, t_end=5.0),
+                       IntegratorConfig("euler", 1e-2, 5.0, record_every=1))
+    return exc_info.value.record
+
+
+# the five producers of a run record, and an early exit's record
+RECORDS = {
+    "param-flow": lambda: run_param_flow(
+        Hadamard([1.5, 1.2], [0.4, -0.2]), QuadraticLoss(np.eye(2), [1.0, -0.5]),
+        Schedule("turnoff", 0.5, turnoff_time=0.3, t_end=1.0),
+        IntegratorConfig("dopri5", 1e-2, 1.0, record_every=7)),
+    "mirror-flow": lambda: run_mirror_flow(
+        Entropy(np.array([1.0, 2.0])), QuadraticLoss(np.eye(2), [0.5, 1.5]),
+        Schedule("linear-decay", 0.5, turnoff_time=0.6, t_end=1.0),
+        IntegratorConfig("euler", 1e-2, 1.0, record_every=3)),
+    "sensing": lambda: matrix_sensing_run(SensingConfig(
+        n=4, r=1, m=12, steps=200, record_every=9,
+        schedule=Schedule("cosine-decay", 0.05, turnoff_time=25.0, t_end=50.0))),
+    "diagonal": lambda: diagonal_network_run(RegressionConfig(
+        d=4, n=8, sparsity=2, steps=200, record_every=30,
+        schedule=Schedule("turnoff", 1.0, turnoff_time=0.1, t_end=0.4))),
+    "sparse-coding": lambda: sparse_coding_run(
+        make_dictionary(5, 4, seed=1), np.ones(5), LogRatio(np.full(4, 1.5), np.full(4, 1.2)),
+        Schedule("constant", 0.5, t_end=1.0), SparseCodingConfig(steps=100, record_every=6)),
+    "param-flow-domain-exit": _log_ratio_domain_exit,
+}
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_every_record_keeps_the_invariants_of_a_run(name):
+    rec = RECORDS[name]()
+    assert rec.diverged == (name == "param-flow-domain-exit")
+    n = len(rec.times)
+    assert n > 1
+    assert np.all(np.diff(rec.times) > 0), "times must be strictly increasing"
+    assert np.all(np.diff(rec.a) <= 1e-12), "the accumulated strength must be nonincreasing"
+    columns = {"steps": rec.steps, "a": rec.a, **rec.metrics}
+    if rec.eigenvalues is not None:
+        columns["eigenvalues"] = rec.eigenvalues
+    for column, table in columns.items():
+        assert len(table) == n, column
 
 
 def test_ratio_rank_one():

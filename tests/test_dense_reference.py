@@ -71,7 +71,7 @@ def test_hadamard_flow_matches_dense_euler_loop():
     Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
     loss = QuadraticLoss(Q @ np.diag(rng.uniform(0.5, 2.0, n)) @ Q.T, rng.standard_normal(n))
     cfg = IntegratorConfig("euler", 1e-2, 2.0, record_every=10)
-    traj = run_param_flow(p, loss, Schedule("turnoff", alpha0, turnoff_time=T, t_end=2.0), cfg)
+    rec = run_param_flow(p, loss, Schedule("turnoff", alpha0, turnoff_time=T, t_end=2.0), cfg)
 
     n_steps, h = cfg.grid()
     w, states = p.w_init, [p.w_init]
@@ -81,5 +81,5 @@ def test_hadamard_flow_matches_dense_euler_loop():
         if (k + 1) % cfg.record_every == 0:
             states.append(w)
 
-    assert traj.params.tobytes() == np.asarray(states).tobytes()
-    assert traj.x.tobytes() == np.asarray([p.g(s) for s in states]).tobytes()
+    assert rec.metrics["params"].tobytes() == np.asarray(states).tobytes()
+    assert rec.metrics["x"].tobytes() == np.asarray([p.g(s) for s in states]).tobytes()

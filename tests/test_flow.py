@@ -32,8 +32,8 @@ def test_energy_descent_without_regularization():
     loss = quad_loss(3, seed=1)
     sched = Schedule("constant", 0.0, t_end=2.0)
     cfg = IntegratorConfig("dopri5", 1e-3, 2.0, record_every=10)
-    traj = run_param_flow(p, loss, sched, cfg)
-    f = traj.metrics["train_loss"]
+    rec = run_param_flow(p, loss, sched, cfg)
+    f = rec.metrics["train_loss"]
     assert np.all(np.diff(f) <= 1e-10)
 
 
@@ -42,9 +42,9 @@ def test_pure_decay_closed_form():
     p = Hadamard([1.0, 2.0], [0.5, -0.4])
     sched = Schedule("constant", 0.3, t_end=1.5)
     cfg = IntegratorConfig("dopri5", 1e-3, 1.5, record_every=50)
-    traj = run_param_flow(p, ZeroLoss(2), sched, cfg)
-    expected = p.w_init[None, :] * np.exp(-0.3 * traj.times)[:, None]
-    assert np.max(np.abs(traj.params - expected)) < 1e-10
+    rec = run_param_flow(p, ZeroLoss(2), sched, cfg)
+    expected = p.w_init[None, :] * np.exp(-0.3 * rec.times)[:, None]
+    assert np.max(np.abs(rec.metrics["params"] - expected)) < 1e-10
 
 
 def test_sym_factor_norm_bounded_under_decay():
@@ -53,8 +53,8 @@ def test_sym_factor_norm_bounded_under_decay():
     p = SymFactor(U0)
     sched = Schedule("constant", 0.5, t_end=2.0)
     cfg = IntegratorConfig("dopri5", 1e-2, 2.0, record_every=1)
-    traj = run_param_flow(p, ZeroLoss(9), sched, cfg)
-    norms = np.linalg.norm(traj.params, axis=1)
+    rec = run_param_flow(p, ZeroLoss(9), sched, cfg)
+    norms = np.linalg.norm(rec.metrics["params"], axis=1)
     assert np.all(norms <= norms[0] + 1e-12)
     assert norms[-1] == pytest.approx(norms[0] * np.exp(-0.5 * 2.0), rel=1e-8)
 
@@ -65,9 +65,9 @@ def test_mirror_flow_entropy_stays_positive_and_converges():
     loss = QuadraticLoss(np.eye(2), target)
     sched = Schedule("turnoff", 0.4, turnoff_time=0.5, t_end=30.0)
     cfg = IntegratorConfig("dopri5", 5e-3, 30.0, record_every=100)
-    traj = run_mirror_flow(ent, loss, sched, cfg)
-    assert np.all(traj.x > 0)
-    assert traj.final_x == pytest.approx(target, abs=1e-6)
+    rec = run_mirror_flow(ent, loss, sched, cfg)
+    assert np.all(rec.metrics["x"] > 0)
+    assert rec.final_x == pytest.approx(target, abs=1e-6)
 
 
 def test_mirror_flow_pure_drift_matches_scale():
@@ -76,13 +76,13 @@ def test_mirror_flow_pure_drift_matches_scale():
     ent = Entropy(x0)
     sched = Schedule("constant", 0.25, t_end=2.0)
     cfg = IntegratorConfig("dopri5", 1e-3, 2.0, record_every=100)
-    traj = run_mirror_flow(ent, ZeroLoss(2), sched, cfg)
-    expected = x0[None, :] * np.exp(2.0 * traj.a)[:, None]
-    assert np.max(np.abs(traj.x - expected)) < 1e-12
+    rec = run_mirror_flow(ent, ZeroLoss(2), sched, cfg)
+    expected = x0[None, :] * np.exp(2.0 * rec.a)[:, None]
+    assert np.max(np.abs(rec.metrics["x"] - expected)) < 1e-12
     hyp = HyperbolicEntropy.from_hadamard(np.array([1.5, 1.2]), np.array([0.5, -0.3]))
-    traj = run_mirror_flow(hyp, ZeroLoss(2), sched, cfg)
+    rec = run_mirror_flow(hyp, ZeroLoss(2), sched, cfg)
     x0h = hyp.dual_map(0.0, np.zeros(2))
-    assert np.max(np.abs(traj.x - x0h[None, :] * np.exp(2.0 * traj.a)[:, None])) < 1e-12
+    assert np.max(np.abs(rec.metrics["x"] - x0h[None, :] * np.exp(2.0 * rec.a)[:, None])) < 1e-12
 
 
 @pytest.mark.parametrize("case", ["hadamard", "entropy", "quadratic"])
@@ -157,13 +157,13 @@ def test_dopri5_matches_the_closed_form_drifts(kind, turnoff, flow_kind):
     cfg = IntegratorConfig("dopri5", 1e-2, 2.0, record_every=7)
     if flow_kind == "param":
         p = Hadamard([1.0, 2.0], [0.5, -0.4])
-        traj = run_param_flow(p, ZeroLoss(2), sched, cfg)
-        got, expected = traj.params, p.w_init[None, :] * np.exp(traj.a)[:, None]
+        rec = run_param_flow(p, ZeroLoss(2), sched, cfg)
+        got, expected = rec.metrics["params"], p.w_init[None, :] * np.exp(rec.a)[:, None]
     else:
         x0 = np.array([1.0, 2.0])
-        traj = run_mirror_flow(Entropy(x0), ZeroLoss(2), sched, cfg)
-        got, expected = traj.x, x0[None, :] * np.exp(2.0 * traj.a)[:, None]
-    assert traj.steps.tolist() == list(range(0, 200, 7)) + [200]
+        rec = run_mirror_flow(Entropy(x0), ZeroLoss(2), sched, cfg)
+        got, expected = rec.metrics["x"], x0[None, :] * np.exp(2.0 * rec.a)[:, None]
+    assert rec.steps.tolist() == list(range(0, 200, 7)) + [200]
     assert np.max(np.abs(got - expected)) <= 1e-11
 
 
@@ -171,15 +171,15 @@ def test_dopri5_records_the_step_and_time_columns_of_the_grid():
     p = Hadamard([1.4, 1.1], [0.3, -0.5])
     loss = quad_loss(2, seed=6)
     sched = Schedule("turnoff", 0.5, turnoff_time=0.6137, t_end=1.3)
-    trajs = [run_param_flow(p, loss, sched, IntegratorConfig(method, 1e-2, 1.3, record_every=7))
-             for method in ("euler", "dopri5")]
+    recs = [run_param_flow(p, loss, sched, IntegratorConfig(method, 1e-2, 1.3, record_every=7))
+            for method in ("euler", "dopri5")]
     n_steps, h = IntegratorConfig("dopri5", 1e-2, 1.3).grid()
     grid = list(range(0, n_steps, 7)) + [n_steps]
-    assert trajs[1].steps.tolist() == trajs[0].steps.tolist() == grid
-    assert trajs[1].times.tobytes() == trajs[0].times.tobytes()
-    assert trajs[1].times.tolist() == [k * h for k in trajs[1].steps.tolist()]
+    assert recs[1].steps.tolist() == recs[0].steps.tolist() == grid
+    assert recs[1].times.tobytes() == recs[0].times.tobytes()
+    assert recs[1].times.tolist() == [k * h for k in recs[1].steps.tolist()]
     # Euler is first-order accurate
-    assert np.max(np.abs(trajs[1].x - trajs[0].x)) < 1e-2
+    assert np.max(np.abs(recs[1].metrics["x"] - recs[0].metrics["x"])) < 1e-2
 
 
 def test_dopri5_lands_on_record_times_and_breaks_inside_the_run():
@@ -200,7 +200,7 @@ def test_dopri5_log_cosh_run_that_leaves_its_domain_ends_with_domain_status():
         with pytest.raises(DomainExitError) as exc_info:
             run_mirror_flow(lc, loss, sched, IntegratorConfig(method, 1e-2, 4.0, record_every=5))
         exits.append(exc_info.value)
-    assert exits[1].trajectory.steps.tolist() == exits[0].trajectory.steps.tolist()
+    assert exits[1].record.steps.tolist() == exits[0].record.steps.tolist()
     assert abs(exits[1].time - exits[0].time) < 1e-2
 
 
@@ -211,7 +211,7 @@ def test_divergence_guard():
     with pytest.raises(DivergedError) as exc_info:
         run_param_flow(p, unstable, sched, IntegratorConfig("euler", 1e-2, 40.0, record_every=10))
     err = exc_info.value
-    assert err.trajectory is not None and err.last_valid_time < 40.0
+    assert err.record is not None and err.last_valid_time < 40.0
 
 
 @pytest.mark.parametrize("method", ["euler", "dopri5"])
@@ -469,9 +469,9 @@ def test_log_ratio_domain_exit():
     sched = Schedule("constant", 5.0, t_end=5.0)
     with pytest.raises(DomainExitError) as exc_info:
         run_param_flow(p, ZeroLoss(1), sched, IntegratorConfig("euler", 1e-2, 5.0, record_every=1))
-    traj = exc_info.value.trajectory
-    assert traj is not None and len(traj) > 1
-    assert traj.metrics["unit_region"][0] == 0.0  # started below the unit region
+    rec = exc_info.value.record
+    assert rec is not None and len(rec.times) > 1
+    assert rec.metrics["unit_region"][0] == 0.0  # started below the unit region
 
 
 def test_convergence_after_turnoff():
@@ -479,10 +479,10 @@ def test_convergence_after_turnoff():
     loss = quad_loss(3, seed=8)
     sched = Schedule("turnoff", 1.0, turnoff_time=0.5, t_end=40.0)
     cfg = IntegratorConfig("dopri5", 5e-3, 40.0, record_every=200)
-    traj = run_param_flow(p, loss, sched, cfg)
-    steps = np.linalg.norm(np.diff(traj.x, axis=0), axis=1)
+    rec = run_param_flow(p, loss, sched, cfg)
+    steps = np.linalg.norm(np.diff(rec.metrics["x"], axis=0), axis=1)
     assert steps[-1] < 1e-8
-    assert np.linalg.norm(loss.grad(traj.final_x)) < 1e-6
+    assert np.linalg.norm(loss.grad(rec.final_x)) < 1e-6
 
 
 def test_quadratic_encoding_trajectory_agreement():
@@ -502,9 +502,9 @@ def test_quadratic_encoding_trajectory_agreement():
     loss = quad_loss(n, seed=11)
     sched = Schedule("turnoff", 0.5, turnoff_time=0.5, t_end=2.0)
     cfg = IntegratorConfig("dopri5", 2e-3, 2.0, record_every=20)
-    t_q = run_mirror_flow(qf, loss, sched, cfg)
-    t_h = run_mirror_flow(hyp, loss, sched, cfg)
-    assert np.max(np.abs(t_q.x - t_h.x)) < 1e-6
+    rec_q = run_mirror_flow(qf, loss, sched, cfg)
+    rec_h = run_mirror_flow(hyp, loss, sched, cfg)
+    assert np.max(np.abs(rec_q.metrics["x"] - rec_h.metrics["x"])) < 1e-6
 
 
 def test_mirror_flow_domain_exit_diff_powers():
@@ -514,7 +514,7 @@ def test_mirror_flow_domain_exit_diff_powers():
     sched = Schedule("constant", 0.0, t_end=5.0)
     with pytest.raises(DomainExitError) as exc_info:
         run_mirror_flow(dp, loss, sched, IntegratorConfig("euler", 1e-2, 5.0, record_every=1))
-    assert exc_info.value.trajectory is not None
+    assert exc_info.value.record is not None
 
 
 @settings(max_examples=60, deadline=None)
@@ -712,7 +712,7 @@ def test_runs_check_shapes_once_not_per_step(monkeypatch, name):
     for steps, every, records in ((250, 250, 2), (500, 50, 11)):
         calls.clear()
         result = run(steps, every)
-        assert len(result.steps) == records and not getattr(result, "diverged", False)
+        assert len(result.steps) == records and not result.diverged
         counts.append(len(calls))
     assert counts[0] == counts[1], counts
 
@@ -723,12 +723,9 @@ def test_every_runner_records_int64_steps_and_float64_series(name):
     # float64 tables of one row per snapshot
     result = _runs()[name](250, 50)
     assert result.steps.dtype == np.int64 and result.steps.tolist() == list(range(0, 251, 50))
-    scalars = {"times": result.times, "a": result.a, **result.metrics}
-    if getattr(result, "y", None) is not None:
-        scalars["y"] = result.y
-    for key, col in scalars.items():
-        assert col.dtype == np.float64 and col.shape == (6,), key
-    for key in ("x", "params", "mu", "eigenvalues"):
-        col = getattr(result, key, None)
-        if col is not None:
-            assert col.dtype == np.float64 and col.ndim == 2 and len(col) == 6, key
+    tables = {"times": result.times, "a": result.a, **result.metrics}
+    if result.eigenvalues is not None:
+        tables["eigenvalues"] = result.eigenvalues
+    for key, col in tables.items():
+        ndim = 2 if key in ("x", "params", "mu", "eigenvalues") else 1
+        assert col.dtype == np.float64 and col.ndim == ndim and len(col) == 6, key
