@@ -26,7 +26,7 @@ family = family_for(p)
 Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
 loss = QuadraticLoss(Q @ np.diag(rng.uniform(0.5, 2.0, n)) @ Q.T, rng.standard_normal(n))
 schedule = Schedule("turnoff", alpha0=0.5, turnoff_time=1.0, t_end=4.0)
-cfg = IntegratorConfig("dopri5", 1e-3, 4.0, record_every=10)
+cfg = IntegratorConfig("dop853", 1e-3, 4.0, record_every=10)
 
 report = verify_equivalence(p, loss, schedule, cfg)
 print(f"parameter flow vs mirror flow ({report.pair}):")

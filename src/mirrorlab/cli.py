@@ -331,7 +331,7 @@ def cmd_verify_equivalence(args, opts):
     # checks the classical, undecayed case
     kind, alpha0 = ("constant", 0.0) if opts["family"] == "diff-powers" else ("turnoff", 0.5)
     sched = Schedule(kind, alpha0, turnoff_time=1.0, t_end=opts["t_end"])
-    cfg = IntegratorConfig("dopri5", opts["step"], opts["t_end"], record_every=10)
+    cfg = IntegratorConfig("dop853", opts["step"], opts["t_end"], record_every=10)
     report = verify_equivalence(p, loss, sched, cfg, tol=opts["tol"])
     print(f"pair {report.pair}: max deviation {report.max_deviation:.3e} "
           f"(tol {report.tol:.1e}) over {report.n_points} points -> "
@@ -383,7 +383,7 @@ def cmd_verify_optimality(args, opts):
         fam = legendre.HyperbolicEntropy.from_hadamard(np.zeros(n), np.ones(n))
         sched = Schedule("turnoff", 2.0, turnoff_time=1.0, t_end=120.0)
         x_inf = run_param_flow(p, loss, sched,
-                               IntegratorConfig("dopri5", 5e-3, 120.0, record_every=4000)).final_x
+                               IntegratorConfig("dop853", 5e-3, 120.0, record_every=4000)).final_x
     elif opts["case"] == "sensing":
         n, m, beta = 8, 4, 0.1
         lam_star = np.zeros(n)
@@ -398,7 +398,7 @@ def cmd_verify_optimality(args, opts):
         fam = legendre.Entropy(beta * np.ones(n))
         sched = Schedule("turnoff", 2.0, turnoff_time=0.5, t_end=150.0)
         rec = run_param_flow(p, loss, sched,
-                             IntegratorConfig("dopri5", 5e-3, 150.0, record_every=4000))
+                             IntegratorConfig("dop853", 5e-3, 150.0, record_every=4000))
         x_inf = np.diag(rec.final_x.reshape(n, n))
     else:
         raise UsageError(f"unknown optimality case {opts['case']!r}")
@@ -547,9 +547,10 @@ def cmd_run_sparse_coding(args, opts):
         v0 = (0.5 * (np.sqrt(x_init**2 + 1.0) - x_init)) ** (1.0 / (2 * k))
         p = reparam.DiffPowers(k, u0, v0)
     elif variant == "log-ratio":
-        xs = 0.1
-        u0 = 1.0 / (1.0 + np.exp(-xs)) * np.ones(n)
-        v0 = 1.0 / (1.0 + np.exp(xs)) * np.ones(n)
+        # g(w0) = log u0 - log v0 = 0.1 per coordinate, from factors inside
+        # the unit region (u, v > 1) that the run reports on
+        u0 = np.full(n, 2.0 * np.exp(0.05))
+        v0 = np.full(n, 2.0 * np.exp(-0.05))
         p = reparam.LogRatio(u0, v0)
     else:
         raise UsageError(f"unknown sparse-coding variant {variant!r}")
@@ -634,14 +635,14 @@ COMMANDS = {
         **_fields(SparseCodingConfig), "seed": 0, "kind": "constant", "alpha0": 1e-3,
         "turnoff_time": 1.0, "dictionary": ""}),
     ("run", "flow"): (cmd_run_flow, "flow", {
-        "family": "entropy", "n": 4, "seed": 0, "method": "dopri5", "step": 1e-3,
+        "family": "entropy", "n": 4, "seed": 0, "method": "dop853", "step": 1e-3,
         "record_every": 10, "kind": "constant", "alpha0": 0.1, "turnoff_time": 1.0,
         "t_end": 4.0}),
 }
 
 _HELP = {"kind": "schedule kind: constant|turnoff|linear-decay|cosine-decay",
          "seeds": "comma-separated seed sweep", "dictionary": "headerless CSV matrix",
-         "step": "dopri5's record grid and first trial step; euler's fixed step"}
+         "step": "dop853's record grid and first trial step; euler's fixed step"}
 
 
 def build_parser():

@@ -115,7 +115,7 @@ class Schedule:
     def alpha_left(self, t):
         """Left limit of alpha at t; differs from alpha only at the turn-off jump.
 
-        dopri5 evaluates the two stages at the right end of a step that
+        dop853 evaluates the two stages at the right end of a step that
         lands on the turn-off time with this, so that the step integrates
         the smooth left segment at full order.
         """
@@ -168,19 +168,19 @@ class IntegratorConfig:
     """Integrator settings shared by the parameter and mirror flows.
 
     "euler" takes fixed steps of ``step`` (adjusted to land on ``t_end``);
-    "dopri5" takes error-controlled steps that land on the same record
-    times, with ``step`` as its first trial step and the scale of its step
-    floor.
+    "dop853" takes error-controlled steps and reads the same record times
+    from its dense output, with ``step`` as its first trial step and the
+    scale of its step floor.
     """
 
-    method: str = "dopri5"
+    method: str = "dop853"
     step: float = 1e-3
     t_end: float = 1.0
     record_every: int = 1
 
     def __post_init__(self):
-        if self.method not in ("euler", "dopri5"):
-            raise InputError(f"method must be 'euler' or 'dopri5', got {self.method!r}")
+        if self.method not in ("euler", "dop853"):
+            raise InputError(f"method must be 'euler' or 'dop853', got {self.method!r}")
         check_finite(step=self.step, t_end=self.t_end)
         if self.step <= 0:
             raise InputError("step must be positive")

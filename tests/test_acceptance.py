@@ -55,7 +55,7 @@ def _equivalence_case(kind):
 
 def test_c1_equivalence():
     sched = Schedule("turnoff", alpha0=0.5, turnoff_time=1.0, t_end=4.0)
-    cfg = IntegratorConfig("dopri5", 1e-3, 4.0, record_every=10)
+    cfg = IntegratorConfig("dop853", 1e-3, 4.0, record_every=10)
     results = {}
     for kind in ("hadamard", "quadratic", "entropy"):
         p, loss = _equivalence_case(kind)
@@ -158,7 +158,7 @@ def test_c4_optimality():
     p = SymFactor(np.sqrt(beta) * np.eye(n))
     sched = Schedule("turnoff", 2.0, turnoff_time=0.5, t_end=150.0)
     rec = run_param_flow(p, SensingLoss(A, y), sched,
-                         IntegratorConfig("dopri5", 5e-3, 150.0, record_every=5000))
+                         IntegratorConfig("dop853", 5e-3, 150.0, record_every=5000))
     lam_inf = np.diag(rec.final_x.reshape(n, n))
     fam = Entropy(beta * np.ones(n))
     a_T = float(sched.a(150.0))
@@ -173,7 +173,7 @@ def test_c4_optimality():
     p2 = DeepHadamard([np.zeros(n2), np.ones(n2)])
     sched2 = Schedule("turnoff", 2.0, turnoff_time=1.0, t_end=120.0)
     rec2 = run_param_flow(p2, LinearRegressionLoss(Z, y2), sched2,
-                          IntegratorConfig("dopri5", 5e-3, 120.0, record_every=5000))
+                          IntegratorConfig("dop853", 5e-3, 120.0, record_every=5000))
     x_inf = rec2.final_x
     fam2 = HyperbolicEntropy.from_hadamard(np.zeros(n2), np.ones(n2))
     a_T2 = float(sched2.a(120.0))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import mirrorlab
-from mirrorlab import (IntegratorConfig, RunRecord, Schedule, cli, make_rng,
+from mirrorlab import (IntegratorConfig, RunRecord, Schedule, cli, flow, make_rng,
                        verify_equivalence)
 from mirrorlab.cli import (EXIT_DIVERGED, EXIT_FAIL, EXIT_OK, EXIT_USAGE,
                            CSV_COLUMNS, UsageError, load_matrix, main,
@@ -89,16 +89,41 @@ def test_verify_equivalence_default_checks_401_points_tightly(tmp_path, family, 
 
 
 @pytest.mark.parametrize("family", EQUIVALENCE_FAMILIES)
-def test_verify_equivalence_runs_dopri5_on_the_step_grid(tmp_path, family):
-    # the command compares both flows by dopri5 at the record times k h of
+def test_verify_equivalence_runs_dop853_on_the_step_grid(tmp_path, family):
+    # the command compares both flows by dop853 at the record times k h of
     # --step (default 1e-3), every 10th node up to --t-end (default 4)
     assert main(["verify", "equivalence", "--family", family, "--out", str(tmp_path)]) == EXIT_OK
     kind, alpha0 = ("constant", 0.0) if family == "diff-powers" else ("turnoff", 0.5)
     sched = Schedule(kind, alpha0, turnoff_time=1.0, t_end=4.0)
     direct = verify_equivalence(*cli._equivalence_case(family, 0), sched,
-                                IntegratorConfig("dopri5", 1e-3, 4.0, record_every=10))
+                                IntegratorConfig("dop853", 1e-3, 4.0, record_every=10))
     report = json.loads((tmp_path / "equivalence_report.json").read_text())
     assert report == dataclasses.asdict(direct)
+
+
+def test_verify_takes_a_bounded_number_of_field_evaluations(monkeypatch):
+    # both flows of an equivalence command, 401 record rows each, and the
+    # diagonal optimality flow to t = 120
+    count = [0]
+    integrate = flow._integrate
+
+    def counted(rhs, *args, **kwargs):
+        def rhs_counted(t, state, left_limit):
+            count[0] += 1
+            return rhs(t, state, left_limit)
+
+        return integrate(rhs_counted, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "_integrate", counted)
+    for family in EQUIVALENCE_FAMILIES:
+        for seed in range(5):
+            count[0] = 0
+            assert main(["verify", "equivalence", "--family", family,
+                         "--seed", str(seed)]) == EXIT_OK
+            assert 0 < count[0] <= 4500, (family, seed)
+    count[0] = 0
+    assert main(["verify", "optimality", "--case", "diagonal", "--seed", "0"]) == EXIT_OK
+    assert 0 < count[0] <= 5000
 
 
 def test_verify_commuting_expect_fail():
@@ -299,6 +324,13 @@ def test_run_sparse_coding_with_dictionary_file(tmp_path):
     assert (tmp_path / "sparse_diff-powers_seed2.csv").exists()
 
 
+def test_run_sparse_coding_log_ratio_starts_inside_its_unit_region(tmp_path):
+    assert main(["run", "sparse-coding", "--variant", "log-ratio", "--seed", "0",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    summary = json.loads((tmp_path / "sparse_log-ratio_seed0_summary.json").read_text())
+    assert summary["flags"] == {"domain_exit": False, "left_unit_region": False}
+
+
 def test_run_flow_writes_trajectory(tmp_path):
     args = ["run", "flow", "--out", str(tmp_path), "--family", "entropy",
             "--schedule", "constant", "--alpha0", "0.1", "--t-end", "2.0",
@@ -333,13 +365,13 @@ def test_run_flow_that_stops_early_says_so_in_its_summary(tmp_path, capsys):
     assert summary["diverged"] is True
 
 
-def test_run_flow_dopri5_records_the_grid_rows(tmp_path):
-    args = ["run", "flow", "--out", str(tmp_path), "--family", "hyperbolic", "--method", "dopri5",
+def test_run_flow_dop853_records_the_grid_rows(tmp_path):
+    args = ["run", "flow", "--out", str(tmp_path), "--family", "hyperbolic", "--method", "dop853",
             "--schedule", "turnoff", "--turnoff-time", "0.37", "--t-end", "1.0",
             "--step", "0.01", "--record-every", "7", "--seed", "0"]
     assert main(args) == EXIT_OK
     lines = (tmp_path / "flow_hyperbolic_seed0.csv").read_text().splitlines()
-    n_steps, h = IntegratorConfig("dopri5", 0.01, 1.0).grid()
+    n_steps, h = IntegratorConfig("dop853", 0.01, 1.0).grid()
     # the step and t columns of the grid k h, bit for bit
     assert [line.split(",")[:2] for line in lines[1:]] == [
         [str(k), repr(k * h)] for k in list(range(0, n_steps, 7)) + [n_steps]]

@@ -176,10 +176,10 @@ def test_integrator_config_validation():
     assert n * h == pytest.approx(1.0)
 
 
-def test_integrator_config_takes_euler_or_dopri5():
-    with pytest.raises(InputError, match=r"method must be 'euler' or 'dopri5', got 'rk4'"):
+def test_integrator_config_takes_euler_or_dop853():
+    with pytest.raises(InputError, match=r"method must be 'euler' or 'dop853', got 'rk4'"):
         IntegratorConfig("rk4", 1e-2, 1.0)
-    assert IntegratorConfig().method == "dopri5"
+    assert IntegratorConfig().method == "dop853"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -209,7 +209,7 @@ RECORDS = {
     "param-flow": lambda: run_param_flow(
         Hadamard([1.5, 1.2], [0.4, -0.2]), QuadraticLoss(np.eye(2), [1.0, -0.5]),
         Schedule("turnoff", 0.5, turnoff_time=0.3, t_end=1.0),
-        IntegratorConfig("dopri5", 1e-2, 1.0, record_every=7)),
+        IntegratorConfig("dop853", 1e-2, 1.0, record_every=7)),
     "mirror-flow": lambda: run_mirror_flow(
         Entropy(np.array([1.0, 2.0])), QuadraticLoss(np.eye(2), [0.5, 1.5]),
         Schedule("linear-decay", 0.5, turnoff_time=0.6, t_end=1.0),

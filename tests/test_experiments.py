@@ -304,9 +304,9 @@ def test_diagonal_recording_changes_no_step(variant):
     _assert_same_steps(*reps)
 
 
-# dopri5 lands on every record time, so only the fixed-step method takes the
-# same steps at every recording interval
-@pytest.mark.parametrize("method", ["euler"])
+# dop853 reads the record times from its dense output, so neither method's
+# steps depend on the recording interval
+@pytest.mark.parametrize("method", ["euler", "dop853"])
 def test_param_flow_recording_changes_no_step(method):
     p = Hadamard([1.5, 1.2, 1.8], [0.4, -0.2, 0.1])
     rng = make_rng(4)

@@ -31,7 +31,7 @@ def test_energy_descent_without_regularization():
     p = Hadamard([1.5, 1.2, 1.8], [0.3, -0.2, 0.4])
     loss = quad_loss(3, seed=1)
     sched = Schedule("constant", 0.0, t_end=2.0)
-    cfg = IntegratorConfig("dopri5", 1e-3, 2.0, record_every=10)
+    cfg = IntegratorConfig("dop853", 1e-3, 2.0, record_every=10)
     rec = run_param_flow(p, loss, sched, cfg)
     f = rec.metrics["train_loss"]
     assert np.all(np.diff(f) <= 1e-10)
@@ -41,7 +41,7 @@ def test_pure_decay_closed_form():
     # zero loss gradient, constant alpha: w_t = w_0 exp(-alpha t) under weight decay
     p = Hadamard([1.0, 2.0], [0.5, -0.4])
     sched = Schedule("constant", 0.3, t_end=1.5)
-    cfg = IntegratorConfig("dopri5", 1e-3, 1.5, record_every=50)
+    cfg = IntegratorConfig("dop853", 1e-3, 1.5, record_every=50)
     rec = run_param_flow(p, ZeroLoss(2), sched, cfg)
     expected = p.w_init[None, :] * np.exp(-0.3 * rec.times)[:, None]
     assert np.max(np.abs(rec.metrics["params"] - expected)) < 1e-10
@@ -52,7 +52,7 @@ def test_sym_factor_norm_bounded_under_decay():
     U0 = rng.standard_normal((3, 3))
     p = SymFactor(U0)
     sched = Schedule("constant", 0.5, t_end=2.0)
-    cfg = IntegratorConfig("dopri5", 1e-2, 2.0, record_every=1)
+    cfg = IntegratorConfig("dop853", 1e-2, 2.0, record_every=1)
     rec = run_param_flow(p, ZeroLoss(9), sched, cfg)
     norms = np.linalg.norm(rec.metrics["params"], axis=1)
     assert np.all(norms <= norms[0] + 1e-12)
@@ -64,7 +64,7 @@ def test_mirror_flow_entropy_stays_positive_and_converges():
     target = np.array([2.0, 0.7])
     loss = QuadraticLoss(np.eye(2), target)
     sched = Schedule("turnoff", 0.4, turnoff_time=0.5, t_end=30.0)
-    cfg = IntegratorConfig("dopri5", 5e-3, 30.0, record_every=100)
+    cfg = IntegratorConfig("dop853", 5e-3, 30.0, record_every=100)
     rec = run_mirror_flow(ent, loss, sched, cfg)
     assert np.all(rec.metrics["x"] > 0)
     assert rec.final_x == pytest.approx(target, abs=1e-6)
@@ -75,7 +75,7 @@ def test_mirror_flow_pure_drift_matches_scale():
     x0 = np.array([1.0, 2.0])
     ent = Entropy(x0)
     sched = Schedule("constant", 0.25, t_end=2.0)
-    cfg = IntegratorConfig("dopri5", 1e-3, 2.0, record_every=100)
+    cfg = IntegratorConfig("dop853", 1e-3, 2.0, record_every=100)
     rec = run_mirror_flow(ent, ZeroLoss(2), sched, cfg)
     expected = x0[None, :] * np.exp(2.0 * rec.a)[:, None]
     assert np.max(np.abs(rec.metrics["x"] - expected)) < 1e-12
@@ -101,7 +101,7 @@ def test_equivalence_matched_pairs(case):
         p = QuadraticCommuting(A_list, np.eye(4), rng.uniform(0.7, 1.5, 4))
         loss = QuadraticLoss(np.diag(rng.uniform(0.5, 2.0, 3)), rng.uniform(0.3, 1.0, 3))
     sched = Schedule("turnoff", 0.5, turnoff_time=0.5, t_end=2.0)
-    cfg = IntegratorConfig("dopri5", 1e-3, 2.0, record_every=20)
+    cfg = IntegratorConfig("dop853", 1e-3, 2.0, record_every=20)
     rep = verify_equivalence(p, loss, sched, cfg)
     assert rep.passed and rep.max_deviation < 1e-8
 
@@ -112,7 +112,7 @@ def test_equivalence_diff_powers_classical():
     p = DiffPowers(2, np.array([1.1, 1.3]), np.array([0.9, 1.0]))
     loss = QuadraticLoss(0.5 * np.eye(2), np.array([0.6, -0.2]))
     sched = Schedule("constant", 0.0, t_end=2.0)
-    cfg = IntegratorConfig("dopri5", 1e-3, 2.0, record_every=20)
+    cfg = IntegratorConfig("dop853", 1e-3, 2.0, record_every=20)
     rep = verify_equivalence(p, loss, sched, cfg, tol=1e-5)
     assert rep.passed
 
@@ -123,7 +123,7 @@ def test_equivalence_log_ratio_matches_log_cosh_only_without_strength():
     rng = make_rng(3)
     p = LogRatio(rng.uniform(1.1, 2.0, 3), rng.uniform(1.1, 2.0, 3))
     loss = QuadraticLoss(0.5 * np.eye(3), rng.uniform(-0.5, 0.5, 3))
-    cfg = IntegratorConfig("dopri5", 1e-3, 2.0, record_every=20)
+    cfg = IntegratorConfig("dop853", 1e-3, 2.0, record_every=20)
     zero = verify_equivalence(p, loss, Schedule("constant", 0.0, t_end=2.0), cfg)
     assert zero.pair == "log-ratio/log-cosh" and zero.passed and zero.max_deviation < 1e-12
     decay = Schedule("turnoff", 0.5, turnoff_time=0.5, t_end=2.0)
@@ -134,7 +134,7 @@ def test_equivalence_refuses_depth_three():
     p = DeepHadamard([np.ones(2)] * 3)
     with pytest.raises(InputError):
         verify_equivalence(p, quad_loss(2), Schedule("constant", 0.0, t_end=1.0),
-                           IntegratorConfig("dopri5", 1e-2, 1.0))
+                           IntegratorConfig("dop853", 1e-2, 1.0))
 
 
 @pytest.mark.parametrize("p", [DiffSquares(np.ones(2), np.ones(2)), SymFactor(np.eye(2))],
@@ -143,18 +143,18 @@ def test_equivalence_refuses_a_parameterization_without_a_family(p):
     loss = QuadraticLoss(np.eye(p.dim_model), np.zeros(p.dim_model))
     with pytest.raises(InputError, match="no default family"):
         verify_equivalence(p, loss, Schedule("constant", 0.0, t_end=1.0),
-                           IntegratorConfig("dopri5", 1e-2, 1.0))
+                           IntegratorConfig("dop853", 1e-2, 1.0))
 
 
 # 0.6137 is not a node of the grids below, so the steps must land on it
 @pytest.mark.parametrize("kind, turnoff", [("constant", 0.0), ("turnoff", 0.6137),
                                            ("linear-decay", 0.6137), ("cosine-decay", 0.6137)])
 @pytest.mark.parametrize("flow_kind", ["param", "mirror"])
-def test_dopri5_matches_the_closed_form_drifts(kind, turnoff, flow_kind):
+def test_dop853_matches_the_closed_form_drifts(kind, turnoff, flow_kind):
     # zero loss: weight decay gives w_t = w_0 exp(a_t), and the mirror flow
     # x_t = x_0 exp(2 a_t)
     sched = Schedule(kind, 0.7, turnoff_time=turnoff, t_end=2.0)
-    cfg = IntegratorConfig("dopri5", 1e-2, 2.0, record_every=7)
+    cfg = IntegratorConfig("dop853", 1e-2, 2.0, record_every=7)
     if flow_kind == "param":
         p = Hadamard([1.0, 2.0], [0.5, -0.4])
         rec = run_param_flow(p, ZeroLoss(2), sched, cfg)
@@ -167,13 +167,13 @@ def test_dopri5_matches_the_closed_form_drifts(kind, turnoff, flow_kind):
     assert np.max(np.abs(got - expected)) <= 1e-11
 
 
-def test_dopri5_records_the_step_and_time_columns_of_the_grid():
+def test_dop853_records_the_step_and_time_columns_of_the_grid():
     p = Hadamard([1.4, 1.1], [0.3, -0.5])
     loss = quad_loss(2, seed=6)
     sched = Schedule("turnoff", 0.5, turnoff_time=0.6137, t_end=1.3)
     recs = [run_param_flow(p, loss, sched, IntegratorConfig(method, 1e-2, 1.3, record_every=7))
-            for method in ("euler", "dopri5")]
-    n_steps, h = IntegratorConfig("dopri5", 1e-2, 1.3).grid()
+            for method in ("euler", "dop853")]
+    n_steps, h = IntegratorConfig("dop853", 1e-2, 1.3).grid()
     grid = list(range(0, n_steps, 7)) + [n_steps]
     assert recs[1].steps.tolist() == recs[0].steps.tolist() == grid
     assert recs[1].times.tobytes() == recs[0].times.tobytes()
@@ -182,13 +182,39 @@ def test_dopri5_records_the_step_and_time_columns_of_the_grid():
     assert np.max(np.abs(recs[1].metrics["x"] - recs[0].metrics["x"])) < 1e-2
 
 
-def test_dopri5_lands_on_record_times_and_breaks_inside_the_run():
-    # a break on a record time marks it; one past the end, at 0 or repeated is dropped
-    assert list(flow._landings(10, 0.1, 4, (0.25, 0.8, 0.8, 5.0, 0.0))) == [
-        (0.25, None, True), (0.4, 4, False), (0.8, 8, True), (1.0, 10, False)]
+def test_dop853_lands_on_breaks_inside_the_run_and_on_its_end():
+    # a break past the end, at 0 or repeated is dropped; one on the end marks it
+    assert list(flow._landings(1.0, (0.25, 0.8, 0.8, 5.0, 0.0))) == [
+        (0.25, True), (0.8, True), (1.0, False)]
+    assert list(flow._landings(1.0, (0.5, 1.0))) == [(0.5, True), (1.0, True)]
+    assert list(flow._landings(1.0, ())) == [(1.0, False)]
 
 
-def test_dopri5_log_cosh_run_that_leaves_its_domain_ends_with_domain_status():
+def test_dop853_table_has_the_order_conditions_of_its_nodes():
+    # every stage, the three dense ones included, is consistent with its time
+    assert np.abs(flow._A.sum(axis=1) - flow._C).max() <= 4e-15  # sums of entries up to 43
+    # the weights integrate c^(k-1) exactly for k = 1..8: an eighth-order quadrature
+    b, c = flow._A[12, :12], flow._C[:12]
+    for k in range(1, 9):
+        assert abs(b @ c ** (k - 1) - 1.0 / k) <= 1e-15
+    # both error estimates vanish on a constant field
+    assert np.abs(flow._E.sum(axis=1)).max() <= 1e-15
+
+
+def test_dop853_dense_output_reproduces_a_polynomial_at_every_record_row():
+    # y' = p'(t): the seventh-order interpolant is exact on degree 7, and a
+    # 100-step grid recorded every 3rd node interpolates most rows
+    coef = make_rng(3).uniform(-1.0, 1.0, 8)
+    p = np.polynomial.Polynomial(coef)
+    dp = p.deriv()
+    _, status, records = _integrate(lambda t, s, left: np.array([dp(t)]), [p(0.0)], 100, 0.01, 3,
+                                    lambda k, t, s: {"y": s[0]}, "dop853")
+    assert status is None
+    assert records["step"].tolist() == list(range(0, 100, 3)) + [100]
+    assert np.max(np.abs(records["y"] - p(records["t"]))) <= 1e-14
+
+
+def test_dop853_log_cosh_run_that_leaves_its_domain_ends_with_domain_status():
     # a nearly constant pull (M tiny, target huge) carries mu across the upper
     # end of the log-cosh domain at t ~ 0.465; rejected steps close in on it,
     # and Euler leaves it within one step of that
@@ -196,7 +222,7 @@ def test_dopri5_log_cosh_run_that_leaves_its_domain_ends_with_domain_status():
     loss = QuadraticLoss(1e-6 * np.eye(2), np.array([1e6, -1e6]))
     sched = Schedule("turnoff", 0.2, turnoff_time=0.3, t_end=4.0)
     exits = []
-    for method in ("euler", "dopri5"):
+    for method in ("euler", "dop853"):
         with pytest.raises(DomainExitError) as exc_info:
             run_mirror_flow(lc, loss, sched, IntegratorConfig(method, 1e-2, 4.0, record_every=5))
         exits.append(exc_info.value)
@@ -214,7 +240,7 @@ def test_divergence_guard():
     assert err.record is not None and err.last_valid_time < 40.0
 
 
-@pytest.mark.parametrize("method", ["euler", "dopri5"])
+@pytest.mark.parametrize("method", ["euler", "dop853"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 100.0 * DIVERGENCE_LIMIT])
 def test_integrate_stops_on_nonfinite_or_huge_state(bad, method):
     def rhs(t, state, left_limit):
@@ -222,10 +248,11 @@ def test_integrate_stops_on_nonfinite_or_huge_state(bad, method):
 
     state, status, records = _integrate(rhs, np.ones(2), 10, 0.5, 1, lambda k, t, s: {}, method)
     assert not np.abs(state[1]) <= DIVERGENCE_LIMIT
-    if method == "dopri5":
+    if method == "dop853":
         # rejected steps close in on t = 1 down to the step floor, where a
         # non-finite stage stops the run; a huge finite field is stepped
-        # across at the floor, onto the record time t = 1, and runs away after
+        # across, the record row at t = 1 is read from the step that crosses
+        # it, and the run runs away after
         floor = flow.STEP_FLOOR * 0.5
         last_ok = 2 if np.isfinite(bad) else 1
         assert status[0] == "diverged" and status[2] is None
@@ -246,7 +273,7 @@ def test_integrate_accepts_states_at_the_divergence_limit():
     assert state.tolist() == [DIVERGENCE_LIMIT, -DIVERGENCE_LIMIT]
 
 
-@pytest.mark.parametrize("method", ["euler", "dopri5"])
+@pytest.mark.parametrize("method", ["euler", "dop853"])
 def test_integrate_accepts_many_entries_near_the_limit(method):
     # the squared norm, 10 * 0.81 * LIMIT**2, fails the one-dot bound, so the
     # exact per-entry test decides, and every entry is inside the limit
@@ -259,7 +286,7 @@ def test_integrate_accepts_many_entries_near_the_limit(method):
     assert state.tolist() == state0.tolist()
 
 
-@pytest.mark.parametrize("method", ["euler", "dopri5"])
+@pytest.mark.parametrize("method", ["euler", "dop853"])
 def test_integrate_rejects_one_entry_just_past_the_limit(method):
     state0 = np.zeros(50)
     state0[17] = np.nextafter(DIVERGENCE_LIMIT, np.inf)
@@ -317,7 +344,7 @@ def test_integrate_tables_are_int64_steps_and_float64_values():
     def record(k, t, s):
         return {"x": s, "norm": float(s.dot(s)), "first": s[0], "flag": 1.0}
 
-    _, status, records = _integrate(lambda t, s, left: -s, np.ones(3), 7, 0.1, 3, record, "dopri5")
+    _, status, records = _integrate(lambda t, s, left: -s, np.ones(3), 7, 0.1, 3, record, "dop853")
     assert status is None
     assert records["step"].dtype == np.int64 and records["step"].tolist() == [0, 3, 6, 7]
     assert {name: (col.dtype, col.shape) for name, col in records.items() if name != "step"} == {
@@ -478,7 +505,7 @@ def test_convergence_after_turnoff():
     p = Hadamard(np.full(3, 1.5), np.full(3, 0.2))
     loss = quad_loss(3, seed=8)
     sched = Schedule("turnoff", 1.0, turnoff_time=0.5, t_end=40.0)
-    cfg = IntegratorConfig("dopri5", 5e-3, 40.0, record_every=200)
+    cfg = IntegratorConfig("dop853", 5e-3, 40.0, record_every=200)
     rec = run_param_flow(p, loss, sched, cfg)
     steps = np.linalg.norm(np.diff(rec.metrics["x"], axis=0), axis=1)
     assert steps[-1] < 1e-8
@@ -501,7 +528,7 @@ def test_quadratic_encoding_trajectory_agreement():
     hyp = HyperbolicEntropy.from_hadamard(m0, w0)
     loss = quad_loss(n, seed=11)
     sched = Schedule("turnoff", 0.5, turnoff_time=0.5, t_end=2.0)
-    cfg = IntegratorConfig("dopri5", 2e-3, 2.0, record_every=20)
+    cfg = IntegratorConfig("dop853", 2e-3, 2.0, record_every=20)
     rec_q = run_mirror_flow(qf, loss, sched, cfg)
     rec_h = run_mirror_flow(hyp, loss, sched, cfg)
     assert np.max(np.abs(rec_q.metrics["x"] - rec_h.metrics["x"])) < 1e-6
@@ -615,7 +642,7 @@ def test_a_loss_that_does_not_fit_raises_before_the_first_step(monkeypatch, loss
                                                                flow_kind):
     monkeypatch.setattr(flow, "_integrate", _no_stepping)
     sched = Schedule("constant", 0.1, t_end=1.0)
-    cfg = IntegratorConfig("dopri5", 0.1, 1.0)
+    cfg = IntegratorConfig("dop853", 0.1, 1.0)
     with pytest.raises(InputError, match=match):
         if flow_kind == "param":
             run_param_flow(Hadamard([1.0, 2.0], [0.5, 0.5]), loss, sched, cfg)
@@ -637,7 +664,7 @@ def _count_flat_vector(monkeypatch):
 def _param_flow(p, loss):
     def run(steps, every):
         sched = Schedule("turnoff", 0.5, turnoff_time=0.5, t_end=1.0)
-        cfg = IntegratorConfig("dopri5", 1.0 / steps, 1.0, record_every=every)
+        cfg = IntegratorConfig("dop853", 1.0 / steps, 1.0, record_every=every)
         return run_param_flow(p, loss, sched, cfg)
     return run
 
@@ -645,7 +672,7 @@ def _param_flow(p, loss):
 def _mirror_flow(family, loss):
     def run(steps, every):
         sched = Schedule("turnoff", 0.1, turnoff_time=0.5, t_end=1.0)
-        cfg = IntegratorConfig("dopri5", 1.0 / steps, 1.0, record_every=every)
+        cfg = IntegratorConfig("dop853", 1.0 / steps, 1.0, record_every=every)
         return run_mirror_flow(family, loss, sched, cfg)
     return run
 
