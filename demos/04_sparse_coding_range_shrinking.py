@@ -31,8 +31,10 @@ for k in (1, 2, 3):
           f"stationary from step {rep.summary['stationarity_step']}")
 
 print("\n== log ratio: stronger penalties push l1 up faster ==")
-u0 = np.full(50, 1.0 / (1.0 + np.exp(-0.1)))
-v0 = np.full(50, 1.0 / (1.0 + np.exp(0.1)))
+# g(w0) = log u0 - log v0 = 0.1 per coordinate, from factors inside the
+# u, v > 1 region, as `mirrorlab run sparse-coding --variant log-ratio` starts
+u0 = np.full(50, 2.0 * np.exp(0.05))
+v0 = np.full(50, 2.0 * np.exp(-0.05))
 for alpha in (0.0, 1e-3, 1e-1, 1.0):
     rep = sparse_coding_run(D, target, LogRatio(u0, v0),
                             Schedule("constant", alpha, t_end=1e9),

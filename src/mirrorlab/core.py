@@ -170,7 +170,8 @@ class IntegratorConfig:
     "euler" takes fixed steps of ``step`` (adjusted to land on ``t_end``);
     "dop853" takes error-controlled steps and reads the same record times
     from its dense output, with ``step`` as its first trial step and the
-    scale of its step floor.
+    scale of its step floor; "bdf" does the same with implicit steps, for
+    stiff flows, which explicit steps cross at their stability limit.
     """
 
     method: str = "dop853"
@@ -179,8 +180,8 @@ class IntegratorConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.method not in ("euler", "dop853"):
-            raise InputError(f"method must be 'euler' or 'dop853', got {self.method!r}")
+        if self.method not in ("euler", "dop853", "bdf"):
+            raise InputError(f"method must be 'euler', 'dop853' or 'bdf', got {self.method!r}")
         check_finite(step=self.step, t_end=self.t_end)
         if self.step <= 0:
             raise InputError("step must be positive")

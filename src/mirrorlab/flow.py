@@ -2,12 +2,17 @@
 
 Two flows are implemented over one engine, ``_integrate``, which the
 experiment runners share.  It is one loop over what a method's generator
-yields: fixed-step Euler, or "dop853", Dormand & Prince's error-controlled
+yields: fixed-step Euler; "dop853", Dormand & Prince's error-controlled
 8(5,3) pair (tolerances ``RTOL`` and ``ATOL``), whose steps land only on the
 schedule's turn-off time and on the end of the run, and which reads every
-record time of the fixed grid from its seventh-order dense output.  The
-runners take Euler steps of their learning rate; ``run flow``, ``verify
-optimality`` and ``verify equivalence`` run dop853.  The engine also keeps
+record time of the fixed grid from its seventh-order dense output; or
+"bdf", for stiff flows, the variable-order NDF of Shampine & Reichelt under
+the same tolerances and landings, started and, where its steps would be
+short, relieved by dop853 steps, which reads the record times from its
+interpolating polynomial.  The runners take Euler steps of their learning
+rate; ``run flow`` and ``verify equivalence`` run dop853, and so does
+``verify optimality`` except on its stiff sensing case, which runs bdf.  The
+engine also keeps
 every run's record: a per-snapshot hook returns named values, which the
 engine holds by reference in a block of up to ``RECORD_BLOCK`` snapshots.
 A full block, and the last one, is stacked name by name, passed through the
@@ -63,7 +68,7 @@ _FAST_SQUARED_BOUND = 0.5 * DIVERGENCE_LIMIT ** 2
 # 64 is no faster and adds 0.2 MB to that peak
 RECORD_BLOCK = 32
 
-# error control of the "dop853" method: tolerances per entry, and the
+# error control of the "dop853" and "bdf" methods: tolerances per entry, and the
 # smallest step as a fraction of the nominal step h.  No step is shorter than
 # the floor, so a run takes at most 1000 times the steps of its fixed grid;
 # the smallest step of the optimality flows, seeds 0-19, is 0.0032 h.
@@ -143,6 +148,45 @@ _D = np.array([
 # x = (t - t_step) / dt, j = 0..6: the exponents of x and of 1 - x
 _X_POW = np.arange(7) // 2 + 1
 _ONE_MINUS_X_POW = np.arange(1, 8) // 2
+
+# the numerical differentiation formulas of orders 1-5 (Shampine & Reichelt,
+# "The MATLAB ODE suite", SIAM J. Sci. Comput. 18, 1997), in the backward-
+# difference form of scipy's integrate/_ivp/bdf.py: _NDF_GAMMA[k] is
+# sum_{j <= k} 1/j, _NDF_ALPHA[k] = (1 - kappa_k) gamma_k the weight of the
+# corrector, and _NDF_ERROR[k] the constant of the order-k error estimate
+_NDF_ORDER = 5
+_NDF_KAPPA = np.array([0, -0.1850, -1 / 9, -0.0823, -0.0415, 0])
+_NDF_GAMMA = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, _NDF_ORDER + 1))))
+_NDF_ALPHA = ((1.0 - _NDF_KAPPA) * _NDF_GAMMA).tolist()
+_NDF_ERROR = (_NDF_KAPPA * _NDF_GAMMA + 1.0 / np.arange(1, _NDF_ORDER + 2)).tolist()
+# Newton iterations per try, and the tolerance of their converged increment
+# relative to the error scale: max(10 eps / RTOL, min(0.03, RTOL^0.5))
+_NEWTON_ITERS = 4
+_NEWTON_TOL = max(10 * np.finfo(float).eps / RTOL, min(0.03, RTOL ** 0.5))
+# the forward-difference Jacobian steps by sqrt(eps) relative to max(|y_j|, 1)
+_JAC_STEP = np.finfo(float).eps ** 0.5
+# a step that would grow by less than this factor keeps its size, and the
+# inverse of its iteration matrix: at 2 the sensing optimality flow (seeds
+# 0-4) inverts the 64 x 64 matrix 29-37 times instead of 138-255, for 26-37 %
+# more NDF steps, and one inversion costs about eight field evaluations
+_NDF_KEEP = 2.0
+# an NDF run hands its segment back to dop853 when its step falls below this
+# fraction of the one it was seeded at, a fifth of dop853's: there dop853's
+# steps cost less per unit of time despite their 12 evaluations.  On the
+# sensing optimality flow (seeds 0 and 1) an NDF run seeded at t = 0 took
+# 414 and 685 steps over the 0.5-long head, which dop853 covers in 25 and 37
+_NDF_HANDBACK = 0.5
+# _NDF_PREDICT[k] @ D[:k + 1] is the order-k step's predicted state and psi,
+# the past's part of its corrector.  With the corrector's distance d from
+# the prediction in D[k + 2], _NDF_UPDATE[k] @ D[:k + 3] is the differences
+# of the new step: D[i] + ... + D[k] + d for i <= k, then d, then d - D[k + 1]
+# (index 0, no order, holds None)
+_NDF_PREDICT = [None] + [np.array([np.ones(k + 1), np.r_[0.0, _NDF_GAMMA[1:k + 1]] / _NDF_ALPHA[k]])
+                         for k in range(1, _NDF_ORDER + 1)]
+_NDF_UPDATE = [None] + [np.triu(np.ones((k + 3, k + 3))) for k in range(1, _NDF_ORDER + 1)]
+for _k in range(1, _NDF_ORDER + 1):
+    _NDF_UPDATE[_k][:, _k + 1] = 0.0
+    _NDF_UPDATE[_k][_k + 2, _k + 1] = -1.0
 
 
 class QuadraticLoss:
@@ -241,7 +285,7 @@ class ZeroLoss:
 
 def _integrate(rhs, state0, n_steps, h, record_every, record, method="euler", finish=None,
                breaks=()):
-    """Euler or Dormand-Prince 8(5,3) over the grid t_k = k h with a divergence guard.
+    """Euler, Dormand-Prince 8(5,3) or the NDF over the grid t_k = k h with a divergence guard.
 
     ``rhs(t, state, left_limit)`` is the vector field.  ``record(k, t, state)``
     sees the initial state, every ``record_every``-th step and the last step,
@@ -265,7 +309,10 @@ def _integrate(rhs, state0, n_steps, h, record_every, record, method="euler", fi
     "dop853" (``_dop853``) takes error-controlled steps that land only on the
     times in ``breaks``, where the field may jump or kink, and on the end,
     and reads the record times between from its dense output, so its "step"
-    and "t" columns are Euler's.
+    and "t" columns are Euler's.  "bdf" (``_bdf``) lands and records the same
+    way, with implicit steps that a stiff field does not hold to the
+    stability limit of explicit ones; both share ``_landings`` and the
+    record-time bookkeeping of ``_RecordTimes``.
 
     The record is written a block of up to ``RECORD_BLOCK`` snapshots at a
     time.  The block holds each hook row by reference, so a hook must not
@@ -337,8 +384,8 @@ def _integrate(rhs, state0, n_steps, h, record_every, record, method="euler", fi
         tables["t"][filled:end] = times
         filled = end
 
-    steps = (_dop853(rhs, state, n_steps, h, record_every, breaks) if method == "dop853"
-             else _euler(rhs, state, n_steps, h, record_every))
+    steps = (_euler(rhs, state, n_steps, h, record_every) if method == "euler"
+             else _ADAPTIVE[method](rhs, state, n_steps, h, record_every, breaks))
     status = None
     try:
         snapshot(0, t, state)
@@ -382,6 +429,33 @@ def _landings(t_end, breaks):
         yield t_end, False
 
 
+class _RecordTimes:
+    """The record times k h of the grid that an adaptive method has still to
+    yield: every ``record_every``-th node and the last, ``n_steps``."""
+
+    def __init__(self, n_steps, h, record_every):
+        self.h = h
+        self.nodes = list(range(record_every, n_steps, record_every)) + [n_steps]
+        self.i = 0  # nodes[i] is the next record time
+
+    def within(self, t_new):
+        """The record steps a step ending at ``t_new`` passes: (inside, k_end),
+        the steps whose times lie before ``t_new`` and the one on it, or None."""
+        nodes, i, j = self.nodes, self.i, self.i
+        while j < len(nodes) and nodes[j] * self.h <= t_new:
+            j += 1
+        if j > i and nodes[j - 1] * self.h == t_new:
+            return nodes[i:j - 1], nodes[j - 1]
+        return nodes[i:j], None
+
+    def emit(self, t_new, new, inside, k_end, rows):
+        """Yield an accepted step's record ``rows`` at the steps ``inside`` and
+        then the step itself, and pass those record times."""
+        yield from zip((k * self.h for k in inside), rows, inside)
+        yield t_new, new, k_end
+        self.i += len(inside) + (k_end is not None)
+
+
 def _dop853(rhs, y, n_steps, h, record_every, breaks):
     """The accepted steps of Dormand-Prince 8(5,3), with the record rows of
     the fixed grid read from its dense output, as (t, state, k).
@@ -406,48 +480,50 @@ def _dop853(rhs, y, n_steps, h, record_every, breaks):
     continuous extension; a record time on the step's right end takes the
     step's state, and a step without one is yielded with k None.
     """
-    floor = STEP_FLOOR * h
-    nodes = list(range(record_every, n_steps, record_every)) + [n_steps]
+    grid = _RecordTimes(n_steps, h, record_every)
     K = np.empty((16, y.size))
-    t, dt, fresh, i = 0.0, h, True, 0  # nodes[i] is the next record time
+    t, dt = 0.0, h
     for t_next, is_break in _landings(n_steps * h, breaks):
+        K[0] = rhs(t, y, False)
         while t < t_next:
-            lands = t + dt >= t_next
-            step = t_next - t if lands else dt
-            t_new = t_next if lands else t + dt
-            left = lands and is_break
-            if fresh:
-                K[0] = rhs(t, y, False)
-            j = i
-            while j < len(nodes) and nodes[j] * h <= t_new:
-                j += 1
-            on_end = j > i and nodes[j - 1] * h == t_new
-            inside = nodes[i:j - 1] if on_end else nodes[i:j]
-            try:
-                # a trial step may overflow or divide by an underflowed value;
-                # its non-finite error rejects it
-                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    new, err = _dop853_step(rhs, t, y, K, step, t_new, left)
-                    if err <= 1.0 or step <= floor:
-                        K[12] = rhs(t_new, new, left)
-                        rows = _dense_rows(rhs, t, y, new, K, step,
-                                           [(k * h - t) / step for k in inside])
-            except DomainError:
-                if step <= floor:
-                    raise
-                err = np.inf
-            fresh = False
-            if not err <= 1.0 and step > floor:
-                dt = max(floor, step * _step_factor(err))
-                continue
-            yield from zip((k * h for k in inside), rows, inside)
-            yield t_new, new, nodes[j - 1] if on_end else None
-            # a step cut short to land keeps the size it was proposed at
-            dt = max(floor, step * _step_factor(err), dt if lands else 0.0)
-            t, y, i = t_new, new, j
-            fresh = left
-            if not fresh:
+            t, y, dt, _ = yield from _dop853_accept(rhs, t, y, K, dt, t_next, is_break, grid)
+            if t < t_next:
                 K[0] = K[12]
+
+
+def _dop853_accept(rhs, t, y, K, dt, t_next, is_break, grid, extra=()):
+    """Dormand-Prince 8(5,3) steps from (t, y), K[0] holding the field there,
+    first tried at dt and cut short to land on ``t_next``, until one is
+    accepted; yields its record rows and itself through ``grid``.  Returns
+    (t_new, new, dt_next, states): its end, the next step's trial size, and
+    its dense output at the fractions ``extra`` of it."""
+    floor = STEP_FLOOR * grid.h
+    while True:
+        lands = t + dt >= t_next
+        step = t_next - t if lands else dt
+        t_new = t_next if lands else t + dt
+        left = lands and is_break
+        inside, k_end = grid.within(t_new)
+        try:
+            # a trial step may overflow or divide by an underflowed value;
+            # its non-finite error rejects it
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                new, err = _dop853_step(rhs, t, y, K, step, t_new, left)
+                if err <= 1.0 or step <= floor:
+                    K[12] = rhs(t_new, new, left)
+                    rows = _dense_rows(rhs, t, y, new, K, step,
+                                       [(k * grid.h - t) / step for k in inside] + list(extra))
+        except DomainError:
+            if step <= floor:
+                raise
+            err = np.inf
+        if not err <= 1.0 and step > floor:
+            dt = max(floor, step * _step_factor(err))
+            continue
+        yield from grid.emit(t_new, new, inside, k_end, rows[:len(inside)])
+        # a step cut short to land keeps the size it was proposed at
+        return (t_new, new, max(floor, step * _step_factor(err), dt if lands else 0.0),
+                rows[len(inside):])
 
 
 def _dop853_step(rhs, t, y, K, dt, t_new, left):
@@ -486,6 +562,210 @@ def _dense_rows(rhs, t, y, new, K, dt, xs):
     return y + (x ** _X_POW * (1.0 - x) ** _ONE_MINUS_X_POW) @ F
 
 
+def _bdf(rhs, y, n_steps, h, record_every, breaks):
+    """The accepted steps of the variable-order (1-5) NDF, the BDF of Shampine
+    & Reichelt with quasi-constant steps, and of the dop853 steps that start
+    it, with the record rows of the fixed grid, as (t, state, k).
+
+    Each segment of the run, from t = 0 or from a break to the next landing,
+    starts with dop853 steps (``_dop853_accept``, first tried at h).  The
+    dense output of such a step at the fifths of it seeds the order-5
+    backward differences of an NDF run (``_ndf_segment``), which goes on
+    from the step's end at a fifth of its size: an order-1 start under RTOL
+    would need steps far below the floor.  The run hands the segment back to
+    dop853 when its step falls below ``_NDF_HANDBACK`` times the seeded one,
+    and dop853 then takes 2, 4, 8, ... steps before it seeds the next run.
+    The Jacobian is taken once, at the first seed, and kept across runs and
+    segments until Newton fails with it.  Steps land on the end of the run
+    and on every time in ``breaks``, and each record time k h inside an
+    accepted step is yielded before the step.
+    """
+    grid = _RecordTimes(n_steps, h, record_every)
+    K = np.empty((16, y.size))
+    t, J = 0.0, None
+    for t_next, is_break in _landings(n_steps * h, breaks):
+        K[0] = rhs(t, y, False)
+        dt, wait, waited = h, 1, 0
+        while t < t_next:
+            t0, y0 = t, y
+            waited += 1
+            fifths = (0.8, 0.6, 0.4, 0.2) if waited >= wait else ()
+            t, y, dt, seed = yield from _dop853_accept(rhs, t, y, K, dt, t_next, is_break, grid,
+                                                       fifths)
+            if t < t_next and fifths:
+                if J is None:
+                    J = _jacobian(rhs, t, y, K[12], False)
+                t, y, J, done = yield from _ndf_segment(rhs, t, y, np.array([y, *seed, y0]),
+                                                        (t - t0) / _NDF_ORDER, t_next, is_break,
+                                                        grid, J)
+                if not done:
+                    wait, waited = 2 * wait, 0
+                    K[12] = rhs(t, y, False)
+            K[0] = K[12]
+
+
+def _ndf_segment(rhs, t, y, values, H, t_next, is_break, grid, J):
+    """NDF steps from (t, y) to ``t_next``, on the Jacobian J; ``values``
+    holds y and the states at t - H, t - 2H, ... before it, as many as the
+    starting order.  Yields each accepted step and its record rows through
+    ``grid``, and returns (t, state, J, finished) after the last, finished
+    False when the step fell below ``_NDF_HANDBACK`` H before ``t_next``.
+
+    Each step solves its corrector by Newton's method on J, which is taken
+    afresh by forward differences of ``rhs`` only when Newton fails to
+    converge with it; the inverse of the iteration matrix is kept while the
+    step and the order do not change, and so is the last measured rate of
+    the iteration, which lets a step converge on one evaluation.  A step is
+    accepted when its error estimate, relative to ``ATOL + RTOL * |y_pred|``
+    per entry (root mean square), is at most 1.  After order + 1 steps of one
+    size the order moves by at most one and the step by ``0.9 err^(-1/(order
+    + 1))`` within [0.2, 10], as in scipy's BDF, except that a step that
+    would grow by less than ``_NDF_KEEP`` keeps its size and its inverse.  A
+    Newton failure after the refresh halves the step; a stage that raises
+    DomainError, or is not finite, rejects it as dop853's do, and so does the
+    floor: a step of ``STEP_FLOOR * h`` is taken whatever its error, and a
+    DomainError there propagates.  The corrector of a step that ends on a
+    break evaluates ``rhs`` with ``left_limit`` set.  A record row is read
+    from the polynomial through the step's end and the order's equally
+    spaced points before it.
+    """
+    floor = STEP_FLOOR * grid.h
+    order = len(values) - 1
+    D = np.zeros((_NDF_ORDER + 3, y.size))
+    D[:order + 1] = values
+    for j in range(1, order + 1):  # values to backward differences
+        D[j:order + 1] = D[j - 1:order] - D[j:order + 1]
+    handback = _NDF_HANDBACK * H
+    inverse_c, rate, n_equal = None, None, 0
+    while t < t_next:
+        refreshed = False
+        while True:
+            lands = t + H >= t_next
+            if lands and t_next - t != H:
+                H = _rescale(D, order, H, t_next - t)
+            t_new, left = (t_next, is_break) if lands else (t + H, False)
+            c = H / _NDF_ALPHA[order]
+            if c != inverse_c:
+                inverse, inverse_c, rate = np.linalg.inv(np.eye(y.size) - c * J), c, None
+            pred, psi = _NDF_PREDICT[order] @ D[:order + 1]
+            scale = ATOL + RTOL * np.abs(pred)
+            try:
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    converged, iters, new, d, norm, rate = _ndf_newton(
+                        rhs, t_new, pred, c, psi, inverse, scale, left, rate)
+                    if not converged and not refreshed:
+                        J = _jacobian(rhs, t_new, pred, rhs(t_new, pred, left), left)
+                        inverse_c, refreshed = None, True
+                        continue
+            except DomainError:
+                if H <= floor:
+                    raise
+                factor = 0.2
+            else:
+                err = _NDF_ERROR[order] * norm
+                safety = 0.9 * (2 * _NEWTON_ITERS + 1) / (2 * _NEWTON_ITERS + iters)
+                if (converged and err <= 1.0) or H <= floor:
+                    break
+                factor = max(0.2, safety * err ** (-1.0 / (order + 1))) if converged else 0.5
+            n_equal = 0
+            H = _rescale(D, order, H, max(floor, H * factor))
+            if H < handback:
+                return t, y, J, False
+        n_equal += 1
+        D[order + 2] = d
+        D[:order + 3] = _NDF_UPDATE[order] @ D[:order + 3]
+        inside, k_end = grid.within(t_new)
+        yield from grid.emit(t_new, new, inside, k_end,
+                             _ndf_rows(D, order, t_new, H, [k * grid.h for k in inside])
+                             if inside else ())
+        t, y = t_new, new
+        if lands or n_equal < order + 1:
+            continue
+        # the error estimates at one order less and one more, from the differences
+        with np.errstate(divide="ignore"):
+            factors = np.array([
+                _NDF_ERROR[order - 1] * _rms(D[order] / scale) if order > 1 else np.inf, err,
+                _NDF_ERROR[order + 1] * _rms(D[order + 2] / scale)
+                if order < _NDF_ORDER else np.inf]) ** (-1.0 / np.arange(order, order + 3))
+        change = int(np.argmax(factors)) - 1
+        factor = min(10.0, safety * factors.max())
+        n_equal = 0
+        if change == 0 and 1.0 <= factor < _NDF_KEEP:
+            continue
+        order += change
+        H = _rescale(D, order, H, max(floor, H * factor))
+        if H < handback:
+            return t, y, J, False
+    return t, y, J, True
+
+
+def _ndf_newton(rhs, t_new, pred, c, psi, inverse, scale, left, rate):
+    """Newton's method on the NDF corrector of a step ending at ``t_new``,
+    from the predicted state: at most ``_NEWTON_ITERS`` iterations, stopped
+    once the iteration's rate shows it will not converge in time.  ``rate``,
+    the last rate measured with this inverse or None, lets the first
+    iteration count as converged.  Returns (converged, iterations, state, d,
+    |d|, rate): d the state's distance from the prediction and |d| its root
+    mean square relative to ``scale``, inf after a failure, as rate is None."""
+    y, d, norm_old = pred, None, None
+    for it in range(1, _NEWTON_ITERS + 1):
+        dy = inverse @ (c * rhs(t_new, y, left) - (psi if d is None else psi + d))
+        norm = _rms(dy / scale)
+        if not norm < np.inf:  # a field that is not finite: so is the state
+            return False, it, y + dy, dy, np.inf, None
+        if norm_old is not None:
+            rate = norm / norm_old
+            if rate >= 1.0 or rate ** (_NEWTON_ITERS - it + 1) / (1.0 - rate) * norm > _NEWTON_TOL:
+                return False, it, y, d, np.inf, None
+        y, d = y + dy, dy if d is None else d + dy
+        if norm == 0.0 or rate is not None and rate / (1.0 - rate) * norm < _NEWTON_TOL:
+            return True, it, y, d, norm if it == 1 else _rms(d / scale), rate
+        norm_old = norm
+    return False, _NEWTON_ITERS, y, d, np.inf, None
+
+
+def _jacobian(rhs, t, y, f, left):
+    """The Jacobian of ``rhs`` at (t, y), f its value there, by forward
+    differences of steps ``_JAC_STEP * max(|y_j|, 1)``."""
+    J = np.empty((y.size, y.size))
+    for j, step in enumerate(_JAC_STEP * np.maximum(np.abs(y), 1.0)):
+        shifted = y.copy()
+        shifted[j] += step
+        J[:, j] = (rhs(t, shifted, left) - f) / (shifted[j] - y[j])
+    return J
+
+
+def _rescale(D, order, H, H_new):
+    """Re-express the backward differences D[:order + 1] of the interpolating
+    polynomial at the step ``H_new`` instead of H (scipy's ``change_D``), and
+    return ``H_new``."""
+    D[:order + 1] = (_ndf_change(order, H_new / H) @ _ndf_change(order, 1.0)).T @ D[:order + 1]
+    return H_new
+
+
+def _ndf_change(order, factor):
+    """The matrix R of Shampine & Reichelt that takes differences at one step
+    to differences at ``factor`` times it."""
+    i = np.arange(1, order + 1)[:, None]
+    M = np.zeros((order + 1, order + 1))
+    M[1:, 1:] = (i - 1 - factor * np.arange(1, order + 1)) / i
+    M[0] = 1.0
+    return np.cumprod(M, axis=0)
+
+
+def _ndf_rows(D, order, t_new, H, times):
+    """The states at ``times`` on the polynomial through the step's end and
+    the ``order`` equally spaced points before it, D[:order + 1] its
+    backward differences."""
+    x = (np.array(times)[:, None] - (t_new - H * np.arange(order))) / (H * np.arange(1, order + 1))
+    return D[0] + np.cumprod(x, axis=1) @ D[1:order + 1]
+
+
+def _rms(v):
+    """The root mean square of the entries of v."""
+    return float(np.sqrt(v.dot(v) / v.size))
+
+
 def _step_factor(err):
     """The next step over this one, ``0.9 err^(-1/8)`` within [0.2, 10], for
     the error norm ``err``; 0.2 when ``err`` is not finite."""
@@ -494,6 +774,9 @@ def _step_factor(err):
     if not err < np.inf:
         return 0.2
     return min(10.0, max(0.2, 0.9 * err ** -0.125))
+
+
+_ADAPTIVE = {"dop853": _dop853, "bdf": _bdf}
 
 
 def _stack(name, values, steps, shape):

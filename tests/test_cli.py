@@ -126,6 +126,41 @@ def test_verify_takes_a_bounded_number_of_field_evaluations(monkeypatch):
     assert 0 < count[0] <= 5000
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 23])
+def test_verify_optimality_sensing_runs_bdf_to_the_dop853_verdict(tmp_path, monkeypatch, seed):
+    # the sensing case runs bdf: the same verdict as its flow under dop853,
+    # the oracle deviation to 4 significant digits (seed 0 fails at 1.002e-2,
+    # seed 23 passes at 9.890e-4; below 1e-10 both are roundoff), on at most a
+    # quarter of the field evaluations
+    count = [0]
+    integrate = flow._integrate
+
+    def counted(rhs, *args, **kwargs):
+        def rhs_counted(t, state, left_limit):
+            count[0] += 1
+            return rhs(t, state, left_limit)
+
+        return integrate(rhs_counted, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "_integrate", counted)
+    reports, counts = {}, {}
+    for method in ("bdf", "dop853"):
+        if method == "dop853":
+            monkeypatch.setattr(cli, "IntegratorConfig", lambda _, *args, **kwargs:
+                                IntegratorConfig("dop853", *args, **kwargs))
+        count[0] = 0
+        code = main(["verify", "optimality", "--case", "sensing", "--seed", str(seed),
+                     "--out", str(tmp_path / method)])
+        reports[method] = json.loads((tmp_path / method / "optimality_report.json").read_text())
+        assert code == (EXIT_OK if reports[method]["passed"] else EXIT_FAIL)
+        counts[method] = count[0]
+    assert reports["bdf"]["passed"] is reports["dop853"]["passed"] is (seed != 0)
+    assert reports["bdf"]["oracle_deviation"] == pytest.approx(
+        reports["dop853"]["oracle_deviation"], rel=1e-4, abs=1e-10)
+    assert reports["bdf"]["kkt_residual"] <= 1e-4
+    assert 4 * counts["bdf"] <= counts["dop853"]
+
+
 def test_verify_commuting_expect_fail():
     base = ["verify", "commuting", "--variant", "deep-hadamard", "--depth", "3",
             "--n", "2", "--samples", "3"]
@@ -361,8 +396,10 @@ def test_run_flow_that_stops_early_says_so_in_its_summary(tmp_path, capsys):
     # the truncated CSV is written: the rows up to the last finite step
     rows = (tmp_path / "flow_hyperbolic_seed0.csv").read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == ["0", "1", "2"]
-    summary = json.loads((tmp_path / "flow_hyperbolic_seed0_summary.json").read_text())
-    assert summary["diverged"] is True
+    # strict JSON: the loss that overflowed is null, not the bare token Infinity
+    text = (tmp_path / "flow_hyperbolic_seed0_summary.json").read_text()
+    summary = json.loads(text, parse_constant=lambda token: pytest.fail(f"bare {token} in JSON"))
+    assert summary["diverged"] is True and summary["final_train_loss"] is None
 
 
 def test_run_flow_dop853_records_the_grid_rows(tmp_path):

@@ -177,9 +177,11 @@ def test_integrator_config_validation():
 
 
 def test_integrator_config_takes_euler_or_dop853():
-    with pytest.raises(InputError, match=r"method must be 'euler' or 'dop853', got 'rk4'"):
+    # the name predates "bdf", the third method
+    with pytest.raises(InputError, match=r"method must be 'euler', 'dop853' or 'bdf', got 'rk4'"):
         IntegratorConfig("rk4", 1e-2, 1.0)
     assert IntegratorConfig().method == "dop853"
+    assert IntegratorConfig("bdf", 1e-2, 1.0).method == "bdf"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])

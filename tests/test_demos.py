@@ -1,4 +1,5 @@
-"""Every demo runs to completion against the package in ``src``."""
+"""Every demo runs to completion against the package in ``src``, and no run
+leaves its parameterization's unit region."""
 
 import os
 import subprocess
@@ -16,3 +17,5 @@ def test_demo_exits_0(tmp_path, demo):
     run = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env,
                          cwd=tmp_path, timeout=300)
     assert run.returncode == 0, run.stderr
+    # demo 04's log-ratio runs start inside the region their dual map assumes
+    assert "(left u,v > 1 region)" not in run.stdout

@@ -152,21 +152,24 @@ def test_equivalence_refuses_a_parameterization_without_a_family(p):
 @pytest.mark.parametrize("flow_kind", ["param", "mirror"])
 def test_dopri5_matches_the_closed_form_drifts(kind, turnoff, flow_kind):
     # the name is kept from the adaptive method this test was written for;
-    # dop853 replaced it and is held to the same 1e-11 bound
+    # dop853 replaced it and is held to the same 1e-11 bound.  bdf reads its
+    # rows from a fifth-order polynomial and is held to 5e-11 (worst measured
+    # 1.4e-11, cosine decay)
     # zero loss: weight decay gives w_t = w_0 exp(a_t), and the mirror flow
     # x_t = x_0 exp(2 a_t)
     sched = Schedule(kind, 0.7, turnoff_time=turnoff, t_end=2.0)
-    cfg = IntegratorConfig("dop853", 1e-2, 2.0, record_every=7)
-    if flow_kind == "param":
-        p = Hadamard([1.0, 2.0], [0.5, -0.4])
-        rec = run_param_flow(p, ZeroLoss(2), sched, cfg)
-        got, expected = rec.metrics["params"], p.w_init[None, :] * np.exp(rec.a)[:, None]
-    else:
-        x0 = np.array([1.0, 2.0])
-        rec = run_mirror_flow(Entropy(x0), ZeroLoss(2), sched, cfg)
-        got, expected = rec.metrics["x"], x0[None, :] * np.exp(2.0 * rec.a)[:, None]
-    assert rec.steps.tolist() == list(range(0, 200, 7)) + [200]
-    assert np.max(np.abs(got - expected)) <= 1e-11
+    for method, bound in (("dop853", 1e-11), ("bdf", 5e-11)):
+        cfg = IntegratorConfig(method, 1e-2, 2.0, record_every=7)
+        if flow_kind == "param":
+            p = Hadamard([1.0, 2.0], [0.5, -0.4])
+            rec = run_param_flow(p, ZeroLoss(2), sched, cfg)
+            got, expected = rec.metrics["params"], p.w_init[None, :] * np.exp(rec.a)[:, None]
+        else:
+            x0 = np.array([1.0, 2.0])
+            rec = run_mirror_flow(Entropy(x0), ZeroLoss(2), sched, cfg)
+            got, expected = rec.metrics["x"], x0[None, :] * np.exp(2.0 * rec.a)[:, None]
+        assert rec.steps.tolist() == list(range(0, 200, 7)) + [200]
+        assert np.max(np.abs(got - expected)) <= bound, method
 
 
 def test_dop853_records_the_step_and_time_columns_of_the_grid():
@@ -174,14 +177,16 @@ def test_dop853_records_the_step_and_time_columns_of_the_grid():
     loss = quad_loss(2, seed=6)
     sched = Schedule("turnoff", 0.5, turnoff_time=0.6137, t_end=1.3)
     recs = [run_param_flow(p, loss, sched, IntegratorConfig(method, 1e-2, 1.3, record_every=7))
-            for method in ("euler", "dop853")]
+            for method in ("euler", "dop853", "bdf")]
     n_steps, h = IntegratorConfig("dop853", 1e-2, 1.3).grid()
     grid = list(range(0, n_steps, 7)) + [n_steps]
-    assert recs[1].steps.tolist() == recs[0].steps.tolist() == grid
-    assert recs[1].times.tobytes() == recs[0].times.tobytes()
-    assert recs[1].times.tolist() == [k * h for k in recs[1].steps.tolist()]
-    # Euler is first-order accurate
-    assert np.max(np.abs(recs[1].metrics["x"] - recs[0].metrics["x"])) < 1e-2
+    for rec in recs[1:]:
+        assert rec.steps.tolist() == recs[0].steps.tolist() == grid
+        assert rec.times.tobytes() == recs[0].times.tobytes()
+        assert rec.times.tolist() == [k * h for k in rec.steps.tolist()]
+        # Euler is first-order accurate
+        assert np.max(np.abs(rec.metrics["x"] - recs[0].metrics["x"])) < 1e-2
+    assert np.max(np.abs(recs[2].metrics["x"] - recs[1].metrics["x"])) < 1e-11
 
 
 def test_dop853_lands_on_breaks_inside_the_run_and_on_its_end():
@@ -190,6 +195,37 @@ def test_dop853_lands_on_breaks_inside_the_run_and_on_its_end():
         (0.25, True), (0.8, True), (1.0, False)]
     assert list(flow._landings(1.0, (0.5, 1.0))) == [(0.5, True), (1.0, True)]
     assert list(flow._landings(1.0, ())) == [(1.0, False)]
+
+
+def test_bdf_lands_on_a_break_and_takes_a_stiff_field_in_few_evaluations():
+    # y' = -A y + b before the break at 0.6137 and -A y after it, with rates
+    # up to 1000: explicit steps are held to the stability limit, the NDF is not
+    rates, b, t_break = np.array([1.0, 30.0, 1000.0]), np.array([1.0, 2.0, 3.0]), 0.6137
+    calls = {}
+
+    def rhs(t, y, left_limit):
+        calls[method].append((t, left_limit))
+        return -rates * y + (b if t < t_break or (left_limit and t == t_break) else 0.0)
+
+    for method in ("dop853", "bdf"):
+        calls[method] = []
+        items = list(flow._ADAPTIVE[method](rhs, np.ones(3), 500, 0.01, 7, (t_break,)))
+        times = [t for t, _, _ in items]
+        assert np.all(np.diff(times) > 0) and t_break in times and times[-1] == 5.0
+        # the record rows, each yielded once and in order, are the grid's
+        assert [k for _, _, k in items if k is not None] == list(range(7, 500, 7)) + [500]
+        assert [t for t, _, k in items if k is not None] == [
+            k * 0.01 for k in list(range(7, 500, 7)) + [500]]
+        # the step onto the break evaluates its left limit, the next step the
+        # field there afresh, once
+        assert {t for t, left in calls[method] if left} == {t_break}
+        assert [t for t, left in calls[method] if not left].count(t_break) == 1
+        y_break = b / rates + (1 - b / rates) * np.exp(-rates * t_break)
+        for t, y, _ in items:
+            exact = (b / rates + (1 - b / rates) * np.exp(-rates * t) if t <= t_break
+                     else y_break * np.exp(-rates * (t - t_break)))
+            assert np.max(np.abs(y - exact)) <= 1e-10, (method, t)
+    assert len(calls["bdf"]) < len(calls["dop853"]) / 4  # 3819 and 18511
 
 
 def test_dop853_table_has_the_order_conditions_of_its_nodes():
@@ -224,12 +260,46 @@ def test_dop853_log_cosh_run_that_leaves_its_domain_ends_with_domain_status():
     loss = QuadraticLoss(1e-6 * np.eye(2), np.array([1e6, -1e6]))
     sched = Schedule("turnoff", 0.2, turnoff_time=0.3, t_end=4.0)
     exits = []
-    for method in ("euler", "dop853"):
+    for method in ("euler", "dop853", "bdf"):
         with pytest.raises(DomainExitError) as exc_info:
             run_mirror_flow(lc, loss, sched, IntegratorConfig(method, 1e-2, 4.0, record_every=5))
         exits.append(exc_info.value)
-    assert exits[1].record.steps.tolist() == exits[0].record.steps.tolist()
-    assert abs(exits[1].time - exits[0].time) < 1e-2
+    for exit in exits[1:]:
+        assert exit.record.steps.tolist() == exits[0].record.steps.tolist()
+        assert abs(exit.time - exits[0].time) < 1e-2
+
+
+def test_bdf_log_cosh_run_stays_inside_its_domain_and_converges():
+    # under Euler this flow leaves its domain at t = 0.08, and dop853 stays
+    # inside at its stability limit, on 559249 field evaluations (13 s)
+    lc = LogCosh([1.0, 1.2], [0.9, 1.1])
+    rec = run_mirror_flow(lc, QuadraticLoss(np.eye(2), [6.0, -6.0]),
+                          Schedule("turnoff", 0.2, turnoff_time=0.3, t_end=4.0),
+                          IntegratorConfig("bdf", 1e-2, 4.0, record_every=5))
+    assert rec.steps[-1] == 400
+    assert np.max(np.abs(rec.final_x - [6.0, -6.0])) <= 1e-6
+
+
+def test_bdf_matches_scipy_bdf_on_the_sensing_tail():
+    # the sensing flow of `verify optimality` (seed 0) after its turn-off at
+    # t = 0.5, where it is stiff; scipy's BDF at RTOL 1e-12 agrees with it to
+    # 1.1e-11 on every row
+    integrate = pytest.importorskip("scipy.integrate")
+    rng = make_rng(0)
+    lam_star = np.zeros(8)
+    lam_star[rng.choice(8, 2, replace=False)] = [0.6, 0.4]
+    diags = 3.0 * rng.standard_normal((4, 8))
+    p = SymFactor(np.sqrt(0.1) * np.eye(8))
+    loss = LinearRegressionLoss(np.stack([np.diag(row).ravel() for row in diags]),
+                                diags @ lam_star)
+    rec = run_param_flow(p, loss, Schedule("turnoff", 2.0, turnoff_time=0.5, t_end=150.0),
+                         IntegratorConfig("bdf", 5e-3, 150.0, record_every=100))
+    assert rec.times[1] == 0.5
+    ref = integrate.solve_ivp(lambda t, w: p.flow_rhs(w, loss.grad(p.g(w)), 0.0), (0.5, 150.0),
+                              rec.metrics["params"][1], method="BDF", rtol=1e-12, atol=1e-14,
+                              t_eval=rec.times[1:])
+    assert ref.success
+    assert np.max(np.abs(ref.y.T - rec.metrics["params"][1:])) <= 5e-11
 
 
 def test_divergence_guard():
@@ -242,7 +312,7 @@ def test_divergence_guard():
     assert err.record is not None and err.last_valid_time < 40.0
 
 
-@pytest.mark.parametrize("method", ["euler", "dop853"])
+@pytest.mark.parametrize("method", ["euler", "dop853", "bdf"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 100.0 * DIVERGENCE_LIMIT])
 def test_integrate_stops_on_nonfinite_or_huge_state(bad, method):
     def rhs(t, state, left_limit):
@@ -250,8 +320,9 @@ def test_integrate_stops_on_nonfinite_or_huge_state(bad, method):
 
     state, status, records = _integrate(rhs, np.ones(2), 10, 0.5, 1, lambda k, t, s: {}, method)
     assert not np.abs(state[1]) <= DIVERGENCE_LIMIT
-    if method == "dop853":
-        # rejected steps close in on t = 1 down to the step floor, where a
+    if method != "euler":
+        # rejected steps close in on t = 1 down to the step floor (bdf's
+        # NDF hands them back to its dop853 steps first), where a
         # non-finite stage stops the run; a huge finite field is stepped
         # across, the record row at t = 1 is read from the step that crosses
         # it, and the run runs away after
@@ -275,7 +346,7 @@ def test_integrate_accepts_states_at_the_divergence_limit():
     assert state.tolist() == [DIVERGENCE_LIMIT, -DIVERGENCE_LIMIT]
 
 
-@pytest.mark.parametrize("method", ["euler", "dop853"])
+@pytest.mark.parametrize("method", ["euler", "dop853", "bdf"])
 def test_integrate_accepts_many_entries_near_the_limit(method):
     # the squared norm, 10 * 0.81 * LIMIT**2, fails the one-dot bound, so the
     # exact per-entry test decides, and every entry is inside the limit
@@ -288,7 +359,7 @@ def test_integrate_accepts_many_entries_near_the_limit(method):
     assert state.tolist() == state0.tolist()
 
 
-@pytest.mark.parametrize("method", ["euler", "dop853"])
+@pytest.mark.parametrize("method", ["euler", "dop853", "bdf"])
 def test_integrate_rejects_one_entry_just_past_the_limit(method):
     state0 = np.zeros(50)
     state0[17] = np.nextafter(DIVERGENCE_LIMIT, np.inf)
