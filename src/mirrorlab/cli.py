@@ -118,14 +118,6 @@ def load_matrix(path):
     return np.asarray(rows)
 
 
-def save_matrix(path, X):
-    X = np.asarray(X, dtype=float)
-    with open(path, "w") as fh:
-        for row in np.atleast_2d(X):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    return path
-
-
 def config_hash(obj):
     return hashlib.sha256(json.dumps(obj, sort_keys=True, default=str).encode()).hexdigest()[:16]
 

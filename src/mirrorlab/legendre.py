@@ -8,14 +8,17 @@ same contract:
 * ``dual_map(a, 0) == x_init`` at a == 0, so a flow started with mu = 0
   reproduces the initialization (grad R_0(x_init) == 0).
 
-A family is its dual map: it defines the kernel ``_dual_map`` and
-``dual_jacobian``, and the base class derives the rest.  ``dual_map`` checks a
-and then mu's shape, so an invalid a is the error every family reports first,
-and calls the kernel, which takes a flat float64 mu of length n as given but
-still checks a and, where the dual domain is an interval, mu's values.
-``argmin_position`` is ``dual_map(a, 0)`` and ``hess`` inverts the dual
-Jacobian.  Where R_a has no closed-form gradient (the diff-powers flow and the
-commuting-quadratic family) ``grad`` inverts the dual map with the Newton of
+A family is its dual map.  The base class's public ``value``, ``grad``,
+``dual_map``, ``dual_jacobian`` and ``domain`` are the one place that checks
+a and then the shape of x or mu, so an invalid a is the error every family
+reports first; each then calls its kernel (``_value``, ``_grad``,
+``_dual_map``, ``_dual_jacobian``, ``_domain``), and families override
+kernels only.  A kernel takes a valid a and a flat float64 vector of length n
+as given but still checks values: where x must be positive or the dual domain
+is an interval, and where a has exhausted the dual domain.  The mirror flow
+steps on ``_dual_map`` directly.  ``argmin_position`` is ``dual_map(a, 0)``.
+Where R_a has no closed-form gradient (the diff-powers flow and the
+commuting-quadratic family) ``_grad`` inverts the dual map with the Newton of
 ``_solve_dual``, the same solver that ``experiments.constrained_argmin`` runs
 as the optimality oracle.
 
@@ -64,24 +67,46 @@ class LegendreFamily:
 
     def check_a(self, a):
         a = float(a)
-        if a > self.a_upper() + 1e-12:
+        if not a <= self.a_upper() + 1e-12:  # NaN fails too
             raise DomainError(f"{self.tag}: a={a} outside validity interval (-inf, {self.a_upper()}]")
         return a
 
     def _vec(self, x, name="x"):
         return flat_vector(x, self.n, name)
 
-    # -- family surface ------------------------------------------------------
+    # -- family surface: check a, then the vector's shape, then run the kernel
     def value(self, a, x):
-        raise NotImplementedError
+        return self._value(self.check_a(a), self._vec(x))
 
     def grad(self, a, x):
-        """grad R_a(x), the inverse of the dual map: the oracle's Newton with Z = I.
+        """grad R_a(x), the inverse of ``dual_map``."""
+        return self._grad(self.check_a(a), self._vec(x))
 
-        Families with a closed form override it.
-        """
-        a = self.check_a(a)
-        x = self._vec(x)
+    def dual_map(self, a, mu):
+        """Q_a(mu), the gradient of the dual potential; inverts ``grad``."""
+        return self._dual_map(self.check_a(a), self._vec(mu, "mu"))
+
+    def dual_jacobian(self, a, mu):
+        """Jacobian of the dual map (Hessian of the dual potential), (n, n)."""
+        return self._dual_jacobian(self.check_a(a), self._vec(mu, "mu"))
+
+    def domain(self, a):
+        return self._domain(self.check_a(a))
+
+    def argmin_position(self, a):
+        """The unique x with grad R_a(x) = 0."""
+        return self.dual_map(a, np.zeros(self.n))
+
+    def bregman_divergence(self, a, x, y):
+        a, x, y = self.check_a(a), self._vec(x), self._vec(y, "y")
+        return float(self._value(a, x) - self._value(a, y) - self._grad(a, y) @ (x - y))
+
+    # -- kernels -------------------------------------------------------------
+    def _value(self, a, x):
+        raise NotImplementedError
+
+    def _grad(self, a, x):
+        """The oracle's Newton with Z = I; families with a closed form override it."""
         try:
             mu, r_max = _solve_dual(self, a, np.eye(self.n), x, 1e-12, 100)
         except np.linalg.LinAlgError:
@@ -90,39 +115,15 @@ class LegendreFamily:
             raise DomainError("dual inversion did not converge; x may lie outside the attainable range")
         return mu
 
-    def dual_map(self, a, mu):
-        """Q_a(mu), the gradient of the dual potential; inverts ``grad``.
-
-        An invalid a is reported before a wrong-length mu.
-        """
-        return self._dual_map(self.check_a(a), self._vec(mu, "mu"))
-
     def _dual_map(self, a, mu):
         raise NotImplementedError
 
-    def dual_jacobian(self, a, mu):
-        """Jacobian of the dual map (Hessian of the dual potential), (n, n)."""
+    def _dual_jacobian(self, a, mu):
         raise NotImplementedError
 
-    def hess(self, a, x):
-        """Hessian of R_a at x; inverse of the dual Jacobian at grad(a, x)."""
-        mu = self.grad(a, x)
-        return np.linalg.inv(self.dual_jacobian(a, mu))
-
-    def argmin_position(self, a):
-        """The unique x with grad R_a(x) = 0."""
-        return self.dual_map(a, np.zeros(self.n))
-
-    def domain(self, a):
-        self.check_a(a)
+    def _domain(self, a):
         inf = np.full(self.n, np.inf)
         return DomainSpec(-inf, inf)
-
-    def bregman_divergence(self, a, x, y):
-        x = self._vec(x)
-        y = self._vec(y, "y")
-        gy = self.grad(a, y)
-        return float(self.value(a, x) - self.value(a, y) - gy @ (x - y))
 
 
 def _solve_dual(family, a, Z, Y, tol, max_iter):
@@ -198,38 +199,21 @@ class HyperbolicEntropy(LegendreFamily):
         root2 = np.sqrt(2.0)
         return cls((m0 + w0) / root2, (m0 - w0) / root2)
 
-    def prefactor(self, a):
-        """A(a) = 2 exp(2a) |u0 v0|; the arcsinh scale."""
-        self.check_a(a)
-        return 2.0 * np.exp(2.0 * a) * self.c
-
-    def grad(self, a, x):
-        a = self.check_a(a)
-        x = self._vec(x)
+    def _grad(self, a, x):
         xt = x * np.exp(-2.0 * a)
         return 0.5 * (np.arcsinh(xt / self.c) - self.offset)
 
-    def value(self, a, x):
-        a = self.check_a(a)
-        x = self._vec(x)
+    def _value(self, a, x):
         s = np.sqrt(x * x + (self.c * np.exp(2.0 * a)) ** 2)
-        return float(np.sum(x * self.grad(a, x) - 0.5 * s))
+        return float(np.sum(x * self._grad(a, x) - 0.5 * s))
 
     def _dual_map(self, a, mu):
-        a = self.check_a(a)
         e = np.exp(2.0 * mu)
         return 0.5 * np.exp(2.0 * a) * (self.u0sq * e - self.v0sq / e)
 
-    def dual_jacobian(self, a, mu):
-        a = self.check_a(a)
-        mu = self._vec(mu, "mu")
+    def _dual_jacobian(self, a, mu):
         e = np.exp(2.0 * mu)
         return np.diag(np.exp(2.0 * a) * (self.u0sq * e + self.v0sq / e))
-
-    def hess(self, a, x):
-        x = self._vec(x)
-        s = np.sqrt(x * x + (self.c * np.exp(2.0 * self.check_a(a))) ** 2)
-        return np.diag(0.5 / s)
 
 
 class Entropy(LegendreFamily):
@@ -261,38 +245,31 @@ class Entropy(LegendreFamily):
             raise InputError("entropy family requires m0 = w0 > 0")
         return cls(m0 * w0)
 
-    def scale(self, a):
+    def _scale(self, a):
         """B(a) = x0 exp(2a); also the position of the minimum."""
-        return self.x0 * np.exp(2.0 * self.check_a(a))
+        return self.x0 * np.exp(2.0 * a)
 
-    def _check_x(self, x):
-        x = self._vec(x)
+    @staticmethod
+    def _positive(x):
         if np.any(x <= 0):
             raise DomainError("entropy family is defined for x > 0")
         return x
 
-    def value(self, a, x):
-        x = self._check_x(x)
-        B = self.scale(a)
-        return float(0.5 * np.sum(x * np.log(x / B) - x))
+    def _value(self, a, x):
+        x = self._positive(x)
+        return float(0.5 * np.sum(x * np.log(x / self._scale(a)) - x))
 
-    def grad(self, a, x):
-        x = self._check_x(x)
-        return 0.5 * np.log(x / self.scale(a))
+    def _grad(self, a, x):
+        return 0.5 * np.log(self._positive(x) / self._scale(a))
 
     def _dual_map(self, a, mu):
-        return self.scale(a) * np.exp(2.0 * mu)
+        return self._scale(a) * np.exp(2.0 * mu)
 
-    def dual_jacobian(self, a, mu):
-        return np.diag(2.0 * self.dual_map(a, mu))
+    def _dual_jacobian(self, a, mu):
+        return np.diag(2.0 * self._dual_map(a, mu))
 
-    def hess(self, a, x):
-        x = self._check_x(x)
-        self.check_a(a)
-        return np.diag(0.5 / x)
-
-    def domain(self, a):
-        spec = super().domain(a)
+    def _domain(self, a):
+        spec = super()._domain(a)
         spec.primal = "x > 0 per coordinate"
         return spec
 
@@ -328,26 +305,21 @@ class LogCosh(LegendreFamily):
 
     def check_a(self, a):
         a = float(a)
-        if a >= self.a_upper():
+        if not a < self.a_upper():  # NaN fails too
             raise DomainError(f"log-cosh: a={a} must be < {self.a_upper()}")
         return a
 
-    def value(self, a, x):
-        a = self.check_a(a)
-        x = self._vec(x)
+    def _value(self, a, x):
         cu = self.u0sq - 2.0 * a
         cv = self.v0sq - 2.0 * a
         return float(0.25 * np.sum(cu * np.logaddexp(0.0, -2.0 * x) + cv * np.logaddexp(0.0, 2.0 * x)))
 
-    def grad(self, a, x):
-        a = self.check_a(a)
-        x = self._vec(x)
+    def _grad(self, a, x):
         sig_pos = 0.5 * (1.0 + np.tanh(x))   # logistic(2x)
         sig_neg = 1.0 - sig_pos
         return 0.5 * ((self.v0sq - 2.0 * a) * sig_pos - (self.u0sq - 2.0 * a) * sig_neg)
 
     def _dual_map(self, a, mu):
-        a = self.check_a(a)
         cu = self.u0sq - 2.0 * a
         cv = self.v0sq - 2.0 * a
         lo, hi = -cu / 2.0, cv / 2.0  # the bounds of domain(a)
@@ -355,21 +327,12 @@ class LogCosh(LegendreFamily):
             raise DomainError(f"log-cosh dual point outside ({lo}, {hi})")
         return 0.5 * np.log((cu + 2.0 * mu) / (cv - 2.0 * mu))
 
-    def dual_jacobian(self, a, mu):
-        a = self.check_a(a)
-        mu = self._vec(mu, "mu")
+    def _dual_jacobian(self, a, mu):
         num = self.u0sq - 2.0 * a + 2.0 * mu
         den = self.v0sq - 2.0 * a - 2.0 * mu
         return np.diag(1.0 / num + 1.0 / den)
 
-    def hess(self, a, x):
-        a = self.check_a(a)
-        x = self._vec(x)
-        sig = 0.5 * (1.0 + np.tanh(x))
-        return np.diag((self.u0sq + self.v0sq - 4.0 * a) * sig * (1.0 - sig))
-
-    def domain(self, a):
-        a = self.check_a(a)
+    def _domain(self, a):
         return DomainSpec(-(self.u0sq - 2.0 * a) / 2.0, (self.v0sq - 2.0 * a) / 2.0)
 
 
@@ -414,7 +377,7 @@ class DiffPowersFlow(LegendreFamily):
     def check_a(self, a):
         return self._shifted(a)[0]
 
-    def domain(self, a):
+    def _domain(self, a):
         _, cu, cv = self._shifted(a)
         return DomainSpec(-cv, cu, primal="open, shrinking with a")
 
@@ -426,15 +389,13 @@ class DiffPowersFlow(LegendreFamily):
         vp = (self.K * (cv + mu)) ** (-self.gamma)
         return up - vp
 
-    def dual_jacobian(self, a, mu):
-        a = self.check_a(a)
-        mu = self._vec(mu, "mu")
+    def _dual_jacobian(self, a, mu):
         gK = self.gamma * self.K
         up = gK * (self.K * (self.c_u + a - mu)) ** (-self.gamma - 1.0)
         vp = gK * (self.K * (self.c_v + a + mu)) ** (-self.gamma - 1.0)
         return np.diag(up + vp)
 
-    def value(self, a, x):
+    def _value(self, a, x):
         raise UnsupportedOperation("diff-powers flow has no closed-form potential")
 
 
@@ -442,8 +403,9 @@ class QuadraticFamily(LegendreFamily):
     """Family induced by commuting quadratic maps G_i = w^T A_i w / 2, H = w^T B w / 2.
 
     The dual potential is Q_a(mu) = ||exp(a B + sum_i mu_i A_i) w_init||^2 / 4,
-    evaluated in a joint eigenbasis of the commuting matrices.  The family is
-    contracting exactly when B is positive semidefinite.
+    evaluated in a joint eigenbasis of the commuting matrices, where it is
+    sum_j z_j^2 exp(2 phi_j) / 4 with phases phi = a b + lam^T mu.  The family
+    is contracting exactly when B is positive semidefinite.
     """
 
     tag = "quadratic"
@@ -452,12 +414,10 @@ class QuadraticFamily(LegendreFamily):
         A_list, B = quadratic_matrices(A_list, B)
         w_init = flat_vector(w_init, B.shape[0], "w_init")
         super().__init__(len(A_list))
-        self.dim = B.shape[0]
         V = _joint_eigenbasis(A_list + [B], 1e-8)
         self.lam = np.stack([np.diag(V.T @ A @ V) for A in A_list])  # (n, dim)
         self.b = np.diag(V.T @ B @ V)
         self.z2 = (V.T @ w_init) ** 2
-        self.basis = V
 
     @classmethod
     def from_parameterization(cls, p):
@@ -466,28 +426,21 @@ class QuadraticFamily(LegendreFamily):
     def a_upper(self):
         return np.inf
 
-    def _phase(self, a, mu):
-        return a * self.b + self.lam.T @ mu  # (dim,)
-
-    def dual_potential(self, a, mu):
-        """Q_a(mu) = sum_j z_j^2 exp(2 phi_j) / 4."""
-        mu = self._vec(mu, "mu")
-        return float(0.25 * np.sum(self.z2 * np.exp(2.0 * self._phase(float(a), mu))))
+    def _terms(self, a, mu):
+        """z_j^2 exp(2 phi_j), four times the terms of the dual potential, (dim,)."""
+        return self.z2 * np.exp(2.0 * (a * self.b + self.lam.T @ mu))
 
     def _dual_map(self, a, mu):
-        e = self.z2 * np.exp(2.0 * self._phase(float(a), mu))
-        return 0.5 * self.lam @ e
+        return 0.5 * self.lam @ self._terms(a, mu)
 
-    def dual_jacobian(self, a, mu):
-        mu = self._vec(mu, "mu")
-        e = self.z2 * np.exp(2.0 * self._phase(float(a), mu))
-        return (self.lam * e) @ self.lam.T
+    def _dual_jacobian(self, a, mu):
+        return (self.lam * self._terms(a, mu)) @ self.lam.T
 
-    def value(self, a, x):
-        mu = self.grad(a, x)
-        return float(mu @ self._vec(x) - self.dual_potential(a, mu))
+    def _value(self, a, x):
+        mu = self._grad(a, x)
+        return float(mu @ x - 0.25 * np.sum(self._terms(a, mu)))
 
-    def domain(self, a):
+    def _domain(self, a):
         inf = np.full(self.n, np.inf)
         return DomainSpec(-inf, inf, primal="closure of the dual-map range")
 

@@ -289,9 +289,9 @@ class DiffPowers(DifferencePair):
 class LogRatio(DifferencePair):
     """g(u, v) = log u - log v with h = sum log u_i + log v_i, for u, v > 0.
 
-    Evaluation only requires positivity; ``inside_unit_region`` reports whether
-    all factors exceed 1, the regime where the structural guarantees hold.
-    Flows crossing below 1 are flagged rather than rejected.
+    Evaluation only requires positivity; ``_inside_unit_region`` reports
+    whether all factors exceed 1, the regime where the structural guarantees
+    hold.  Flows crossing below 1 are flagged rather than rejected.
     """
 
     tag = "log-ratio"
@@ -306,9 +306,6 @@ class LogRatio(DifferencePair):
         if np.any(f <= 0):
             raise DomainError("log-ratio evaluation needs u, v > 0")
         return f
-
-    def inside_unit_region(self, w):
-        return self._inside_unit_region(self._check_params(w))
 
     def _inside_unit_region(self, w):
         return bool((w > 1.0).all())

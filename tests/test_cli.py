@@ -15,7 +15,7 @@ from mirrorlab import (IntegratorConfig, RunRecord, Schedule, cli, flow, make_rn
                        verify_equivalence)
 from mirrorlab.cli import (EXIT_DIVERGED, EXIT_FAIL, EXIT_OK, EXIT_USAGE,
                            CSV_COLUMNS, UsageError, load_matrix, main,
-                           parse_config, save_matrix, write_trajectory_csv)
+                           parse_config, write_trajectory_csv)
 
 
 def test_parse_config_sections(tmp_path):
@@ -64,8 +64,9 @@ def test_load_matrix_non_numeric(tmp_path):
 def test_matrix_roundtrip_17_digits(tmp_path):
     rng = np.random.default_rng(0)
     X = rng.standard_normal((7, 50)) * 10.0 ** rng.integers(-8, 8, (7, 50))
-    path = save_matrix(str(tmp_path / "dict.csv"), X)
-    back = load_matrix(path)
+    path = tmp_path / "dict.csv"
+    np.savetxt(path, X, delimiter=",", fmt="%.17g")
+    back = load_matrix(str(path))
     assert back.shape == (7, 50)
     assert np.array_equal(back, X)
 
@@ -215,7 +216,8 @@ def test_every_run_option_changes_the_run(tmp_path, capsys, name):
     # each option moved off its value alone (an int by one, a float by half of
     # itself, a string to another value) changes the CSVs or stdout
     base, strings = TINY_RUNS[name]
-    save_matrix(str(tmp_path / "dict.csv"), make_rng(5).standard_normal((12, 6)))
+    np.savetxt(tmp_path / "dict.csv", make_rng(5).standard_normal((12, 6)), delimiter=",",
+               fmt="%.17g")
     values = {**cli.COMMANDS["run", name][2], **base}
 
     def run(moved):
@@ -352,7 +354,8 @@ def test_run_diagonal_smoke(tmp_path):
 def test_run_sparse_coding_with_dictionary_file(tmp_path):
     rng = np.random.default_rng(5)
     D = rng.standard_normal((30, 8))
-    dict_path = save_matrix(str(tmp_path / "dict.csv"), D)
+    dict_path = str(tmp_path / "dict.csv")
+    np.savetxt(dict_path, D, delimiter=",", fmt="%.17g")
     args = ["run", "sparse-coding", "--out", str(tmp_path), "--variant", "diff-powers",
             "--k", "2", "--steps", "40", "--dictionary", dict_path, "--seed", "2"]
     assert main(args) == EXIT_OK
