@@ -383,6 +383,7 @@ def cmd_verify_optimality(args, opts):
         n, d = 6, 3
         Z = rng.standard_normal((d, n))
         x_star = np.zeros(n)
+        # not make_regression_problem: the right side runs first, drawing the signs before the support
         x_star[rng.choice(n, 2, replace=False)] = rng.choice([-1.0, 1.0], 2)
         y = Z @ x_star
         loss = LinearRegressionLoss(Z, y)

@@ -66,11 +66,13 @@ class Schedule:
 
     The decaying kinds all satisfy alpha(t) = 0 for t >= T.  Linear and cosine
     decay both integrate to alpha0*T/2, so matching a total amount of applied
-    regularization across kinds is a matter of choosing T.
+    regularization across kinds is a matter of choosing T.  ``alpha`` is
+    right-continuous: its left piece at T is its value at the float just
+    below T, where the adaptive integrators evaluate a step that lands on T.
 
-    ``alpha``, ``alpha_left`` and ``a`` accept a scalar or an array.  A scalar
-    ``t``, such as the float time the integrators pass at every stage, takes
-    a scalar path that builds no arrays; it performs the same floating-point
+    ``alpha`` and ``a`` accept a scalar or an array.  A scalar ``t``, such
+    as the float time the integrators pass at every stage, takes a scalar
+    path that builds no arrays; it performs the same floating-point
     operations as the array path and so returns the same bits.
     """
 
@@ -111,20 +113,6 @@ class Schedule:
         if self.kind == "linear-decay":
             return np.where(t < T, self.alpha0 * (1.0 - t / T), 0.0)
         return np.where(t < T, self.alpha0 * (1.0 + np.cos(np.pi * np.minimum(t, T) / T)) / 2.0, 0.0)
-
-    def alpha_left(self, t):
-        """Left limit of alpha at t; differs from alpha only at the turn-off jump.
-
-        dop853 evaluates the two stages at the right end of a step that
-        lands on the turn-off time with this, so that the step integrates
-        the smooth left segment at full order.
-        """
-        t = _check_time(t)
-        if self.kind != "turnoff":
-            return self.alpha(t)
-        if isinstance(t, float):
-            return float(self.alpha0) if t <= self.turnoff_time else 0.0
-        return np.where(t <= self.turnoff_time, self.alpha0, 0.0)
 
     def a(self, t):
         """Accumulated integral a(t) = -int_0^t alpha(s) ds, in closed form."""

@@ -287,7 +287,7 @@ def _integrate(rhs, state0, n_steps, h, record_every, record, method="euler", fi
                breaks=()):
     """Euler, Dormand-Prince 8(5,3) or the NDF over the grid t_k = k h with a divergence guard.
 
-    ``rhs(t, state, left_limit)`` is the vector field.  ``record(k, t, state)``
+    ``rhs(t, state)`` is the vector field.  ``record(k, t, state)``
     sees the initial state, every ``record_every``-th step and the last step,
     and returns a dict of named values for that snapshot; every snapshot must
     return the names of the first, or ValueError is raised.  States are never
@@ -416,7 +416,7 @@ def _euler(rhs, y, n_steps, h, record_every):
     """The ``n_steps`` Euler steps of size h, as (t, state, k), k the step
     index of a record time and None between them."""
     for k in range(1, n_steps + 1):
-        y = y + h * rhs((k - 1) * h, y, False)
+        y = y + h * rhs((k - 1) * h, y)
         yield k * h, y, k if k % record_every == 0 or k == n_steps else None
 
 
@@ -427,6 +427,15 @@ def _landings(t_end, breaks):
     yield from ((b, True) for b in cuts)
     if not cuts or cuts[-1] != t_end:
         yield t_end, False
+
+
+def _landing_time(t_next, is_break):
+    """The time at which a step landing on ``t_next`` evaluates the field at
+    its right end: on a break, where the field may jump, the float just
+    below it, so that the step integrates the piece on its left at full
+    order (a right-continuous field returns that piece there); else
+    ``t_next``."""
+    return float(np.nextafter(t_next, -np.inf)) if is_break else t_next
 
 
 class _RecordTimes:
@@ -471,9 +480,10 @@ def _dop853(rhs, y, n_steps, h, record_every, breaks):
 
     Steps land only on the end of the run and on every time in ``breaks``,
     where the field may jump or kink.  A step that ends on a break evaluates
-    its two stages at the right end with ``left_limit`` set, and the next
-    step evaluates the field afresh there; every other step reuses its last
-    stage as the next one's first (first same as last).
+    its two stages at the right end at ``_landing_time``, just below the
+    break, and the next step evaluates the field afresh on the break; every
+    other step reuses its last stage as the next one's first (first same as
+    last).
 
     Each record time k h of the grid inside an accepted step is yielded
     before the step, as (k h, row, k), its row read from the seventh-order
@@ -484,16 +494,18 @@ def _dop853(rhs, y, n_steps, h, record_every, breaks):
     K = np.empty((16, y.size))
     t, dt = 0.0, h
     for t_next, is_break in _landings(n_steps * h, breaks):
-        K[0] = rhs(t, y, False)
+        K[0] = rhs(t, y)
+        t_land = _landing_time(t_next, is_break)
         while t < t_next:
-            t, y, dt, _ = yield from _dop853_accept(rhs, t, y, K, dt, t_next, is_break, grid)
+            t, y, dt, _ = yield from _dop853_accept(rhs, t, y, K, dt, t_next, t_land, grid)
             if t < t_next:
                 K[0] = K[12]
 
 
-def _dop853_accept(rhs, t, y, K, dt, t_next, is_break, grid, extra=()):
+def _dop853_accept(rhs, t, y, K, dt, t_next, t_land, grid, extra=()):
     """Dormand-Prince 8(5,3) steps from (t, y), K[0] holding the field there,
-    first tried at dt and cut short to land on ``t_next``, until one is
+    first tried at dt and cut short to land on ``t_next``, whose right end
+    evaluates the field at ``t_land`` (``_landing_time``), until one is
     accepted; yields its record rows and itself through ``grid``.  Returns
     (t_new, new, dt_next, states): its end, the next step's trial size, and
     its dense output at the fractions ``extra`` of it."""
@@ -502,15 +514,15 @@ def _dop853_accept(rhs, t, y, K, dt, t_next, is_break, grid, extra=()):
         lands = t + dt >= t_next
         step = t_next - t if lands else dt
         t_new = t_next if lands else t + dt
-        left = lands and is_break
+        t_right = t_land if lands else t_new
         inside, k_end = grid.within(t_new)
         try:
             # a trial step may overflow or divide by an underflowed value;
             # its non-finite error rejects it
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                new, err = _dop853_step(rhs, t, y, K, step, t_new, left)
+                new, err = _dop853_step(rhs, t, y, K, step, t_right)
                 if err <= 1.0 or step <= floor:
-                    K[12] = rhs(t_new, new, left)
+                    K[12] = rhs(t_right, new)
                     rows = _dense_rows(rhs, t, y, new, K, step,
                                        [(k * grid.h - t) / step for k in inside] + list(extra))
         except DomainError:
@@ -526,15 +538,15 @@ def _dop853_accept(rhs, t, y, K, dt, t_next, is_break, grid, extra=()):
                 rows[len(inside):])
 
 
-def _dop853_step(rhs, t, y, K, dt, t_new, left):
+def _dop853_step(rhs, t, y, K, dt, t_right):
     """One Dormand-Prince 8(5,3) step of size dt from (t, y), K[0] holding
-    the field at (t, y): fills K[1:12] and returns the new state and Hairer's
-    error norm."""
+    the field at (t, y), whose last stage evaluates the field at ``t_right``:
+    fills K[1:12] and returns the new state and Hairer's error norm."""
     dtA = dt * _A[:13, :12]
     for i in range(1, 12):
         stage = y + dtA[i, :i] @ K[:i]
-        # the last stage sits at the right end, t_new exactly
-        K[i] = rhs(t_new, stage, left) if i == 11 else rhs(t + _C[i] * dt, stage, False)
+        # the last stage sits at the right end, t_right exactly
+        K[i] = rhs(t_right if i == 11 else t + _C[i] * dt, stage)
     new = y + dtA[12] @ K[:12]
     e5, e3 = (_E @ K[:12]) / (ATOL + RTOL * np.maximum(np.abs(y), np.abs(new)))
     n5, n3 = float(e5.dot(e5)), float(e3.dot(e3))
@@ -551,7 +563,7 @@ def _dense_rows(rhs, t, y, new, K, dt, xs):
     if not xs:
         return ()
     for i in range(13, 16):
-        K[i] = rhs(t + _C[i] * dt, y + (dt * _A[i, :i]) @ K[:i], False)
+        K[i] = rhs(t + _C[i] * dt, y + (dt * _A[i, :i]) @ K[:i])
     delta = new - y
     F = np.empty((7, y.size))
     F[0] = delta
@@ -584,27 +596,28 @@ def _bdf(rhs, y, n_steps, h, record_every, breaks):
     K = np.empty((16, y.size))
     t, J = 0.0, None
     for t_next, is_break in _landings(n_steps * h, breaks):
-        K[0] = rhs(t, y, False)
+        K[0] = rhs(t, y)
+        t_land = _landing_time(t_next, is_break)
         dt, wait, waited = h, 1, 0
         while t < t_next:
             t0, y0 = t, y
             waited += 1
             fifths = (0.8, 0.6, 0.4, 0.2) if waited >= wait else ()
-            t, y, dt, seed = yield from _dop853_accept(rhs, t, y, K, dt, t_next, is_break, grid,
+            t, y, dt, seed = yield from _dop853_accept(rhs, t, y, K, dt, t_next, t_land, grid,
                                                        fifths)
             if t < t_next and fifths:
                 if J is None:
-                    J = _jacobian(rhs, t, y, K[12], False)
+                    J = _jacobian(rhs, t, y, K[12])
                 t, y, J, done = yield from _ndf_segment(rhs, t, y, np.array([y, *seed, y0]),
-                                                        (t - t0) / _NDF_ORDER, t_next, is_break,
+                                                        (t - t0) / _NDF_ORDER, t_next, t_land,
                                                         grid, J)
                 if not done:
                     wait, waited = 2 * wait, 0
-                    K[12] = rhs(t, y, False)
+                    K[12] = rhs(t, y)
             K[0] = K[12]
 
 
-def _ndf_segment(rhs, t, y, values, H, t_next, is_break, grid, J):
+def _ndf_segment(rhs, t, y, values, H, t_next, t_land, grid, J):
     """NDF steps from (t, y) to ``t_next``, on the Jacobian J; ``values``
     holds y and the states at t - H, t - 2H, ... before it, as many as the
     starting order.  Yields each accepted step and its record rows through
@@ -624,10 +637,10 @@ def _ndf_segment(rhs, t, y, values, H, t_next, is_break, grid, J):
     Newton failure after the refresh halves the step; a stage that raises
     DomainError, or is not finite, rejects it as dop853's do, and so does the
     floor: a step of ``STEP_FLOOR * h`` is taken whatever its error, and a
-    DomainError there propagates.  The corrector of a step that ends on a
-    break evaluates ``rhs`` with ``left_limit`` set.  A record row is read
-    from the polynomial through the step's end and the order's equally
-    spaced points before it.
+    DomainError there propagates.  The corrector of the step that lands on
+    ``t_next`` evaluates ``rhs`` at ``t_land`` (``_landing_time``), just
+    below a break.  A record row is read from the polynomial through the
+    step's end and the order's equally spaced points before it.
     """
     floor = STEP_FLOOR * grid.h
     order = len(values) - 1
@@ -643,7 +656,8 @@ def _ndf_segment(rhs, t, y, values, H, t_next, is_break, grid, J):
             lands = t + H >= t_next
             if lands and t_next - t != H:
                 H = _rescale(D, order, H, t_next - t)
-            t_new, left = (t_next, is_break) if lands else (t + H, False)
+            t_new = t_next if lands else t + H
+            t_right = t_land if lands else t_new
             c = H / _NDF_ALPHA[order]
             if c != inverse_c:
                 inverse, inverse_c, rate = np.linalg.inv(np.eye(y.size) - c * J), c, None
@@ -652,9 +666,9 @@ def _ndf_segment(rhs, t, y, values, H, t_next, is_break, grid, J):
             try:
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                     converged, iters, new, d, norm, rate = _ndf_newton(
-                        rhs, t_new, pred, c, psi, inverse, scale, left, rate)
+                        rhs, t_right, pred, c, psi, inverse, scale, rate)
                     if not converged and not refreshed:
-                        J = _jacobian(rhs, t_new, pred, rhs(t_new, pred, left), left)
+                        J = _jacobian(rhs, t_right, pred, rhs(t_right, pred))
                         inverse_c, refreshed = None, True
                         continue
             except DomainError:
@@ -699,17 +713,18 @@ def _ndf_segment(rhs, t, y, values, H, t_next, is_break, grid, J):
     return t, y, J, True
 
 
-def _ndf_newton(rhs, t_new, pred, c, psi, inverse, scale, left, rate):
-    """Newton's method on the NDF corrector of a step ending at ``t_new``,
-    from the predicted state: at most ``_NEWTON_ITERS`` iterations, stopped
-    once the iteration's rate shows it will not converge in time.  ``rate``,
-    the last rate measured with this inverse or None, lets the first
-    iteration count as converged.  Returns (converged, iterations, state, d,
-    |d|, rate): d the state's distance from the prediction and |d| its root
-    mean square relative to ``scale``, inf after a failure, as rate is None."""
+def _ndf_newton(rhs, t_right, pred, c, psi, inverse, scale, rate):
+    """Newton's method on the NDF corrector of a step whose right end
+    evaluates the field at ``t_right``, from the predicted state: at most
+    ``_NEWTON_ITERS`` iterations, stopped once the iteration's rate shows it
+    will not converge in time.  ``rate``, the last rate measured with this
+    inverse or None, lets the first iteration count as converged.  Returns
+    (converged, iterations, state, d, |d|, rate): d the state's distance
+    from the prediction and |d| its root mean square relative to ``scale``,
+    inf after a failure, as rate is None."""
     y, d, norm_old = pred, None, None
     for it in range(1, _NEWTON_ITERS + 1):
-        dy = inverse @ (c * rhs(t_new, y, left) - (psi if d is None else psi + d))
+        dy = inverse @ (c * rhs(t_right, y) - (psi if d is None else psi + d))
         norm = _rms(dy / scale)
         if not norm < np.inf:  # a field that is not finite: so is the state
             return False, it, y + dy, dy, np.inf, None
@@ -724,14 +739,14 @@ def _ndf_newton(rhs, t_new, pred, c, psi, inverse, scale, left, rate):
     return False, _NEWTON_ITERS, y, d, np.inf, None
 
 
-def _jacobian(rhs, t, y, f, left):
+def _jacobian(rhs, t, y, f):
     """The Jacobian of ``rhs`` at (t, y), f its value there, by forward
     differences of steps ``_JAC_STEP * max(|y_j|, 1)``."""
     J = np.empty((y.size, y.size))
     for j, step in enumerate(_JAC_STEP * np.maximum(np.abs(y), 1.0)):
         shifted = y.copy()
         shifted[j] += step
-        J[:, j] = (rhs(t, shifted, left) - f) / (shifted[j] - y[j])
+        J[:, j] = (rhs(t, shifted) - f) / (shifted[j] - y[j])
     return J
 
 
@@ -806,12 +821,11 @@ def _param_flow(p, loss, schedule: Schedule, n_steps, h, record_every, method, f
                 off_after=np.inf, threshold=None):
     """The parameter flow of ``p`` on ``loss``: the one place its field is built.
 
-    The strength is the schedule's before ``off_after`` (its left limit on a
-    stage that asks for it) and zero from it on.  Each snapshot records
-    "params", "x" = g(w), "train_loss" and, for a parameterization with a
-    unit region, "unit_region" (1.0 inside), and keeps its loss gradient for
-    the next step's first stage, when the engine hands that stage the same
-    state (every Euler step does).
+    The strength is the schedule's before ``off_after`` and zero from it on.
+    Each snapshot records "params", "x" = g(w), "train_loss" and, for a
+    parameterization with a unit region, "unit_region" (1.0 inside), and
+    keeps its loss gradient for the next step's first stage, when the engine
+    hands that stage the same state (every Euler step does).
     Every evaluation checks the unit region, and watches the loss when a
     ``threshold`` is given.  ``finish(steps, times, block)`` turns a stacked
     block into the columns to keep; the loop adds "a" = a(min(t, off_after)).
@@ -833,7 +847,7 @@ def _param_flow(p, loss, schedule: Schedule, n_steps, h, record_every, method, f
         events["left_unit_region"] = True
         return 0.0
 
-    def rhs(t, w, left_limit):
+    def rhs(t, w):
         if w is cached[0]:
             grad = cached[1]
         else:
@@ -845,11 +859,7 @@ def _param_flow(p, loss, schedule: Schedule, n_steps, h, record_every, method, f
             else:
                 f_val, grad = loss._value_and_grad(x)
                 watch(t, f_val)
-        if left_limit:
-            alpha = schedule.alpha_left(t) if t <= off_after else 0.0
-        else:
-            alpha = schedule.alpha(t) if t < off_after else 0.0
-        return p._flow_rhs(w, grad, alpha)
+        return p._flow_rhs(w, grad, schedule.alpha(t) if t < off_after else 0.0)
 
     def record(k, t, w):
         x = p._g(w)
@@ -905,7 +915,7 @@ def run_mirror_flow(family, loss, schedule: Schedule, cfg: IntegratorConfig) -> 
     # InputError here, and its gradient must have one entry per dual coordinate
     flat_vector(loss.grad(family.dual_map(schedule.a(0.0), mu0)), family.n, "loss gradient")
 
-    def rhs(t, mu, left_limit):
+    def rhs(t, mu):
         return -loss._grad(family._dual_map(schedule.a(t), mu))
 
     def record(k, t, mu):

@@ -43,11 +43,10 @@ from .core import (DomainError, InputError, UnsupportedOperation, factor_pair, f
 
 @dataclass
 class DomainSpec:
-    """Per-coordinate open interval for the dual variable plus a primal note."""
+    """Per-coordinate open interval for the dual variable."""
 
     dual_lower: np.ndarray
     dual_upper: np.ndarray
-    primal: str = "all of R^n"
 
     @property
     def lengths(self):
@@ -237,14 +236,6 @@ class Entropy(LegendreFamily):
         super().__init__(x0.size)
         self.x0 = x0
 
-    @classmethod
-    def from_hadamard(cls, m0, w0):
-        m0 = np.asarray(m0, dtype=float).ravel()
-        w0 = np.asarray(w0, dtype=float).ravel()
-        if np.any(m0 != w0) or np.any(m0 <= 0):
-            raise InputError("entropy family requires m0 = w0 > 0")
-        return cls(m0 * w0)
-
     def _scale(self, a):
         """B(a) = x0 exp(2a); also the position of the minimum."""
         return self.x0 * np.exp(2.0 * a)
@@ -267,11 +258,6 @@ class Entropy(LegendreFamily):
 
     def _dual_jacobian(self, a, mu):
         return np.diag(2.0 * self._dual_map(a, mu))
-
-    def _domain(self, a):
-        spec = super()._domain(a)
-        spec.primal = "x > 0 per coordinate"
-        return spec
 
 
 class LogCosh(LegendreFamily):
@@ -379,7 +365,7 @@ class DiffPowersFlow(LegendreFamily):
 
     def _domain(self, a):
         _, cu, cv = self._shifted(a)
-        return DomainSpec(-cv, cu, primal="open, shrinking with a")
+        return DomainSpec(-cv, cu)
 
     def _dual_map(self, a, mu):
         a, cu, cv = self._shifted(a)
@@ -439,10 +425,6 @@ class QuadraticFamily(LegendreFamily):
     def _value(self, a, x):
         mu = self._grad(a, x)
         return float(mu @ x - 0.25 * np.sum(self._terms(a, mu)))
-
-    def _domain(self, a):
-        inf = np.full(self.n, np.inf)
-        return DomainSpec(-inf, inf, primal="closure of the dual-map range")
 
 
 def _joint_eigenbasis(mats, tol, attempts=8):

@@ -193,10 +193,6 @@ class TwoFactor(Parameterization):
         """The (2, n) factor rows [u, v] of a checked w."""
         return w.reshape(2, self.dim_model)
 
-    def split(self, w):
-        u, v = self._rows(self._check_params(w))
-        return u, v
-
 
 class DiffSquares(TwoFactor):
     """g(u, v) = u^2 - v^2 with weight decay h = sum u_i^2 + v_i^2 on both factor vectors.

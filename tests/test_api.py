@@ -3,8 +3,11 @@
 A name exported by ``mirrorlab/__init__.py``, and every public method of a
 class in the package, must be referenced somewhere in the package, the demos
 or perfbench outside its own definition: as a name, an attribute, or a string
-equal to it (perfbench wraps callables by name).  Imports and the exporting
-``__init__`` do not count, and neither do the tests.
+equal to it (perfbench wraps callables by name).  A classmethod is reached
+only as ``Cls.name``, ``Cls`` its class or a package subclass of it, so a
+same-named method of another class does not hide it (a same-named instance
+method still does).  Imports and the exporting ``__init__`` do not count,
+and neither do the tests.
 """
 
 import ast
@@ -36,30 +39,35 @@ def _program():
 
 
 def _references(trees):
-    """name -> the owners of each reference to it, for every name, attribute
-    and string constant: the ids of the top-level definition and of the
-    method the reference sits in."""
+    """name -> (owners, qualifier) of each reference to it, for every name,
+    attribute and string constant: the ids of the top-level definition and
+    of the method the reference sits in, and for an attribute ``X.name`` or
+    ``m.X.name`` the name X it is taken on (else None)."""
     found = defaultdict(list)
     for tree in trees:
         stack = [(tree, frozenset())]
         while stack:
             node, owners = stack.pop()
             if isinstance(node, ast.Name):
-                found[node.id].append(owners)
+                found[node.id].append((owners, None))
             elif isinstance(node, ast.Attribute):
-                found[node.attr].append(owners)
+                on = node.value
+                found[node.attr].append((owners, on.id if isinstance(on, ast.Name)
+                                         else on.attr if isinstance(on, ast.Attribute) else None))
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                found[node.value].append(owners)
+                found[node.value].append((owners, None))
             owns = node is tree or isinstance(node, ast.ClassDef)
             stack.extend((child, owners | {id(child)} if owns and isinstance(child, DEFINITIONS)
                           else owners) for child in ast.iter_child_nodes(node))
     return found
 
 
-def _reached(refs, name, nodes):
-    """Whether some reference to `name` lies outside every node in `nodes`."""
+def _reached(refs, name, nodes, via=None):
+    """Whether some reference to `name` lies outside every node in `nodes`
+    and, when ``via`` is given, is taken on one of the names in it."""
     skip = {id(node) for node in nodes}
-    return any(not owners & skip for owners in refs.get(name, ()))
+    return any(not owners & skip and (via is None or on in via)
+               for owners, on in refs.get(name, ()))
 
 
 def _unreached_exports():
@@ -76,15 +84,34 @@ def _unreached_exports():
     return exports, {name for name in exports if not _reached(refs, name, tops[name])}
 
 
+def _subclasses(classes):
+    """class name -> the names of the class and of its package subclasses."""
+    below = {cls.name: {cls.name} for cls in classes}
+    changed = True
+    while changed:
+        changed = False
+        for cls in classes:
+            for base in cls.bases:
+                base = base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)
+                if base in below and not below[cls.name] <= below[base]:
+                    below[base] |= below[cls.name]
+                    changed = True
+    return below
+
+
+def _is_classmethod(fn):
+    return any(isinstance(d, ast.Name) and d.id == "classmethod" for d in fn.decorator_list)
+
+
 def _unreached_methods():
     program = _program()
     refs = _references([tree for _, tree in program])
-    methods = {f"{cls.name}.{fn.name}": fn
-               for path, tree in program if path.parent == PACKAGE
-               for cls in tree.body if isinstance(cls, ast.ClassDef)
-               for fn in cls.body
-               if isinstance(fn, FUNCTIONS) and not fn.name.startswith("_")}
-    return {name for name, fn in methods.items() if not _reached(refs, fn.name, [fn])}
+    classes = [cls for path, tree in program if path.parent == PACKAGE
+               for cls in tree.body if isinstance(cls, ast.ClassDef)]
+    below = _subclasses(classes)
+    return {f"{cls.name}.{fn.name}" for cls in classes for fn in cls.body
+            if isinstance(fn, FUNCTIONS) and not fn.name.startswith("_")
+            and not _reached(refs, fn.name, [fn], below[cls.name] if _is_classmethod(fn) else None)}
 
 
 def test_every_export_is_reached_outside_the_tests():

@@ -109,9 +109,9 @@ def test_verify_takes_a_bounded_number_of_field_evaluations(monkeypatch):
     integrate = flow._integrate
 
     def counted(rhs, *args, **kwargs):
-        def rhs_counted(t, state, left_limit):
+        def rhs_counted(t, state):
             count[0] += 1
-            return rhs(t, state, left_limit)
+            return rhs(t, state)
 
         return integrate(rhs_counted, *args, **kwargs)
 
@@ -137,9 +137,9 @@ def test_verify_optimality_sensing_runs_bdf_to_the_dop853_verdict(tmp_path, monk
     integrate = flow._integrate
 
     def counted(rhs, *args, **kwargs):
-        def rhs_counted(t, state, left_limit):
+        def rhs_counted(t, state):
             count[0] += 1
-            return rhs(t, state, left_limit)
+            return rhs(t, state)
 
         return integrate(rhs_counted, *args, **kwargs)
 
@@ -170,8 +170,8 @@ def test_verify_commuting_expect_fail():
 
 
 def test_verify_contracting_cli():
-    args = ["verify", "contracting", "--family", "entropy", "--grid", "10"]
-    assert main(args) == EXIT_OK
+    for family in ("entropy", "hyperbolic", "log-cosh"):
+        assert main(["verify", "contracting", "--family", family, "--grid", "10"]) == EXIT_OK
     bad = ["verify", "contracting", "--family", "quadratic-neg", "--grid", "8"]
     assert main(bad) == EXIT_FAIL
     assert main(bad + ["--expect-fail"]) == EXIT_OK
@@ -243,8 +243,14 @@ def run_small_sensing(tmp_path, extra=()):
     return main(args + list(extra))
 
 
+def _assert_svg(path):
+    assert path.read_text().startswith("<svg"), path.name
+
+
 def test_run_sensing_csv_schema(tmp_path):
-    assert run_small_sensing(tmp_path) == EXIT_OK
+    assert run_small_sensing(tmp_path, ["--plot"]) == EXIT_OK
+    for plot in ("loss", "norms"):
+        _assert_svg(tmp_path / f"sensing_seed1_{plot}.svg")
     csv_path = tmp_path / "sensing_seed1.csv"
     lines = csv_path.read_text().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
@@ -357,9 +363,10 @@ def test_run_sparse_coding_with_dictionary_file(tmp_path):
     dict_path = str(tmp_path / "dict.csv")
     np.savetxt(dict_path, D, delimiter=",", fmt="%.17g")
     args = ["run", "sparse-coding", "--out", str(tmp_path), "--variant", "diff-powers",
-            "--k", "2", "--steps", "40", "--dictionary", dict_path, "--seed", "2"]
+            "--k", "2", "--steps", "40", "--dictionary", dict_path, "--seed", "2", "--plot"]
     assert main(args) == EXIT_OK
     assert (tmp_path / "sparse_diff-powers_seed2.csv").exists()
+    _assert_svg(tmp_path / "sparse_diff-powers_seed2_l1.svg")
 
 
 def test_run_sparse_coding_log_ratio_starts_inside_its_unit_region(tmp_path):
@@ -372,11 +379,12 @@ def test_run_sparse_coding_log_ratio_starts_inside_its_unit_region(tmp_path):
 def test_run_flow_writes_trajectory(tmp_path):
     args = ["run", "flow", "--out", str(tmp_path), "--family", "entropy",
             "--schedule", "constant", "--alpha0", "0.1", "--t-end", "2.0",
-            "--step", "0.005", "--seed", "0"]
+            "--step", "0.005", "--seed", "0", "--plot"]
     assert main(args) == EXIT_OK
     lines = (tmp_path / "flow_entropy_seed0.csv").read_text().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) > 10
+    _assert_svg(tmp_path / "flow_entropy_seed0_loss.svg")
 
 
 def test_run_flow_labels_rows_with_their_step(tmp_path):

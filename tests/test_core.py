@@ -42,7 +42,7 @@ def test_alpha_negative_time_rejected():
         s.a(-0.5)
 
 
-SCHEDULE_METHODS = ["alpha", "alpha_left", "a"]
+SCHEDULE_METHODS = ["alpha", "a"]
 
 
 def _bits(x):
@@ -131,12 +131,13 @@ def test_a_trapezoid_property(kind):
         T = rng.uniform(1.0, 5.0)
         s = Schedule(kind, alpha0, turnoff_time=T, t_end=8.0)
         t = rng.uniform(0.5, 8.0)
-        # trapezoid per smooth piece; the turn-off jump needs its left limit
+        # trapezoid per smooth piece; alpha is right-continuous, so the left
+        # piece ends at the float just below min(t, T)
         ref = 0.0
-        for lo, hi, f in ((0.0, min(t, T), s.alpha_left), (min(t, T), t, s.alpha)):
+        for lo, hi, end in ((0.0, min(t, T), np.nextafter(min(t, T), -np.inf)), (min(t, T), t, t)):
             if hi > lo:
                 grid = np.linspace(lo, hi, 20001)
-                ref -= np.trapezoid(f(grid), grid)
+                ref -= np.trapezoid(s.alpha(np.r_[grid[:-1], end]), grid)
         assert s.a(t) == pytest.approx(ref, rel=1e-8, abs=1e-10)
 
 

@@ -203,9 +203,9 @@ def test_bdf_lands_on_a_break_and_takes_a_stiff_field_in_few_evaluations():
     rates, b, t_break = np.array([1.0, 30.0, 1000.0]), np.array([1.0, 2.0, 3.0]), 0.6137
     calls = {}
 
-    def rhs(t, y, left_limit):
-        calls[method].append((t, left_limit))
-        return -rates * y + (b if t < t_break or (left_limit and t == t_break) else 0.0)
+    def rhs(t, y):
+        calls[method].append(t)
+        return -rates * y + (b if t < t_break else 0.0)
 
     for method in ("dop853", "bdf"):
         calls[method] = []
@@ -216,10 +216,11 @@ def test_bdf_lands_on_a_break_and_takes_a_stiff_field_in_few_evaluations():
         assert [k for _, _, k in items if k is not None] == list(range(7, 500, 7)) + [500]
         assert [t for t, _, k in items if k is not None] == [
             k * 0.01 for k in list(range(7, 500, 7)) + [500]]
-        # the step onto the break evaluates its left limit, the next step the
-        # field there afresh, once
-        assert {t for t, left in calls[method] if left} == {t_break}
-        assert [t for t, left in calls[method] if not left].count(t_break) == 1
+        # the step onto the break evaluates its right end at the float just
+        # below it, on the left piece, and the next step the field on the
+        # break afresh, once
+        assert float(np.nextafter(t_break, -np.inf)) in calls[method]
+        assert calls[method].count(t_break) == 1
         y_break = b / rates + (1 - b / rates) * np.exp(-rates * t_break)
         for t, y, _ in items:
             exact = (b / rates + (1 - b / rates) * np.exp(-rates * t) if t <= t_break
@@ -245,7 +246,7 @@ def test_dop853_dense_output_reproduces_a_polynomial_at_every_record_row():
     coef = make_rng(3).uniform(-1.0, 1.0, 8)
     p = np.polynomial.Polynomial(coef)
     dp = p.deriv()
-    _, status, records = _integrate(lambda t, s, left: np.array([dp(t)]), [p(0.0)], 100, 0.01, 3,
+    _, status, records = _integrate(lambda t, s: np.array([dp(t)]), [p(0.0)], 100, 0.01, 3,
                                     lambda k, t, s: {"y": s[0]}, "dop853")
     assert status is None
     assert records["step"].tolist() == list(range(0, 100, 3)) + [100]
@@ -315,7 +316,7 @@ def test_divergence_guard():
 @pytest.mark.parametrize("method", ["euler", "dop853", "bdf"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 100.0 * DIVERGENCE_LIMIT])
 def test_integrate_stops_on_nonfinite_or_huge_state(bad, method):
-    def rhs(t, state, left_limit):
+    def rhs(t, state):
         return np.array([0.0, bad if t >= 1.0 else 0.0])
 
     state, status, records = _integrate(rhs, np.ones(2), 10, 0.5, 1, lambda k, t, s: {}, method)
@@ -337,7 +338,7 @@ def test_integrate_stops_on_nonfinite_or_huge_state(bad, method):
 
 
 def test_integrate_accepts_states_at_the_divergence_limit():
-    def rhs(t, state, left_limit):
+    def rhs(t, state):
         return np.zeros(2)
 
     state, status, _ = _integrate(rhs, [DIVERGENCE_LIMIT, -DIVERGENCE_LIMIT], 3, 0.5, 1,
@@ -352,7 +353,7 @@ def test_integrate_accepts_many_entries_near_the_limit(method):
     # exact per-entry test decides, and every entry is inside the limit
     state0 = 0.9 * DIVERGENCE_LIMIT * np.array([1.0, -1.0] * 5)
     assert not state0.dot(state0) <= 0.5 * DIVERGENCE_LIMIT ** 2
-    state, status, records = _integrate(lambda t, s, left: np.zeros(10), state0, 3, 0.5, 1,
+    state, status, records = _integrate(lambda t, s: np.zeros(10), state0, 3, 0.5, 1,
                                         lambda k, t, s: {}, method)
     assert status is None
     assert records["step"].tolist() == [0, 1, 2, 3]
@@ -363,7 +364,7 @@ def test_integrate_accepts_many_entries_near_the_limit(method):
 def test_integrate_rejects_one_entry_just_past_the_limit(method):
     state0 = np.zeros(50)
     state0[17] = np.nextafter(DIVERGENCE_LIMIT, np.inf)
-    state, status, records = _integrate(lambda t, s, left: np.zeros(50), state0, 3, 0.5, 1,
+    state, status, records = _integrate(lambda t, s: np.zeros(50), state0, 3, 0.5, 1,
                                         lambda k, t, s: {}, method)
     assert status == ("diverged", 0.0, None)
     assert records["step"].tolist() == [0]
@@ -372,7 +373,7 @@ def test_integrate_rejects_one_entry_just_past_the_limit(method):
 
 def test_integrate_records_one_column_per_hook_name():
     h = 0.1
-    state, status, records = _integrate(lambda t, s, left: np.array([1.0, -2.0]), np.zeros(2),
+    state, status, records = _integrate(lambda t, s: np.array([1.0, -2.0]), np.zeros(2),
                                         7, h, 3, lambda k, t, s: {"x": s})
     assert status is None
     assert sorted(records) == ["step", "t", "x"]
@@ -383,7 +384,7 @@ def test_integrate_records_one_column_per_hook_name():
     assert records["x"][-1].tolist() == state.tolist()
 
 
-def _failing_rhs(t, state, left_limit):
+def _failing_rhs(t, state):
     if t > 0.25:  # from the step leaving t = 3h = 0.3, i.e. step 4
         raise DomainError("rhs left its domain")
     return np.ones(2)
@@ -397,10 +398,10 @@ def _failing_hook(k, t, state):
 
 @pytest.mark.parametrize("rhs, record, kind, steps", [
     # the step leaving t = 4h = 0.4 (step 5) blows up
-    (lambda t, s, left: np.ones(2) * (np.inf if t > 0.35 else 1.0), lambda k, t, s: {"x": s},
+    (lambda t, s: np.ones(2) * (np.inf if t > 0.35 else 1.0), lambda k, t, s: {"x": s},
      "diverged", [0, 3]),
     (_failing_rhs, lambda k, t, s: {"x": s}, "domain", [0, 3]),
-    (lambda t, s, left: np.ones(2), _failing_hook, "domain", [0]),
+    (lambda t, s: np.ones(2), _failing_hook, "domain", [0]),
 ], ids=["divergence-at-step-5", "rhs-domain-error-at-step-4", "hook-domain-error-at-step-3"])
 def test_integrate_records_end_at_the_last_recorded_healthy_step(rhs, record, kind, steps):
     _, status, records = _integrate(rhs, np.zeros(2), 7, 0.1, 3, record)
@@ -417,7 +418,7 @@ def test_integrate_tables_are_int64_steps_and_float64_values():
     def record(k, t, s):
         return {"x": s, "norm": float(s.dot(s)), "first": s[0], "flag": 1.0}
 
-    _, status, records = _integrate(lambda t, s, left: -s, np.ones(3), 7, 0.1, 3, record, "dop853")
+    _, status, records = _integrate(lambda t, s: -s, np.ones(3), 7, 0.1, 3, record, "dop853")
     assert status is None
     assert records["step"].dtype == np.int64 and records["step"].tolist() == [0, 3, 6, 7]
     assert {name: (col.dtype, col.shape) for name, col in records.items() if name != "step"} == {
@@ -431,7 +432,7 @@ def test_integrate_hook_raising_at_step_0_returns_empty_step_and_time():
     def record(k, t, s):
         raise DomainError("hook left its domain")
 
-    _, status, records = _integrate(lambda t, s, left: s, np.ones(2), 5, 0.1, 1, record)
+    _, status, records = _integrate(lambda t, s: s, np.ones(2), 5, 0.1, 1, record)
     assert status[0] == "domain" and status[1] == 0.0
     assert sorted(records) == ["step", "t"]
     assert records["step"].dtype == np.int64 and records["step"].shape == (0,)
@@ -445,7 +446,7 @@ def test_integrate_rejects_a_row_whose_names_differ_from_the_first(later):
         return {"x": 0.0} if k == 0 else later
 
     with pytest.raises(ValueError, match=r"record at step 1 returned .*expected .*\['x'\]"):
-        _integrate(lambda t, s, left: s, np.ones(2), 3, 0.1, 1, record)
+        _integrate(lambda t, s: s, np.ones(2), 3, 0.1, 1, record)
 
 
 @pytest.mark.parametrize("later", [7.0, np.ones(3), np.ones((2, 1))],
@@ -456,7 +457,7 @@ def test_integrate_rejects_an_array_value_whose_shape_differs_from_the_first(lat
         return {"x": s, "norm": 1.0} if k == 0 else {"x": later, "norm": 1.0}
 
     with pytest.raises(ValueError, match=r"record at step 1 returned 'x' of shape .*expected \(2,\)"):
-        _integrate(lambda t, s, left: s, np.ones(2), 3, 0.1, 1, record)
+        _integrate(lambda t, s: s, np.ones(2), 3, 0.1, 1, record)
 
 
 @pytest.mark.parametrize("snapshots", sorted({1, 63, 64, 65, 129, flow.RECORD_BLOCK - 1,
@@ -473,7 +474,7 @@ def test_integrate_writes_every_snapshot_across_blocks(snapshots, with_finish):
         assert block["x"].shape == (len(steps), 2) and block["k"].shape == (len(steps),)
         return {"x": block["x"], "k": block["k"], "x0_plus_k": block["x"][:, 0] + block["k"]}
 
-    state, status, records = _integrate(lambda t, s, left: np.array([1.0, -1.0]), np.zeros(2),
+    state, status, records = _integrate(lambda t, s: np.array([1.0, -1.0]), np.zeros(2),
                                         snapshots - 1, 1.0, 1,
                                         lambda k, t, s: {"x": s, "k": float(k)},
                                         finish=finish if with_finish else None)
@@ -493,7 +494,7 @@ def test_integrate_writes_every_snapshot_across_blocks(snapshots, with_finish):
 _MID_BLOCK = flow.RECORD_BLOCK + flow.RECORD_BLOCK // 2
 
 
-def _blows_up_mid_block(t, state, left_limit):
+def _blows_up_mid_block(t, state):
     return np.array([np.inf if t >= _MID_BLOCK - 1 else 1.0])
 
 
@@ -505,7 +506,7 @@ def _hook_fails_mid_block(k, t, state):
 
 @pytest.mark.parametrize("rhs, record, kind, snapshots", [
     (_blows_up_mid_block, lambda k, t, s: {"x": s}, "diverged", _MID_BLOCK),
-    (lambda t, s, left: np.ones(1), _hook_fails_mid_block, "domain", _MID_BLOCK),
+    (lambda t, s: np.ones(1), _hook_fails_mid_block, "domain", _MID_BLOCK),
 ], ids=["divergence-mid-block", "hook-domain-error-mid-block"])
 @pytest.mark.parametrize("with_finish", [False, True], ids=["rows", "finish"])
 def test_integrate_flushes_a_partial_block_on_an_early_exit(rhs, record, kind, snapshots,
@@ -531,7 +532,7 @@ def test_integrate_rejects_a_finisher_column_of_the_wrong_length(n_steps):
 
     with pytest.raises(ValueError, match=r"record column 'short' has \d+ rows for a block of "
                                          r"\d+ snapshots"):
-        _integrate(lambda t, s, left: s, np.ones(2), n_steps, 0.1, 1, lambda k, t, s: {"x": s},
+        _integrate(lambda t, s: s, np.ones(2), n_steps, 0.1, 1, lambda k, t, s: {"x": s},
                    finish=finish)
 
 
@@ -544,7 +545,7 @@ def test_integrate_names_the_step_of_a_shape_change_in_a_block(bad_step, with_fi
 
     with pytest.raises(ValueError, match=rf"record at step {bad_step} returned 'x' of shape "
                                          r"\(3,\), expected \(2,\)"):
-        _integrate(lambda t, s, left: s, np.ones(2), 100, 0.01, 1, record,
+        _integrate(lambda t, s: s, np.ones(2), 100, 0.01, 1, record,
                    finish=(lambda steps, times, block: block) if with_finish else None)
 
 
@@ -554,7 +555,7 @@ def test_a_recorded_run_peaks_near_the_size_of_its_record():
     n_steps = 20000
     tracemalloc.start()
     try:
-        _, status, records = _integrate(lambda t, s, left: -s, np.ones(8), n_steps, 1e-4, 1,
+        _, status, records = _integrate(lambda t, s: -s, np.ones(8), n_steps, 1e-4, 1,
                                         lambda k, t, s: {"x": s, "norm": float(s.dot(s))})
         peak = tracemalloc.get_traced_memory()[1]
     finally:

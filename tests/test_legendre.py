@@ -243,12 +243,10 @@ def test_diff_powers_boundary_divergence():
         dp.dual_map(-2.0 * float(np.min(np.minimum(dp.c_u, dp.c_v))), np.zeros(1))
 
 
-def test_entropy_primal_domain_independent_of_a():
+def test_entropy_dual_domain_is_unbounded_at_every_a():
     ent = Entropy(np.ones(2))
     for a in (-2.0, 0.0):
-        spec = ent.domain(a)
-        assert "x > 0" in spec.primal
-        assert np.all(np.isinf(spec.lengths))
+        assert np.all(np.isinf(ent.domain(a).lengths))
 
 
 def test_quadratic_family_matches_hyperbolic():
