@@ -86,17 +86,16 @@ def _unreached_exports():
 
 def _subclasses(classes):
     """class name -> the names of the class and of its package subclasses."""
-    below = {cls.name: {cls.name} for cls in classes}
-    changed = True
-    while changed:
-        changed = False
-        for cls in classes:
-            for base in cls.bases:
-                base = base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)
-                if base in below and not below[cls.name] <= below[base]:
-                    below[base] |= below[cls.name]
-                    changed = True
-    return below
+    children = defaultdict(set)
+    for cls in classes:
+        for base in cls.bases:
+            children[base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)].add(
+                cls.name)
+
+    def below(name):
+        return {name}.union(*(below(child) for child in children[name]))
+
+    return {cls.name: below(cls.name) for cls in classes}
 
 
 def _is_classmethod(fn):
