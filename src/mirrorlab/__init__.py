@@ -19,8 +19,7 @@ from .legendre import (ContractingReport, DiffPowersFlow, DomainSpec, Entropy,
 from .commute import (check_commuting, check_quadratic_commuting, hessian_fd,
                       lie_bracket)
 from .flow import (EquivalenceReport, LinearRegressionLoss, QuadraticLoss,
-                   ZeroLoss, run_mirror_flow, run_param_flow,
-                   verify_equivalence)
+                   run_mirror_flow, run_param_flow, verify_equivalence)
 from .experiments import (RegressionConfig, SensingConfig,
                           SparseCodingConfig, constrained_argmin,
                           diagonal_network_run, kkt_residual, make_dictionary,

@@ -97,7 +97,7 @@ def _parse_value(raw):
 
 
 def load_matrix(path):
-    """Headerless CSV of floats; rejects ragged or non-numeric rows."""
+    """Headerless CSV of floats; rejects ragged, non-numeric or non-finite rows."""
     if not os.path.exists(path):
         raise UsageError(f"matrix file not found: {path}")
     rows = []
@@ -113,6 +113,8 @@ def load_matrix(path):
                 rows.append([float(c) for c in cells])
             except ValueError as exc:
                 raise UsageError(f"{path}:{lineno}: {exc}")
+            if not all(map(math.isfinite, rows[-1])):
+                raise UsageError(f"{path}:{lineno}: non-finite cell")
     if not rows:
         raise UsageError(f"{path}: empty matrix file")
     return np.asarray(rows)

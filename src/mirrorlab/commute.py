@@ -26,7 +26,7 @@ def _grad_field(p, idx):
     return lambda w: p.vjp_g(w, e)  # row idx of jac_g
 
 
-def hessian_fd(grad_fn, w, step=None):
+def hessian_fd(grad_fn, w):
     """Central-difference Jacobian of an analytic gradient field, symmetrized.
 
     ``grad_fn(w)`` may also stack several gradients with the parameter axis
@@ -34,8 +34,7 @@ def hessian_fd(grad_fn, w, step=None):
     each with the bits it would have on its own.
     """
     w = np.asarray(w, dtype=float).ravel()
-    if step is None:
-        step = 1e-5 * (1.0 + np.max(np.abs(w)))
+    step = 1e-5 * (1.0 + np.max(np.abs(w)))
     D = w.size
     columns = []
     for k in range(D):
@@ -46,7 +45,7 @@ def hessian_fd(grad_fn, w, step=None):
     return 0.5 * (H + np.swapaxes(H, -1, -2))
 
 
-def lie_bracket(p, i, j, w, step=None):
+def lie_bracket(p, i, j, w):
     """[grad g_i, grad g_j](w) = Hess(g_j) grad(g_i) - Hess(g_i) grad(g_j).
 
     Either index may be the string "h", treating the regularizer as an extra
@@ -55,8 +54,8 @@ def lie_bracket(p, i, j, w, step=None):
     w = np.asarray(w, dtype=float).ravel()
     gi = _grad_field(p, i)
     gj = _grad_field(p, j)
-    Hi = hessian_fd(gi, w, step)
-    Hj = hessian_fd(gj, w, step)
+    Hi = hessian_fd(gi, w)
+    Hj = hessian_fd(gj, w)
     return Hj @ gi(w) - Hi @ gj(w)
 
 

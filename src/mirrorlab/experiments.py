@@ -81,6 +81,7 @@ class SensingConfig:
 
     def __post_init__(self):
         check_finite(beta=self.beta, eta=self.eta)
+        make_rng(self.seed)  # a seed out of range fails before a sweep runs any seed
         if self.schedule is None:
             self.schedule = Schedule("constant", 0.0, t_end=max(self.steps * self.eta, 1e-12))
         if self.n < 1 or self.m < 1:
@@ -280,11 +281,13 @@ def sparse_coding_run(dictionary, target, variant_p, schedule: Schedule,
     their domain are truncated and flagged rather than rejected.
     """
     D = np.asarray(dictionary, dtype=float)
-    if D.ndim != 2 or not np.any(D):
-        raise InputError("dictionary must be a nonzero matrix")
+    if D.ndim != 2 or not np.any(D) or not np.isfinite(D).all():
+        raise InputError("dictionary must be a finite nonzero matrix")
     target = np.asarray(target, dtype=float).ravel()
     if target.size != D.shape[0]:
         raise InputError(f"target has length {target.size}, expected {D.shape[0]}")
+    if not np.isfinite(target).all():
+        raise InputError("target must be finite")
     if variant_p.dim_model != D.shape[1]:
         raise InputError("code length must match the dictionary's feature count")
     loss = DictionaryLoss(D, target)

@@ -242,10 +242,6 @@ class LinearRegressionLoss:
     def grad(self, x):
         return self._grad(flat_vector(x, self.Z.shape[1], "model vector x"))
 
-    def value_and_grad(self, x):
-        """(value(x), grad(x)) from one residual; the same bits as the two calls."""
-        return self._value_and_grad(flat_vector(x, self.Z.shape[1], "model vector x"))
-
     # the kernels take a flat float64 x with one entry per column of Z as
     # given.  Z.dot(x) and r.dot(Z) run the same gemv as Z @ x and Z.T @ r
     # with fewer calls around it, so they return the same bits
@@ -259,28 +255,6 @@ class LinearRegressionLoss:
     def _value_and_grad(self, x):
         r = self.Z.dot(x) - self.y
         return float(0.5 * r @ r / self.d), r.dot(self.Z) / self.d
-
-
-class ZeroLoss:
-    """Identically zero objective; isolates the pure regularization drift."""
-
-    def __init__(self, n):
-        self.n = n
-
-    def value(self, x):
-        return self._value(flat_vector(x, self.n, "model vector x"))
-
-    def grad(self, x):
-        return self._grad(flat_vector(x, self.n, "model vector x"))
-
-    def _value(self, x):
-        return 0.0
-
-    def _grad(self, x):
-        return np.zeros(self.n)
-
-    def _value_and_grad(self, x):
-        return 0.0, np.zeros(self.n)
 
 
 def _integrate(rhs, state0, n_steps, h, record_every, record, method="euler", finish=None,

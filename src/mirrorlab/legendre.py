@@ -427,16 +427,15 @@ class QuadraticFamily(LegendreFamily):
         return float(mu @ x - 0.25 * np.sum(self._terms(a, mu)))
 
 
-def _joint_eigenbasis(mats, tol, attempts=8):
+def _joint_eigenbasis(mats, tol):
     """Orthogonal basis diagonalizing a list of commuting symmetric matrices.
 
     Diagonalizes a random linear combination and validates the off-diagonal
-    residuals; retries with fresh coefficients if a degenerate combination is
-    drawn.
+    residuals; draws fresh coefficients, eight draws at most, while the
+    combination drawn is degenerate.
     """
     rng = make_rng(1234)
-    dim = mats[0].shape[0]
-    for _ in range(attempts):
+    for _ in range(8):
         coeffs = rng.standard_normal(len(mats))
         M = sum(c * A for c, A in zip(coeffs, mats))
         _, V = np.linalg.eigh(M)
@@ -507,7 +506,7 @@ def family_for(p):
         return HyperbolicEntropy.from_hadamard(m0, w0)
     if isinstance(p, reparam.QuadraticCommuting):
         return QuadraticFamily.from_parameterization(p)
-    if isinstance(p, reparam.DiffPowers):
+    if isinstance(p, reparam.DiffPowers) and p.k > 1:  # k = 1 is DiffSquares
         return DiffPowersFlow(p.k, p.u0, p.v0)
     if isinstance(p, reparam.LogRatio):
         return LogCosh(p.u0, p.v0)

@@ -181,47 +181,8 @@ class Hadamard(DeepHadamard):
         super().__init__([m0, w0])
 
 
-class TwoFactor(Parameterization):
-    """Base of the variants g(u, v) on two factor vectors packed as w = [u, v]."""
-
-    def __init__(self, u0, v0):
-        u0, v0 = factor_pair(u0, v0)
-        super().__init__(2 * u0.size, u0.size, np.concatenate([u0, v0]))
-        self.u0, self.v0 = u0, v0
-
-    def _rows(self, w):
-        """The (2, n) factor rows [u, v] of a checked w."""
-        return w.reshape(2, self.dim_model)
-
-
-class DiffSquares(TwoFactor):
-    """g(u, v) = u^2 - v^2 with weight decay h = sum u_i^2 + v_i^2 on both factor vectors.
-
-    Rotating the Hadamard coordinates by u = (m+w)/sqrt(2), v = (m-w)/sqrt(2)
-    gives u^2 - v^2 = 2 m*w, i.e. this variant equals twice the Hadamard map
-    under that change of variables.
-    """
-
-    tag = "diff-squares"
-
-    def _g(self, w):
-        u, v = self._rows(w)
-        return u * u - v * v
-
-    def _h(self, w):
-        u, v = self._rows(w)
-        return float(np.sum(u * u) + np.sum(v * v))
-
-    def _vjp_g(self, w, v):
-        pos, neg = self._rows(w)
-        return np.concatenate([2.0 * pos * v, -2.0 * neg * v])
-
-    def _grad_h(self, w):
-        return 2.0 * w
-
-
-class DifferencePair(TwoFactor):
-    """g(u, v) = phi(u) - phi(v) with h = sum phi(u_i) + phi(v_i).
+class DifferencePair(Parameterization):
+    """g(u, v) = phi(u) - phi(v) with h = sum phi(u_i) + phi(v_i), w = [u, v].
 
     grad h is phi' on both factor vectors, and Jg is diagonal with phi'(u) on
     the u half and -phi'(v) on the v half.  Subclasses give ``_phi`` and
@@ -231,6 +192,15 @@ class DifferencePair(TwoFactor):
     """
 
     sample_box = (0.5, 2.5)
+
+    def __init__(self, u0, v0):
+        u0, v0 = factor_pair(u0, v0)
+        super().__init__(2 * u0.size, u0.size, np.concatenate([u0, v0]))
+        self.u0, self.v0 = u0, v0
+
+    def _rows(self, w):
+        """The (2, n) factor rows [u, v] of a checked w."""
+        return w.reshape(2, self.dim_model)
 
     def _phi(self, f):
         raise NotImplementedError
@@ -280,6 +250,21 @@ class DiffPowers(DifferencePair):
     def _slopes(self, f):
         p = 2 * self.k
         return p * f ** (p - 1)
+
+
+class DiffSquares(DiffPowers):
+    """g(u, v) = u^2 - v^2 with weight decay h = sum u_i^2 + v_i^2, DiffPowers at k = 1.
+
+    Rotating the Hadamard coordinates by u = (m+w)/sqrt(2), v = (m-w)/sqrt(2)
+    gives u^2 - v^2 = 2 m*w, i.e. this variant equals twice the Hadamard map
+    under that change of variables.
+    """
+
+    tag = "diff-squares"
+    sample_box = (-2.0, 2.0)
+
+    def __init__(self, u0, v0):
+        super().__init__(1, u0, v0)
 
 
 class LogRatio(DifferencePair):

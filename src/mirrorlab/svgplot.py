@@ -9,10 +9,10 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 50
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf"]
 
 
-def _ticks(lo, hi, n=5):
+def _ticks(lo, hi):
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / max(1, n)
+    raw = (hi - lo) / 5  # about five ticks per axis
     mag = 10.0 ** math.floor(math.log10(raw))
     for m in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= m * mag:

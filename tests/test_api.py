@@ -2,8 +2,8 @@
 
 A name exported by ``mirrorlab/__init__.py``, and every public method of a
 class in the package, must be referenced somewhere in the package, the demos
-or perfbench outside its own definition: as a name, an attribute, or a string
-equal to it (perfbench wraps callables by name).  A classmethod is reached
+or perfbench outside its own definition: as a name, an attribute, or, in
+perfbench, which wraps callables by name, a string equal to it.  A classmethod is reached
 only as ``Cls.name``, ``Cls`` its class or a package subclass of it, so a
 same-named method of another class does not hide it (a same-named instance
 method still does).  Imports and the exporting ``__init__`` do not count,
@@ -16,15 +16,17 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "mirrorlab"
-SOURCES = [PACKAGE, ROOT / "demos", ROOT / "perfbench"]
-# kept for the tests, as fixtures and as references for the package's results
-ALLOWED = {"ZeroLoss", "nuclear_frobenius_ratio", "check_quadratic_commuting"}
+PERFBENCH = ROOT / "perfbench"
+SOURCES = [PACKAGE, ROOT / "demos", PERFBENCH]
+# kept for the tests as references for the package's results: the SVD nuclear
+# norm against the sensing finisher's eigvalsh one, the ratio of the same
+# norms, and the commutators of the quadratic structure
+ALLOWED = {"nuclear_norm", "nuclear_frobenius_ratio", "check_quadratic_commuting"}
 # methods kept for the tests, with the property each one checks
 ALLOWED_METHODS = {
     "LegendreFamily.bregman_divergence": "the Legendre contract: a nonnegative Bregman divergence",
     "DomainSpec.lengths": "range shrinking (c7): the dual interval loses 2 |da| as a decreases",
     "Schedule.total_strength": "the ablation design: every schedule spends the same strength",
-    "LinearRegressionLoss.value_and_grad": "the block-statistics bits of value and grad",
 }
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 DEFINITIONS = FUNCTIONS + (ast.ClassDef,)
@@ -38,13 +40,14 @@ def _program():
             if path != PACKAGE / "__init__.py" and not path.name.startswith("test_")]
 
 
-def _references(trees):
+def _references(program):
     """name -> (owners, qualifier) of each reference to it, for every name,
-    attribute and string constant: the ids of the top-level definition and
-    of the method the reference sits in, and for an attribute ``X.name`` or
-    ``m.X.name`` the name X it is taken on (else None)."""
+    attribute and perfbench string constant: the ids of the top-level
+    definition and of the method the reference sits in, and for an attribute
+    ``X.name`` or ``m.X.name`` the name X it is taken on (else None)."""
     found = defaultdict(list)
-    for tree in trees:
+    for path, tree in program:
+        by_name = PERFBENCH in path.parents
         stack = [(tree, frozenset())]
         while stack:
             node, owners = stack.pop()
@@ -54,7 +57,7 @@ def _references(trees):
                 on = node.value
                 found[node.attr].append((owners, on.id if isinstance(on, ast.Name)
                                          else on.attr if isinstance(on, ast.Attribute) else None))
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            elif by_name and isinstance(node, ast.Constant) and isinstance(node.value, str):
                 found[node.value].append((owners, None))
             owns = node is tree or isinstance(node, ast.ClassDef)
             stack.extend((child, owners | {id(child)} if owns and isinstance(child, DEFINITIONS)
@@ -71,10 +74,10 @@ def _reached(refs, name, nodes, via=None):
 
 
 def _unreached_exports():
-    program = [tree for _, tree in _program()]
+    program = _program()
     refs = _references(program)
     tops = defaultdict(list)
-    for tree in program:
+    for _, tree in program:
         for node in tree.body:
             if isinstance(node, DEFINITIONS):
                 tops[node.name].append(node)
@@ -104,7 +107,7 @@ def _is_classmethod(fn):
 
 def _unreached_methods():
     program = _program()
-    refs = _references([tree for _, tree in program])
+    refs = _references(program)
     classes = [cls for path, tree in program if path.parent == PACKAGE
                for cls in tree.body if isinstance(cls, ast.ClassDef)]
     below = _subclasses(classes)

@@ -497,11 +497,21 @@ def test_diagonal_summary_has_kkt_field(tmp_path):
     (["run", "sensing", "--t-end", "5"], None, None),
     (["run", "diagonal", "--variant", "x"], None, None),
     (["run", "sparse-coding", "--variant", "x"], None, None),
+    # a seed outside [0, 2**64) is a usage error, not an OverflowError
+    (["run", "sensing", "--seed", "-1"], None, None),
+    (["run", "sensing", "--seeds", "0,-3"], None, None),
+    (["verify", "commuting", "--seed", "-1"], None, None),
+    (["verify", "optimality", "--seed", "99999999999999999999999"], None, None),
+    # a dictionary with a nan or an infinite cell
+    (["run", "sparse-coding", "--dictionary", "nan.csv"], None, None),
+    (["run", "sparse-coding", "--dictionary", "inf.csv"], None, None),
 ], ids=["diagonal-record-every-0", "diagonal-steps-0", "sparse-coding-k-0", "sensing-m-0",
         "sensing-n-0", "flow-n-0", "flow-method-rk4", "sparse-coding-turnoff-time-0",
         "sparse-coding-n-features-0", "env-seed-abc", "seeds-0-x",
         "config-n-abc", "config-n-inf", "config-typo-stpes", "commuting-n-0",
-        "commuting-n-negative", "sensing-t-end", "diagonal-variant-x", "sparse-coding-variant-x"])
+        "commuting-n-negative", "sensing-t-end", "diagonal-variant-x", "sparse-coding-variant-x",
+        "sensing-seed-negative", "seeds-0-negative", "commuting-seed-negative",
+        "optimality-seed-2-to-the-76", "dictionary-nan", "dictionary-inf"])
 def test_bad_input_exits_2_with_an_error_line(tmp_path, monkeypatch, capsys, argv, env_seed,
                                               config):
     if env_seed is not None:
@@ -510,6 +520,13 @@ def test_bad_input_exits_2_with_an_error_line(tmp_path, monkeypatch, capsys, arg
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(config)
         argv = argv + ["--config", str(cfg)]
+    if "--dictionary" in argv:
+        # a 40 x 8 matrix with one bad cell
+        bad = argv[-1].removesuffix(".csv")
+        D = make_rng(5).standard_normal((40, 8))
+        D[3, 2] = float(bad)
+        np.savetxt(tmp_path / argv[-1], D, delimiter=",", fmt="%.17g")
+        argv = argv[:-1] + [str(tmp_path / argv[-1])]
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == EXIT_USAGE
     assert any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())

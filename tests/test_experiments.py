@@ -198,6 +198,14 @@ def test_sparse_coding_input_validation():
     with pytest.raises(InputError):
         sparse_coding_run(D, np.zeros(10), DiffPowers(2, np.ones(3), np.ones(3)),
                           sched, SparseCodingConfig())
+    # a nan dictionary would end in an SVD that does not converge, an
+    # infinite one in a divergence
+    for bad in (np.nan, np.inf, -np.inf):
+        for where in ("dictionary", "target"):
+            bad_D, target = D.copy(), np.zeros(10)
+            (bad_D if where == "dictionary" else target)[3] = bad
+            with pytest.raises(InputError, match=rf"{where} must be (a )?finite"):
+                sparse_coding_run(bad_D, target, p, sched, SparseCodingConfig())
 
 
 def test_stationarity_step_basic():
@@ -426,7 +434,7 @@ def test_sensing_block_statistics_have_the_per_snapshot_bits(kind, schedule, mon
         eigenvalues = np.linalg.eigvalsh(X)[::-1]
         s = np.abs(eigenvalues)
         nuclear = float(s.sum())
-        return {"a": cfg.schedule.a(t), "train_loss": loss.value_and_grad(x)[0],
+        return {"a": cfg.schedule.a(t), "train_loss": loss.value(x),
                 "recon_error": float(((X_star - X) ** 2).sum()), "nuclear_norm": nuclear,
                 "ratio": float(nuclear / np.sqrt(s.dot(s))), "eigenvalues": eigenvalues}
 
@@ -455,7 +463,7 @@ def test_diagonal_block_statistics_have_the_per_snapshot_bits(variant, monkeypat
         x = p.g(w)
         l1 = float(np.abs(x).sum())
         l2 = math.sqrt(x.dot(x))
-        return {"a": cfg.schedule.a(min(t, phase1_end)), "train_loss": loss.value_and_grad(x)[0],
+        return {"a": cfg.schedule.a(min(t, phase1_end)), "train_loss": loss.value(x),
                 "recon_error": float(((x - x_star) ** 2).sum()), "l1": l1,
                 "l1_l2_ratio": l1 / l2 if l2 > 0 else 0.0}
 

@@ -9,7 +9,7 @@ from mirrorlab import (DeepHadamard, DiffPowers, DiffPowersFlow, DiffSquares,
                        DivergedError, DomainError, DomainExitError, Entropy, Hadamard,
                        HyperbolicEntropy, InputError, IntegratorConfig, LogCosh, LogRatio,
                        QuadraticCommuting, QuadraticFamily, QuadraticLoss, RegressionConfig,
-                       Schedule, SensingConfig, SparseCodingConfig, SymFactor, ZeroLoss,
+                       Schedule, SensingConfig, SparseCodingConfig, SymFactor,
                        diagonal_network_run, make_dictionary, make_rng,
                        matrix_sensing_run, run_mirror_flow,
                        run_param_flow, sparse_coding_run, verify_equivalence)
@@ -17,6 +17,11 @@ from mirrorlab import experiments, flow, legendre, reparam
 from mirrorlab.flow import DIVERGENCE_LIMIT, LinearRegressionLoss, _integrate
 
 RNG = make_rng(0)
+
+
+def zero_loss(n):
+    """The identically zero objective, which isolates the regularization drift."""
+    return QuadraticLoss(np.zeros((n, n)), np.zeros(n))
 
 
 def quad_loss(n, seed=0, positive_target=False):
@@ -42,7 +47,7 @@ def test_pure_decay_closed_form():
     p = Hadamard([1.0, 2.0], [0.5, -0.4])
     sched = Schedule("constant", 0.3, t_end=1.5)
     cfg = IntegratorConfig("dop853", 1e-3, 1.5, record_every=50)
-    rec = run_param_flow(p, ZeroLoss(2), sched, cfg)
+    rec = run_param_flow(p, zero_loss(2), sched, cfg)
     expected = p.w_init[None, :] * np.exp(-0.3 * rec.times)[:, None]
     assert np.max(np.abs(rec.metrics["params"] - expected)) < 1e-10
 
@@ -53,7 +58,7 @@ def test_sym_factor_norm_bounded_under_decay():
     p = SymFactor(U0)
     sched = Schedule("constant", 0.5, t_end=2.0)
     cfg = IntegratorConfig("dop853", 1e-2, 2.0, record_every=1)
-    rec = run_param_flow(p, ZeroLoss(9), sched, cfg)
+    rec = run_param_flow(p, zero_loss(9), sched, cfg)
     norms = np.linalg.norm(rec.metrics["params"], axis=1)
     assert np.all(norms <= norms[0] + 1e-12)
     assert norms[-1] == pytest.approx(norms[0] * np.exp(-0.5 * 2.0), rel=1e-8)
@@ -76,11 +81,11 @@ def test_mirror_flow_pure_drift_matches_scale():
     ent = Entropy(x0)
     sched = Schedule("constant", 0.25, t_end=2.0)
     cfg = IntegratorConfig("dop853", 1e-3, 2.0, record_every=100)
-    rec = run_mirror_flow(ent, ZeroLoss(2), sched, cfg)
+    rec = run_mirror_flow(ent, zero_loss(2), sched, cfg)
     expected = x0[None, :] * np.exp(2.0 * rec.a)[:, None]
     assert np.max(np.abs(rec.metrics["x"] - expected)) < 1e-12
     hyp = HyperbolicEntropy.from_hadamard(np.array([1.5, 1.2]), np.array([0.5, -0.3]))
-    rec = run_mirror_flow(hyp, ZeroLoss(2), sched, cfg)
+    rec = run_mirror_flow(hyp, zero_loss(2), sched, cfg)
     x0h = hyp.dual_map(0.0, np.zeros(2))
     assert np.max(np.abs(rec.metrics["x"] - x0h[None, :] * np.exp(2.0 * rec.a)[:, None])) < 1e-12
 
@@ -162,11 +167,11 @@ def test_dopri5_matches_the_closed_form_drifts(kind, turnoff, flow_kind):
         cfg = IntegratorConfig(method, 1e-2, 2.0, record_every=7)
         if flow_kind == "param":
             p = Hadamard([1.0, 2.0], [0.5, -0.4])
-            rec = run_param_flow(p, ZeroLoss(2), sched, cfg)
+            rec = run_param_flow(p, zero_loss(2), sched, cfg)
             got, expected = rec.metrics["params"], p.w_init[None, :] * np.exp(rec.a)[:, None]
         else:
             x0 = np.array([1.0, 2.0])
-            rec = run_mirror_flow(Entropy(x0), ZeroLoss(2), sched, cfg)
+            rec = run_mirror_flow(Entropy(x0), zero_loss(2), sched, cfg)
             got, expected = rec.metrics["x"], x0[None, :] * np.exp(2.0 * rec.a)[:, None]
         assert rec.steps.tolist() == list(range(0, 200, 7)) + [200]
         assert np.max(np.abs(got - expected)) <= bound, method
@@ -569,7 +574,7 @@ def test_log_ratio_domain_exit():
     p = LogRatio([0.5], [0.5])
     sched = Schedule("constant", 5.0, t_end=5.0)
     with pytest.raises(DomainExitError) as exc_info:
-        run_param_flow(p, ZeroLoss(1), sched, IntegratorConfig("euler", 1e-2, 5.0, record_every=1))
+        run_param_flow(p, zero_loss(1), sched, IntegratorConfig("euler", 1e-2, 5.0, record_every=1))
     rec = exc_info.value.record
     assert rec is not None and len(rec.times) > 1
     assert rec.metrics["unit_region"][0] == 0.0  # started below the unit region
@@ -632,7 +637,7 @@ def test_least_squares_gradient_equals_the_dense_products_exactly(seed, rows, co
     r = Z @ x - y
     expected = Z.T @ r / max(1, rows)
     assert np.array_equal(loss.grad(x), expected)
-    value, grad = loss.value_and_grad(x)
+    value, grad = loss._value_and_grad(x)
     assert np.array_equal(grad, expected)
     assert value == loss.value(x) == float(0.5 * r @ r / max(1, rows))
 
@@ -640,12 +645,11 @@ def test_least_squares_gradient_equals_the_dense_products_exactly(seed, rows, co
 @pytest.mark.parametrize("loss", [
     LinearRegressionLoss(np.ones((4, 3)), np.zeros(4)),
     QuadraticLoss(np.eye(3), np.zeros(3)),
-    ZeroLoss(3),
+    zero_loss(3),
 ], ids=["least-squares", "quadratic", "zero"])
 @pytest.mark.parametrize("x", [np.ones(2), np.ones(4), np.ones((2, 3)), [1.0]])
 def test_losses_reject_a_wrong_length_model_vector(loss, x):
-    methods = ["value", "grad"] + (["value_and_grad"] if hasattr(loss, "value_and_grad") else [])
-    for method in methods:
+    for method in ["value", "grad"]:
         with pytest.raises(InputError, match="model vector x has length"):
             getattr(loss, method)(x)
 
@@ -660,7 +664,7 @@ def test_loss_kernels_return_the_bits_of_the_public_methods(seed, rows, cols):
     M = rng.standard_normal((cols, cols))
     least_squares = LinearRegressionLoss(rng.standard_normal((rows, cols)),
                                          rng.standard_normal(rows))
-    for loss in (least_squares, QuadraticLoss(M @ M.T, rng.standard_normal(cols)), ZeroLoss(cols)):
+    for loss in (least_squares, QuadraticLoss(M @ M.T, rng.standard_normal(cols)), zero_loss(cols)):
         expected = loss._grad(x)
         got = loss.grad(list(x))
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
@@ -669,9 +673,6 @@ def test_loss_kernels_return_the_bits_of_the_public_methods(seed, rows, cols):
         k_value, k_grad = loss._value_and_grad(x)
         assert np.float64(k_value).tobytes() == np.float64(loss._value(x)).tobytes()
         assert k_grad.dtype == expected.dtype and k_grad.tobytes() == expected.tobytes()
-    value, grad = least_squares.value_and_grad(list(x))
-    k_value, k_grad = least_squares._value_and_grad(x)
-    assert value == k_value and grad.tobytes() == k_grad.tobytes()
 
 
 @pytest.mark.parametrize("loss_class, args, match", [
@@ -705,9 +706,9 @@ def _no_stepping(*args, **kwargs):
 
 @pytest.mark.parametrize("loss, match", [
     (QuadraticLoss(np.eye(3), np.zeros(3)), "model vector x has length 2, expected 3"),
-    (ZeroLoss(3), "model vector x has length 2, expected 3"),
-    # a ZeroLoss(1) mirror flow used to broadcast against two dual coordinates
-    (ZeroLoss(1), "model vector x has length 2, expected 1"),
+    (zero_loss(3), "model vector x has length 2, expected 3"),
+    # a zero_loss(1) mirror flow used to broadcast against two dual coordinates
+    (zero_loss(1), "model vector x has length 2, expected 1"),
     # a loss whose gradient does not have one entry per model coordinate
     (_LongGradientLoss(), "loss gradient has length 3, expected 2"),
 ], ids=["quadratic", "zero-long", "zero-short", "gradient"])
@@ -794,7 +795,7 @@ def _runs():
                 LogCosh(rng.uniform(0.8, 1.5, n), rng.uniform(0.8, 1.5, n)),
                 DiffPowersFlow(2, rng.uniform(0.9, 1.4, n), rng.uniform(0.9, 1.4, n)),
                 QuadraticFamily.from_parameterization(quadratic)]
-    runs.update({f"mirror {f.tag}": _mirror_flow(f, ZeroLoss(f.n)) for f in families})
+    runs.update({f"mirror {f.tag}": _mirror_flow(f, zero_loss(f.n)) for f in families})
     runs["sensing"] = _sensing
     runs.update({f"diagonal {v}": _diagonal(v) for v in ("m", "mw", "mwz")})
     runs["sparse-coding log-ratio"] = _sparse_coding(LogRatio(np.full(4, 1.5), np.full(4, 1.2)))
