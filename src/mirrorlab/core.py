@@ -251,8 +251,8 @@ def check_finite(**values):
 def make_rng(seed):
     """Single 64-bit-seeded counter-based generator used everywhere; the seed
     is None or an integer in [0, 2**64)."""
-    if seed is not None and not 0 <= seed < 2 ** 64:
-        raise InputError(f"seed must be in [0, 2**64), got {seed}")
+    if seed is not None and not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2 ** 64):
+        raise InputError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     return np.random.default_rng(np.uint64(seed) if seed is not None else None)
 
 

@@ -3,11 +3,11 @@
 A name exported by ``mirrorlab/__init__.py``, and every public method of a
 class in the package, must be referenced somewhere in the package, the demos
 or perfbench outside its own definition: as a name, an attribute, or, in
-perfbench, which wraps callables by name, a string equal to it.  A classmethod is reached
-only as ``Cls.name``, ``Cls`` its class or a package subclass of it, so a
-same-named method of another class does not hide it (a same-named instance
-method still does).  Imports and the exporting ``__init__`` do not count,
-and neither do the tests.
+perfbench, which wraps callables by name, a string equal to it.  A
+classmethod is reached only as ``Cls.name``, ``Cls`` its class or a package
+subclass of it, so a same-named method of another class does not hide it (a
+same-named instance method still does).  Imports and the exporting
+``__init__`` do not count, and neither do the tests.
 """
 
 import ast
@@ -18,9 +18,10 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "mirrorlab"
 PERFBENCH = ROOT / "perfbench"
 SOURCES = [PACKAGE, ROOT / "demos", PERFBENCH]
-# kept for the tests as references for the package's results: the SVD nuclear
-# norm against the sensing finisher's eigvalsh one, the ratio of the same
-# norms, and the commutators of the quadratic structure
+# kept for the tests as references for the package's results: the SVD
+# nuclear norm and nuclear/Frobenius ratio that the sensing finisher's
+# eigvalsh statistics are checked against, and the pairwise commutators
+# behind the quadratic family
 ALLOWED = {"nuclear_norm", "nuclear_frobenius_ratio", "check_quadratic_commuting"}
 # methods kept for the tests, with the property each one checks
 ALLOWED_METHODS = {

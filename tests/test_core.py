@@ -283,3 +283,12 @@ def test_ratio_zero_matrix():
 
 def test_rng_reproducible():
     assert make_rng(42).standard_normal(4) == pytest.approx(make_rng(42).standard_normal(4))
+
+
+def test_rng_takes_every_64_bit_seed_and_rejects_the_rest():
+    for seed in (0, 1, 7, 2**32 + 3, 2**63 + 5, 2**64 - 1):
+        assert make_rng(seed).random(3).tobytes() == np.random.default_rng(seed).random(3).tobytes()
+    # a float seed is rejected, not truncated to its integer part
+    for seed in (-1, 2**64, 1.5):
+        with pytest.raises(InputError, match="seed must be an integer in"):
+            make_rng(seed)
