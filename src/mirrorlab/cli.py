@@ -247,10 +247,11 @@ def _config(cls, opts, **given):
 
 
 def _write_report(out, name, report):
-    """Write a verify report dataclass as one JSON line to OUT/NAME_report.json."""
+    """Write a verify report dataclass as one strict JSON line (null for a
+    value that is not finite) to OUT/NAME_report.json."""
     if out:
         with open(os.path.join(_ensure_outdir(out), f"{name}_report.json"), "w") as fh:
-            fh.write(json.dumps(dataclasses.asdict(report)) + "\n")
+            fh.write(json.dumps(_finite_or_null(dataclasses.asdict(report)), allow_nan=False) + "\n")
 
 
 def _ensure_outdir(path):
@@ -352,6 +353,8 @@ def cmd_verify_equivalence(args, opts):
 def cmd_verify_contracting(args, opts):
     rng = make_rng(opts["seed"])
     name, grid = opts["family"], opts["grid"]
+    if grid < 2:
+        raise UsageError(f"grid must be at least 2, got {grid}")
     n = 3
     if name == "hyperbolic":
         fam = legendre.HyperbolicEntropy.from_hadamard(*_hadamard_init(rng, n))
@@ -426,8 +429,9 @@ def cmd_verify_optimality(args, opts):
           f"{'PASS' if ok else 'FAIL'}")
     if args.out:
         with open(os.path.join(_ensure_outdir(args.out), "optimality_report.json"), "w") as fh:
-            json.dump({"case": opts["case"], "kkt_residual": res, "oracle_deviation": diff,
-                       "passed": ok}, fh, indent=2)
+            json.dump(_finite_or_null({"case": opts["case"], "kkt_residual": res,
+                                       "oracle_deviation": diff, "passed": ok}),
+                      fh, indent=2, allow_nan=False)
             fh.write("\n")
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -699,6 +703,8 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     handler, section, options = COMMANDS[args.command, args.name]
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise UsageError(f"jobs must be at least 1, got {args.jobs}")
         return handler(args, _merged(args, options, section))
     except (UsageError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,9 @@ reports first; each then calls its kernel (``_value``, ``_grad``,
 ``_dual_map``, ``_dual_jacobian``, ``_domain``), and families override
 kernels only.  A kernel takes a valid a and a flat float64 vector of length n
 as given but still checks values: where x must be positive or the dual domain
-is an interval, and where a has exhausted the dual domain.  The mirror flow
+is an interval, and where a has exhausted the dual domain.  ``_value`` also
+takes a column (G, 1) of valid strengths and returns G values, so ``value``
+evaluates a curve over a grid of strengths in one call.  The mirror flow
 steps on ``_dual_map`` directly.  ``argmin_position`` is ``dual_map(a, 0)``.
 Where R_a has no closed-form gradient (the diff-powers flow and the
 commuting-quadratic family) ``_grad`` inverts the dual map with the Newton of
@@ -75,7 +77,14 @@ class LegendreFamily:
 
     # -- family surface: check a, then the vector's shape, then run the kernel
     def value(self, a, x):
-        return self._value(self.check_a(a), self._vec(x))
+        """R_a(x) as a float; for a 1-D array of strengths, one R_a(x) per
+        strength from one kernel call, after every strength is checked."""
+        if np.ndim(a) == 0:
+            return float(self._value(self.check_a(a), self._vec(x)))
+        if np.ndim(a) != 1:
+            raise InputError(f"a must be a scalar or a 1-D grid, got shape {np.shape(a)}")
+        a = np.array([self.check_a(ai) for ai in a])
+        return self._value(a[:, None], self._vec(x))
 
     def grad(self, a, x):
         """grad R_a(x), the inverse of ``dual_map``."""
@@ -204,7 +213,7 @@ class HyperbolicEntropy(LegendreFamily):
 
     def _value(self, a, x):
         s = np.sqrt(x * x + (self.c * np.exp(2.0 * a)) ** 2)
-        return float(np.sum(x * self._grad(a, x) - 0.5 * s))
+        return np.sum(x * self._grad(a, x) - 0.5 * s, axis=-1)
 
     def _dual_map(self, a, mu):
         e = np.exp(2.0 * mu)
@@ -248,7 +257,7 @@ class Entropy(LegendreFamily):
 
     def _value(self, a, x):
         x = self._positive(x)
-        return float(0.5 * np.sum(x * np.log(x / self._scale(a)) - x))
+        return 0.5 * np.sum(x * np.log(x / self._scale(a)) - x, axis=-1)
 
     def _grad(self, a, x):
         return 0.5 * np.log(self._positive(x) / self._scale(a))
@@ -298,7 +307,8 @@ class LogCosh(LegendreFamily):
     def _value(self, a, x):
         cu = self.u0sq - 2.0 * a
         cv = self.v0sq - 2.0 * a
-        return float(0.25 * np.sum(cu * np.logaddexp(0.0, -2.0 * x) + cv * np.logaddexp(0.0, 2.0 * x)))
+        return 0.25 * np.sum(cu * np.logaddexp(0.0, -2.0 * x) + cv * np.logaddexp(0.0, 2.0 * x),
+                             axis=-1)
 
     def _grad(self, a, x):
         sig_pos = 0.5 * (1.0 + np.tanh(x))   # logistic(2x)
@@ -423,8 +433,10 @@ class QuadraticFamily(LegendreFamily):
         return (self.lam * self._terms(a, mu)) @ self.lam.T
 
     def _value(self, a, x):
+        if np.ndim(a):  # a column of strengths: one Newton solve each
+            return np.array([self._value(ai, x) for ai in a[:, 0].tolist()])
         mu = self._grad(a, x)
-        return float(mu @ x - 0.25 * np.sum(self._terms(a, mu)))
+        return mu @ x - 0.25 * np.sum(self._terms(a, mu))
 
 
 def _joint_eigenbasis(mats, tol):
@@ -464,9 +476,10 @@ class ContractingReport:
 def contracting_check(family, a_grid, x_samples, tol=1e-8):
     """Finite-difference slopes of a -> R_a(x) over an increasing a-grid.
 
-    Passes when every slope is <= tol.  Samples whose value is undefined at
-    some grid point (domain exit for the most negative a) are skipped and
-    counted.
+    Passes when every slope is <= tol.  Samples whose value is undefined or
+    not finite at some grid point (domain exit, or an underflowed exp(2a), for
+    the most negative a) are skipped and counted.  Each sample takes one
+    ``value`` call over the whole grid, so one bad sample aborts no other.
     """
     a_grid = np.asarray(a_grid, dtype=float)
     if a_grid.ndim != 1 or len(a_grid) < 2 or np.any(np.diff(a_grid) <= 0):
@@ -476,8 +489,11 @@ def contracting_check(family, a_grid, x_samples, tol=1e-8):
     n_skipped = 0
     for x in x_samples:
         try:
-            vals = np.array([family.value(a, x) for a in a_grid])
+            with np.errstate(all="ignore"):
+                vals = family.value(a_grid, x)
         except (DomainError, UnsupportedOperation):
+            vals = None
+        if vals is None or not np.all(np.isfinite(vals)):
             n_skipped += 1
             continue
         slopes = np.diff(vals) / np.diff(a_grid)

@@ -13,6 +13,7 @@ import pytest
 import mirrorlab
 from mirrorlab import (IntegratorConfig, RunRecord, Schedule, cli, flow, make_rng,
                        verify_equivalence)
+from mirrorlab.legendre import ContractingReport
 from mirrorlab.cli import (EXIT_DIVERGED, EXIT_FAIL, EXIT_OK, EXIT_USAGE,
                            CSV_COLUMNS, UsageError, load_matrix, main,
                            parse_config, write_trajectory_csv)
@@ -175,6 +176,31 @@ def test_verify_contracting_cli():
     bad = ["verify", "contracting", "--family", "quadratic-neg", "--grid", "8"]
     assert main(bad) == EXIT_FAIL
     assert main(bad + ["--expect-fail"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("family", ["entropy", "hyperbolic"])
+def test_contracting_with_no_finite_values_exits_2(tmp_path, family):
+    # below a = -372.5 exp(2a) underflows and every value is inf: every sample
+    # is skipped, so there is no slope to judge, and no RuntimeWarning escapes
+    src = str(Path(mirrorlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "mirrorlab", "verify", "contracting",
+                           "--family", family, "--a-min", "-400", "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.splitlines() == ["error: no usable (a, x) pairs for the contracting check"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_reports_are_strict_json(tmp_path):
+    # a slope that overflowed is written as null, not as the non-JSON Infinity
+    report = ContractingReport(max_slope=np.inf, max_positive_slope=np.inf, passed=False,
+                               tol=1e-8, n_pairs=49, n_skipped=0)
+    cli._write_report(str(tmp_path), "contracting", report)
+    text = (tmp_path / "contracting_report.json").read_text()
+    assert json.loads(text, parse_constant=lambda c: pytest.fail(f"non-JSON {c}")) == {
+        "max_slope": None, "max_positive_slope": None, "passed": False, "tol": 1e-8,
+        "n_pairs": 49, "n_skipped": 0}
 
 
 def test_flags_only_where_read(tmp_path):
@@ -505,13 +531,22 @@ def test_diagonal_summary_has_kkt_field(tmp_path):
     # a dictionary with a nan or an infinite cell
     (["run", "sparse-coding", "--dictionary", "nan.csv"], None, None),
     (["run", "sparse-coding", "--dictionary", "inf.csv"], None, None),
+    (["verify", "contracting", "--grid", "-1"], None, None),
+    # fewer than one worker process, on every run command
+    (["run", "sensing", "--seeds", "0,1", "--jobs", "0"], None, None),
+    (["run", "sensing", "--seeds", "0,1", "--jobs", "-2"], None, None),
+    (["run", "diagonal", "--jobs", "0"], None, None),
+    (["run", "sparse-coding", "--jobs", "-1"], None, None),
+    (["run", "flow", "--jobs", "0"], None, None),
 ], ids=["diagonal-record-every-0", "diagonal-steps-0", "sparse-coding-k-0", "sensing-m-0",
         "sensing-n-0", "flow-n-0", "flow-method-rk4", "sparse-coding-turnoff-time-0",
         "sparse-coding-n-features-0", "env-seed-abc", "seeds-0-x",
         "config-n-abc", "config-n-inf", "config-typo-stpes", "commuting-n-0",
         "commuting-n-negative", "sensing-t-end", "diagonal-variant-x", "sparse-coding-variant-x",
         "sensing-seed-negative", "seeds-0-negative", "commuting-seed-negative",
-        "optimality-seed-2-to-the-76", "dictionary-nan", "dictionary-inf"])
+        "optimality-seed-2-to-the-76", "dictionary-nan", "dictionary-inf",
+        "contracting-grid-negative", "sensing-jobs-0", "sensing-jobs-negative", "diagonal-jobs-0",
+        "sparse-coding-jobs-negative", "flow-jobs-0"])
 def test_bad_input_exits_2_with_an_error_line(tmp_path, monkeypatch, capsys, argv, env_seed,
                                               config):
     if env_seed is not None:

@@ -219,6 +219,8 @@ def test_diff_powers_flow_value_unsupported():
     dp = DiffPowersFlow(2, np.ones(1), np.ones(1))
     with pytest.raises(UnsupportedOperation):
         dp.value(0.0, np.zeros(1))
+    with pytest.raises(UnsupportedOperation):
+        dp.value(np.array([-1e-3, 0.0]), np.zeros(1))
 
 
 def test_diff_powers_domain_shrinks_two_delta():
@@ -513,6 +515,16 @@ def test_nan_a_is_rejected_by_every_method(tag):
     for name in SURFACE:
         with pytest.raises(DomainError, match="a=nan"):
             getattr(fam, name)(np.nan, *args[name])
+    # a grid of strengths is checked strength by strength before the kernel
+    # runs, so its first invalid strength raises the point call's error
+    with pytest.raises(DomainError, match="a=nan"):
+        fam.value(np.array([a, np.nan, fam.a_upper() + 1.0]), x)
+    if np.isfinite(fam.a_upper()):
+        with pytest.raises(DomainError) as point:
+            fam.value(fam.a_upper() + 1.0, x)
+        with pytest.raises(DomainError) as grid:
+            fam.value(np.array([a, fam.a_upper() + 1.0, np.nan]), x)
+        assert str(grid.value) == str(point.value)
 
 
 def _subclasses(cls):
@@ -568,3 +580,63 @@ def test_empty_quadratic_matrices_are_input_errors(build):
 def test_quadratic_w_init_length_is_checked(build):
     with pytest.raises(InputError, match="w_init has length 4, expected 3"):
         build([np.diag([1.0, 0.0, 0.0])], np.eye(3), np.ones(4))
+
+
+VALUE_FAMILIES = [t for t in CONTRACT_FAMILIES if t != "diff-powers-flow"]
+
+
+@pytest.mark.parametrize("tag", VALUE_FAMILIES)
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_value_over_a_grid_has_the_bits_of_the_point_calls(tag, seed):
+    # the grid runs from the bottom of the contract's range up to its top,
+    # the family's upper end (a_upper - 1e-3 for log-cosh, whose interval is
+    # open)
+    fam, (a_lo, a_hi), sample = contract_case(tag, make_rng(seed))
+    grid = np.linspace(a_lo, a_hi, 7)
+    for _ in range(3):
+        x = sample()
+        got = fam.value(grid, x)
+        expected = np.array([fam.value(a, x) for a in grid])
+        assert got.dtype == np.float64 and got.shape == grid.shape
+        assert got.tobytes() == expected.tobytes(), (tag, seed)
+
+
+@pytest.mark.parametrize("tag", VALUE_FAMILIES)
+def test_value_at_a_scalar_strength_is_a_float(tag):
+    fam, a, sample = _contract_point(tag, 6, 0.5)
+    x = sample()
+    for strength in (a, np.float64(a), np.array(a)):
+        assert type(fam.value(strength, x)) is float
+    with pytest.raises(InputError, match="1-D grid"):
+        fam.value(np.full((2, 2), a), x)
+
+
+def test_contracting_check_makes_one_value_call_per_sample(monkeypatch):
+    # one call over the whole grid per sample, skipped samples included; the
+    # check's speed rests on this
+    rng = make_rng(16)
+    fam = Entropy(rng.uniform(0.5, 1.5, 3))
+    xs = [rng.uniform(0.05, 3.0, 3) for _ in range(9)] + [-np.ones(3)]
+    calls = []
+    point_value = fam.value
+    monkeypatch.setattr(fam, "value", lambda a, x: calls.append(np.shape(a)) or point_value(a, x))
+    rep = contracting_check(fam, np.linspace(-2.0, 0.0, 50), xs)
+    assert calls == [(50,)] * len(xs)
+    assert rep.passed and rep.n_skipped == 1 and rep.n_pairs == 9 * 49
+
+
+@pytest.mark.parametrize("build", [
+    lambda rng: hyperbolic(rng), lambda rng: Entropy(rng.uniform(0.5, 1.5, 3))],
+    ids=["hyperbolic", "entropy"])
+def test_contracting_check_skips_samples_whose_values_are_not_finite(build):
+    # below a = -372.5 exp(2a) underflows and every value is inf; such a
+    # sample is skipped like an undefined one, without a warning, so no slope
+    # is a NaN that max() would drop
+    rng = make_rng(17)
+    fam = build(rng)
+    xs = [rng.uniform(0.05, 3.0, 3) for _ in range(5)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="no usable"):
+            contracting_check(fam, np.linspace(-400.0, 0.0, 50), xs)
