@@ -251,7 +251,8 @@ def _write_report(out, name, report):
     value that is not finite) to OUT/NAME_report.json."""
     if out:
         with open(os.path.join(_ensure_outdir(out), f"{name}_report.json"), "w") as fh:
-            fh.write(json.dumps(_finite_or_null(dataclasses.asdict(report)), allow_nan=False) + "\n")
+            row = _finite_or_null(dataclasses.asdict(report))
+            fh.write(json.dumps(row, allow_nan=False) + "\n")
 
 
 def _ensure_outdir(path):
