@@ -579,7 +579,7 @@ def cmd_run_sparse_coding(args, opts):
     wall = time.perf_counter() - t0
     stem = _write_run(args.out, f"sparse_{variant}_seed{seed}", rep, seed, wall,
                       {"flags": rep.flags, "kkt_residual": None})
-    if args.plot and len(rep.times) > 1:
+    if args.plot:
         line_plot(stem + "_l1.svg", [("code l1 norm", rep.steps, rep.metrics["l1"])],
                   title="sparse coding", xlabel="step", ylabel="l1")
     print(f"variant {variant} k={k}: final l1 {rep.summary['final_l1']:.4f}, "

@@ -4,9 +4,10 @@ All runners are deterministic given their seed and take plain Euler steps of
 the parameter flow of ``flow`` (``_param_flow``), the step size playing the
 role of a learning rate.  Each runner builds its problem (parameterization,
 loss and schedule) and a per-block finisher; the loop owns the field, the
-gradient cache, the loss-threshold watch (sensing's time to threshold), the
-unit-region flag (sparse coding), the switch-off of the strength (the
-diagonal runner's second phase) and the strength column ``a``.  The
+gradient cache, the loss-threshold watch (sensing's time to threshold) and
+the unit-region flag (sparse coding), both read on every state the run
+takes, the switch-off of the strength (the diagonal runner's second phase)
+and the strength column ``a``.  The
 finisher computes the other series from the block's stacked ``x`` and train
 losses in one call each (errors, norms and sensing's stacked ``eigvalsh``)
 with the bits of the per-state formulas.  Each runner returns the

@@ -12,14 +12,14 @@ short, relieved by dop853 steps, which reads the record times from its
 interpolating polynomial.  The runners take Euler steps of their learning
 rate; ``run flow`` and ``verify equivalence`` run dop853, and so does
 ``verify optimality`` except on its stiff sensing case, which runs bdf.  The
-engine also keeps
-every run's record: a per-snapshot hook returns named values, which the
-engine holds by reference in a block of up to ``RECORD_BLOCK`` snapshots.
-A full block, and the last one, is stacked name by name, passed through the
-run's optional finisher, which computes statistics of the stacked states in
-one call per block, and written with the step index and time into one
-preallocated table per column.  A hook must therefore not modify a value
-after returning it.
+engine also keeps every run's record: a hook sees every state the run takes,
+which is where a run's events are read, and returns named values at each
+snapshot, which the engine holds by reference in a block of up to
+``RECORD_BLOCK`` snapshots.  A full block, and the last one, is stacked name
+by name, passed through the run's optional finisher, which computes
+statistics of the stacked states in one call per block, and written with the
+step index and time into one preallocated table per column.  A hook must
+therefore not modify a value after returning it.
 
 
 * parameter space:  dw = -(Jg(w)^T grad_f(g(w)) + alpha_t grad_h(w)) dt
@@ -261,16 +261,22 @@ def _integrate(rhs, state0, n_steps, h, record_every, record, method="euler", fi
                breaks=()):
     """Euler, Dormand-Prince 8(5,3) or the NDF over the grid t_k = k h with a divergence guard.
 
-    ``rhs(t, state)`` is the vector field.  ``record(k, t, state)``
-    sees the initial state, every ``record_every``-th step and the last step,
-    and returns a dict of named values for that snapshot; every snapshot must
-    return the names of the first, or ValueError is raised.  States are never
-    modified in place.  Integration stops early when a state leaves the
-    finite range or exceeds DIVERGENCE_LIMIT, or when ``rhs`` or ``record``
-    raises DomainError; the last healthy state is then recorded only if it
-    fell on the record grid.  The guard first tries one dot product,
+    ``rhs(t, state)`` is the vector field alone: a method also evaluates it
+    on stages, rejected steps and Jacobian probes.  ``record(k, t, state)``
+    sees every state the run takes, in order, so events are read there: the
+    initial state, each accepted step and each record row, k None between
+    record times.  At the initial state, every ``record_every``-th step and
+    the last it returns a dict of named values for that snapshot, with the
+    names of the first, or ValueError is raised.  States are never modified
+    in place.  Integration stops early when a state leaves the finite range
+    or exceeds DIVERGENCE_LIMIT, or when ``rhs`` or ``record`` raises
+    DomainError; the last healthy state is then recorded only if it fell on
+    the record grid.  The guard first tries one dot product,
     ``new . new <= DIVERGENCE_LIMIT**2 / 2``, and only a state that fails it
-    pays for the exact ``max |new_i| <= DIVERGENCE_LIMIT``.
+    pays for the exact ``max |new_i| <= DIVERGENCE_LIMIT``.  The loop ignores
+    floating-point overflow, invalid and divide errors (a trial step may
+    overflow or divide by an underflowed value): the guard and the step
+    rejection handle every non-finite value.
 
     A method is a generator of (t, state, k) in increasing t, which one loop
     consumes; the loop owns the guard, the snapshots and the status of an
@@ -324,6 +330,8 @@ def _integrate(rhs, state0, n_steps, h, record_every, record, method="euler", fi
     def snapshot(k, t, state):
         nonlocal shapes
         row = record(k, t, state)
+        if k is None:
+            return
         if shapes is None:
             shapes = {name: np.shape(value) for name, value in row.items()}
         elif row.keys() != shapes.keys():
@@ -361,18 +369,18 @@ def _integrate(rhs, state0, n_steps, h, record_every, record, method="euler", fi
     steps = (_euler(rhs, state, n_steps, h, record_every) if method == "euler"
              else _ADAPTIVE[method](rhs, state, n_steps, h, record_every, breaks))
     status = None
-    try:
-        snapshot(0, t, state)
-        for t_new, new, k in steps:
-            if _runaway(new):
-                state, status = new, ("diverged", t, None)
-                break
-            state, t = new, t_new
-            if k is not None:
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            snapshot(0, t, state)
+            for t_new, new, k in steps:
+                if _runaway(new):
+                    state, status = new, ("diverged", t, None)
+                    break
+                state, t = new, t_new
                 snapshot(k, t, state)
-    except DomainError as exc:
-        status = ("domain", t, exc)
-    flush()
+        except DomainError as exc:
+            status = ("domain", t, exc)
+        flush()
     if filled < rows:
         tables = {name: col[:filled].copy() for name, col in tables.items()}
     return state, status, tables
@@ -491,14 +499,11 @@ def _dop853_accept(rhs, t, y, K, dt, t_next, t_land, grid, extra=()):
         t_right = t_land if lands else t_new
         inside, k_end = grid.within(t_new)
         try:
-            # a trial step may overflow or divide by an underflowed value;
-            # its non-finite error rejects it
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                new, err = _dop853_step(rhs, t, y, K, step, t_right)
-                if err <= 1.0 or step <= floor:
-                    K[12] = rhs(t_right, new)
-                    rows = _dense_rows(rhs, t, y, new, K, step,
-                                       [(k * grid.h - t) / step for k in inside] + list(extra))
+            new, err = _dop853_step(rhs, t, y, K, step, t_right)
+            if err <= 1.0 or step <= floor:
+                K[12] = rhs(t_right, new)
+                rows = _dense_rows(rhs, t, y, new, K, step,
+                                   [(k * grid.h - t) / step for k in inside] + list(extra))
         except DomainError:
             if step <= floor:
                 raise
@@ -638,13 +643,12 @@ def _ndf_segment(rhs, t, y, values, H, t_next, t_land, grid, J):
             pred, psi = _NDF_PREDICT[order] @ D[:order + 1]
             scale = ATOL + RTOL * np.abs(pred)
             try:
-                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    converged, iters, new, d, norm, rate = _ndf_newton(
-                        rhs, t_right, pred, c, psi, inverse, scale, rate)
-                    if not converged and not refreshed:
-                        J = _jacobian(rhs, t_right, pred, rhs(t_right, pred))
-                        inverse_c, refreshed = None, True
-                        continue
+                converged, iters, new, d, norm, rate = _ndf_newton(
+                    rhs, t_right, pred, c, psi, inverse, scale, rate)
+                if not converged and not refreshed:
+                    J = _jacobian(rhs, t_right, pred, rhs(t_right, pred))
+                    inverse_c, refreshed = None, True
+                    continue
             except DomainError:
                 if H <= floor:
                     raise
@@ -670,11 +674,10 @@ def _ndf_segment(rhs, t, y, values, H, t_next, t_land, grid, J):
         if lands or n_equal < order + 1:
             continue
         # the error estimates at one order less and one more, from the differences
-        with np.errstate(divide="ignore"):
-            factors = np.array([
-                _NDF_ERROR[order - 1] * _rms(D[order] / scale) if order > 1 else np.inf, err,
-                _NDF_ERROR[order + 1] * _rms(D[order + 2] / scale)
-                if order < _NDF_ORDER else np.inf]) ** (-1.0 / np.arange(order, order + 3))
+        factors = np.array([
+            _NDF_ERROR[order - 1] * _rms(D[order] / scale) if order > 1 else np.inf, err,
+            _NDF_ERROR[order + 1] * _rms(D[order + 2] / scale)
+            if order < _NDF_ORDER else np.inf]) ** (-1.0 / np.arange(order, order + 3))
         change = int(np.argmax(factors)) - 1
         factor = min(10.0, safety * factors.max())
         n_equal = 0
@@ -796,53 +799,38 @@ def _param_flow(p, loss, schedule: Schedule, n_steps, h, record_every, method, f
     """The parameter flow of ``p`` on ``loss``: the one place its field is built.
 
     The strength is the schedule's before ``off_after`` and zero from it on.
-    Each snapshot records "params", "x" = g(w), "train_loss" and, for a
-    parameterization with a unit region, "unit_region" (1.0 inside), and
-    keeps its loss gradient for the next step's first stage, when the engine
+    The field computes only the field; the hook reads the events on every
+    state the run takes.  Each snapshot records "params", "x" = g(w),
+    "train_loss" and, for a parameterization with a unit region,
+    "unit_region" (1.0 inside).  The hook checks the unit region and, when a
+    ``threshold`` is given, watches the loss, and keeps the loss gradient of
+    each state it evaluates for the next step's first stage, when the engine
     hands that stage the same state (every Euler step does).
-    Every evaluation checks the unit region, and watches the loss when a
-    ``threshold`` is given.  ``finish(steps, times, block)`` turns a stacked
-    block into the columns to keep; the loop adds "a" = a(min(t, off_after)).
-    Returns ``_integrate``'s (w, status, records) and the events
-    {"threshold_time": the first t whose loss is at most ``threshold``, or
-    None; "left_unit_region": whether any evaluated state left it}.
+    ``finish(steps, times, block)`` turns a stacked block into the columns to
+    keep; the loop adds "a" = a(min(t, off_after)).  Returns ``_integrate``'s
+    (w, status, records) and the events {"threshold_time": the first t whose
+    loss is at most ``threshold``, or None; "left_unit_region": whether any
+    state the run takes left it}.
     """
     inside = getattr(p, "_inside_unit_region", None)
     events = {"threshold_time": None, "left_unit_region": False}
-    cached = [None, None]  # [the last snapshot's state, the loss gradient at g(state)]
-
-    def watch(t, f_val):
-        if events["threshold_time"] is None and f_val <= threshold:
-            events["threshold_time"] = t
-
-    def unit_region(w):
-        if inside(w):
-            return 1.0
-        events["left_unit_region"] = True
-        return 0.0
+    cached = [None, None]  # [the last evaluated state, the loss gradient at g(state)]
 
     def rhs(t, w):
-        if w is cached[0]:
-            grad = cached[1]
-        else:
-            x = p._g(w)
-            if inside is not None:
-                unit_region(w)
-            if threshold is None:
-                grad = loss._grad(x)
-            else:
-                f_val, grad = loss._value_and_grad(x)
-                watch(t, f_val)
+        grad = cached[1] if w is cached[0] else loss._grad(p._g(w))
         return p._flow_rhs(w, grad, schedule.alpha(t) if t < off_after else 0.0)
 
     def record(k, t, w):
+        if k is None and threshold is None and inside is None:
+            return None
         x = p._g(w)
         row = {"params": w, "x": x}
         if inside is not None:
-            row["unit_region"] = unit_region(w)
+            row["unit_region"] = 1.0 if inside(w) else 0.0
+            events["left_unit_region"] |= not row["unit_region"]
         row["train_loss"], grad = loss._value_and_grad(x)
-        if threshold is not None:
-            watch(t, row["train_loss"])
+        if threshold is not None and events["threshold_time"] is None:
+            events["threshold_time"] = t if row["train_loss"] <= threshold else None
         cached[:] = w, grad
         return row
 
@@ -893,6 +881,8 @@ def run_mirror_flow(family, loss, schedule: Schedule, cfg: IntegratorConfig) -> 
         return -loss._grad(family._dual_map(schedule.a(t), mu))
 
     def record(k, t, mu):
+        if k is None:
+            return None
         x = family._dual_map(schedule.a(t), mu)
         return {"mu": mu, "x": x, "train_loss": loss._value(x)}
 

@@ -36,19 +36,20 @@ def _fmt(v):
 
 
 def line_plot(path, curves, title="", xlabel="", ylabel="", logy=False):
-    """Write an SVG with one polyline per (label, xs, ys) curve."""
+    """Write an SVG with one polyline per (label, xs, ys) curve.
+
+    A curve with no plottable point (finite, and positive on a log axis) is
+    left out; with none left, the frame is drawn alone."""
     data = []
     for label, xs, ys in curves:
         pts = [(float(x), float(y)) for x, y in zip(xs, ys)
                if math.isfinite(x) and math.isfinite(y) and (not logy or y > 0)]
         if pts:
             data.append((label, pts))
-    if not data:
-        raise ValueError("nothing to plot")
     xs_all = [p[0] for _, pts in data for p in pts]
     ys_all = [math.log10(p[1]) if logy else p[1] for _, pts in data for p in pts]
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
+    x_lo, x_hi = min(xs_all, default=0.0), max(xs_all, default=0.0)
+    y_lo, y_hi = min(ys_all, default=0.0), max(ys_all, default=0.0)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:

@@ -178,15 +178,21 @@ def test_verify_contracting_cli():
     assert main(bad + ["--expect-fail"]) == EXIT_OK
 
 
+def _run_in_a_subprocess(*argv):
+    """``python -m mirrorlab ARGV`` against the package under test, whose
+    stderr carries every warning that escapes it."""
+    src = str(Path(mirrorlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "mirrorlab", *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
 @pytest.mark.parametrize("family", ["entropy", "hyperbolic"])
 def test_contracting_with_no_finite_values_exits_2(tmp_path, family):
     # below a = -372.5 exp(2a) underflows and every value is inf: every sample
     # is skipped, so there is no slope to judge, and no RuntimeWarning escapes
-    src = str(Path(mirrorlab.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-m", "mirrorlab", "verify", "contracting",
-                           "--family", family, "--a-min", "-400", "--out", str(tmp_path)],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = _run_in_a_subprocess("verify", "contracting", "--family", family, "--a-min", "-400",
+                                "--out", str(tmp_path))
     assert proc.returncode == EXIT_USAGE
     assert proc.stderr.splitlines() == ["error: no usable (a, x) pairs for the contracting check"]
     assert list(tmp_path.iterdir()) == []
@@ -427,8 +433,7 @@ def test_run_flow_that_stops_early_says_so_in_its_summary(tmp_path, capsys):
     # Euler steps of 2 blow the hyperbolic mirror flow up near t = 4
     args = ["run", "flow", "--out", str(tmp_path), "--family", "hyperbolic", "--method", "euler",
             "--step", "2", "--t-end", "200", "--record-every", "1"]
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(args) == EXIT_DIVERGED
+    assert main(args) == EXIT_DIVERGED
     assert "flow stopped early: mirror flow diverged near t=4" in capsys.readouterr().err
     # the truncated CSV is written: the rows up to the last finite step
     rows = (tmp_path / "flow_hyperbolic_seed0.csv").read_text().splitlines()[1:]
@@ -437,6 +442,25 @@ def test_run_flow_that_stops_early_says_so_in_its_summary(tmp_path, capsys):
     text = (tmp_path / "flow_hyperbolic_seed0_summary.json").read_text()
     summary = json.loads(text, parse_constant=lambda token: pytest.fail(f"bare {token} in JSON"))
     assert summary["diverged"] is True and summary["final_train_loss"] is None
+
+
+def test_run_flow_that_stops_early_prints_one_line_and_no_warning(tmp_path):
+    # the run overflows on its way out of the finite range; the engine's
+    # guard reports that, and no RuntimeWarning reaches stderr
+    proc = _run_in_a_subprocess("run", "flow", "--family", "hyperbolic", "--method", "euler",
+                                "--step", "1", "--t-end", "200", "--alpha0", "0",
+                                "--out", str(tmp_path))
+    assert proc.returncode == EXIT_DIVERGED
+    assert proc.stderr.splitlines() == ["flow stopped early: mirror flow diverged near t=3"]
+
+
+def test_run_plots_a_loss_that_is_never_positive(tmp_path):
+    # no sparsity: the ground truth, the start and every step are x = 0, so
+    # the log-axis loss plot has no point to draw and shows its frame alone
+    args = ["run", "diagonal", "--out", str(tmp_path), "--sparsity", "0", "--steps", "10",
+            "--plot"]
+    assert main(args) == EXIT_OK
+    _assert_svg(tmp_path / "diagonal_mw_seed0_loss.svg")
 
 
 def test_run_flow_dop853_records_the_grid_rows(tmp_path):

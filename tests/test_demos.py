@@ -1,5 +1,5 @@
-"""Every demo runs to completion against the package in ``src``, and no run
-leaves its parameterization's unit region."""
+"""Every demo runs to completion against the package in ``src`` without a
+word on stderr, and no run leaves its parameterization's unit region."""
 
 import os
 import subprocess
@@ -17,5 +17,6 @@ def test_demo_exits_0(tmp_path, demo):
     run = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env,
                          cwd=tmp_path, timeout=300)
     assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
     # demo 04's log-ratio runs start inside the region their dual map assumes
     assert "(left u,v > 1 region)" not in run.stdout

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from mirrorlab.experiments import LOSS_THRESHOLD
+
 from mirrorlab import (DiffPowers, Entropy, Hadamard, HyperbolicEntropy, InputError,
                        IntegratorConfig, LinearRegressionLoss, LogRatio,
                        RegressionConfig, Schedule, SensingConfig,
@@ -340,6 +342,20 @@ def test_sparse_coding_recording_changes_no_step(p):
                                               "left_unit_region": p.tag == "log-ratio"}
 
 
+# Euler's threshold time is the time of its first step whose loss is at most
+# the threshold, whatever the recording interval
+@pytest.mark.parametrize("kind, alpha0, turnoff, expected", [
+    ("constant", 0.0, 0.0, 140.75), ("turnoff", 0.2, 62.5, 676.25)], ids=["zero", "const0.2to"])
+def test_sensing_time_to_threshold_is_the_first_step_below_it(kind, alpha0, turnoff, expected):
+    sched = Schedule(kind, alpha0, turnoff_time=turnoff, t_end=1250.0)
+    sparse, dense = [matrix_sensing_run(SensingConfig(steps=5000, schedule=sched, seed=0,
+                                                      record_every=every))
+                     for every in (10, 1)]
+    first = dense.times[np.argmax(dense.metrics["train_loss"] <= LOSS_THRESHOLD)]
+    assert sparse.summary["time_to_threshold"] == dense.summary["time_to_threshold"] == first
+    assert first == expected
+
+
 def _assert_same_steps(dense, sparse):
     assert dense.final_params.tobytes() == sparse.final_params.tobytes()
     shared = np.isin(dense.steps, sparse.steps)
@@ -357,7 +373,8 @@ def test_sensing_spectrum_metrics_match_the_svd(kind, monkeypatch):
     def spy(rhs, state0, n_steps, h, record_every, record, method="euler", finish=None,
             breaks=()):
         def spied(k, t, w):
-            seen.append(w)
+            if k is not None:  # the hook also sees the steps between record times
+                seen.append(w)
             return record(k, t, w)
         return integrate(rhs, state0, n_steps, h, record_every, spied, method, finish, breaks)
 

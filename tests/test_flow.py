@@ -570,6 +570,34 @@ def test_a_recorded_run_peaks_near_the_size_of_its_record():
     assert peak <= 1.3 * kept, (peak, kept)
 
 
+@pytest.mark.parametrize("method", ["dop853", "bdf"])
+def test_adaptive_threshold_time_is_a_state_the_run_takes(method, monkeypatch):
+    # the field is evaluated on stages, rejected steps and Jacobian probes as
+    # well; the threshold time must be the first state the run takes (an
+    # accepted step or a record row) whose loss is at most the threshold
+    seen = []
+    integrate = flow._integrate
+
+    def spy(rhs, state0, n_steps, h, record_every, record, *args, **kwargs):
+        def spied(k, t, w):
+            seen.append((t, w))
+            return record(k, t, w)
+        return integrate(rhs, state0, n_steps, h, record_every, spied, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "_integrate", spy)
+    cfg = SensingConfig(n=6, r=2, m=30, seed=0)
+    _, A, y, U = experiments.make_sensing_problem(cfg)
+    loss = experiments.SensingLoss(A, y)
+    sched = Schedule("turnoff", 0.02, turnoff_time=25.0, t_end=50.0)
+    p = SymFactor(U)
+    _, status, _, events = flow._param_flow(p, loss, sched, 200, 0.25, 1, method,
+                                            lambda steps, times, block: block, threshold=1e-4)
+    assert status is None
+    first = next(t for t, w in seen if loss.value(p.g(w)) <= 1e-4)
+    assert events["threshold_time"] == first
+    assert len(seen) > 201  # the accepted steps besides the 201 record rows
+
+
 def test_log_ratio_domain_exit():
     p = LogRatio([0.5], [0.5])
     sched = Schedule("constant", 5.0, t_end=5.0)
