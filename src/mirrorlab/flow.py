@@ -330,8 +330,6 @@ def _integrate(rhs, state0, n_steps, h, record_every, record, method="euler", fi
     def snapshot(k, t, state):
         nonlocal shapes
         row = record(k, t, state)
-        if k is None:
-            return
         if shapes is None:
             shapes = {name: np.shape(value) for name, value in row.items()}
         elif row.keys() != shapes.keys():
@@ -377,7 +375,10 @@ def _integrate(rhs, state0, n_steps, h, record_every, record, method="euler", fi
                     state, status = new, ("diverged", t, None)
                     break
                 state, t = new, t_new
-                snapshot(k, t, state)
+                if k is None:  # a state between record times: its row is dropped
+                    record(None, t, state)
+                else:
+                    snapshot(k, t, state)
         except DomainError as exc:
             status = ("domain", t, exc)
         flush()
@@ -828,10 +829,11 @@ def _param_flow(p, loss, schedule: Schedule, n_steps, h, record_every, method, f
         if inside is not None:
             row["unit_region"] = 1.0 if inside(w) else 0.0
             events["left_unit_region"] |= not row["unit_region"]
-        row["train_loss"], grad = loss._value_and_grad(x)
-        if threshold is not None and events["threshold_time"] is None:
-            events["threshold_time"] = t if row["train_loss"] <= threshold else None
+        f_val, grad = loss._value_and_grad(x)
+        if threshold is not None and f_val <= threshold and events["threshold_time"] is None:
+            events["threshold_time"] = t
         cached[:] = w, grad
+        row["train_loss"] = f_val
         return row
 
     def finish_block(steps, times, block):
