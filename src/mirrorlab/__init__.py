@@ -8,16 +8,14 @@ exercise the convergence and optimality statements behind the construction.
 
 from .core import (DivergedError, DomainError, DomainExitError, InputError,
                    IntegratorConfig, MirrorlabError, RunRecord, Schedule,
-                   UnsupportedOperation, make_rng, nuclear_frobenius_ratio,
-                   nuclear_norm)
+                   UnsupportedOperation, make_rng)
 from .reparam import (DeepHadamard, DiffPowers, DiffSquares, Hadamard,
                       L1Identity, LogRatio, Parameterization,
                       QuadraticCommuting, SymFactor)
 from .legendre import (ContractingReport, DiffPowersFlow, DomainSpec, Entropy,
                        HyperbolicEntropy, LegendreFamily, LogCosh,
                        QuadraticFamily, contracting_check, family_for)
-from .commute import (check_commuting, check_quadratic_commuting, hessian_fd,
-                      lie_bracket)
+from .commute import check_commuting, hessian_fd, lie_bracket
 from .flow import (EquivalenceReport, LinearRegressionLoss, QuadraticLoss,
                    run_mirror_flow, run_param_flow, verify_equivalence)
 from .experiments import (RegressionConfig, SensingConfig,

@@ -5,12 +5,14 @@ Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 ``COMMANDS``, with their defaults; a run takes the options of its config
 from the fields of the config class, and the parser derives one flag per
 option from there.  Config files are flat ``key = value`` text with
-``[section]`` headers; command-line flags override config values.  The environment
-variable MIRRORLAB_SEED overrides any configured seed, a ``--seeds`` sweep
-included.  Each option is then cast once to the type of its default; a value
-that cannot be read as that type, or a float option that is not finite, is a
-usage error.  Every ``run`` command writes the ``RunRecord`` of its run, also
-of one that stopped early, as a trajectory CSV and a summary JSON.
+``[section]`` headers; command-line flags override config values.  The
+environment variable MIRRORLAB_SEED overrides any configured seed, a
+``--seeds`` sweep included.  Flags, config values and MIRRORLAB_SEED all
+arrive as text, and ``_typed`` reads each option's text once as the type of
+its default; a value that cannot be read as that type, or a float option
+that is not finite, is a usage error, with the same ``error:`` line from
+every source.  Every ``run`` command writes the ``RunRecord`` of its run,
+also of one that stopped early, as a trajectory CSV and a summary JSON.
 """
 
 from __future__ import annotations
@@ -66,34 +68,17 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 def parse_config(path):
-    """Flat key = value sections -> {"section.key": parsed value}."""
+    """Flat key = value sections -> {"section.key": the value's stripped text}."""
     if not os.path.exists(path):
         raise UsageError(f"config file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         cp.read(path)
+        # items() interpolates, so a stray "%" raises here, not at read()
+        return {f"{section}.{key}": raw.strip()
+                for section in cp.sections() for key, raw in cp.items(section)}
     except configparser.Error as exc:
         raise UsageError(f"bad config {path}: {exc}")
-    out = {}
-    for section in cp.sections():
-        for key, raw in cp.items(section):
-            out[f"{section}.{key}"] = _parse_value(raw)
-    return out
-
-
-def _parse_value(raw):
-    raw = raw.strip()
-    low = raw.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
-    for cast in (int, float):
-        try:
-            return cast(raw)
-        except ValueError:
-            pass
-    return raw
 
 
 def load_matrix(path):
@@ -190,16 +175,21 @@ def _finite_or_null(value):
 # ---------------------------------------------------------------------------
 
 def _merged(args, defaults, section):
-    """defaults < config file < explicit flags < MIRRORLAB_SEED, each value cast
-    once to the type of its default.  A key of the command's own [section]
-    that is none of its options is a usage error; [schedule] is shared by
-    every command and read, not checked."""
+    """defaults < config file < explicit flags < MIRRORLAB_SEED, each value
+    read from its text once, by _typed, as the type of its default.  A
+    command reads its own [section] and the shared [schedule]; a config key
+    must be an option of a command that reads its section (any command, for
+    [schedule]), so a typo or a section no command reads is a usage error."""
     merged = dict(defaults)
     if args.config:
         for key, val in parse_config(args.config).items():
             sect, _, name = key.partition(".")
-            if sect == section and name not in merged:
-                raise UsageError(f"[{section}] {name}: not an option of this command")
+            readers = [opts for _, own, opts in COMMANDS.values() if sect in (own, "schedule")]
+            if not readers:
+                raise UsageError(f"[{sect}] {name}: no command reads [{sect}]")
+            if not any(name in opts for opts in readers):
+                whose = "this command" if sect == section else "any command reading it"
+                raise UsageError(f"[{sect}] {name}: not an option of {whose}")
             if sect in (section, "schedule") and name in merged:
                 merged[name] = val
     for name in defaults:
@@ -217,15 +207,13 @@ def _merged(args, defaults, section):
 
 
 def _typed(name, val, kind):
-    """val cast to kind; UsageError naming the option if val cannot be read as a
-    kind, is a float with a fractional part and kind is int, or is a float
-    that is not finite."""
+    """val, the text of an option or its default, read as kind; UsageError
+    naming the option if it cannot be, or if it reads as a float that is not
+    finite."""
     try:
         out = kind(val)
-    except (TypeError, ValueError, OverflowError):
+    except ValueError:
         raise UsageError(f"{name}: cannot read {val!r} as {kind.__name__}")
-    if kind is int and isinstance(val, float) and out != val:
-        raise UsageError(f"{name}: cannot read {val!r} as int")
     if kind is float and not math.isfinite(out):
         raise UsageError(f"{name} must be finite, got {out}")
     return out
@@ -632,9 +620,9 @@ def cmd_run_flow(args, opts):
 # (group, name) -> (handler, config section, {option: default}): the one
 # declaration of each command's options, a run's config options being the
 # fields of its config class.  build_parser derives a flag per
-# option, typed by its default (``kind`` is spelled --schedule); _merged reads
-# the command's [section] plus the shared [schedule]; main calls
-# handler(args, options).
+# option, which argparse hands over as text (``kind`` is spelled --schedule);
+# _merged reads the command's [section] plus the shared [schedule] and types
+# every option; main calls handler(args, options).
 COMMANDS = {
     ("verify", "commuting"): (cmd_verify_commuting, "commuting", {
         "variant": "hadamard", "n": 3, "depth": 3, "samples": 50, "tol": 1e-4, "seed": 0}),
@@ -685,7 +673,7 @@ def build_parser():
             sp.add_argument("--expect-fail", action="store_true")
         for opt, default in options.items():
             flag = "--schedule" if opt == "kind" else "--" + opt.replace("_", "-")
-            sp.add_argument(flag, dest=opt, type=type(default), default=None,
+            sp.add_argument(flag, dest=opt, default=None,
                             help=f"{_HELP.get(opt, '')} (default {default!r})")
     return top
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import InputError, make_rng, quadratic_matrices
+from .core import InputError, make_rng
 
 
 def _grad_field(p, idx):
@@ -101,22 +101,3 @@ def check_commuting(p, n_samples=50, tol=1e-4, seed=0):
         worst_sample=[] if worst_w is None else worst_w.tolist(),
         worst_pair=worst_pair,
     )
-
-
-@dataclass
-class QuadCommuteReport:
-    max_commutator_fro: float
-    passed: bool
-    tol: float
-
-
-def check_quadratic_commuting(A_list, B, tol=1e-10):
-    """Max Frobenius norm of pairwise commutators over {A_1..A_d, B}."""
-    A_list, B = quadratic_matrices(A_list, B)
-    mats = A_list + [B]
-    worst = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            worst = max(worst, float(np.linalg.norm(comm)))
-    return QuadCommuteReport(max_commutator_fro=worst, passed=worst <= tol, tol=tol)

@@ -221,22 +221,6 @@ class RunRecord:
                    summary=summary, diverged=status is not None, **fields)
 
 
-def nuclear_frobenius_ratio(X):
-    """||X||_nuclear / ||X||_frobenius; >= 1 always, == 1 exactly for rank one."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise InputError("expected a matrix")
-    s = np.linalg.svd(X, compute_uv=False)
-    fro = np.sqrt(np.sum(s * s))
-    if fro == 0.0:
-        raise DomainError("norm ratio is undefined for the zero matrix")
-    return float(np.sum(s) / fro)
-
-
-def nuclear_norm(X):
-    return float(np.sum(np.linalg.svd(np.asarray(X, dtype=float), compute_uv=False)))
-
-
 def check_finite(**values):
     """InputError naming the first of ``values`` that is not a finite number.
 

@@ -41,14 +41,11 @@ class SensingLoss(LinearRegressionLoss):
 
 
 class DictionaryLoss(LinearRegressionLoss):
-    """f(code) = ||D code - target||^2 / 2; gradient Lipschitz constant sigma_max(D)^2."""
+    """f(code) = ||D code - target||^2 / 2."""
 
     def __init__(self, D, target):
         super().__init__(D, target)
         self.d = 1
-
-    def lipschitz(self):
-        return float(np.linalg.norm(self.Z, 2) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +289,8 @@ def sparse_coding_run(dictionary, target, variant_p, schedule: Schedule,
     if variant_p.dim_model != D.shape[1]:
         raise InputError("code length must match the dictionary's feature count")
     loss = DictionaryLoss(D, target)
-    eta = cfg.lr_scale / loss.lipschitz()
+    # the gradient's Lipschitz constant is sigma_max(D)^2
+    eta = cfg.lr_scale / float(np.linalg.norm(D, 2) ** 2)
 
     n_obs = D.shape[0]
 

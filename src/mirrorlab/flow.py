@@ -52,7 +52,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import reparam
 from .core import (DivergedError, DomainError, DomainExitError, InputError,
                    IntegratorConfig, RunRecord, Schedule, flat_vector)
 from .legendre import family_for
@@ -937,13 +936,10 @@ def verify_equivalence(p, loss, schedule: Schedule, cfg: IntegratorConfig,
     """Run the parameter flow of ``p`` and the mirror flow of its matched family,
     ``legendre.family_for(p)``, and compare the model iterates.
 
-    A parameterization without a family raises ``family_for``'s InputError;
-    products of depth three or more, whose coordinate fields do not commute
-    with weight decay, are refused outright.  The diff-powers and log-cosh
-    families match their flows only while no strength accumulates.
+    A parameterization without a family, a product of depth three or more
+    among them, raises ``family_for``'s InputError.  The diff-powers and
+    log-cosh families match their flows only while no strength accumulates.
     """
-    if isinstance(p, reparam.DeepHadamard) and p.depth >= 3:
-        raise InputError("depth >= 3 products do not commute with weight decay; no matched family")
     family = family_for(p)
     x_p = run_param_flow(p, loss, schedule, cfg).metrics["x"]
     x_m = run_mirror_flow(family, loss, schedule, cfg).metrics["x"]

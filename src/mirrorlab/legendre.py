@@ -415,10 +415,6 @@ class QuadraticFamily(LegendreFamily):
         self.b = np.diag(V.T @ B @ V)
         self.z2 = (V.T @ w_init) ** 2
 
-    @classmethod
-    def from_parameterization(cls, p):
-        return cls(p.A, p.B, p.w_init)
-
     def a_upper(self):
         return np.inf
 
@@ -512,16 +508,22 @@ def contracting_check(family, a_grid, x_samples, tol=1e-8):
 
 
 def family_for(p):
-    """Default matched family for a parameterization (used by equivalence checks)."""
+    """Default matched family for a parameterization (used by equivalence
+    checks).  InputError for a product of three or more factors, whose
+    coordinate fields do not commute with weight decay, and for a
+    parameterization with no family."""
     from . import reparam
 
-    if isinstance(p, reparam.Hadamard) or (isinstance(p, reparam.DeepHadamard) and p.depth == 2):
-        m0, w0 = p.split(p.w_init)
+    if isinstance(p, reparam.DeepHadamard):  # Hadamard is its depth 2
+        if p.depth >= 3:
+            raise InputError("depth >= 3 products do not commute with weight decay; "
+                             "no matched family")
+        m0, w0 = p.w_init.reshape(2, -1)
         if np.all(m0 == w0) and np.all(m0 > 0):
             return Entropy(m0 * w0)
         return HyperbolicEntropy.from_hadamard(m0, w0)
     if isinstance(p, reparam.QuadraticCommuting):
-        return QuadraticFamily.from_parameterization(p)
+        return QuadraticFamily(p.A, p.B, p.w_init)
     if isinstance(p, reparam.DiffPowers) and p.k > 1:  # k = 1 is DiffSquares
         return DiffPowersFlow(p.k, p.u0, p.v0)
     if isinstance(p, reparam.LogRatio):

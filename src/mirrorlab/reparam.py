@@ -130,9 +130,6 @@ class DeepHadamard(Parameterization):
                                             for j in range(self.depth)]).T)
         super().__init__(self.depth * n, n, np.concatenate(factors))
 
-    def split(self, w):
-        return self._check_params(w).reshape(self.depth, self.dim_model)
-
     def _g(self, w):
         # the factor rows multiplied left to right, the order np.prod(axis=0) uses
         f = w.reshape(self.depth, self.dim_model)

@@ -18,11 +18,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "mirrorlab"
 PERFBENCH = ROOT / "perfbench"
 SOURCES = [PACKAGE, ROOT / "demos", PERFBENCH]
-# kept for the tests as references for the package's results: the SVD
-# nuclear norm and nuclear/Frobenius ratio that the sensing finisher's
-# eigvalsh statistics are checked against, and the pairwise commutators
-# behind the quadratic family
-ALLOWED = {"nuclear_norm", "nuclear_frobenius_ratio", "check_quadratic_commuting"}
 # methods kept for the tests, with the property each one checks
 ALLOWED_METHODS = {
     "LegendreFamily.bregman_divergence": "the Legendre contract: a nonnegative Bregman divergence",
@@ -85,7 +80,7 @@ def _unreached_exports():
     init = ast.parse((PACKAGE / "__init__.py").read_text())
     exports = {alias.asname or alias.name
                for node in init.body if isinstance(node, ast.ImportFrom) for alias in node.names}
-    return exports, {name for name in exports if not _reached(refs, name, tops[name])}
+    return {name for name in exports if not _reached(refs, name, tops[name])}
 
 
 def _subclasses(classes):
@@ -118,13 +113,7 @@ def _unreached_methods():
 
 
 def test_every_export_is_reached_outside_the_tests():
-    exports, unreached = _unreached_exports()
-    assert ALLOWED <= exports
-    assert sorted(unreached - ALLOWED) == []
-
-
-def test_the_allowlist_names_only_unreached_exports():
-    assert sorted(ALLOWED - _unreached_exports()[1]) == []
+    assert sorted(_unreached_exports()) == []
 
 
 def test_every_public_method_is_reached_outside_the_tests():

@@ -20,13 +20,13 @@ from mirrorlab.cli import (EXIT_DIVERGED, EXIT_FAIL, EXIT_OK, EXIT_USAGE,
 
 
 def test_parse_config_sections(tmp_path):
+    # each value is its text; the options' types are applied later, once
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[schedule]\nkind = turnoff\nalpha0 = 0.02\nturnoff_time = 625\n"
-                   "t_end = 1250\n[sensing]\nseed = 3\nsteps = 100\n# comment\n")
-    parsed = parse_config(str(cfg))
-    assert parsed["schedule.kind"] == "turnoff"
-    assert parsed["schedule.alpha0"] == 0.02
-    assert parsed["sensing.seed"] == 3
+                   "t_end = 1250\n[sensing]\nseed = 3\nsteps = 100  # inline\n# comment\n")
+    assert parse_config(str(cfg)) == {
+        "schedule.kind": "turnoff", "schedule.alpha0": "0.02", "schedule.turnoff_time": "625",
+        "schedule.t_end": "1250", "sensing.seed": "3", "sensing.steps": "100"}
 
 
 def test_parse_config_missing():
@@ -542,6 +542,15 @@ def test_diagonal_summary_has_kkt_field(tmp_path):
     (["run", "flow"], None, "[flow]\nn = abc\n"),
     (["run", "flow"], None, "[flow]\nn = inf\n"),
     (["run", "flow"], None, "[flow]\nstpes = 3\n"),
+    # config values are read as the flags are, not guessed as bools or floats
+    (["run", "sensing"], None, "[sensing]\nsteps = yes\n"),
+    (["run", "diagonal"], None, "[diagonal]\neta = true\n"),
+    (["run", "diagonal"], None, "[diagonal]\nsteps = 1e1\n"),
+    # a [schedule] key no command reads, a section no command reads, and a
+    # "%" that configparser cannot interpolate
+    (["run", "diagonal"], None, "[schedule]\nalpa0 = 0.5\n"),
+    (["run", "diagonal"], None, "[diagonl]\nsteps = 10\n"),
+    (["run", "flow"], None, "[flow]\nseed = 5%\n"),
     (["verify", "commuting", "--n", "0"], None, None),
     (["verify", "commuting", "--n", "-2"], None, None),
     (["run", "sensing", "--t-end", "5"], None, None),
@@ -565,7 +574,9 @@ def test_diagonal_summary_has_kkt_field(tmp_path):
 ], ids=["diagonal-record-every-0", "diagonal-steps-0", "sparse-coding-k-0", "sensing-m-0",
         "sensing-n-0", "flow-n-0", "flow-method-rk4", "sparse-coding-turnoff-time-0",
         "sparse-coding-n-features-0", "env-seed-abc", "seeds-0-x",
-        "config-n-abc", "config-n-inf", "config-typo-stpes", "commuting-n-0",
+        "config-n-abc", "config-n-inf", "config-typo-stpes", "config-steps-yes",
+        "config-eta-true", "config-steps-1e1", "config-schedule-typo-alpa0",
+        "config-section-typo", "config-percent", "commuting-n-0",
         "commuting-n-negative", "sensing-t-end", "diagonal-variant-x", "sparse-coding-variant-x",
         "sensing-seed-negative", "seeds-0-negative", "commuting-seed-negative",
         "optimality-seed-2-to-the-76", "dictionary-nan", "dictionary-inf",
@@ -618,15 +629,36 @@ def test_non_finite_numbers_exit_2_naming_the_option(tmp_path, capsys, argv, opt
 
 
 def test_config_key_outside_the_options_names_its_section(tmp_path, capsys):
-    # a typo in the command's own section is an error; [schedule] is shared
-    # by every command, so keys a command does not read pass there
+    # a key must be an option of a command that reads its section: the
+    # command's own section, another command's, or [schedule], which every
+    # command reads, so keys this command does not read pass there
     cfg = tmp_path / "typo.cfg"
-    cfg.write_text("[flow]\nstpes = 3\n")
-    assert main(["run", "flow", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
-    assert "error: [flow] stpes" in capsys.readouterr().err
-    cfg.write_text("[schedule]\nkind = constant\nsteps = 3\n[sensing]\nseed = 1\n")
+    for text in ("[flow]\nstpes = 3\n", "[schedule]\nalpa0 = 0.5\n", "[diagonl]\nsteps = 3\n",
+                 "[sensing]\nstpes = 3\n"):
+        cfg.write_text(text)
+        assert main(["run", "flow", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+        section, key = text.split("\n")[0], text.split()[1]
+        assert capsys.readouterr().err.startswith(f"error: {section} {key}:")
+    cfg.write_text("[schedule]\nkind = constant\nsteps = 3\nt_end = 5\n[sensing]\nseed = 1\n")
     assert main(["run", "flow", "--config", str(cfg), "--out", str(tmp_path),
                  "--t-end", "0.01"]) == EXIT_OK
+
+
+def test_a_bad_value_reads_the_same_from_every_source(tmp_path, monkeypatch, capsys):
+    # flags, config values and MIRRORLAB_SEED all reach the one cast as
+    # text, so a seed that is not an int gets one and the same error line
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("[diagonal]\nseed = 1e1\n")
+    argv = ["run", "diagonal", "--out", str(tmp_path / "out")]
+    assert main(argv + ["--seed", "1e1"]) == EXIT_USAGE
+    assert main(argv + ["--config", str(cfg)]) == EXIT_USAGE
+    monkeypatch.setenv("MIRRORLAB_SEED", "1e1")
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == ["error: seed: cannot read '1e1' as int"] * 3
+    assert not (tmp_path / "out").exists()
+    # argparse hands every option over as text, and only --jobs typed
+    args = cli._parser().parse_args(argv + ["--steps", "10", "--eta", "0.5", "--jobs", "2"])
+    assert (args.steps, args.eta, args.jobs) == ("10", "0.5", 2)
 
 
 def test_readme_command_lines_parse():

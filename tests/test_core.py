@@ -7,8 +7,9 @@ from scipy.integrate import quad
 from mirrorlab import (DomainError, DomainExitError, Entropy, Hadamard, InputError,
                        IntegratorConfig, LogRatio, QuadraticLoss, RegressionConfig, Schedule,
                        SensingConfig, SparseCodingConfig, diagonal_network_run,
-                       make_dictionary, make_rng, matrix_sensing_run, nuclear_frobenius_ratio,
+                       make_dictionary, make_rng, matrix_sensing_run,
                        run_mirror_flow, run_param_flow, sparse_coding_run)
+from references import nuclear_frobenius_ratio
 
 KINDS = ["constant", "turnoff", "linear-decay", "cosine-decay"]
 

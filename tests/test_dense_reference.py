@@ -21,7 +21,7 @@ from mirrorlab.flow import LinearRegressionLoss
 
 def dense_jacobian(p, w):
     """DeepHadamard's textbook Jacobian [diag(prod_{i != j} f_i)]_j, products in factor order."""
-    f = p.split(w)
+    f = w.reshape(p.depth, p.dim_model)
     blocks = []
     for j in range(p.depth):
         others = [f[i] for i in range(p.depth) if i != j]

@@ -12,8 +12,9 @@ from mirrorlab import (DiffPowers, Entropy, Hadamard, HyperbolicEntropy, InputEr
                        SparseCodingConfig, constrained_argmin,
                        diagonal_network_run, kkt_residual, make_dictionary,
                        make_regression_problem, make_rng, make_sensing_problem,
-                       matrix_sensing_run, nuclear_frobenius_ratio, nuclear_norm,
-                       run_param_flow, sparse_coding_run, stationarity_step)
+                       matrix_sensing_run, run_param_flow, sparse_coding_run,
+                       stationarity_step)
+from references import nuclear_frobenius_ratio, nuclear_norm
 
 
 def small_sensing(schedule, seed=0, kind="random-symmetric", steps=800):

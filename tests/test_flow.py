@@ -137,7 +137,7 @@ def test_equivalence_log_ratio_matches_log_cosh_only_without_strength():
 
 def test_equivalence_refuses_depth_three():
     p = DeepHadamard([np.ones(2)] * 3)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="do not commute"):
         verify_equivalence(p, quad_loss(2), Schedule("constant", 0.0, t_end=1.0),
                            IntegratorConfig("dop853", 1e-2, 1.0))
 
@@ -822,7 +822,7 @@ def _runs():
                 Entropy(rng.uniform(0.5, 1.5, n)),
                 LogCosh(rng.uniform(0.8, 1.5, n), rng.uniform(0.8, 1.5, n)),
                 DiffPowersFlow(2, rng.uniform(0.9, 1.4, n), rng.uniform(0.9, 1.4, n)),
-                QuadraticFamily.from_parameterization(quadratic)]
+                QuadraticFamily(quadratic.A, quadratic.B, quadratic.w_init)]
     runs.update({f"mirror {f.tag}": _mirror_flow(f, zero_loss(f.n)) for f in families})
     runs["sensing"] = _sensing
     runs.update({f"diagonal {v}": _diagonal(v) for v in ("m", "mw", "mwz")})

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrorlab import (DiffPowers, DiffPowersFlow, DomainError, Entropy,
+from mirrorlab import (DeepHadamard, DiffPowers, DiffPowersFlow, DomainError, Entropy,
                        Hadamard, HyperbolicEntropy, InputError,
                        LegendreFamily, LogCosh, LogRatio, QuadraticCommuting,
-                       QuadraticFamily, UnsupportedOperation, check_quadratic_commuting,
-                       constrained_argmin, contracting_check, family_for,
-                       make_rng)
+                       QuadraticFamily, UnsupportedOperation, constrained_argmin,
+                       contracting_check, family_for, make_rng)
+from references import max_commutator_fro
 
 
 def hyperbolic(rng, n=3):
@@ -309,10 +309,18 @@ def test_family_for_dispatch():
     m0 = rng.uniform(0.8, 1.2, 2)
     assert family_for(Hadamard(m0, m0)).tag == "entropy"
     assert family_for(Hadamard(m0, 0.5 * m0)).tag == "hyperbolic-entropy"
+    assert family_for(DeepHadamard([m0, 0.5 * m0])).tag == "hyperbolic-entropy"
     assert family_for(DiffPowers(2, m0, m0)).tag == "diff-powers-flow"
     assert family_for(LogRatio(m0, m0)).tag == "log-cosh"
     p = QuadraticCommuting([np.eye(2)], np.eye(2), np.ones(2))
     assert family_for(p).tag == "quadratic"
+
+
+def test_family_for_refuses_a_product_of_three_factors():
+    # its coordinate fields do not commute with weight decay, so no mirror
+    # flow matches its flow
+    with pytest.raises(InputError, match="do not commute"):
+        family_for(DeepHadamard([np.ones(2)] * 3))
 
 
 def test_hessians_positive_definite():
@@ -559,7 +567,7 @@ def test_numeric_grad_emits_no_warnings(tag):
     ([np.triu(np.ones((3, 3)))], "must be symmetric")],
     ids=["non-square", "empty", "non-symmetric"])
 @pytest.mark.parametrize("build", [QuadraticFamily, QuadraticCommuting,
-                                   lambda A, B, w: check_quadratic_commuting(A, B)],
+                                   lambda A, B, w: max_commutator_fro(A, B)],
                          ids=["family", "parameterization", "commute-check"])
 def test_quadratic_matrices_are_checked_by_one_helper(A_list, message, build):
     with pytest.raises(InputError, match=message):
@@ -567,7 +575,7 @@ def test_quadratic_matrices_are_checked_by_one_helper(A_list, message, build):
 
 
 @pytest.mark.parametrize("build", [QuadraticFamily, QuadraticCommuting,
-                                   lambda A, B, w: check_quadratic_commuting(A, B)],
+                                   lambda A, B, w: max_commutator_fro(A, B)],
                          ids=["family", "parameterization", "commute-check"])
 def test_empty_quadratic_matrices_are_input_errors(build):
     # 0 x 0 matrices pass the square test; the symmetry test's max of an

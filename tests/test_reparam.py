@@ -315,7 +315,7 @@ def test_deep_hadamard_products_keep_the_factor_order_exactly(seed, depth, n):
     factors = [rng.uniform(-3.0, 3.0, n) * 10.0 ** rng.uniform(-3, 3, n) for _ in range(depth)]
     p = DeepHadamard(factors)
     w = np.concatenate(factors)
-    f = p.split(w)
+    f = w.reshape(depth, n)
     assert np.array_equal(p.g(w), np.prod(f, axis=0))
     others = p._other_factors(f)
     assert others.shape == (depth, n)
