@@ -144,11 +144,7 @@ def write_summary(path, record, seed, wall_time_s, extra=None):
         "wall_time_s": wall_time_s,
         "diverged": record.diverged,
     }
-    for key, val in record.summary.items():
-        if key == "converged":
-            continue
-        payload[key] = (None if val is None
-                        else float(val) if isinstance(val, (int, float, np.floating)) else val)
+    payload.update((key, val) for key, val in record.summary.items() if key != "converged")
     if extra:
         payload.update(extra)
     with open(path, "w") as fh:
@@ -533,8 +529,13 @@ def cmd_run_diagonal(args, opts):
 
 def cmd_run_sparse_coding(args, opts):
     seed, k, variant = opts["seed"], opts["k"], opts["variant"]
+    if variant not in ("diff-powers", "log-ratio"):
+        raise UsageError(f"unknown sparse-coding variant {variant!r}")
+    if variant == "diff-powers" and k < 1:
+        raise UsageError("k must be a positive integer")
     # t_end sets only a constant schedule's total_strength
     sched = _schedule_from(opts, 1e9)
+    cfg = _config(SparseCodingConfig, opts)
     rng = make_rng(seed)
     if opts["dictionary"]:
         D = load_matrix(opts["dictionary"])
@@ -548,20 +549,15 @@ def cmd_run_sparse_coding(args, opts):
     target = D @ code_star + 0.05 * rng.standard_normal(D.shape[0])
     x_init = rng.standard_normal(n)
     if variant == "diff-powers":
-        if k < 1:
-            raise UsageError("k must be a positive integer")
         u0 = (0.5 * (np.sqrt(x_init**2 + 1.0) + x_init)) ** (1.0 / (2 * k))
         v0 = (0.5 * (np.sqrt(x_init**2 + 1.0) - x_init)) ** (1.0 / (2 * k))
         p = reparam.DiffPowers(k, u0, v0)
-    elif variant == "log-ratio":
+    else:
         # g(w0) = log u0 - log v0 = 0.1 per coordinate, from factors inside
         # the unit region (u, v > 1) that the run reports on
         u0 = np.full(n, 2.0 * np.exp(0.05))
         v0 = np.full(n, 2.0 * np.exp(-0.05))
         p = reparam.LogRatio(u0, v0)
-    else:
-        raise UsageError(f"unknown sparse-coding variant {variant!r}")
-    cfg = _config(SparseCodingConfig, opts)
     t0 = time.perf_counter()
     rep = sparse_coding_run(D, target, p, sched, cfg)
     wall = time.perf_counter() - t0

@@ -41,9 +41,9 @@ Both flows check shapes once, at the run boundary: one public, checked
 evaluation of the field at the initial state raises ``InputError`` for a
 parameterization, family and loss that do not fit together.  Every stage
 and record then calls the unchecked kernels: the parameterization's ``_g``,
-``_h`` and ``_flow_rhs``, the loss's ``_value``, ``_grad`` and
-``_value_and_grad`` and the family's ``_dual_map``, which still make their
-value checks (domain, positivity).
+``_h`` and ``_flow_rhs``, the loss's ``_grad`` and ``_value_and_grad`` and
+the family's ``_dual_map``, which still make their value checks (domain,
+positivity).
 """
 
 from __future__ import annotations
@@ -199,16 +199,13 @@ class QuadraticLoss:
                              f"target's length {self.target.size}")
 
     def value(self, x):
-        return self._value(flat_vector(x, self.target.size, "model vector x"))
+        return self._value_and_grad(flat_vector(x, self.target.size, "model vector x"))[0]
 
     def grad(self, x):
         return self._grad(flat_vector(x, self.target.size, "model vector x"))
 
-    # the kernels take a flat float64 x of the target's length as given
-    def _value(self, x):
-        r = x - self.target
-        return float(0.5 * r @ (self.M @ r))
-
+    # the kernels take a flat float64 x of the target's length as given.  The
+    # field steps on _grad; value and the records read _value_and_grad
     def _grad(self, x):
         return self.M @ (x - self.target)
 
@@ -236,7 +233,7 @@ class LinearRegressionLoss:
         self.d = max(1, self.Z.shape[0])
 
     def value(self, x):
-        return self._value(flat_vector(x, self.Z.shape[1], "model vector x"))
+        return self._value_and_grad(flat_vector(x, self.Z.shape[1], "model vector x"))[0]
 
     def grad(self, x):
         return self._grad(flat_vector(x, self.Z.shape[1], "model vector x"))
@@ -244,10 +241,6 @@ class LinearRegressionLoss:
     # the kernels take a flat float64 x with one entry per column of Z as
     # given.  Z.dot(x) and r.dot(Z) run the same gemv as Z @ x and Z.T @ r
     # with fewer calls around it, so they return the same bits
-    def _value(self, x):
-        r = self.Z @ x - self.y
-        return float(0.5 * r @ r / self.d)
-
     def _grad(self, x):
         return (self.Z.dot(x) - self.y).dot(self.Z) / self.d
 
@@ -885,7 +878,7 @@ def run_mirror_flow(family, loss, schedule: Schedule, cfg: IntegratorConfig) -> 
         if k is None:
             return None
         x = family._dual_map(schedule.a(t), mu)
-        return {"mu": mu, "x": x, "train_loss": loss._value(x)}
+        return {"mu": mu, "x": x, "train_loss": loss._value_and_grad(x)[0]}
 
     def finish(steps, times, block):
         return {"a": schedule.a(times), **block}

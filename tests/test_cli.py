@@ -406,6 +406,8 @@ def test_run_sparse_coding_log_ratio_starts_inside_its_unit_region(tmp_path):
                  "--out", str(tmp_path)]) == EXIT_OK
     summary = json.loads((tmp_path / "sparse_log-ratio_seed0_summary.json").read_text())
     assert summary["flags"] == {"domain_exit": False, "left_unit_region": False}
+    # a step index keeps its JSON type
+    assert type(summary["stationarity_step"]) is int
 
 
 def test_run_flow_writes_trajectory(tmp_path):
@@ -571,6 +573,10 @@ def test_diagonal_summary_has_kkt_field(tmp_path):
     (["run", "diagonal", "--jobs", "0"], None, None),
     (["run", "sparse-coding", "--jobs", "-1"], None, None),
     (["run", "flow", "--jobs", "0"], None, None),
+    # rejected before the dictionary is made or printed
+    (["run", "sparse-coding", "--steps", "0"], None, None),
+    (["run", "sparse-coding", "--record-every", "0"], None, None),
+    (["run", "sparse-coding", "--lr-scale", "-1"], None, None),
 ], ids=["diagonal-record-every-0", "diagonal-steps-0", "sparse-coding-k-0", "sensing-m-0",
         "sensing-n-0", "flow-n-0", "flow-method-rk4", "sparse-coding-turnoff-time-0",
         "sparse-coding-n-features-0", "env-seed-abc", "seeds-0-x",
@@ -581,7 +587,8 @@ def test_diagonal_summary_has_kkt_field(tmp_path):
         "sensing-seed-negative", "seeds-0-negative", "commuting-seed-negative",
         "optimality-seed-2-to-the-76", "dictionary-nan", "dictionary-inf",
         "contracting-grid-negative", "sensing-jobs-0", "sensing-jobs-negative", "diagonal-jobs-0",
-        "sparse-coding-jobs-negative", "flow-jobs-0"])
+        "sparse-coding-jobs-negative", "flow-jobs-0", "sparse-coding-steps-0",
+        "sparse-coding-record-every-0", "sparse-coding-lr-scale-negative"])
 def test_bad_input_exits_2_with_an_error_line(tmp_path, monkeypatch, capsys, argv, env_seed,
                                               config):
     if env_seed is not None:
@@ -599,7 +606,10 @@ def test_bad_input_exits_2_with_an_error_line(tmp_path, monkeypatch, capsys, arg
         argv = argv[:-1] + [str(tmp_path / argv[-1])]
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == EXIT_USAGE
-    assert any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
+    captured = capsys.readouterr()
+    assert any(line.startswith("error:") for line in captured.err.splitlines())
+    # nothing is printed before the input is rejected
+    assert captured.out == ""
     # the output directory is made only when the first file is written
     assert not out.exists()
 
