@@ -539,6 +539,8 @@ def cmd_run_sparse_coding(args, opts):
     rng = make_rng(seed)
     if opts["dictionary"]:
         D = load_matrix(opts["dictionary"])
+        if not np.any(D):
+            raise InputError("dictionary must be a finite nonzero matrix")
     else:
         D = make_dictionary(opts["n_obs"], opts["n_features"], seed=seed)
     n = D.shape[1]

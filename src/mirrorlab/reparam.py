@@ -20,9 +20,8 @@ Shapes are checked at the boundary, values in the kernels.  The public
 shape of ``w`` (and of the loss gradient) and call the kernels, which take a
 flat float64 ``w`` of length ``dim_params`` as given; subclasses override the
 kernels only, and the flows check once per run and then step on them.
-Value checks, such as the log-ratio positivity, stay in the kernels.  Only
-the product overrides ``_flow_rhs``, with the bits of the base composition,
-to take w itself as its weight decay's grad h.  At ``alpha == 0`` (decay
+Value checks, such as the log-ratio positivity, stay in the kernels.  No
+variant overrides the composition ``_flow_rhs``.  At ``alpha == 0`` (decay
 switched off) every ``flow_rhs`` returns ``-vjp_g(w, v)`` without forming
 ``alpha * grad_h(w)``; wherever grad h is finite that gives the same bits up
 to the sign of an exact zero.
@@ -158,17 +157,6 @@ class DeepHadamard(Parameterization):
 
     def _grad_h(self, w):
         return 2.0 * self.h_scale * w
-
-    def _flow_rhs(self, w, v, alpha):
-        # the one override of the base field: plain weight decay (2 h_scale
-        # == 1) has grad h = 1.0 * w, i.e. w itself, where _grad_h returns a
-        # fresh array.  3.0 against 3.8 us per call at n = 100 (2-vCPU Xeon),
-        # about 2.5 % of the c9 lasting-effect runs' 40000 decayed steps
-        vjp = self._vjp_g(w, v)
-        if alpha == 0:
-            return -vjp
-        scale = 2.0 * self.h_scale
-        return -(vjp + alpha * (w if scale == 1.0 else scale * w))
 
 
 class Hadamard(DeepHadamard):

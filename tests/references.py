@@ -2,8 +2,7 @@
 
 No program reaches them, so they live with the tests: the SVD nuclear norm
 and nuclear/Frobenius ratio behind the sensing finisher's ``eigvalsh``
-statistics, the pairwise commutators behind the quadratic family, and the
-difference pairs' field from one set of slopes behind their chain rule.
+statistics, and the pairwise commutators behind the quadratic family.
 """
 
 import numpy as np
@@ -34,12 +33,3 @@ def max_commutator_fro(A_list, B):
     mats = A_list + [B]
     return max((float(np.linalg.norm(X @ Y - Y @ X))
                 for i, X in enumerate(mats) for Y in mats[i + 1:]), default=0.0)
-
-
-def difference_pair_field(slopes, v, alpha):
-    """-(Jg^T v + alpha grad h) for g(u, v) = phi(u) - phi(v) and h = sum
-    phi(u_i) + phi(v_i), from one set of slopes, phi' on the (2, n) rows
-    [u, v]: Jg is diagonal with phi'(u) and -phi'(v), and grad h is the
-    slopes themselves."""
-    vjp = np.concatenate([slopes[0] * v, -slopes[1] * v])
-    return -(vjp if alpha == 0 else vjp + alpha * slopes.ravel())

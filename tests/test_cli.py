@@ -566,6 +566,8 @@ def test_diagonal_summary_has_kkt_field(tmp_path):
     # a dictionary with a nan or an infinite cell
     (["run", "sparse-coding", "--dictionary", "nan.csv"], None, None),
     (["run", "sparse-coding", "--dictionary", "inf.csv"], None, None),
+    # a finite dictionary of zeros
+    (["run", "sparse-coding", "--dictionary", "zero.csv"], None, None),
     (["verify", "contracting", "--grid", "-1"], None, None),
     # fewer than one worker process, on every run command
     (["run", "sensing", "--seeds", "0,1", "--jobs", "0"], None, None),
@@ -585,7 +587,7 @@ def test_diagonal_summary_has_kkt_field(tmp_path):
         "config-section-typo", "config-percent", "commuting-n-0",
         "commuting-n-negative", "sensing-t-end", "diagonal-variant-x", "sparse-coding-variant-x",
         "sensing-seed-negative", "seeds-0-negative", "commuting-seed-negative",
-        "optimality-seed-2-to-the-76", "dictionary-nan", "dictionary-inf",
+        "optimality-seed-2-to-the-76", "dictionary-nan", "dictionary-inf", "dictionary-zero",
         "contracting-grid-negative", "sensing-jobs-0", "sensing-jobs-negative", "diagonal-jobs-0",
         "sparse-coding-jobs-negative", "flow-jobs-0", "sparse-coding-steps-0",
         "sparse-coding-record-every-0", "sparse-coding-lr-scale-negative"])
@@ -598,10 +600,13 @@ def test_bad_input_exits_2_with_an_error_line(tmp_path, monkeypatch, capsys, arg
         cfg.write_text(config)
         argv = argv + ["--config", str(cfg)]
     if "--dictionary" in argv:
-        # a 40 x 8 matrix with one bad cell
+        # a 40 x 8 matrix with one bad cell, or all zeros
         bad = argv[-1].removesuffix(".csv")
         D = make_rng(5).standard_normal((40, 8))
-        D[3, 2] = float(bad)
+        if bad == "zero":
+            D[:] = 0.0
+        else:
+            D[3, 2] = float(bad)
         np.savetxt(tmp_path / argv[-1], D, delimiter=",", fmt="%.17g")
         argv = argv[:-1] + [str(tmp_path / argv[-1])]
     out = tmp_path / "out"

@@ -8,7 +8,6 @@ from mirrorlab import (DeepHadamard, DiffPowers, DiffSquares, DomainError,
                        Parameterization, QuadraticCommuting, SymFactor,
                        experiments, flow, make_rng, reparam)
 from mirrorlab.reparam import DifferencePair
-from references import difference_pair_field
 
 
 def all_variants(rng, n=3):
@@ -100,7 +99,7 @@ def test_flow_rhs_without_decay_is_the_negated_vjp():
 
 @pytest.mark.parametrize("h_scale", [0.5, 1.0, 0.3])
 def test_deep_hadamard_decay_is_two_h_scale_w(h_scale):
-    # at h_scale = 0.5 the rhs takes w itself as grad h; 1.0 * w has its bits
+    # at h_scale = 0.5 the decay is 1.0 * w, which has the bits of w
     rng = make_rng(13)
     for depth in (2, 3):
         p = DeepHadamard([rng.uniform(0.5, 1.5, 5) for _ in range(depth)], h_scale=h_scale)
@@ -218,14 +217,12 @@ def test_jac_g_rows_are_the_vjps_of_the_unit_vectors():
 
 
 def test_a_parameterization_is_its_four_kernels():
-    # jac_g is derived from _vjp_g, and the one field override is the
-    # product's, which takes w itself as its weight decay's grad h: 3.0
-    # against 3.8 us per call at n = 100, about 2.5 % of the c9 runs
+    # jac_g is derived from _vjp_g, and the field is the base chain rule
     classes = [c for c in vars(reparam).values()
                if isinstance(c, type) and issubclass(c, Parameterization) and c is not Parameterization]
     assert SymFactor in classes and L1Identity in classes and DifferencePair in classes
     assert [cls.__name__ for cls in classes if "jac_g" in vars(cls)] == []
-    assert {cls for cls in classes if "_flow_rhs" in vars(cls)} == {DeepHadamard}
+    assert [cls.__name__ for cls in classes if "_flow_rhs" in vars(cls)] == []
     # a loss is likewise _grad for the field and _value_and_grad for its value
     losses = [c for module in (flow, experiments) for c in vars(module).values()
               if isinstance(c, type) and "_value_and_grad" in dir(c)]
@@ -236,9 +233,11 @@ def test_a_parameterization_is_its_four_kernels():
 
 def test_flow_rhs_never_builds_the_dense_jacobian(monkeypatch):
     rng = make_rng(11)
-    # Hadamard is the depth-2 product; all_variants also has a depth-3 one.
+    # Hadamard is the depth-2 product; all_variants also has a depth-3 one,
+    # and the difference pairs are joined by DiffPowers at k = 1, 3 and 4.
     # QuadraticCommuting forms the rows A_i w for its VJP but never calls jac_g
-    variants = all_variants(rng, 4)
+    variants = all_variants(rng, 4) + [
+        DiffPowers(k, rng.uniform(0.6, 1.4, 4), rng.uniform(0.6, 1.4, 4)) for k in (1, 3, 4)]
     cases = []
     for p in variants:
         w = sample_params(p, rng)
@@ -378,25 +377,6 @@ def test_kernels_return_the_bits_of_the_public_methods(seed, n, alpha):
         assert _same_bits(p._grad_h(w), p.grad_h(loose)), p.tag
         for a in (0.0, alpha):
             assert _same_bits(p._flow_rhs(w, v, a), p.flow_rhs(loose, list(v), a)), (p.tag, a)
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8))
-def test_difference_pairs_step_on_the_bits_of_one_set_of_slopes(seed, n):
-    # the base chain rule evaluates the slopes twice, for the VJP and for
-    # grad h, and must give the bits of the field from one set of them
-    rng = make_rng(seed)
-    cases = []
-    for k in (1, 2, 3, 4):
-        w = rng.uniform(-2.5, 2.5, 2 * n)
-        cases.append((DiffPowers(k, *w.reshape(2, n)), w, 2 * k * w.reshape(2, n) ** (2 * k - 1)))
-    w = rng.uniform(0.1, 3.0, 2 * n)
-    cases.append((LogRatio(*w.reshape(2, n)), w, 1.0 / w.reshape(2, n)))
-    for p, w, slopes in cases:
-        v = rng.standard_normal(n)
-        for alpha in (0.0, 0.5):
-            expected = difference_pair_field(slopes, v, alpha)
-            assert _same_bits(p._flow_rhs(w, v, alpha), expected), (p.tag, getattr(p, "k", None))
 
 
 def test_log_ratio_kernels_keep_the_positivity_check():
