@@ -43,7 +43,11 @@ parameterization, family and loss that do not fit together.  Every stage
 and record then calls the unchecked kernels: the parameterization's ``_g``,
 ``_h`` and ``_flow_rhs``, the loss's ``_grad`` and ``_value_and_grad`` and
 the family's ``_dual_map``, which still make their value checks (domain,
-positivity).
+positivity).  The least-squares kernels run their two gemvs on the distinct
+columns of Z when its rows times its repeated columns reach
+``MERGE_CROSSOVER`` (the sensing runner's designs, whose symmetric or zero
+columns repeat), and on Z itself, with the bits of ``Z @ x`` and
+``Z.T @ r``, below it (every other design the package builds).
 """
 
 from __future__ import annotations
@@ -66,6 +70,17 @@ _FAST_SQUARED_BOUND = 0.5 * DIVERGENCE_LIMIT ** 2
 # record_every=50) peaks at the traced memory of one write per snapshot;
 # 64 is no faster and adds 0.2 MB to that peak
 RECORD_BLOCK = 32
+# a least-squares design keeps each distinct column once when its rows times
+# its removed columns reach this.  The bincount and the scatter of the merged
+# kernels cost about 1.9 us a call at 400 columns, so they pay only on large
+# designs.  Per _value_and_grad call (median of 15 repeats of 2000 calls,
+# 2-vCPU Xeon, OpenBLAS on one thread) over symmetric and diagonal sensing
+# designs, m in 4-120 and n in 4-20, the merged kernels lost up to 2.4 us at
+# 32 of the 34 products up to 3520 (the 4 x 64 design of verify optimality:
+# 220), read -1.6 to +3.5 us from 5400 to 12160, and gained 1.8-11.3 us at
+# every product from 21720 on (the sensing runner's two kinds: 22800 and
+# 45480 gained 5.9 and 11.3 us)
+MERGE_CROSSOVER = 16384
 
 # error control of the "dop853" and "bdf" methods: tolerances per entry, and the
 # smallest step as a fraction of the nominal step h.  No step is shorter than
@@ -219,7 +234,14 @@ class LinearRegressionLoss:
     """Least squares f(x) = ||Z x - y||^2 / (2 d), d the number of rows of Z.
 
     The package's one least-squares loss: the sensing and dictionary losses
-    in ``experiments`` only choose Z and the divisor d.
+    in ``experiments`` only choose Z and the divisor d.  Columns of Z that
+    are equal byte for byte are kept once, in ``Zc`` (in order of first
+    occurrence), when the rows of Z times the columns this removes reach
+    ``MERGE_CROSSOVER``; ``group`` then maps each column of Z to its column
+    of Zc, and the kernels use ``Z x = Zc S x`` and ``Z^T r = S^T Zc^T r``,
+    S the 0/1 matrix of ``group``.  A symmetric sensing design keeps
+    n (n + 1) / 2 of its n^2 columns, a diagonal one n + 1.  Below the
+    crossover ``group`` is None and the kernels run the gemvs on Z itself.
     """
 
     def __init__(self, Z, y):
@@ -231,6 +253,15 @@ class LinearRegressionLoss:
             raise InputError(f"y has length {self.y.size}, expected one entry per row of Z "
                              f"({self.Z.shape[0]})")
         self.d = max(1, self.Z.shape[0])
+        self.Zc, self.group = self.Z, None
+        rows, cols = self.Z.shape
+        if rows * (cols - 1) >= MERGE_CROSSOVER:
+            # a dict over the column bytes: np.unique(axis=1) takes 7-12 times as long
+            first = {}
+            owner = [first.setdefault(col.tobytes(), j) for j, col in enumerate(self.Z.T)]
+            if rows * (cols - len(first)) >= MERGE_CROSSOVER:
+                kept, self.group = np.unique(owner, return_inverse=True)
+                self.Zc = self.Z[:, kept]
 
     def value(self, x):
         return self._value_and_grad(flat_vector(x, self.Z.shape[1], "model vector x"))[0]
@@ -239,14 +270,22 @@ class LinearRegressionLoss:
         return self._grad(flat_vector(x, self.Z.shape[1], "model vector x"))
 
     # the kernels take a flat float64 x with one entry per column of Z as
-    # given.  Z.dot(x) and r.dot(Z) run the same gemv as Z @ x and Z.T @ r
-    # with fewer calls around it, so they return the same bits
+    # given.  Without a group, Z.dot(x) and r.dot(Z) run the same gemv as
+    # Z @ x and Z.T @ r with fewer calls around it, so they return the same
+    # bits; with one, x is summed per group and the gradient entries of a
+    # group are one value, so the products agree with Z's to roundoff
     def _grad(self, x):
-        return (self.Z.dot(x) - self.y).dot(self.Z) / self.d
+        if self.group is None:
+            return (self.Z.dot(x) - self.y).dot(self.Z) / self.d
+        r = self.Zc.dot(np.bincount(self.group, x)) - self.y
+        return (r.dot(self.Zc) / self.d)[self.group]
 
     def _value_and_grad(self, x):
-        r = self.Z.dot(x) - self.y
-        return float(0.5 * r @ r / self.d), r.dot(self.Z) / self.d
+        if self.group is None:
+            r = self.Z.dot(x) - self.y
+            return float(0.5 * r @ r / self.d), r.dot(self.Z) / self.d
+        r = self.Zc.dot(np.bincount(self.group, x)) - self.y
+        return float(0.5 * r @ r / self.d), (r.dot(self.Zc) / self.d)[self.group]
 
 
 def _integrate(rhs, state0, n_steps, h, record_every, record, method="euler", finish=None,

@@ -14,7 +14,7 @@ from mirrorlab import (DiffPowers, Entropy, Hadamard, HyperbolicEntropy, InputEr
                        make_regression_problem, make_rng, make_sensing_problem,
                        matrix_sensing_run, run_param_flow, sparse_coding_run,
                        stationarity_step)
-from references import nuclear_frobenius_ratio, nuclear_norm
+from references import dense_sensing_summary, nuclear_frobenius_ratio, nuclear_norm
 
 
 def small_sensing(schedule, seed=0, kind="random-symmetric", steps=800):
@@ -355,6 +355,46 @@ def test_sensing_time_to_threshold_is_the_first_step_below_it(kind, alpha0, turn
     first = dense.times[np.argmax(dense.metrics["train_loss"] <= LOSS_THRESHOLD)]
     assert sparse.summary["time_to_threshold"] == dense.summary["time_to_threshold"] == first
     assert first == expected
+
+
+# the sensing loss keeps each distinct column of its design once; a loop over
+# all n^2 columns takes the same steps to roundoff and crosses the threshold
+# at the same step
+@pytest.mark.parametrize("seed", [0, 2])
+@pytest.mark.parametrize("kind, alpha0, turnoff", [("constant", 0.0, 0.0), ("turnoff", 0.2, 62.5)],
+                         ids=["zero", "const0.2to"])
+def test_sensing_run_matches_a_loop_over_the_full_design(kind, alpha0, turnoff, seed):
+    cfg = SensingConfig(n=20, r=5, m=120, beta=0.1, eta=0.25, steps=5000, seed=seed,
+                        schedule=Schedule(kind, alpha0, turnoff_time=turnoff, t_end=1250.0),
+                        record_every=50)
+    got, expected = matrix_sensing_run(cfg).summary, dense_sensing_summary(cfg)
+    assert got.keys() == expected.keys()
+    assert got["time_to_threshold"] == expected["time_to_threshold"] is not None
+    for name, value in expected.items():
+        assert abs(got[name] - value) <= 1e-13 * max(1.0, abs(value)), name
+
+
+def test_only_the_sensing_designs_merge_their_columns(monkeypatch, tmp_path):
+    from mirrorlab import cli
+    built = []
+    construct = LinearRegressionLoss.__init__
+
+    def spy(self, Z, y):
+        construct(self, Z, y)
+        built.append(self)
+
+    monkeypatch.setattr(LinearRegressionLoss, "__init__", spy)
+    for kind, distinct in [("random-symmetric", 210), ("commuting-diagonal", 21)]:
+        matrix_sensing_run(SensingConfig(steps=1, sensing_kind=kind))
+        assert built.pop().Zc.shape == (120, distinct)
+    diagonal_network_run(RegressionConfig(steps=1))
+    assert cli.main(["run", "sparse-coding", "--steps", "1", "--out", str(tmp_path)]) == 0
+    assert cli.main(["verify", "optimality", "--case", "sensing", "--seed", "42",
+                     "--out", str(tmp_path)]) == 0
+    # the diagonal runner's 40 x 100 design, the 200 x 50 dictionary and the
+    # optimality check's 4 x 64 design with 9 distinct columns
+    assert [loss.Z.shape for loss in built] == [(40, 100), (200, 50), (4, 64)]
+    assert all(loss.group is None and loss.Zc is loss.Z for loss in built)
 
 
 def _assert_same_steps(dense, sparse):

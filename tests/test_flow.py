@@ -670,6 +670,43 @@ def test_least_squares_gradient_equals_the_dense_products_exactly(seed, rows, co
     assert value == loss.value(x) == float(0.5 * r @ r / max(1, rows))
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 130), cols=st.integers(1, 420),
+       distinct=st.integers(1, 420), zero_frac=st.sampled_from([0.0, 0.1, 0.9]),
+       scale=st.floats(1e-3, 1e3))
+@example(seed=0, rows=120, cols=400, distinct=210, zero_frac=0.0, scale=1.0)  # merged
+@example(seed=1, rows=120, cols=400, distinct=20, zero_frac=0.9, scale=1.0)  # merged
+@example(seed=2, rows=4, cols=64, distinct=9, zero_frac=0.1, scale=1.0)  # below the crossover
+@example(seed=3, rows=0, cols=7, distinct=2, zero_frac=0.0, scale=1.0)  # no data
+def test_least_squares_with_repeated_and_zero_columns_matches_the_dense_products(
+        seed, rows, cols, distinct, zero_frac, scale):
+    rng = make_rng(seed)
+    k = min(distinct, cols)
+    Z = scale * rng.standard_normal((rows, k))[:, rng.integers(0, k, cols)]
+    Z[:, rng.random(cols) < zero_frac] = 0.0
+    y = rng.standard_normal(rows)
+    x = rng.standard_normal(cols)
+    loss = LinearRegressionLoss(Z, y)
+    removed = cols - np.unique(Z, axis=1).shape[1]
+    assert (loss.group is not None) == (rows * removed >= flow.MERGE_CROSSOVER)
+    # entrywise within 1e-12 of the scale of the terms each product sums
+    d = max(1, rows)
+    r = Z @ x - y
+    r_scale = np.abs(Z) @ np.abs(x) + np.abs(y)
+    grad_tol = 1e-12 * (np.abs(Z).T @ r_scale) / d
+    value, grad = loss._value_and_grad(x)
+    assert abs(value - 0.5 * r @ r / d) <= 1e-12 * 0.5 * r_scale @ r_scale / d
+    assert abs(loss.value(x) - 0.5 * r @ r / d) <= 1e-12 * 0.5 * r_scale @ r_scale / d
+    for got in (grad, loss.grad(x), loss._grad(x)):
+        assert np.all(np.abs(got - Z.T @ r / d) <= grad_tol)
+    assert grad.tobytes() == loss._grad(x).tobytes()
+    if loss.group is not None:
+        # the columns of a group share one gradient entry
+        assert np.array_equal(Z, loss.Zc[:, loss.group])
+        for g in range(loss.Zc.shape[1]):
+            assert len({v.tobytes() for v in grad[loss.group == g]}) == 1
+
+
 @pytest.mark.parametrize("loss", [
     LinearRegressionLoss(np.ones((4, 3)), np.zeros(4)),
     QuadraticLoss(np.eye(3), np.zeros(3)),
