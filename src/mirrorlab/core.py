@@ -30,25 +30,22 @@ class UnsupportedOperation(MirrorlabError, NotImplementedError):
     """The requested closed form does not exist for this family."""
 
 
-class DivergedError(MirrorlabError, RuntimeError):
-    """A flow left the finite range; carries the last valid time and the
-    ``RunRecord`` up to it."""
+class _FlowStopped(MirrorlabError, RuntimeError):
+    """A flow stopped early; carries the time of the last state it accepted
+    and the ``RunRecord`` up to it."""
 
-    def __init__(self, message, last_valid_time, record=None):
-        super().__init__(message)
-        self.last_valid_time = last_valid_time
-        self.record = record
-
-
-class DomainExitError(MirrorlabError, RuntimeError):
-    """A dual iterate left the (possibly shrinking) domain of the dual map;
-    carries the exit time, the domain's bounds there and the ``RunRecord``."""
-
-    def __init__(self, message, time, bounds=None, record=None):
+    def __init__(self, message, time, record=None):
         super().__init__(message)
         self.time = time
-        self.bounds = bounds
         self.record = record
+
+
+class DivergedError(_FlowStopped):
+    """A flow left the finite range."""
+
+
+class DomainExitError(_FlowStopped):
+    """A state left the (possibly shrinking) domain of its dual map or parameterization."""
 
 
 SCHEDULE_KINDS = ("constant", "turnoff", "linear-decay", "cosine-decay")
@@ -198,7 +195,6 @@ class RunRecord:
     exit; ``summary`` holds its scalar results and ``config`` what produced it.
     """
 
-    kind: str
     config: dict
     steps: np.ndarray
     times: np.ndarray
@@ -212,13 +208,13 @@ class RunRecord:
     final_params: np.ndarray | None = None
 
     @classmethod
-    def from_tables(cls, kind, config, tables, summary, status, **fields):
+    def from_tables(cls, config, tables, summary, status, **fields):
         """The record of the engine's ``tables`` and ``status`` (None unless the
         run stopped early): every table but "step", "t" and "a" is a metric."""
         metrics = dict(tables)
         steps, times, a = metrics.pop("step"), metrics.pop("t"), metrics.pop("a")
-        return cls(kind=kind, config=config, steps=steps, times=times, a=a, metrics=metrics,
-                   summary=summary, diverged=status is not None, **fields)
+        return cls(config=config, steps=steps, times=times, a=a, metrics=metrics, summary=summary,
+                   diverged=status is not None, **fields)
 
 
 def check_finite(**values):

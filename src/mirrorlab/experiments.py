@@ -151,7 +151,7 @@ def matrix_sensing_run(cfg: SensingConfig) -> RunRecord:
         "converged": bool(rec["train_loss"][-1] <= LOSS_THRESHOLD),
         "a_final": float(rec["a"][-1]),
     }
-    return RunRecord.from_tables("sensing", asdict(cfg), rec, summary, status,
+    return RunRecord.from_tables(asdict(cfg), rec, summary, status,
                                  eigenvalues=eigenvalues, final_x=p._g(w), final_params=w)
 
 
@@ -236,10 +236,10 @@ def diagonal_network_run(cfg: RegressionConfig) -> RunRecord:
         "final_l1": rec["l1"][-1],
         "final_ratio": rec["l1_l2_ratio"][-1],
         "ground_truth_ratio": gt_l1 / gt_l2 if gt_l2 > 0 else 0.0,
-        "a_final": float(cfg.schedule.a(phase1_end)),
+        "a_final": float(rec["a"][-1]),
         "converged": bool(rec["train_loss"][-1] <= 1e-10),
     }
-    return RunRecord.from_tables("diagonal", asdict(cfg), rec, summary, status,
+    return RunRecord.from_tables(asdict(cfg), rec, summary, status,
                                  final_x=p._g(params), final_params=params)
 
 
@@ -311,7 +311,7 @@ def sparse_coding_run(dictionary, target, variant_p, schedule: Schedule,
     }
     config = {"steps": cfg.steps, "lr_scale": cfg.lr_scale, "variant": variant_p.tag,
               "schedule": asdict(schedule)}
-    return RunRecord.from_tables("sparse-coding", config, rec, summary, status, flags=flags,
+    return RunRecord.from_tables(config, rec, summary, status, flags=flags,
                                  final_x=None if status is not None else variant_p.g(params),
                                  final_params=params)
 

@@ -25,11 +25,12 @@ therefore not modify a value after returning it.
 * parameter space:  dw = -(Jg(w)^T grad_f(g(w)) + alpha_t grad_h(w)) dt
 * dual space:       dmu = -grad_f(Q_{a_t}(mu)) dt,  x_t = Q_{a_t}(mu_t), mu_0 = 0
 
-One loop, ``_param_flow``, builds the parameter flow for ``run_param_flow``
-and the runners of ``experiments``, each of which passes its own finisher.
+One loop, ``_param_flow``, builds the parameter flow for ``run_param_flow``,
+which keeps the hook's values as its columns, and for the runners of
+``experiments``, each of which passes its own finisher.
 Both flows, like those runners, return the ``core.RunRecord`` of the
-engine's tables and status; a flow that stops early raises DivergedError or
-DomainExitError carrying it (``_ended``).
+engine's tables and status, which ``_flow_result`` builds; a flow that stops
+early raises DivergedError or DomainExitError carrying it instead.
 
 ``verify_equivalence`` drives the parameter flow of a parameterization and
 the mirror flow of the family ``legendre.family_for`` matches to it with one
@@ -826,7 +827,7 @@ def _breaks(schedule):
     return () if schedule.kind == "constant" else (schedule.turnoff_time,)
 
 
-def _param_flow(p, loss, schedule: Schedule, n_steps, h, record_every, method, finish,
+def _param_flow(p, loss, schedule: Schedule, n_steps, h, record_every, method, finish=None,
                 off_after=np.inf, threshold=None):
     """The parameter flow of ``p`` on ``loss``: the one place its field is built.
 
@@ -834,12 +835,13 @@ def _param_flow(p, loss, schedule: Schedule, n_steps, h, record_every, method, f
     The field computes only the field; the hook reads the events on every
     state the run takes.  Each snapshot records "params", "x" = g(w),
     "train_loss" and, for a parameterization with a unit region,
-    "unit_region" (1.0 inside).  The hook checks the unit region and, when a
-    ``threshold`` is given, watches the loss, and keeps the loss gradient of
-    each state it evaluates for the next step's first stage, when the engine
-    hands that stage the same state (every Euler step does).
-    ``finish(steps, times, block)`` turns a stacked block into the columns to
-    keep; the loop adds "a" = a(min(t, off_after)).  Returns ``_integrate``'s
+    "unit_region" (1.0 inside).  The hook checks the unit region first, so a
+    state on which g raises DomainError is still seen to leave it; when a
+    ``threshold`` is given it watches the loss; and it keeps the loss
+    gradient of each state it evaluates for the next step's first stage,
+    when the engine hands that stage the same state (every Euler step does).
+    ``finish(steps, times, block)``, if given, turns a stacked block into the
+    columns to keep; the loop adds "a" = a(min(t, off_after)).  Returns ``_integrate``'s
     (w, status, records) and the events {"threshold_time": the first t whose
     loss is at most ``threshold``, or None; "left_unit_region": whether any
     state the run takes left it}.
@@ -855,20 +857,24 @@ def _param_flow(p, loss, schedule: Schedule, n_steps, h, record_every, method, f
     def record(k, t, w):
         if k is None and threshold is None and inside is None:
             return None
+        unit = inside is None or inside(w)
+        events["left_unit_region"] |= not unit
         x = p._g(w)
-        row = {"params": w, "x": x}
-        if inside is not None:
-            row["unit_region"] = 1.0 if inside(w) else 0.0
-            events["left_unit_region"] |= not row["unit_region"]
         f_val, grad = loss._value_and_grad(x)
         if threshold is not None and f_val <= threshold and events["threshold_time"] is None:
             events["threshold_time"] = t
         cached[:] = w, grad
+        if k is None:
+            return None
+        row = {"params": w, "x": x}
+        if inside is not None:
+            row["unit_region"] = 1.0 if unit else 0.0
         row["train_loss"] = f_val
         return row
 
     def finish_block(steps, times, block):
-        return {"a": schedule.a(np.minimum(times, off_after)), **finish(steps, times, block)}
+        return {"a": schedule.a(np.minimum(times, off_after)),
+                **(block if finish is None else finish(steps, times, block))}
 
     w, status, rec = _integrate(rhs, p.w_init, n_steps, h, record_every, record, method,
                                 finish_block, breaks=_breaks(schedule) + (off_after,))
@@ -878,32 +884,24 @@ def _param_flow(p, loss, schedule: Schedule, n_steps, h, record_every, method, f
 def run_param_flow(p, loss, schedule: Schedule, cfg: IntegratorConfig) -> RunRecord:
     """Integrate the regularized gradient flow in parameter space.
 
-    Records w ("params"), x = g(w), y = h(w), the accumulated strength a and
-    the loss, and for a parameterization with a unit region whether w lies
+    Records w ("params"), x = g(w), the accumulated strength a and the
+    loss, and for a parameterization with a unit region whether w lies
     inside it.  Raises DivergedError (with the partial record attached) if
     the state leaves the finite range, DomainExitError if a variant's domain
     is left.
     """
     # the one shape check: a loss that does not fit p raises InputError here
     p.flow_rhs(p.w_init, loss.grad(p.g(p.w_init)), 0.0)
-
-    def finish(steps, times, block):
-        block["y"] = np.array([p._h(w) for w in block["params"]])
-        return block
-
-    _, status, rec, _ = _param_flow(p, loss, schedule, *cfg.grid(), cfg.record_every, cfg.method,
-                                    finish)
-    record = _flow_record("param-flow", schedule, cfg, rec, status,
-                          final_params=rec["params"][-1])
-    return _ended(record, status, "parameter flow", "parameter flow left its domain")
+    _, status, rec, _ = _param_flow(p, loss, schedule, *cfg.grid(), cfg.record_every, cfg.method)
+    return _flow_result(schedule, cfg, rec, status, "parameter flow",
+                        "parameter flow left its domain", final_params=rec["params"][-1])
 
 
 def run_mirror_flow(family, loss, schedule: Schedule, cfg: IntegratorConfig) -> RunRecord:
     """Integrate the dual flow dmu = -grad_f(Q_{a_t}(mu)) dt from mu_0 = 0.
 
     Records mu, x = Q_{a_t}(mu), the accumulated strength a and the loss;
-    raises as ``run_param_flow`` does, a DomainExitError with the domain's
-    bounds at the exit time.
+    raises as ``run_param_flow`` does.
     """
     mu0 = np.zeros(family.n)
     # the one shape check: a loss that does not fit the family raises
@@ -924,34 +922,24 @@ def run_mirror_flow(family, loss, schedule: Schedule, cfg: IntegratorConfig) -> 
 
     _, status, rec = _integrate(rhs, mu0, *cfg.grid(), cfg.record_every, record, cfg.method,
                                 finish, breaks=_breaks(schedule))
-    return _ended(_flow_record("mirror-flow", schedule, cfg, rec, status), status, "mirror flow",
-                  "dual iterate left the domain", lambda t: family.domain(schedule.a(t)))
+    return _flow_result(schedule, cfg, rec, status, "mirror flow", "dual iterate left the domain")
 
 
-def _flow_record(kind, schedule, cfg, tables, status, **fields):
-    """A flow's record: its schedule and integrator config, its final loss
-    as the summary, and its last snapshot's x."""
-    return RunRecord.from_tables(kind, {"schedule": asdict(schedule), "integrator": asdict(cfg)},
-                                 tables, {"final_train_loss": float(tables["train_loss"][-1])},
-                                 status, final_x=tables["x"][-1], **fields)
-
-
-def _ended(record, status, what, domain_exit, bounds=None):
-    """``record`` when the run finished.  An early exit raises the error that
-    carries it: DivergedError "WHAT diverged near t=...", or DomainExitError
-    "DOMAIN_EXIT near t=...: cause", with ``bounds(t)`` at the exit time as
-    its bounds when given and evaluable."""
+def _flow_result(schedule, cfg, tables, status, what, domain_exit, **fields):
+    """A flow's record, of its schedule and integrator config, with its final
+    loss as the summary and its last snapshot's x, when the run finished.  An
+    early exit raises the error that carries the record instead:
+    DivergedError "WHAT diverged near t=...", or DomainExitError "DOMAIN_EXIT
+    near t=...: cause", t the time of the last state accepted."""
+    record = RunRecord.from_tables({"schedule": asdict(schedule), "integrator": asdict(cfg)},
+                                   tables, {"final_train_loss": float(tables["train_loss"][-1])},
+                                   status, final_x=tables["x"][-1], **fields)
     if status is None:
         return record
     kind, t_bad, exc = status
     if kind == "diverged":
         raise DivergedError(f"{what} diverged near t={t_bad:.6g}", t_bad, record)
-    try:
-        where = None if bounds is None else bounds(t_bad)
-    except DomainError:
-        where = None
-    raise DomainExitError(f"{domain_exit} near t={t_bad:.6g}: {exc}", t_bad, bounds=where,
-                          record=record)
+    raise DomainExitError(f"{domain_exit} near t={t_bad:.6g}: {exc}", t_bad, record)
 
 
 @dataclass
@@ -975,13 +963,12 @@ def verify_equivalence(p, loss, schedule: Schedule, cfg: IntegratorConfig,
     family = family_for(p)
     x_p = run_param_flow(p, loss, schedule, cfg).metrics["x"]
     x_m = run_mirror_flow(family, loss, schedule, cfg).metrics["x"]
-    n = min(len(x_p), len(x_m))
-    dev = float(np.max(np.abs(x_p[:n] - x_m[:n])))
+    dev = float(np.max(np.abs(x_p - x_m)))
     return EquivalenceReport(
         pair=f"{p.tag}/{family.tag}",
         max_deviation=dev,
         tol=tol,
         passed=dev <= tol,
-        n_points=n,
+        n_points=len(x_p),
     )
 

@@ -525,7 +525,7 @@ def family_for(p):
     if isinstance(p, reparam.QuadraticCommuting):
         return QuadraticFamily(p.A, p.B, p.w_init)
     if isinstance(p, reparam.DiffPowers) and p.k > 1:  # k = 1 is DiffSquares
-        return DiffPowersFlow(p.k, p.u0, p.v0)
+        return DiffPowersFlow(p.k, *p.w_init.reshape(2, -1))
     if isinstance(p, reparam.LogRatio):
-        return LogCosh(p.u0, p.v0)
+        return LogCosh(*p.w_init.reshape(2, -1))
     raise InputError(f"no default family for parameterization {p.tag!r}")

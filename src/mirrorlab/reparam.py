@@ -183,7 +183,6 @@ class DifferencePair(Parameterization):
     def __init__(self, u0, v0):
         u0, v0 = factor_pair(u0, v0)
         super().__init__(2 * u0.size, u0.size, np.concatenate([u0, v0]))
-        self.u0, self.v0 = u0, v0
 
     def _rows(self, w):
         """The (2, n) factor rows [u, v] of a checked w."""
@@ -257,7 +256,7 @@ class LogRatio(DifferencePair):
 
     def __init__(self, u0, v0):
         super().__init__(u0, v0)
-        if np.any(self.u0 <= 0) or np.any(self.v0 <= 0):
+        if np.any(self.w_init <= 0):
             raise DomainError("log-ratio factors must be positive")
 
     def _rows(self, w):

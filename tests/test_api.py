@@ -22,6 +22,7 @@ SOURCES = [PACKAGE, ROOT / "demos", PERFBENCH]
 ALLOWED_METHODS = {
     "LegendreFamily.bregman_divergence": "the Legendre contract: a nonnegative Bregman divergence",
     "DomainSpec.lengths": "range shrinking (c7): the dual interval loses 2 |da| as a decreases",
+    "LegendreFamily.domain": "range shrinking (c7): the dual map's domain at a",
     "Schedule.total_strength": "the ablation design: every schedule spends the same strength",
 }
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)

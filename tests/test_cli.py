@@ -410,6 +410,15 @@ def test_run_sparse_coding_log_ratio_starts_inside_its_unit_region(tmp_path):
     assert type(summary["stationarity_step"]) is int
 
 
+def test_run_sparse_coding_log_ratio_that_leaves_its_domain_reports_the_unit_region(tmp_path):
+    # a factor at or below 0 is also below 1: the state that leaves the
+    # domain has left the unit region too
+    assert main(["run", "sparse-coding", "--variant", "log-ratio", "--lr-scale", "5",
+                 "--steps", "50", "--out", str(tmp_path)]) == EXIT_DIVERGED
+    summary = json.loads((tmp_path / "sparse_log-ratio_seed0_summary.json").read_text())
+    assert summary["flags"] == {"domain_exit": True, "left_unit_region": True}
+
+
 def test_run_flow_writes_trajectory(tmp_path):
     args = ["run", "flow", "--out", str(tmp_path), "--family", "entropy",
             "--schedule", "constant", "--alpha0", "0.1", "--t-end", "2.0",
@@ -723,7 +732,7 @@ def test_trajectory_csv_matches_the_rowwise_formatter(tmp_path, n_rows, present)
         return v
 
     steps = np.arange(n_rows) * 7
-    report = RunRecord(kind="test", config={}, steps=steps, times=steps * 0.25, a=series(),
+    report = RunRecord(config={}, steps=steps, times=steps * 0.25, a=series(),
                        metrics={c: series() for c in present}, summary={})
     write_trajectory_csv(str(tmp_path / "t.csv"), report)
     assert (tmp_path / "t.csv").read_bytes() == _rowwise_csv(report)

@@ -109,6 +109,15 @@ def test_lasting_effect_monotone_in_strength():
         assert l1s[0] > l1s[1] > l1s[2]
 
 
+def test_diverged_diagonal_run_reports_the_last_a_it_reached():
+    # steps of 1 diverge before the first record after step 0, long before
+    # the schedule turns off at t = 20
+    sched = Schedule("turnoff", 1.0, turnoff_time=20.0, t_end=400.0)
+    rep = diagonal_network_run(RegressionConfig(eta=1.0, steps=200, schedule=sched))
+    assert rep.diverged and rep.steps.tolist() == [0]
+    assert rep.summary["a_final"] == rep.a[-1] == 0.0
+
+
 def test_diagonal_linear_l1_overshoots_ratio():
     T1 = 4000 * 1e-3
     sch = Schedule("turnoff", 1.0, turnoff_time=T1, t_end=2 * T1)

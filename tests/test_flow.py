@@ -308,6 +308,18 @@ def test_bdf_matches_scipy_bdf_on_the_sensing_tail():
     assert np.max(np.abs(ref.y.T - rec.metrics["params"][1:])) <= 5e-11
 
 
+def test_each_flow_records_only_the_columns_it_names():
+    # a column that nothing reads shows up here as a diff
+    sched = Schedule("constant", 0.1, t_end=0.1)
+    cfg = IntegratorConfig("euler", 0.01, 0.1, record_every=5)
+    loss = QuadraticLoss(np.eye(2), [0.3, -0.2])
+    columns = [sorted(run_param_flow(p, loss, sched, cfg).metrics)
+               for p in (Hadamard([1.0, 1.2], [0.5, 0.3]), LogRatio([1.5, 1.2], [1.2, 1.4]))]
+    assert columns == [["params", "train_loss", "x"], ["params", "train_loss", "unit_region", "x"]]
+    assert sorted(run_mirror_flow(Entropy(np.ones(2)), loss, sched, cfg).metrics) == [
+        "mu", "train_loss", "x"]
+
+
 def test_divergence_guard():
     p = Hadamard([1.0, 1.0], [1.0, 1.0])
     unstable = QuadraticLoss(-np.eye(2), np.zeros(2))  # concave: flow blows up
@@ -315,7 +327,7 @@ def test_divergence_guard():
     with pytest.raises(DivergedError) as exc_info:
         run_param_flow(p, unstable, sched, IntegratorConfig("euler", 1e-2, 40.0, record_every=10))
     err = exc_info.value
-    assert err.record is not None and err.last_valid_time < 40.0
+    assert err.record is not None and err.time < 40.0
 
 
 @pytest.mark.parametrize("method", ["euler", "dop853", "bdf"])
