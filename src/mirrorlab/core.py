@@ -34,7 +34,7 @@ class _FlowStopped(MirrorlabError, RuntimeError):
     """A flow stopped early; carries the time of the last state it accepted
     and the ``RunRecord`` up to it."""
 
-    def __init__(self, message, time, record=None):
+    def __init__(self, message, time, record):
         super().__init__(message)
         self.time = time
         self.record = record
