@@ -10,9 +10,11 @@ environment variable MIRRORLAB_SEED overrides any configured seed, a
 ``--seeds`` sweep included.  Flags, config values and MIRRORLAB_SEED all
 arrive as text, and ``_typed`` reads each option's text once as the type of
 its default; a value that cannot be read as that type, or a float option
-that is not finite, is a usage error, with the same ``error:`` line from
-every source.  Every ``run`` command writes the ``RunRecord`` of its run,
-also of one that stopped early, as a trajectory CSV and a summary JSON.
+that is not finite, is a usage error.  The CLI, like the library, raises
+``core.InputError`` for every bad input, which ``main`` prints as one
+``error:`` line with exit code 2.  Every ``run`` command writes the
+``RunRecord`` of its run, also of one that stopped early, as a trajectory
+CSV and a summary JSON.
 """
 
 from __future__ import annotations
@@ -51,10 +53,6 @@ CSV_COLUMNS = ("step", "t", "a", "train_loss", "recon_error", "nuclear_norm",
 CSV_CHUNK_ROWS = 512
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """Prints a flag error as an ``error:`` line, like every other usage error."""
 
@@ -70,7 +68,7 @@ class _Parser(argparse.ArgumentParser):
 def parse_config(path):
     """Flat key = value sections -> {"section.key": the value's stripped text}."""
     if not os.path.exists(path):
-        raise UsageError(f"config file not found: {path}")
+        raise InputError(f"config file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         cp.read(path)
@@ -78,13 +76,13 @@ def parse_config(path):
         return {f"{section}.{key}": raw.strip()
                 for section in cp.sections() for key, raw in cp.items(section)}
     except configparser.Error as exc:
-        raise UsageError(f"bad config {path}: {exc}")
+        raise InputError(f"bad config {path}: {exc}")
 
 
 def load_matrix(path):
     """Headerless CSV of floats; rejects ragged, non-numeric or non-finite rows."""
     if not os.path.exists(path):
-        raise UsageError(f"matrix file not found: {path}")
+        raise InputError(f"matrix file not found: {path}")
     rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -93,15 +91,15 @@ def load_matrix(path):
                 continue
             cells = line.split(",")
             if rows and len(cells) != len(rows[0]):
-                raise UsageError(f"{path}:{lineno}: ragged row ({len(cells)} cells, expected {len(rows[0])})")
+                raise InputError(f"{path}:{lineno}: ragged row ({len(cells)} cells, expected {len(rows[0])})")
             try:
                 rows.append([float(c) for c in cells])
             except ValueError as exc:
-                raise UsageError(f"{path}:{lineno}: {exc}")
+                raise InputError(f"{path}:{lineno}: {exc}")
             if not all(map(math.isfinite, rows[-1])):
-                raise UsageError(f"{path}:{lineno}: non-finite cell")
+                raise InputError(f"{path}:{lineno}: non-finite cell")
     if not rows:
-        raise UsageError(f"{path}: empty matrix file")
+        raise InputError(f"{path}: empty matrix file")
     return np.asarray(rows)
 
 
@@ -182,10 +180,10 @@ def _merged(args, defaults, section):
             sect, _, name = key.partition(".")
             readers = [opts for _, own, opts in COMMANDS.values() if sect in (own, "schedule")]
             if not readers:
-                raise UsageError(f"[{sect}] {name}: no command reads [{sect}]")
+                raise InputError(f"[{sect}] {name}: no command reads [{sect}]")
             if not any(name in opts for opts in readers):
                 whose = "this command" if sect == section else "any command reading it"
-                raise UsageError(f"[{sect}] {name}: not an option of {whose}")
+                raise InputError(f"[{sect}] {name}: not an option of {whose}")
             if sect in (section, "schedule") and name in merged:
                 merged[name] = val
     for name in defaults:
@@ -203,15 +201,15 @@ def _merged(args, defaults, section):
 
 
 def _typed(name, val, kind):
-    """val, the text of an option or its default, read as kind; UsageError
+    """val, the text of an option or its default, read as kind; InputError
     naming the option if it cannot be, or if it reads as a float that is not
     finite."""
     try:
         out = kind(val)
     except ValueError:
-        raise UsageError(f"{name}: cannot read {val!r} as {kind.__name__}")
+        raise InputError(f"{name}: cannot read {val!r} as {kind.__name__}")
     if kind is float and not math.isfinite(out):
-        raise UsageError(f"{name} must be finite, got {out}")
+        raise InputError(f"{name} must be finite, got {out}")
     return out
 
 
@@ -269,7 +267,7 @@ def _hadamard_init(rng, n):
 
 def _build_variant(name, n, depth, seed):
     if n < 1:
-        raise UsageError("n must be positive")
+        raise InputError("n must be positive")
     rng = make_rng(seed)
     if name == "hadamard":
         return reparam.Hadamard(*_hadamard_init(rng, n))
@@ -284,7 +282,7 @@ def _build_variant(name, n, depth, seed):
     if name == "quadratic":
         return reparam.QuadraticCommuting(_unit_diagonals(n, n + 1), np.eye(n + 1),
                                           rng.uniform(0.7, 1.5, n + 1))
-    raise UsageError(f"unknown variant {name!r}")
+    raise InputError(f"unknown variant {name!r}")
 
 
 def cmd_verify_commuting(args, opts):
@@ -316,7 +314,7 @@ def _equivalence_case(family_name, seed):
     if family_name == "diff-powers":
         p = reparam.DiffPowers(2, rng.uniform(0.9, 1.4, 3), rng.uniform(0.9, 1.4, 3))
         return p, QuadraticLoss(0.5 * np.eye(3), rng.uniform(-0.5, 0.5, 3))
-    raise UsageError(f"unknown equivalence family {family_name!r}")
+    raise InputError(f"unknown equivalence family {family_name!r}")
 
 
 def cmd_verify_equivalence(args, opts):
@@ -339,7 +337,7 @@ def cmd_verify_contracting(args, opts):
     rng = make_rng(opts["seed"])
     name, grid = opts["family"], opts["grid"]
     if grid < 2:
-        raise UsageError(f"grid must be at least 2, got {grid}")
+        raise InputError(f"grid must be at least 2, got {grid}")
     n = 3
     if name == "hyperbolic":
         fam = legendre.HyperbolicEntropy.from_hadamard(*_hadamard_init(rng, n))
@@ -357,7 +355,7 @@ def cmd_verify_contracting(args, opts):
                                        rng.uniform(0.7, 1.5, D))
         xs = [rng.uniform(0.1, 2.0, d) for _ in range(grid)]
     else:
-        raise UsageError(f"unknown contracting family {name!r}")
+        raise InputError(f"unknown contracting family {name!r}")
     a_grid = np.linspace(opts["a_min"], 0.0, grid)
     report = contracting_check(fam, a_grid, xs, tol=opts["tol"])
     print(f"family {fam.tag}: max slope {report.max_slope:.3e}, "
@@ -378,7 +376,7 @@ def cmd_verify_optimality(args, opts):
         y = Z @ x_star
         loss = LinearRegressionLoss(Z, y)
         p = reparam.DeepHadamard([np.zeros(n), np.ones(n)])
-        fam = legendre.HyperbolicEntropy.from_hadamard(np.zeros(n), np.ones(n))
+        fam = legendre.family_for(p)
         sched = Schedule("turnoff", 2.0, turnoff_time=1.0, t_end=120.0)
         # dop853, not bdf: this 12-parameter flow is barely stiff, and bdf took
         # 0.17 s against 0.09 s at seed 0, and longer at 4 of seeds 0-4
@@ -403,7 +401,7 @@ def cmd_verify_optimality(args, opts):
                              IntegratorConfig("bdf", 5e-3, 150.0, record_every=4000))
         x_inf = np.diag(rec.final_x.reshape(n, n))
     else:
-        raise UsageError(f"unknown optimality case {opts['case']!r}")
+        raise InputError(f"unknown optimality case {opts['case']!r}")
     a_T = float(sched.a(sched.t_end))
     res = kkt_residual(Z, x_inf, fam, a_T)
     oracle = constrained_argmin(fam, a_T, Z, y)
@@ -530,21 +528,18 @@ def cmd_run_diagonal(args, opts):
 def cmd_run_sparse_coding(args, opts):
     seed, k, variant = opts["seed"], opts["k"], opts["variant"]
     if variant not in ("diff-powers", "log-ratio"):
-        raise UsageError(f"unknown sparse-coding variant {variant!r}")
+        raise InputError(f"unknown sparse-coding variant {variant!r}")
     if variant == "diff-powers" and k < 1:
-        raise UsageError("k must be a positive integer")
+        raise InputError("k must be a positive integer")
     # t_end sets only a constant schedule's total_strength
     sched = _schedule_from(opts, 1e9)
     cfg = _config(SparseCodingConfig, opts)
     rng = make_rng(seed)
     if opts["dictionary"]:
         D = load_matrix(opts["dictionary"])
-        if not np.any(D):
-            raise InputError("dictionary must be a finite nonzero matrix")
     else:
         D = make_dictionary(opts["n_obs"], opts["n_features"], seed=seed)
     n = D.shape[1]
-    print(f"dictionary: {D.shape[0]} observations x {n} features")
     code_star = np.zeros(n)
     idx = rng.choice(n, max(1, n // 6), replace=False)
     code_star[idx] = rng.standard_normal(len(idx))
@@ -563,6 +558,7 @@ def cmd_run_sparse_coding(args, opts):
     t0 = time.perf_counter()
     rep = sparse_coding_run(D, target, p, sched, cfg)
     wall = time.perf_counter() - t0
+    print(f"dictionary: {D.shape[0]} observations x {n} features")
     stem = _write_run(args.out, f"sparse_{variant}_seed{seed}", rep, seed, wall,
                       {"flags": rep.flags, "kkt_residual": None})
     if args.plot:
@@ -576,7 +572,7 @@ def cmd_run_sparse_coding(args, opts):
 def cmd_run_flow(args, opts):
     seed, n = opts["seed"], opts["n"]
     if n < 1:
-        raise UsageError("n must be positive")
+        raise InputError("n must be positive")
     rng = make_rng(seed)
     if opts["family"] == "entropy":
         fam = legendre.Entropy(rng.uniform(0.5, 1.5, n))
@@ -585,7 +581,7 @@ def cmd_run_flow(args, opts):
         fam = legendre.HyperbolicEntropy.from_hadamard(*_hadamard_init(rng, n))
         target = rng.standard_normal(n)
     else:
-        raise UsageError(f"unknown flow family {opts['family']!r}")
+        raise InputError(f"unknown flow family {opts['family']!r}")
     loss = QuadraticLoss(np.eye(n), target)
     sched = _schedule_from(opts, opts["t_end"])
     cfg = IntegratorConfig(opts["method"], opts["step"], opts["t_end"],
@@ -691,9 +687,9 @@ def main(argv=None):
     handler, section, options = COMMANDS[args.command, args.name]
     try:
         if getattr(args, "jobs", 1) < 1:
-            raise UsageError(f"jobs must be at least 1, got {args.jobs}")
+            raise InputError(f"jobs must be at least 1, got {args.jobs}")
         return handler(args, _merged(args, options, section))
-    except (UsageError, InputError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DivergedError, DomainExitError) as exc:

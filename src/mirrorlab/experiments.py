@@ -7,7 +7,7 @@ loss and schedule) and a per-block finisher; the loop owns the field, the
 gradient cache, the loss-threshold watch (sensing's time to threshold) and
 the unit-region flag (sparse coding), both read on every state the run
 takes, the switch-off of the strength (the diagonal runner's second phase)
-and the strength column ``a``.  The
+and the strength column ``a``, derived after the run from its times.  The
 finisher computes the other series from the block's stacked ``x`` and train
 losses in one call each (errors, norms and sensing's stacked ``eigvalsh``)
 with the bits of the per-state formulas.  Each runner returns the
@@ -125,7 +125,7 @@ def matrix_sensing_run(cfg: SensingConfig) -> RunRecord:
     loss = SensingLoss(A, y)
     p = reparam.SymFactor(U)
 
-    def finish(steps, times, block):
+    def finish(block):
         x = block["x"]
         # each X is symmetric, so one stacked eigvalsh (ascending) gives every
         # spectrum and, in absolute value, every set of singular values
@@ -218,7 +218,7 @@ def diagonal_network_run(cfg: RegressionConfig) -> RunRecord:
         # one factor per letter of the variant name: "mw" is m * w, "mwz" is m * w * z
         p = reparam.DeepHadamard([np.zeros(cfg.n)] + [np.ones(cfg.n)] * (len(cfg.variant) - 1))
 
-    def finish(steps, times, block):
+    def finish(block):
         x = block["x"]
         l1 = np.abs(x).sum(1)
         l2 = np.sqrt(_row_dots(x))
@@ -294,7 +294,7 @@ def sparse_coding_run(dictionary, target, variant_p, schedule: Schedule,
 
     n_obs = D.shape[0]
 
-    def finish(steps, times, block):
+    def finish(block):
         f_val = block["train_loss"]
         return {"train_loss": f_val, "recon_error": 2.0 * f_val / n_obs,
                 "l1": np.abs(block["x"]).sum(1)}

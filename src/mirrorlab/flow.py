@@ -16,10 +16,10 @@ engine also keeps every run's record: a hook sees every state the run takes,
 which is where a run's events are read, and returns named values at each
 snapshot, which the engine holds by reference in a block of up to
 ``RECORD_BLOCK`` snapshots.  A full block, and the last one, is stacked name
-by name, passed through the run's optional finisher, which computes
-statistics of the stacked states in one call per block, and written with the
-step index and time into one preallocated table per column.  A hook must
-therefore not modify a value after returning it.
+by name, passed through the run's optional finisher, a function of the block
+that computes its statistics in one call, and written with the step index
+and time into one table per column, so a hook must not modify a value after
+returning it.  Each flow derives the strength ``a`` from its "t" column.
 
 
 * parameter space:  dw = -(Jg(w)^T grad_f(g(w)) + alpha_t grad_h(w)) dt
@@ -332,11 +332,11 @@ def _integrate(rhs, state0, n_steps, h, record_every, record, method="euler", fi
     return fresh arrays).  A full block is flushed, and so is the last one
     when the run ends or stops early: each name is stacked over the block,
     and a value whose shape differs from the name's first raises ValueError
-    naming its step rather than broadcasting.  ``finish(steps, times,
-    block)``, if given, turns the stacked block (a dict of arrays with one
-    row per snapshot) into the columns to keep, one row per snapshot each,
-    so statistics of the states cost one vectorized call per block;
-    without it the stacked hook values are the columns.
+    naming its step rather than broadcasting.  ``finish(block)``, if given,
+    turns the stacked block (a dict of arrays with one row per snapshot)
+    into the columns to keep, one row per snapshot each, so statistics of
+    the states cost one vectorized call per block; without it the stacked
+    hook values are the columns.
 
     The columns are kept in one table per name, sized to the
     ``1 + ceil(n_steps / record_every)`` snapshots of a finished run:
@@ -377,23 +377,22 @@ def _integrate(rhs, state0, n_steps, h, record_every, record, method="euler", fi
         nonlocal filled
         if not block_rows:
             return
-        steps, times = np.array(block_steps, dtype=np.int64), np.array(block_times)
+        end = filled + len(block_rows)
         block = {name: _stack(name, [row[name] for row in block_rows], block_steps, shape)
                  for name, shape in shapes.items()}
+        tables["step"][filled:end] = block_steps
+        tables["t"][filled:end] = block_times
         block_steps.clear()
         block_times.clear()
         block_rows.clear()
-        columns = block if finish is None else finish(steps, times, block)
-        end = filled + len(steps)
+        columns = block if finish is None else finish(block)
         for name, col in columns.items():
-            if len(col) != len(steps):
+            if len(col) != end - filled:
                 raise ValueError(f"record column {name!r} has {len(col)} rows for a block "
-                                 f"of {len(steps)} snapshots")
+                                 f"of {end - filled} snapshots")
             if name not in tables:
                 tables[name] = np.empty((rows,) + col.shape[1:])
             tables[name][filled:end] = col
-        tables["step"][filled:end] = steps
-        tables["t"][filled:end] = times
         filled = end
 
     steps = (_euler(rhs, state, n_steps, h, record_every) if method == "euler"
@@ -840,11 +839,11 @@ def _param_flow(p, loss, schedule: Schedule, n_steps, h, record_every, method, f
     ``threshold`` is given it watches the loss; and it keeps the loss
     gradient of each state it evaluates for the next step's first stage,
     when the engine hands that stage the same state (every Euler step does).
-    ``finish(steps, times, block)``, if given, turns a stacked block into the
-    columns to keep; the loop adds "a" = a(min(t, off_after)).  Returns ``_integrate``'s
-    (w, status, records) and the events {"threshold_time": the first t whose
-    loss is at most ``threshold``, or None; "left_unit_region": whether any
-    state the run takes left it}.
+    ``finish(block)``, if given, turns a stacked block into the columns to
+    keep; "a" = a(min(t, off_after)) is derived after the run from the "t"
+    column.  Returns ``_integrate``'s (w, status, records) and the events
+    {"threshold_time": the first t whose loss is at most ``threshold``, or
+    None; "left_unit_region": whether any state the run takes left it}.
     """
     inside = getattr(p, "_inside_unit_region", None)
     events = {"threshold_time": None, "left_unit_region": False}
@@ -872,12 +871,9 @@ def _param_flow(p, loss, schedule: Schedule, n_steps, h, record_every, method, f
         row["train_loss"] = f_val
         return row
 
-    def finish_block(steps, times, block):
-        return {"a": schedule.a(np.minimum(times, off_after)),
-                **(block if finish is None else finish(steps, times, block))}
-
     w, status, rec = _integrate(rhs, p.w_init, n_steps, h, record_every, record, method,
-                                finish_block, breaks=_breaks(schedule) + (off_after,))
+                                finish, breaks=_breaks(schedule) + (off_after,))
+    rec["a"] = schedule.a(np.minimum(rec["t"], off_after))
     return w, status, rec, events
 
 
@@ -917,11 +913,9 @@ def run_mirror_flow(family, loss, schedule: Schedule, cfg: IntegratorConfig) -> 
         x = family._dual_map(schedule.a(t), mu)
         return {"mu": mu, "x": x, "train_loss": loss._value_and_grad(x)[0]}
 
-    def finish(steps, times, block):
-        return {"a": schedule.a(times), **block}
-
     _, status, rec = _integrate(rhs, mu0, *cfg.grid(), cfg.record_every, record, cfg.method,
-                                finish, breaks=_breaks(schedule))
+                                breaks=_breaks(schedule))
+    rec["a"] = schedule.a(rec["t"])
     return _flow_result(schedule, cfg, rec, status, "mirror flow", "dual iterate left the domain")
 
 

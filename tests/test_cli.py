@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 import mirrorlab
-from mirrorlab import (IntegratorConfig, RunRecord, Schedule, cli, flow, make_rng,
+from mirrorlab import (InputError, IntegratorConfig, RunRecord, Schedule, cli, flow, make_rng,
                        verify_equivalence)
 from mirrorlab.legendre import ContractingReport
 from mirrorlab.cli import (EXIT_DIVERGED, EXIT_FAIL, EXIT_OK, EXIT_USAGE,
-                           CSV_COLUMNS, UsageError, load_matrix, main,
+                           CSV_COLUMNS, load_matrix, main,
                            parse_config, write_trajectory_csv)
 
 
@@ -30,7 +30,7 @@ def test_parse_config_sections(tmp_path):
 
 
 def test_parse_config_missing():
-    with pytest.raises(UsageError):
+    with pytest.raises(InputError):
         parse_config("/nonexistent/path.cfg")
 
 
@@ -49,7 +49,7 @@ def test_load_matrix_identity(tmp_path):
 def test_load_matrix_ragged(tmp_path):
     f = tmp_path / "m.csv"
     f.write_text("1,2,3\n4,5\n")
-    with pytest.raises(UsageError) as exc_info:
+    with pytest.raises(InputError) as exc_info:
         load_matrix(str(f))
     assert ":2:" in str(exc_info.value)
 
@@ -57,7 +57,7 @@ def test_load_matrix_ragged(tmp_path):
 def test_load_matrix_non_numeric(tmp_path):
     f = tmp_path / "m.csv"
     f.write_text("1,2\nx,4\n")
-    with pytest.raises(UsageError) as exc_info:
+    with pytest.raises(InputError) as exc_info:
         load_matrix(str(f))
     assert ":2:" in str(exc_info.value)
 

@@ -1,5 +1,6 @@
 """Every demo runs to completion against the package in ``src`` without a
-word on stderr, and no run leaves its parameterization's unit region."""
+word on stderr, no run leaves its parameterization's unit region, and each
+prints the stdout of the output manifest (``tests/golden.py``)."""
 
 import os
 import subprocess
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import golden
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -20,3 +23,8 @@ def test_demo_exits_0(tmp_path, demo):
     assert run.stderr == ""
     # demo 04's log-ratio runs start inside the region their dual map assumes
     assert "(left u,v > 1 region)" not in run.stdout
+    manifest = golden.load()
+    mismatch = golden.version_mismatch(manifest)
+    assert mismatch is None, mismatch
+    assert golden.digest(run.stdout) == manifest["demos"][demo.stem], (
+        f"{demo.stem}'s stdout moved from tests/golden.json:\n{run.stdout}")

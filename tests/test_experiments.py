@@ -118,6 +118,20 @@ def test_diverged_diagonal_run_reports_the_last_a_it_reached():
     assert rep.summary["a_final"] == rep.a[-1] == 0.0
 
 
+def test_diverged_diagonal_run_records_the_strength_of_its_own_times():
+    # the L1 run is unstable at this step (above 2 / 6.46, the loss's largest
+    # curvature) and its last record is at t = 79.2, after the phase-1 end at
+    # 66 and before the turn-off at 100, so its strength stops at a(66)
+    # while the schedule's goes on
+    sched = Schedule("cosine-decay", 0.01, turnoff_time=100.0, t_end=132.0)
+    cfg = RegressionConfig(eta=0.33, steps=200, record_every=10, schedule=sched, variant="m")
+    rep = diagonal_network_run(cfg)
+    phase1_end = cfg.steps * cfg.eta
+    assert rep.diverged and rep.times[-1] > phase1_end
+    assert np.array_equal(rep.a, sched.a(np.minimum(rep.times, phase1_end)))
+    assert rep.a[-1] > sched.a(rep.times[-1])
+
+
 def test_diagonal_linear_l1_overshoots_ratio():
     T1 = 4000 * 1e-3
     sch = Schedule("turnoff", 1.0, turnoff_time=T1, t_end=2 * T1)

@@ -275,6 +275,18 @@ def test_dop853_log_cosh_run_that_leaves_its_domain_ends_with_domain_status():
         assert abs(exit.time - exits[0].time) < 1e-2
 
 
+def test_mirror_flow_that_leaves_its_domain_records_the_strength_of_its_own_times():
+    # Euler leaves the log-cosh domain at t = 0.08, after the turn-off at 0.05
+    lc = LogCosh([1.0, 1.2], [0.9, 1.1])
+    sched = Schedule("cosine-decay", 0.2, turnoff_time=0.05, t_end=4.0)
+    with pytest.raises(DomainExitError) as exc_info:
+        run_mirror_flow(lc, QuadraticLoss(np.eye(2), [6.0, -6.0]), sched,
+                        IntegratorConfig("euler", 1e-2, 4.0, record_every=1))
+    rec = exc_info.value.record
+    assert rec.times[-1] > sched.turnoff_time
+    assert np.array_equal(rec.a, sched.a(rec.times))
+
+
 def test_bdf_log_cosh_run_stays_inside_its_domain_and_converges():
     # under Euler this flow leaves its domain at t = 0.08, and dop853 stays
     # inside at its stability limit, on 559249 field evaluations (13 s)
@@ -485,10 +497,9 @@ def test_integrate_writes_every_snapshot_across_blocks(snapshots, with_finish):
     # one snapshot per step: x_k = (k, -k), so every row says which step it holds
     blocks = []
 
-    def finish(steps, times, block):
-        blocks.append(len(steps))
-        assert steps.dtype == np.int64 and times.dtype == np.float64
-        assert block["x"].shape == (len(steps), 2) and block["k"].shape == (len(steps),)
+    def finish(block):
+        blocks.append(len(block["k"]))
+        assert block["x"].shape == (blocks[-1], 2) and block["k"].shape == (blocks[-1],)
         return {"x": block["x"], "k": block["k"], "x0_plus_k": block["x"][:, 0] + block["k"]}
 
     state, status, records = _integrate(lambda t, s: np.array([1.0, -1.0]), np.zeros(2),
@@ -528,7 +539,7 @@ def _hook_fails_mid_block(k, t, state):
 @pytest.mark.parametrize("with_finish", [False, True], ids=["rows", "finish"])
 def test_integrate_flushes_a_partial_block_on_an_early_exit(rhs, record, kind, snapshots,
                                                             with_finish):
-    def finish(steps, times, block):
+    def finish(block):
         return {"x": block["x"], "twice": 2.0 * block["x"][:, 0]}
 
     _, status, records = _integrate(rhs, np.zeros(1), 100, 1.0, 1, record,
@@ -544,7 +555,7 @@ def test_integrate_flushes_a_partial_block_on_an_early_exit(rhs, record, kind, s
 
 @pytest.mark.parametrize("n_steps", [10, 100], ids=["last-block", "full-block"])
 def test_integrate_rejects_a_finisher_column_of_the_wrong_length(n_steps):
-    def finish(steps, times, block):
+    def finish(block):
         return {"x": block["x"], "short": block["x"][1:, 0]}
 
     with pytest.raises(ValueError, match=r"record column 'short' has \d+ rows for a block of "
@@ -563,7 +574,7 @@ def test_integrate_names_the_step_of_a_shape_change_in_a_block(bad_step, with_fi
     with pytest.raises(ValueError, match=rf"record at step {bad_step} returned 'x' of shape "
                                          r"\(3,\), expected \(2,\)"):
         _integrate(lambda t, s: s, np.ones(2), 100, 0.01, 1, record,
-                   finish=(lambda steps, times, block: block) if with_finish else None)
+                   finish=(lambda block: block) if with_finish else None)
 
 
 def test_a_recorded_run_peaks_near_the_size_of_its_record():
@@ -603,7 +614,7 @@ def test_adaptive_threshold_time_is_a_state_the_run_takes(method, monkeypatch):
     sched = Schedule("turnoff", 0.02, turnoff_time=25.0, t_end=50.0)
     p = SymFactor(U)
     _, status, _, events = flow._param_flow(p, loss, sched, 200, 0.25, 1, method,
-                                            lambda steps, times, block: block, threshold=1e-4)
+                                            lambda block: block, threshold=1e-4)
     assert status is None
     first = next(t for t, w in seen if loss.value(p.g(w)) <= 1e-4)
     assert events["threshold_time"] == first
