@@ -121,12 +121,11 @@ def run_commands(workdir):
     return entries
 
 
-def demo_stdout(demo, cwd):
-    """A demo's stdout, run as a script against the package in ``src``."""
+def run_demo(demo, cwd):
+    """A demo run as a script in ``cwd`` against the package in ``src``."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    run = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env,
-                         cwd=cwd, timeout=300, check=True)
-    return run.stdout
+    return subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env,
+                          cwd=cwd, timeout=300)
 
 
 def load():
@@ -168,7 +167,7 @@ def main(argv):
         sys.exit("usage: python tests/golden.py [--write]")
     with tempfile.TemporaryDirectory() as work:
         entries = run_commands(work)
-        demos = {demo.stem: digest(demo_stdout(demo, work)) for demo in DEMOS}
+        demos = {demo.stem: digest(run_demo(demo, work).stdout) for demo in DEMOS}
     if argv:
         manifest = {"versions": versions(), "commands": entries, "demos": demos}
         MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n")

@@ -2,23 +2,14 @@
 word on stderr, no run leaves its parameterization's unit region, and each
 prints the stdout of the output manifest (``tests/golden.py``)."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 import golden
 
-ROOT = Path(__file__).resolve().parents[1]
 
-
-@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda path: path.stem)
+@pytest.mark.parametrize("demo", golden.DEMOS, ids=lambda path: path.stem)
 def test_demo_exits_0(tmp_path, demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    run = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env,
-                         cwd=tmp_path, timeout=300)
+    run = golden.run_demo(demo, tmp_path)
     assert run.returncode == 0, run.stderr
     assert run.stderr == ""
     # demo 04's log-ratio runs start inside the region their dual map assumes
